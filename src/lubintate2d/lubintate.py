@@ -22,7 +22,8 @@ names the offending monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from math import gcd
 
 from .padics import DEFAULT_PRECISION, Padic, UnramifiedElement, is_prime
@@ -112,33 +113,46 @@ class GroupConstructionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class LubinTateGroup:
+    """The logarithm and its inverse.  The group law and [p]_F are derived
+    on first read and cached; a law passed in is taken as given."""
+
     p: int
     heights: HeightPair
     degree: int
     prec: int
     logarithm: SeriesPair   # two variables
     exponential: SeriesPair  # two variables, inverse of the logarithm
-    group_law: SeriesPair   # four variables: x1, x2, y1, y2
+    law: InitVar[SeriesPair | None] = None  # four variables: x1, x2, y1, y2
+
+    def __post_init__(self, law):
+        if law is not None:
+            self.__dict__["group_law"] = law
+
+    @cached_property
+    def group_law(self) -> SeriesPair:
+        """F = L^{-1}(L(X) + L(Y)), shape-checked once."""
+        log = self.logarithm
+        law = compose(self.exponential, log.embed(4, (0, 1)) + log.embed(4, (2, 3)))
+        mv = law.min_valuation()
+        if mv is not None and mv < 0:
+            raise GroupConstructionError(f"group law has a denominator (min valuation {mv})")
+        ident = SeriesPair.identity(self.p, self.degree, self.prec)
+        for zeros, name in (((2, 3), "F(X, 0) != X"), ((0, 1), "F(0, Y) != Y")):
+            if SeriesPair(law.first.eliminate_zeros(zeros), law.second.eliminate_zeros(zeros)) != ident:
+                raise GroupConstructionError(name)
+        return law
+
+    @cached_property
+    def p_multiplication(self) -> SeriesPair:
+        return multiplication(self.p, self)  # [p]_F, read by three checkers
 
 
 def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> LubinTateGroup:
-    """Construct the group law F = L^{-1}(L(X) + L(Y)) and check its shape."""
+    """Construct the logarithm and the exponential (a checked two-sided
+    inverse); the group law waits for its first read."""
     heights = _as_heights(heights)
     log = build_logarithm(p, heights, degree, prec)
-    exp = invert_pair(log, prec)
-    lx = log.embed(4, (0, 1))
-    ly = log.embed(4, (2, 3))
-    law = compose(exp, lx + ly)
-
-    mv = law.min_valuation()
-    if mv is not None and mv < 0:
-        raise GroupConstructionError(f"group law has a denominator (min valuation {mv})")
-    ident = SeriesPair.identity(p, degree, prec)
-    if SeriesPair(law.first.eliminate_zeros((2, 3)), law.second.eliminate_zeros((2, 3))) != ident:
-        raise GroupConstructionError("F(X, 0) != X")
-    if SeriesPair(law.first.eliminate_zeros((0, 1)), law.second.eliminate_zeros((0, 1))) != ident:
-        raise GroupConstructionError("F(0, Y) != Y")
-    return LubinTateGroup(p, heights, degree, prec, log, exp, law)
+    return LubinTateGroup(p, heights, degree, prec, log, invert_pair(log, prec))
 
 
 def multiplication(a, group: LubinTateGroup) -> SeriesPair:
@@ -225,9 +239,8 @@ def congruence_report(f: SeriesPair, p: int, heights) -> CongruenceReport:
 
 def verify_p_congruences(group: LubinTateGroup) -> CongruenceReport:
     """Congruence checks on [p]_F plus exact linearity L([p]_F X) = p L(X)."""
-    m = multiplication(group.p, group)
-    base = congruence_report(m, group.p, group.heights)
-    out = list(base.violations)
+    m = group.p_multiplication
+    out = list(congruence_report(m, group.p, group.heights).violations)
     lhs = compose(group.logarithm, m)
     rhs = group.logarithm.scale(group.p)
     diff = lhs - rhs
@@ -327,18 +340,11 @@ def height_of(group: LubinTateGroup):
     (x2^{p^{h1}}, x1^{p^{h2}}); any other shape gets the diagnostic string
     "not monomial-Frobenius" rather than a guess.
     """
-    m = multiplication(group.p, group)
-    mv = m.min_valuation()
-    if mv is not None and mv < 0:
+    if group.p ** max(group.heights.h1, group.heights.h2) > group.degree:
         return "not monomial-Frobenius"
-    h1, h2 = group.heights.h1, group.heights.h2
-    expected = ({(0, group.p**h1): 1}, {(group.p**h2, 0): 1})
-    for comp, want in ((m.first, expected[0]), (m.second, expected[1])):
-        if any(sum(e) > group.degree for e in want):
-            return "not monomial-Frobenius"
-        got = {e: u for e, u in comp.units_mod_p().items() if sum(e) > 1}
-        if got != want:
-            return "not monomial-Frobenius"
+    report = congruence_report(group.p_multiplication, group.p, group.heights)
+    if any(v.check in ("integral", "frobenius") for v in report.violations):
+        return "not monomial-Frobenius"
     return group.heights.total
 
 
@@ -430,7 +436,7 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsR
     if not integral:
         out.append(Violation(0, None, "integral", f"min valuation {mv}"))
 
-    pm = multiplication(p, group)
+    pm = group.p_multiplication
     p_scalar = Padic.from_int(p, p)
     p_diff = (pm.first.degree_slice(1) == {(1, 0): p_scalar}
               and pm.second.degree_slice(1) == {(0, 1): p_scalar})

@@ -19,19 +19,13 @@ from fractions import Fraction
 from math import gcd
 
 from .copolygon import Copolygon, fraction_str, intersect_tie_loci
-from .lubintate import HeightPair
+from .lubintate import _as_heights
 from .padics import DEFAULT_PRECISION, is_prime
 from .series import Series, SeriesPair
 
 
 class AmbiguousBranchError(ArithmeticError):
     """A min-plus inversion step could not single out the Frobenius branch."""
-
-
-def _heights(heights) -> HeightPair:
-    if isinstance(heights, HeightPair):
-        return heights
-    return HeightPair(*heights)
 
 
 def _check_prime(p: int):
@@ -47,7 +41,7 @@ def dynamical_system(p: int, heights, degree: int,
     the system degenerates to its linear part.
     """
     _check_prime(p)
-    hs = _heights(heights)
+    hs = _as_heights(heights)
     q1, q2 = p**hs.h1, p**hs.h2
     if degree < max(q1, q2):
         raise ValueError(
@@ -66,7 +60,7 @@ def hypothesis_status(p: int, heights) -> str:
     min-plus computation backs them up.
     """
     _check_prime(p)
-    hs = _heights(heights)
+    hs = _as_heights(heights)
     return "in" if p != 2 and hs.h1 >= 2 and hs.h2 >= 2 else "outside"
 
 
@@ -95,7 +89,7 @@ def torsion_valuations(p: int, heights, n: int) -> ValuationProfile:
                  v(eta) = (p^h1 + 1) / (p^(h m - h2) (p^h - 1)).
     """
     _check_prime(p)
-    hs = _heights(heights)
+    hs = _as_heights(heights)
     if n < 1:
         raise ValueError("torsion level n must be at least 1")
     h = hs.total
@@ -125,7 +119,7 @@ def torsion_valuations_via_minplus(p: int, heights, n: int,
     caller replay the inversion from arbitrary valuations.
     """
     _check_prime(p)
-    hs = _heights(heights)
+    hs = _as_heights(heights)
     if n < 1:
         raise ValueError("torsion level n must be at least 1")
     q1, q2 = p**hs.h1, p**hs.h2
@@ -159,7 +153,7 @@ def torsion_valuations_via_minplus(p: int, heights, n: int,
 
 def profile_report(p: int, heights, n_max: int) -> list:
     """Level-by-level table comparing the two valuation computations."""
-    hs = _heights(heights)
+    hs = _as_heights(heights)
     status = hypothesis_status(p, hs)
     rows = []
     for n in range(1, n_max + 1):
@@ -183,7 +177,7 @@ def profile_report(p: int, heights, n_max: int) -> list:
 def count_p_torsion(p: int, heights) -> int:
     """Number of p-torsion points including the origin: p^(h1+h2)."""
     _check_prime(p)
-    hs = _heights(heights)
+    hs = _as_heights(heights)
     return p**hs.total
 
 
@@ -224,7 +218,7 @@ class PTorsionReport:
 
 def p_torsion_report(p: int, heights) -> PTorsionReport:
     _check_prime(p)
-    hs = _heights(heights)
+    hs = _as_heights(heights)
     level1 = torsion_valuations(p, hs, 1)
     a, b = level1.v_xi, level1.v_eta
     q1, q2 = p**hs.h1, p**hs.h2
@@ -295,7 +289,7 @@ class RamificationReport:
 def ramification_report(p: int, heights) -> RamificationReport:
     """Ramification degree (p^h - 1)/2 for odd p, odd h, heights >= 2."""
     _check_prime(p)
-    hs = _heights(heights)
+    hs = _as_heights(heights)
     if p == 2:
         raise ValueError("the ramification formula needs an odd prime")
     if hs.h1 < 2 or hs.h2 < 2:

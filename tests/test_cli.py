@@ -242,3 +242,34 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["cross"] is False
+
+
+def test_verify_builds_p_multiplication_once(capsys, monkeypatch):
+    from lubintate2d import lubintate
+
+    calls = []
+    real = lubintate.multiplication
+    monkeypatch.setattr(lubintate, "multiplication",
+                        lambda a, g: calls.append(a) or real(a, g))
+    code, out, _ = run(capsys, "verify", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls == [2]
+
+
+def test_low_precision_verify_still_fails_on_the_law(capsys):
+    code, out, err = run(capsys, "-N", "2", "verify", "-p", "2", "--h1", "2",
+                         "--h2", "3", "-D", "16")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "usage",
+                               "detail": "group law has a denominator (min valuation -1)"}
+
+
+def test_low_precision_mult_skips_the_law(capsys):
+    # mult never reads the group law, so a law that would carry a
+    # denominator at N = 2 no longer stops it; [a] itself is integral.
+    for p, h1, h2 in (("2", "2", "3"), ("3", "1", "2")):
+        code, out, err = run(capsys, "-N", "2", "mult", "-p", p, "--h1", h1,
+                             "--h2", h2, "-D", "16", "-a", p)
+        assert code == 0 and err == ""
+        _, sections = parse_sections(out)
+        assert all(c.val >= 0 for s in sections.values() for c in s.terms.values())

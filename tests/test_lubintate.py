@@ -7,6 +7,7 @@ import pytest
 from lubintate2d.padics import Padic, UnramifiedRing, teichmuller
 from lubintate2d.series import Series, SeriesPair, compose
 from lubintate2d.lubintate import (
+    GroupConstructionError,
     HeightPair,
     LubinTateGroup,
     build_group,
@@ -288,3 +289,37 @@ def test_log_of_p_map_is_p_log():
     for group in (g23(), g312()):
         m = multiplication(group.p, group)
         assert compose(group.logarithm, m) == group.logarithm.scale(group.p)
+
+
+def test_multiplication_never_builds_the_law(monkeypatch):
+    widths = []
+    substitute = Series.substitute
+
+    def spy(self, inner):
+        inner = list(inner)
+        widths.append(inner[0].nvars)
+        return substitute(self, inner)
+
+    monkeypatch.setattr(Series, "substitute", spy)
+    group = build_group(3, (1, 2), 9)
+    multiplication(3, group)
+    assert widths and 4 not in widths
+    assert "group_law" not in vars(group)
+
+
+def test_group_law_is_derived_once(monkeypatch):
+    group = build_group(2, (2, 3), 6)
+    law = group.group_law
+    monkeypatch.setattr(Series, "substitute", None)  # a second derivation would fail
+    assert group.group_law is law
+
+
+def test_spiked_exponential_fails_on_first_law_read():
+    group = g23()
+    exp = group.exponential
+    spike = Series(2, 2, 9, {(2, 0): Padic(2, -1, 1)})
+    fake = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
+                          group.logarithm, SeriesPair(exp.first + spike, exp.second))
+    with pytest.raises(GroupConstructionError, match="group law has a denominator"):
+        fake.group_law
+
