@@ -13,8 +13,9 @@ intersections are solved with 2x2 rational linear algebra.  No floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .padics import Padic, PrecisionError
 from .series import Series, grlex
@@ -78,8 +79,6 @@ class TieSegment:
 class Copolygon:
     """Lower envelope of finitely many affine functionals i*xi1 + j*xi2 + v."""
 
-    __slots__ = ("functionals",)
-
     def __init__(self, functionals):
         best = {}
         for i, j, v in functionals:
@@ -131,55 +130,26 @@ class Copolygon:
 
     # -- exact geometry ---------------------------------------------------
 
-    def vertices(self) -> list:
-        """Points where at least three functionals tie on the envelope.
-
-        Returns (xi1, xi2, value) triples sorted by coordinates.  All
-        triples of support functionals are solved exactly; a candidate is
-        kept when the common value is the global minimum there.
-        """
-        fs = self.functionals
-        found = {}
-        n = len(fs)
-        for a in range(n):
-            i1, j1, v1 = fs[a]
-            for b in range(a + 1, n):
-                i2, j2, v2 = fs[b]
-                for c in range(b + 1, n):
-                    i3, j3, v3 = fs[c]
-                    # f_a = f_b and f_a = f_c
-                    a11, a12, r1 = i1 - i2, j1 - j2, v2 - v1
-                    a21, a22, r2 = i1 - i3, j1 - j3, v3 - v1
-                    det = a11 * a22 - a12 * a21
-                    if det == 0:
-                        continue
-                    x1 = Fraction(r1 * a22 - r2 * a12, det)
-                    x2 = Fraction(a11 * r2 - a21 * r1, det)
-                    value = i1 * x1 + j1 * x2 + v1
-                    if value == self.evaluate((x1, x2)):
-                        found[(x1, x2)] = value
-        return sorted((x1, x2, val) for (x1, x2), val in found.items())
-
-    def tie_segments(self) -> list:
-        """Maximal loci where a pair of functionals ties and is minimal.
+    @cached_property
+    def _tie_loci(self) -> tuple:
+        """Every pair's locus where it ties and is minimal, a point or more.
 
         Each pair's tie line is cut down by the constraint that every other
-        functional stays >= the common value.  Pairs whose tie line is
-        matched identically by a third functional are skipped (the locus is
-        already covered by the other pairs), as are loci that are empty or
-        a single point.
+        functional stays >= the common value.  A pair is dropped as soon as
+        its locus is empty (a parallel functional lies strictly below the
+        line, or the bounds cross) or degenerate (a third functional, its
+        exponent on the pair's line, matches the pair along the whole line).
+        One O(n^3) pass, cached: vertices and tie segments are read off it.
         """
         fs = self.functionals
-        segments = []
+        loci = []
         n = len(fs)
         for a in range(n):
             i1, j1, v1 = fs[a]
             for b in range(a + 1, n):
                 i2, j2, v2 = fs[b]
+                # tie line da*xi1 + db*xi2 = v2 - v1; exponents are distinct
                 da, db = i1 - i2, j1 - j2
-                if da == 0 and db == 0:
-                    continue
-                # tie line da*xi1 + db*xi2 = v2 - v1
                 rhs = v2 - v1
                 if da:
                     base = (Fraction(rhs, da), Fraction(0))
@@ -187,7 +157,6 @@ class Copolygon:
                     base = (Fraction(0), Fraction(rhs, db))
                 direction = (db, -da)
                 t_lo = t_hi = None
-                degenerate = empty = False
                 for k in range(n):
                     if k in (a, b):
                         continue
@@ -196,27 +165,51 @@ class Copolygon:
                     g0 = (ik - i1) * base[0] + (jk - j1) * base[1] + vk - v1
                     g1 = (ik - i1) * direction[0] + (jk - j1) * direction[1]
                     if g1 == 0:
-                        if g0 < 0:
-                            empty = True
-                            break
-                        if g0 == 0:
-                            degenerate = True
+                        if g0 <= 0:  # empty or degenerate
                             break
                         continue
                     bound = Fraction(-g0, g1)
                     if g1 > 0:
                         if t_lo is None or bound > t_lo:
                             t_lo = bound
-                    else:
-                        if t_hi is None or bound < t_hi:
-                            t_hi = bound
-                if degenerate or empty:
-                    continue
-                if t_lo is not None and t_hi is not None and t_lo >= t_hi:
-                    continue
-                segments.append(TieSegment(fs[a], fs[b], (da, db, rhs),
-                                           base, direction, t_lo, t_hi))
-        return segments
+                    elif t_hi is None or bound < t_hi:
+                        t_hi = bound
+                    if t_lo is not None and t_hi is not None and t_lo > t_hi:
+                        break
+                else:
+                    loci.append(TieSegment(fs[a], fs[b], (da, db, rhs),
+                                       base, direction, t_lo, t_hi))
+        return tuple(loci)
+
+    def vertices(self) -> list:
+        """Points where at least three functionals tie on the envelope.
+
+        Returns (xi1, xi2, value) triples sorted by coordinates: the finite
+        ends of the tie loci, one-point loci included.  No vertex is lost
+        with the degenerate pairs: the exponents of the functionals minimal
+        at a vertex are not all on one line, so by the Sylvester-Gallai
+        theorem two of them span a line through no third, and that pair's
+        locus ends at the vertex.
+        """
+        found = {}
+        for seg in self._tie_loci:
+            i, j, v = seg.first
+            for t in (seg.t_lo, seg.t_hi):
+                if t is not None:
+                    x1, x2 = seg.point_at(t)
+                    found[(x1, x2)] = i * x1 + j * x2 + v
+        return sorted((x1, x2, val) for (x1, x2), val in found.items())
+
+    def tie_segments(self) -> list:
+        """Maximal loci where a pair of functionals ties and is minimal.
+
+        The tie loci longer than a point.  Dropping the degenerate pairs
+        loses a real edge when three or more functionals with collinear
+        exponents tie along it: the cells of the two outer ones meet there,
+        but every pair on the line is degenerate, so none is reported.
+        """
+        return [seg for seg in self._tie_loci
+                if seg.t_lo is None or seg.t_lo != seg.t_hi]
 
 
 def intersect_tie_loci(first: Copolygon, second: Copolygon) -> list:

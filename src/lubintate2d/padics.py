@@ -253,7 +253,7 @@ def _poly_trim(f):
 
 
 def _poly_mulmod(a, b, mod, p):
-    # mod is monic
+    # mod is monic; p may be any modulus (UnramifiedElement passes p**prec)
     if not a or not b:
         return ()
     res = [0] * (len(a) + len(b) - 1)
@@ -460,23 +460,8 @@ class UnramifiedElement:
     def __mul__(self, other):
         self._check(other)
         ring = self.ring
-        pk, h, mod = ring.pk, ring.degree, ring.modulus
-        res = [0] * (2 * h - 1) if h > 1 else [0]
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                res[i + j] = (res[i + j] + a * b) % pk
-        for i in range(len(res) - 1, h - 1, -1):
-            c = res[i]
-            if c == 0:
-                continue
-            res[i] = 0
-            for j in range(h):
-                res[i - h + j] = (res[i - h + j] - c * mod[j]) % pk
-        return UnramifiedElement(ring, tuple(res[:h]))
+        res = _poly_mulmod(self.coeffs, other.coeffs, ring.modulus, ring.pk)
+        return UnramifiedElement(ring, res + (0,) * (ring.degree - len(res)))
 
     def __pow__(self, e: int):
         if e < 0:

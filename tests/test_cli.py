@@ -256,6 +256,18 @@ def test_verify_builds_p_multiplication_once(capsys, monkeypatch):
     assert calls == [2]
 
 
+def test_copolygon_svg_computes_tie_loci_once(capsys, monkeypatch, tmp_path):
+    # the report and the picture both read vertices and tie segments
+    prop = Copolygon.__dict__["_tie_loci"]
+    calls = []
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda poly: calls.append(poly) or real(poly))
+    code, out, _ = run(capsys, "copolygon", "--fixture", "dyn23", "--svg",
+                       str(tmp_path / "dyn23.svg"))
+    assert code == 0 and "tie segments: 1" in out
+    assert len(calls) == 1
+
+
 def test_low_precision_verify_still_fails_on_the_law(capsys):
     code, out, err = run(capsys, "-N", "2", "verify", "-p", "2", "--h1", "2",
                          "--h2", "3", "-D", "16")
