@@ -59,16 +59,19 @@ def _fail(code: str, detail) -> None:
                                 sort_keys=True) + "\n")
 
 
-def _env_precision() -> int:
-    raw = os.environ.get("LT2D_PRECISION")
+def _precision(flag) -> int:
+    """The working precision from -N, else LT2D_PRECISION, else the default."""
+    name, raw = "-N", flag
     if raw is None:
-        return DEFAULT_PRECISION
+        name, raw = "LT2D_PRECISION", os.environ.get("LT2D_PRECISION")
+        if raw is None:
+            return DEFAULT_PRECISION
     try:
         prec = int(raw)
     except ValueError:
-        raise UsageError(f"LT2D_PRECISION must be an integer, got {raw!r}")
+        raise UsageError(f"{name} must be an integer, got {raw!r}")
     if prec < 1:
-        raise UsageError("LT2D_PRECISION must be at least 1")
+        raise UsageError(f"{name} must be at least 1")
     return prec
 
 
@@ -354,7 +357,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.precision = args.precision or _env_precision()
+        args.precision = _precision(args.precision)
         if args.func is cmd_verify and not args.fixture:
             missing = [n for n in ("p", "h1", "h2", "degree")
                        if getattr(args, n) is None]

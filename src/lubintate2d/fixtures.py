@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+from .lubintate import _linear_defects
 from .padics import DEFAULT_PRECISION
 from .series import Series, SeriesPair, parse_sections
 from .torsion import dynamical_system
@@ -46,13 +47,8 @@ def frobenius_profile(pair: SeriesPair, p: int) -> dict:
     and whether the orientation is the crossed one (first component a
     power of x2, second a power of x1).
     """
-    linear_ok = True
     monomials = []
-    for idx, comp in enumerate((pair.first, pair.second)):
-        want = {tuple(1 if k == idx else 0 for k in range(2)): p}
-        got = {e: c for e, c in comp.degree_slice(1).items()}
-        if set(got) != set(want) or any(got[e] != want[e] for e in want):
-            linear_ok = False
+    for comp in pair:
         units = comp.units_mod_p()
         if len(units) == 1:
             e, u = next(iter(units.items()))
@@ -63,7 +59,7 @@ def frobenius_profile(pair: SeriesPair, p: int) -> dict:
              and monomials[0][0] == 0 and monomials[1][1] == 0)
     exponents = sorted(sum(e) for e in monomials if e is not None)
     return {
-        "linear_ok": linear_ok,
+        "linear_ok": not _linear_defects(pair, p),
         "first": monomials[0],
         "second": monomials[1],
         "cross": cross,

@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from math import gcd
 
-from .padics import DEFAULT_PRECISION, Padic, UnramifiedElement, is_prime
+from .padics import DEFAULT_PRECISION, Padic, UnramifiedElement, _check_prime
 from .series import Series, SeriesPair, compose, grlex, invert_pair
 
 
@@ -56,8 +56,7 @@ def _as_heights(heights) -> HeightPair:
 
 
 def _check_params(p: int, degree: int):
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     if degree < 1:
         raise ValueError("truncation degree must be at least 1")
 
@@ -87,6 +86,12 @@ def build_logarithm(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION)
     return SeriesPair(Series(p, 2, degree, terms1), Series(p, 2, degree, terms2))
 
 
+def _differences(a: SeriesPair, b: SeriesPair) -> list:
+    """(component, exponents) where two pairs differ, each component in
+    graded-lex order."""
+    return [(idx, e) for idx, comp in enumerate(a - b, 1) for e in comp.support()]
+
+
 def recursion_defects(log: SeriesPair, p: int, heights) -> list:
     """Monomials violating the twisted functional equations; empty = exact.
 
@@ -96,15 +101,8 @@ def recursion_defects(log: SeriesPair, p: int, heights) -> list:
     """
     heights = _as_heights(heights)
     pinv = Padic(p, -1, 1)
-    x1 = Series.variable(p, 2, log.degree, 0)
-    x2 = Series.variable(p, 2, log.degree, 1)
-    d1 = log.first - x1 - log.second.raise_vars(p**heights.h1).scale(pinv)
-    d2 = log.second - x2 - log.first.raise_vars(p**heights.h2).scale(pinv)
-    out = []
-    for comp, d in ((1, d1), (2, d2)):
-        for e in d.support():
-            out.append((comp, e))
-    return out
+    twisted = SeriesPair(log.second.raise_vars(p**heights.h1), log.first.raise_vars(p**heights.h2))
+    return _differences(log, SeriesPair.identity(p, log.degree) + twisted.scale(pinv))
 
 
 class GroupConstructionError(ArithmeticError):
@@ -133,13 +131,11 @@ class LubinTateGroup:
         """F = L^{-1}(L(X) + L(Y)), shape-checked once."""
         log = self.logarithm
         law = compose(self.exponential, log.embed(4, (0, 1)) + log.embed(4, (2, 3)))
-        mv = law.min_valuation()
-        if mv is not None and mv < 0:
-            raise GroupConstructionError(f"group law has a denominator (min valuation {mv})")
-        ident = SeriesPair.identity(self.p, self.degree, self.prec)
-        for zeros, name in (((2, 3), "F(X, 0) != X"), ((0, 1), "F(0, Y) != Y")):
-            if SeriesPair(law.first.eliminate_zeros(zeros), law.second.eliminate_zeros(zeros)) != ident:
-                raise GroupConstructionError(name)
+        bad = _law_shape(law, self.prec)
+        if bad:
+            v = bad[0]
+            raise GroupConstructionError(f"group law has a denominator ({v.detail})"
+                                         if v.check == "integral" else v.detail)
         return law
 
     @cached_property
@@ -183,6 +179,26 @@ class Violation:
         return f"[{self.check}] component {self.component}{where}{tail}"
 
 
+def _law_shape(law: SeriesPair, prec: int) -> list:
+    """Shape violations of a four-variable law, in the order: a
+    denominator, F(X, 0) != X, F(0, Y) != Y."""
+    out = []
+    mv = law.min_valuation()
+    if mv is not None and mv < 0:
+        out.append(Violation(0, None, "integral", f"min valuation {mv}"))
+    ident = SeriesPair.identity(law.p, law.degree, prec)
+    for zeros, name in (((2, 3), "F(X, 0) != X"), ((0, 1), "F(0, Y) != Y")):
+        if SeriesPair(law.first.eliminate_zeros(zeros), law.second.eliminate_zeros(zeros)) != ident:
+            out.append(Violation(0, None, "identity", name))
+    return out
+
+
+def _linear_defects(f: SeriesPair, p: int) -> list:
+    """(component, exponents) where the linear part of f is not p*X."""
+    p_x = SeriesPair.identity(p, 1).scale(p)
+    return [(idx, e) for idx, e in _differences(f.truncate(1), p_x) if sum(e) == 1]
+
+
 @dataclass(frozen=True)
 class CongruenceReport:
     violations: tuple
@@ -205,8 +221,7 @@ def congruence_report(f: SeriesPair, p: int, heights) -> CongruenceReport:
     if f.nvars != 2:
         raise ValueError("expected a two-variable pair")
     out = []
-    p_scalar = Padic.from_int(p, p)
-    lin_expected = ({(1, 0): p_scalar}, {(0, 1): p_scalar})
+    lin_bad = _linear_defects(f, p)
     frob_exp = ((0, p**heights.h1), (p**heights.h2, 0))
     for idx, comp in ((1, f.first), (2, f.second)):
         if not comp.coefficient((0, 0)).is_zero:
@@ -214,11 +229,8 @@ def congruence_report(f: SeriesPair, p: int, heights) -> CongruenceReport:
         bad_val = [e for e, c in comp.terms.items() if c.val < 0]
         for e in sorted(bad_val, key=grlex):
             out.append(Violation(idx, e, "integral", "negative valuation"))
-        lin = comp.degree_slice(1)
-        want = lin_expected[idx - 1]
-        for e in sorted(lin.keys() | want.keys(), key=grlex):
-            if lin.get(e, Padic.zero(p)) != want.get(e, Padic.zero(p)):
-                out.append(Violation(idx, e, "linear", "linear part is not p*X"))
+        out.extend(Violation(idx, e, "linear", "linear part is not p*X")
+                   for i, e in lin_bad if i == idx)
         if bad_val:
             continue  # reduction mod p undefined
         units = comp.units_mod_p()
@@ -241,42 +253,26 @@ def verify_p_congruences(group: LubinTateGroup) -> CongruenceReport:
     """Congruence checks on [p]_F plus exact linearity L([p]_F X) = p L(X)."""
     m = group.p_multiplication
     out = list(congruence_report(m, group.p, group.heights).violations)
-    lhs = compose(group.logarithm, m)
-    rhs = group.logarithm.scale(group.p)
-    diff = lhs - rhs
-    for idx, comp in ((1, diff.first), (2, diff.second)):
-        for e in comp.support():
-            out.append(Violation(idx, e, "linearity", "L([p] X) != p L(X)"))
+    out.extend(Violation(idx, e, "linearity", "L([p] X) != p L(X)")
+               for idx, e in _differences(compose(group.logarithm, m),
+                                          group.logarithm.scale(group.p)))
     return CongruenceReport(tuple(out))
 
 
-def is_endomorphism(f: SeriesPair, group: LubinTateGroup, degree: int | None = None):
-    """Does f(F(X, Y)) equal F(f(X), f(Y)) through the given degree?
+def is_endomorphism(f: SeriesPair, group: LubinTateGroup):
+    """Does f(F(X, Y)) equal F(f(X), f(Y)) through the group's degree?
 
     Returns (ok, first_violation) with the earliest offending monomial in
     graded-lex order when the answer is no.
     """
-    d = group.degree if degree is None else degree
-    if d > group.degree:
-        raise ValueError("cannot check beyond the group's truncation degree")
     if f.nvars != 2 or f.degree != group.degree or f.p != group.p:
         raise ValueError("endomorphism candidate must match the group's shape")
     law = group.group_law
-    lhs = compose(f, law)
-    fx = f.embed(4, (0, 1))
-    fy = f.embed(4, (2, 3))
-    ins = [fx.first, fx.second, fy.first, fy.second]
-    rhs = SeriesPair(law.first.substitute(ins), law.second.substitute(ins))
-    diff = (lhs - rhs).truncate(d)
-    if diff.is_zero:
+    diffs = _differences(compose(f, law),
+                         compose(law, [*f.embed(4, (0, 1)), *f.embed(4, (2, 3))]))
+    if not diffs:
         return True, None
-    worst = None
-    for idx, comp in ((1, diff.first), (2, diff.second)):
-        for e in comp.support():
-            cand = (grlex(e), idx, e)
-            if worst is None or cand < worst:
-                worst = cand
-    _, idx, e = worst
+    idx, e = min(diffs, key=lambda d: (grlex(d[1]), d[0]))
     return False, Violation(idx, e, "endomorphism", "f(F(X,Y)) != F(f(X), f(Y))")
 
 
@@ -403,11 +399,9 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsR
     if not commutative:
         out.append(Violation(0, None, "commutative", "F(X,Y) != F(Y,X)"))
 
-    ident = SeriesPair.identity(p, degree, group.prec)
-    identity_ok = (SeriesPair(law.first.eliminate_zeros((2, 3)),
-                              law.second.eliminate_zeros((2, 3))) == ident)
-    if not identity_ok:
-        out.append(Violation(0, None, "identity", "F(X, 0) != X"))
+    shape = _law_shape(law, group.prec)
+    identity = [v for v in shape if v.check == "identity"]
+    out += identity
 
     da = min(assoc_degree, degree)
     fa = law.truncate(da)
@@ -417,11 +411,7 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsR
     z2 = Series.variable(p, 6, da, 5, group.prec)
     x1 = Series.variable(p, 6, da, 0, group.prec)
     x2 = Series.variable(p, 6, da, 1, group.prec)
-    left_ins = [f_xy.first, f_xy.second, z1, z2]
-    right_ins = [x1, x2, f_yz.first, f_yz.second]
-    lhs = SeriesPair(fa.first.substitute(left_ins), fa.second.substitute(left_ins))
-    rhs = SeriesPair(fa.first.substitute(right_ins), fa.second.substitute(right_ins))
-    associative = lhs == rhs
+    associative = compose(fa, [*f_xy, z1, z2]) == compose(fa, [x1, x2, *f_yz])
     if not associative:
         out.append(Violation(0, None, "associative", f"fails at degree {da}"))
 
@@ -431,20 +421,15 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsR
     if not additive:
         out.append(Violation(0, None, "additive", "L(F(X,Y)) != L(X) + L(Y)"))
 
-    mv = law.min_valuation()
-    integral = mv is None or mv >= 0
-    if not integral:
-        out.append(Violation(0, None, "integral", f"min valuation {mv}"))
+    integral = [v for v in shape if v.check == "integral"]
+    out += integral
 
-    pm = group.p_multiplication
-    p_scalar = Padic.from_int(p, p)
-    p_diff = (pm.first.degree_slice(1) == {(1, 0): p_scalar}
-              and pm.second.degree_slice(1) == {(0, 1): p_scalar})
+    p_diff = not _linear_defects(group.p_multiplication, p)
     if not p_diff:
         out.append(Violation(0, None, "p-differential", "[p]_F linear part is not p*X"))
 
-    return AxiomsReport(commutative, identity_ok, associative, da,
-                        additive, integral, p_diff, tuple(out))
+    return AxiomsReport(commutative, not identity, associative, da,
+                        additive, not integral, p_diff, tuple(out))
 
 
 def group_to_text(group: LubinTateGroup) -> str:

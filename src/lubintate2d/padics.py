@@ -30,6 +30,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p: int) -> None:
+    """The one prime check behind every entry point that takes p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def int_valuation(n: int, p: int) -> int:
     """Largest k with p**k dividing the nonzero integer n."""
     if n == 0:
@@ -375,8 +381,7 @@ class UnramifiedRing:
     """
 
     def __init__(self, p: int, degree: int, prec: int = DEFAULT_PRECISION, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_prime(p)
         if degree < 1:
             raise ValueError("degree must be positive")
         if prec < 1:

@@ -332,6 +332,9 @@ class SeriesPair:
     def is_zero(self):
         return self.first.is_zero and self.second.is_zero
 
+    def __iter__(self):
+        return iter((self.first, self.second))
+
     def __add__(self, other):
         return SeriesPair(self.first + other.first, self.second + other.second)
 
@@ -356,11 +359,10 @@ class SeriesPair:
         return min(vals) if vals else None
 
 
-def compose(outer: SeriesPair, inner: SeriesPair) -> SeriesPair:
-    """outer(inner): outer must be a pair in two variables."""
-    if outer.nvars != 2:
-        raise ValueError("outer pair must live in two variables")
-    ins = [inner.first, inner.second]
+def compose(outer: SeriesPair, inner: Sequence[Series]) -> SeriesPair:
+    """outer(inner): one inner series per variable of outer, so a pair
+    serves as the inner side of a two-variable outer pair."""
+    ins = list(inner)
     return SeriesPair(outer.first.substitute(ins), outer.second.substitute(ins))
 
 

@@ -20,17 +20,12 @@ from math import gcd
 
 from .copolygon import Copolygon, fraction_str, intersect_tie_loci
 from .lubintate import _as_heights
-from .padics import DEFAULT_PRECISION, is_prime
+from .padics import DEFAULT_PRECISION, _check_prime
 from .series import Series, SeriesPair
 
 
 class AmbiguousBranchError(ArithmeticError):
     """A min-plus inversion step could not single out the Frobenius branch."""
-
-
-def _check_prime(p: int):
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
 
 
 def dynamical_system(p: int, heights, degree: int,

@@ -285,3 +285,11 @@ def test_low_precision_mult_skips_the_law(capsys):
         assert code == 0 and err == ""
         _, sections = parse_sections(out)
         assert all(c.val >= 0 for s in sections.values() for c in s.terms.values())
+
+
+@pytest.mark.parametrize("prec", ["0", "-3"])
+def test_precision_flag_below_one_is_a_usage_error(capsys, prec):
+    code, out, err = run(capsys, "-N", prec, "log", "-p", "2", "--h1", "2",
+                         "--h2", "3", "-D", "4")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "usage", "detail": "-N must be at least 1"}

@@ -323,3 +323,17 @@ def test_spiked_exponential_fails_on_first_law_read():
     with pytest.raises(GroupConstructionError, match="group law has a denominator"):
         fake.group_law
 
+
+
+def test_axioms_report_checks_both_identity_laws():
+    # a y1^2 term leaves F(X, 0) = X alone and breaks F(0, Y) = Y
+    group = g23(6)
+    law = group.group_law
+    y1_squared = Series(2, 4, 6, {(0, 0, 2, 0): Padic.one(2)})
+    bad = SeriesPair(law.first + y1_squared, law.second)
+    fake = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
+                          group.logarithm, group.exponential, bad)
+    report = group_axioms_report(fake, assoc_degree=4)
+    assert report.identity is False and report.integral is True
+    assert [str(v) for v in report.violations if v.check == "identity"] == [
+        "[identity] component 0: F(0, Y) != Y"]

@@ -1,0 +1,76 @@
+"""Verdicts of `group`, `verify` and `mult -a p` at low precision.
+
+Each cell runs `lt2d -N <N> <command> -p <p> --h1 <h1> --h2 <h2> -D <D>`
+in-process through `cli.main`, over N = 1..8, D in {6, 9, 12, 16} and the
+two acceptance fixtures (p = 2, heights (2, 3); p = 3, heights (1, 2)).
+Its exit code, stderr and the sha256 of its stdout must equal the golden
+tests/data/verdicts.json.  The grid reaches every exit class of these
+commands (group and verify 0/1/2, mult 0/2), the known low-precision
+failures included, so a checker that changes a verdict or a message
+fails here.
+
+Re-record the golden, only when a verdict change is intended, with
+
+    PYTHONPATH=src python3 tests/test_verdict_golden.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from lubintate2d import cli
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "verdicts.json"
+FIXTURES = (("2", "2", "3"), ("3", "1", "2"))
+
+
+def cells() -> list:
+    out = []
+    for p, h1, h2 in FIXTURES:
+        for degree in ("6", "9", "12", "16"):
+            for prec in range(1, 9):
+                params = ["-p", p, "--h1", h1, "--h2", h2, "-D", degree]
+                head = ["-N", str(prec)]
+                out.append(head + ["group"] + params)
+                out.append(head + ["verify"] + params)
+                out.append(head + ["mult"] + params + ["-a", p])
+    return out
+
+
+def verdict(argv) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return {"argv": " ".join(argv), "exit": code, "stderr": stderr.getvalue(),
+            "stdout_sha256": hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()}
+
+
+def test_low_precision_verdicts(monkeypatch):
+    monkeypatch.delenv("LT2D_PRECISION", raising=False)
+    golden = json.loads(GOLDEN.read_text())
+    assert [entry["argv"] for entry in golden] == [" ".join(a) for a in cells()]
+    for entry, argv in zip(golden, cells()):
+        assert verdict(argv) == entry
+
+
+def test_grid_reaches_every_exit_class():
+    seen = {(e["argv"].split()[2], e["exit"]) for e in json.loads(GOLDEN.read_text())}
+    assert seen == {("group", 0), ("group", 1), ("group", 2),
+                    ("verify", 0), ("verify", 1), ("verify", 2),
+                    ("mult", 0), ("mult", 2)}
+
+
+def record() -> None:
+    os.environ.pop("LT2D_PRECISION", None)
+    rows = [verdict(argv) for argv in cells()]
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    record()
