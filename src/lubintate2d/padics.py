@@ -10,6 +10,7 @@ recorded precision instead of a silently wrong digit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 DEFAULT_PRECISION = 64
@@ -45,6 +46,56 @@ def int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+class _Powers(dict):
+    """p**k by k, each power computed on first use."""
+
+    def __init__(self, p: int):
+        super().__init__({0: 1, 1: p})
+
+    def __missing__(self, k):
+        self[k] = power = self[1] ** k
+        return power
+
+
+@cache
+def _powers(p: int) -> _Powers:
+    return _Powers(p)
+
+
+def _raw_add(pk: _Powers, a, b):
+    """The sum rule of `Padic`, on (val, unit, prec) triples; pk = _powers(p).
+
+    Triples are canonical: a unit is coprime to p and reduced modulo
+    p**prec, and unit 0 is the exact zero.  The sum is known to the smaller
+    absolute precision of the two.  A sum that cancels below its known
+    digits is an exact zero that keeps the precision of the operand of
+    smaller valuation (the first one on a tie) and nothing of its cap, so
+    the result of a chain of sums depends on the order in which it is taken.
+    """
+    if not a[1]:
+        return b
+    if not b[1]:
+        return a
+    if b[0] < a[0]:
+        a, b = b, a
+    val, unit, prec = a
+    dv = b[0] - val
+    if dv >= prec:
+        # b lies wholly below the known digits of a
+        return a
+    m = prec if prec < b[2] + dv else b[2] + dv
+    s = (unit + b[1] * pk[dv]) % pk[m]
+    if not s:
+        # cancelled below the known digits: exact zero at this precision
+        return (0, 0, prec)
+    p = pk[1]
+    while not s % p:
+        s //= p
+        val += 1
+        m -= 1
+    return (val, s, m)
 
 
 class Padic:
@@ -149,18 +200,9 @@ class Padic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        a, b = (self, other) if self.val <= other.val else (other, self)
-        dv = b.val - a.val
-        m = min(a.prec, b.prec + dv)
-        s = (a.unit + b.unit * a.p**dv) % a.p**m
-        if s == 0:
-            # cancelled below the known digits: exact zero at this precision
-            return Padic.zero(a.p, a.prec)
-        return Padic(a.p, a.val, s, m)
+        val, unit, prec = _raw_add(_powers(self.p), (self.val, self.unit, self.prec),
+                                   (other.val, other.unit, other.prec))
+        return Padic(self.p, val, unit, prec)
 
     __radd__ = __add__
 

@@ -4,6 +4,16 @@ Terms live in a dict keyed by exponent tuples; every monomial past the
 truncation degree is dropped eagerly and exact-zero coefficients are never
 stored.  Values are treated as immutable once built, so series can be
 shared freely.
+
+Products and substitutions accumulate on plain (val, unit, prec) integer
+triples with `padics._raw_add`, the sum rule of `Padic`, and build one
+`Padic` per output term at the end.  A product visits only the pairs of
+terms whose degrees fit the truncation: each distinct room left by a left
+term gets one row of the right factor's fitting terms, in dict order.  The
+pairs therefore come in the order of the full double loop over both dicts,
+and so does every coefficient's chain of partial sums.  That order is part
+of the result: a partial sum that cancels below its known digits becomes an
+exact zero and forgets its precision cap.
 """
 
 from __future__ import annotations
@@ -11,9 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
-from .padics import DEFAULT_PRECISION, Padic
+from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add
 
 
 def grlex(exponents):
@@ -32,7 +43,7 @@ class Series:
         clean = {}
         for e, c in (terms or {}).items():
             e = tuple(e)
-            if len(e) != nvars or any(x < 0 for x in e):
+            if len(e) != nvars or min(e) < 0:
                 raise ValueError(f"bad exponent tuple {e} for {nvars} variables")
             if sum(e) > degree:
                 raise ValueError(f"monomial {e} exceeds truncation degree {degree}")
@@ -146,18 +157,25 @@ class Series:
 
     def __mul__(self, other):
         self._check(other)
+        p, deg = self.p, self.degree
+        pk = _powers(p)
+        terms = [(e, sum(e), c.val, c.unit, c.prec) for e, c in other.terms.items()]
+        rows = {}
         acc = {}
-        deg = self.degree
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > deg:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+            room = deg - sum(e1)
+            row = rows.get(room)
+            if row is None:
+                row = rows[room] = [(e2, v2, u2, m2)
+                                    for e2, d2, v2, u2, m2 in terms if d2 <= room]
+            v1, u1, m1 = c1.val, c1.unit, c1.prec
+            for e2, v2, u2, m2 in row:
+                e = tuple(map(add, e1, e2))
+                m = m1 if m1 < m2 else m2
+                t = (v1 + v2, u1 * u2 % pk[m], m)
                 cur = acc.get(e)
-                acc[e] = c if cur is None else cur + c
-        return Series(self.p, self.nvars, deg, acc)
+                acc[e] = t if cur is None else _raw_add(pk, cur, t)
+        return _from_triples(p, self.nvars, deg, acc)
 
     def scale(self, c) -> "Series":
         if isinstance(c, int):
@@ -238,10 +256,13 @@ class Series:
                 raise ValueError("inner series shape mismatch")
             if not g.coefficient(zero_exp).is_zero:
                 raise ValueError("inner series must have zero constant term")
+        p = self.p
+        pk = _powers(p)
         caches = [dict() for _ in inner]
         acc = {}
         for e in sorted(self.terms, key=grlex):
             c = self.terms[e]
+            v1, u1, m1 = c.val, c.unit, c.prec
             prod = None
             for i, ei in enumerate(e):
                 if ei == 0:
@@ -252,14 +273,16 @@ class Series:
                     break
             if prod is None:
                 # constant monomial of the outer series passes through
+                t = (v1, u1, m1)
                 cur = acc.get(zero_exp)
-                acc[zero_exp] = c if cur is None else cur + c
+                acc[zero_exp] = t if cur is None else _raw_add(pk, cur, t)
                 continue
             for fe, fc in prod.terms.items():
-                t = c * fc
+                m = m1 if m1 < fc.prec else fc.prec
+                t = (v1 + fc.val, u1 * fc.unit % pk[m], m)
                 cur = acc.get(fe)
-                acc[fe] = t if cur is None else cur + t
-        return Series(self.p, w, self.degree, acc)
+                acc[fe] = t if cur is None else _raw_add(pk, cur, t)
+        return _from_triples(p, w, self.degree, acc)
 
     # -- comparison ------------------------------------------------------------
 
@@ -278,6 +301,13 @@ class Series:
     def __repr__(self):
         n = len(self.terms)
         return f"Series(p={self.p}, vars={self.nvars}, D={self.degree}, {n} terms)"
+
+
+def _from_triples(p, nvars, degree, acc) -> Series:
+    """The series of an accumulator {exponents: (val, unit, prec)}; the
+    triples that cancelled to exact zero are dropped."""
+    return Series(p, nvars, degree,
+                  {e: Padic(p, v, u, m) for e, (v, u, m) in acc.items() if u})
 
 
 def _power(s: Series, e: int, cache: dict) -> Series:

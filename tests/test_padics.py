@@ -8,6 +8,8 @@ from lubintate2d.padics import (
     Padic,
     PrecisionError,
     UnramifiedRing,
+    _powers,
+    _raw_add,
     int_valuation,
     is_irreducible_mod_p,
     is_prime,
@@ -106,6 +108,22 @@ def test_division_errors():
         Padic.one(2) / Padic.zero(2)
     with pytest.raises(ValueError):
         Padic.one(2) * Padic.one(3)
+
+
+def test_add_and_the_raw_sum_rule_agree():
+    rng = random.Random(8117)
+    cancelled = 0
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        a, b = (Padic(p, rng.randrange(-3, 4),
+                      rng.choice((0, 1, -1, p - 1, p + 1, rng.randrange(1, 10**9))),
+                      rng.choice((1, 2, 3, 5, 64)))
+                for _ in range(2))
+        s = a + b
+        raw = _raw_add(_powers(p), (a.val, a.unit, a.prec), (b.val, b.unit, b.prec))
+        assert (s.val, s.unit, s.prec) == raw
+        cancelled += s.is_zero and not (a.is_zero or b.is_zero)
+    assert cancelled >= 100
 
 
 def test_mul_valuation_additivity_random():

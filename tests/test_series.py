@@ -273,3 +273,79 @@ def test_units_mod_p():
     bad = Series.from_coeffs(2, 2, 9, {(0, 4): Fraction(1, 2)})
     with pytest.raises(ValueError):
         bad.units_mod_p()
+
+
+# -- the product kernel against the pair loop it replaced ----------------------
+
+
+def _reference_mul(a, b):
+    """Every pair of terms tried and those past the truncation skipped, the
+    rest summed with Padic arithmetic in the order they are met; also counts
+    the partial sums that cancelled to exact zero."""
+    acc = {}
+    cancelled = 0
+    deg = a.degree
+    for e1, c1 in a.terms.items():
+        d1 = sum(e1)
+        for e2, c2 in b.terms.items():
+            if d1 + sum(e2) > deg:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = c1 * c2
+            cur = acc.get(e)
+            acc[e] = c if cur is None else cur + c
+            cancelled += acc[e].is_zero
+    return Series(a.p, a.nvars, deg, acc), cancelled
+
+
+def _raw_terms(s):
+    return [(e, c.val, c.unit, c.prec) for e, c in s.terms.items()]
+
+
+def _cancelling_series(rng, p, nvars, degree):
+    """Few variables, low precision, units that cancel: partial sums meet
+    their exact-zero case often."""
+    top = rng.choice((2, degree))
+    vals = (rng.randrange(-2, 3), rng.randrange(-2, 3))
+    terms = {}
+    for _ in range(rng.randrange(1, 10)):
+        e = tuple(rng.randrange(0, top + 1) for _ in range(nvars))
+        if sum(e) > degree:
+            continue
+        unit = rng.choice((1, -1, p - 1, p + 1, -(p - 1), -(p + 1), rng.randrange(1, 10**6)))
+        prec = rng.choice((1, 2, 3, 4, 64))
+        terms[e] = Padic(p, rng.choice(vals), unit, prec)
+    return Series(p, nvars, degree, terms)
+
+
+def test_mul_matches_the_pair_loop_term_for_term():
+    rng = random.Random(60417)
+    cancelling = 0
+    for _ in range(1200):
+        p = rng.choice((2, 3, 5))
+        nvars = rng.randrange(1, 5)
+        degree = rng.randrange(1, 9)
+        a = _cancelling_series(rng, p, nvars, degree)
+        b = _cancelling_series(rng, p, nvars, degree)
+        want, cancelled = _reference_mul(a, b)
+        assert _raw_terms(a * b) == _raw_terms(want)
+        cancelling += cancelled > 0
+    assert cancelling >= 50  # products that take the cancel-to-exact-zero path
+
+
+def test_kernels_do_no_padic_arithmetic(monkeypatch):
+    from lubintate2d.lubintate import build_group
+
+    group = build_group(3, (1, 2), 12)
+    log = group.logarithm
+    summed = log.embed(4, (0, 1)) + log.embed(4, (2, 3))
+    law = group.group_law
+    product, _ = _reference_mul(log.first, log.second)
+
+    def forbidden(*args):
+        raise AssertionError("Padic arithmetic in a series kernel")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Padic, name, forbidden)
+    assert _raw_terms(log.first * log.second) == _raw_terms(product)
+    assert compose(group.exponential, summed) == law
