@@ -111,8 +111,9 @@ class GroupConstructionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class LubinTateGroup:
-    """The logarithm and its inverse.  The group law and [p]_F are derived
-    on first read and cached; a law passed in is taken as given."""
+    """The logarithm and its inverse.  The group law, its shape findings and
+    [p]_F are derived on first read and cached; a law passed in is taken as
+    given and shape-checked on the first read of `law_shape`."""
 
     p: int
     heights: HeightPair
@@ -131,12 +132,21 @@ class LubinTateGroup:
         """F = L^{-1}(L(X) + L(Y)), shape-checked once."""
         log = self.logarithm
         law = compose(self.exponential, log.embed(4, (0, 1)) + log.embed(4, (2, 3)))
-        bad = _law_shape(law, self.prec)
+        bad = self.__dict__["law_shape"] = _law_shape(law, self.prec)
         if bad:
             v = bad[0]
             raise GroupConstructionError(f"group law has a denominator ({v.detail})"
                                          if v.check == "integral" else v.detail)
         return law
+
+    @cached_property
+    def law_shape(self) -> list:
+        """`_law_shape` findings on the group law, found once per group: a
+        built law records them while it is built, a law passed in is
+        checked on this first read."""
+        law = self.group_law
+        shape = self.__dict__.get("law_shape")
+        return _law_shape(law, self.prec) if shape is None else shape
 
     @cached_property
     def p_multiplication(self) -> SeriesPair:
@@ -399,7 +409,7 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsR
     if not commutative:
         out.append(Violation(0, None, "commutative", "F(X,Y) != F(Y,X)"))
 
-    shape = _law_shape(law, group.prec)
+    shape = group.law_shape
     identity = [v for v in shape if v.check == "identity"]
     out += identity
 

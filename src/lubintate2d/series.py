@@ -7,13 +7,23 @@ shared freely.
 
 Products and substitutions accumulate on plain (val, unit, prec) integer
 triples with `padics._raw_add`, the sum rule of `Padic`, and build one
-`Padic` per output term at the end.  A product visits only the pairs of
-terms whose degrees fit the truncation: each distinct room left by a left
-term gets one row of the right factor's fitting terms, in dict order.  The
-pairs therefore come in the order of the full double loop over both dicts,
-and so does every coefficient's chain of partial sums.  That order is part
-of the result: a partial sum that cancels below its known digits becomes an
-exact zero and forgets its precision cap.
+`Padic` per output term at the end.  A product (`_mul_triples`) visits only
+the pairs of terms whose degrees fit the truncation: each distinct room
+left by a left term gets one row of the right factor's fitting terms, in
+dict order.  The pairs therefore come in the order of the full double loop
+over both dicts, and so does every coefficient's chain of partial sums.
+That order is part of the result: a partial sum that cancels below its
+known digits becomes an exact zero and forgets its precision cap.
+
+A substitution keeps its powers and factor products as triple dicts, each
+built only through the working truncation that can still reach the output:
+D minus the lowest degrees of the factors it is still to be multiplied by.
+A term of degree t in a product comes only from pairs whose degrees sum to
+t, so it needs nothing of either factor past that bound.  Its pairs, and
+the first-hit order of the terms kept, are those of the product at full
+degree D, so every kept coefficient has the same chain of partial sums.
+Terms a factor carries past its bound, as a power cached at a larger bound
+does, fit no row and change nothing.
 """
 
 from __future__ import annotations
@@ -157,25 +167,8 @@ class Series:
 
     def __mul__(self, other):
         self._check(other)
-        p, deg = self.p, self.degree
-        pk = _powers(p)
-        terms = [(e, sum(e), c.val, c.unit, c.prec) for e, c in other.terms.items()]
-        rows = {}
-        acc = {}
-        for e1, c1 in self.terms.items():
-            room = deg - sum(e1)
-            row = rows.get(room)
-            if row is None:
-                row = rows[room] = [(e2, v2, u2, m2)
-                                    for e2, d2, v2, u2, m2 in terms if d2 <= room]
-            v1, u1, m1 = c1.val, c1.unit, c1.prec
-            for e2, v2, u2, m2 in row:
-                e = tuple(map(add, e1, e2))
-                m = m1 if m1 < m2 else m2
-                t = (v1 + v2, u1 * u2 % pk[m], m)
-                cur = acc.get(e)
-                acc[e] = t if cur is None else _raw_add(pk, cur, t)
-        return _from_triples(p, self.nvars, deg, acc)
+        acc = _mul_triples(_powers(self.p), _triples(self), _triples(other), self.degree)
+        return _from_triples(self.p, self.nvars, self.degree, acc)
 
     def scale(self, c) -> "Series":
         if isinstance(c, int):
@@ -254,22 +247,32 @@ class Series:
         for g in inner:
             if (g.p, g.degree) != (self.p, self.degree) or g.nvars != w:
                 raise ValueError("inner series shape mismatch")
-            if not g.coefficient(zero_exp).is_zero:
+            if zero_exp in g.terms:
                 raise ValueError("inner series must have zero constant term")
-        p = self.p
+        p, deg = self.p, self.degree
         pk = _powers(p)
+        bases = [_triples(g) for g in inner]
+        # an empty inner series gets lowest degree deg + 1, so every outer
+        # monomial that uses it is skipped
+        mds = [g.min_total_degree() or deg + 1 for g in inner]
         caches = [dict() for _ in inner]
         acc = {}
         for e in sorted(self.terms, key=grlex):
             c = self.terms[e]
             v1, u1, m1 = c.val, c.unit, c.prec
+            tot = sum(k * md for k, md in zip(e, mds))
+            if tot > deg:
+                continue  # every term of the product lies past the truncation
             prod = None
-            for i, ei in enumerate(e):
-                if ei == 0:
+            rest = tot  # lowest degree of the factors not yet multiplied in
+            for i, k in enumerate(e):
+                if k == 0:
                     continue
-                pw = _power(inner[i], ei, caches[i])
-                prod = pw if prod is None else prod * pw
-                if prod.is_zero:
+                own = k * mds[i]
+                rest -= own
+                pw = _triple_power(pk, bases[i], mds[i], k, deg - (tot - own), caches[i])
+                prod = pw if prod is None else _mul_triples(pk, prod, pw, deg - rest)
+                if not prod:
                     break
             if prod is None:
                 # constant monomial of the outer series passes through
@@ -277,12 +280,12 @@ class Series:
                 cur = acc.get(zero_exp)
                 acc[zero_exp] = t if cur is None else _raw_add(pk, cur, t)
                 continue
-            for fe, fc in prod.terms.items():
-                m = m1 if m1 < fc.prec else fc.prec
-                t = (v1 + fc.val, u1 * fc.unit % pk[m], m)
+            for fe, (fv, fu, fm) in prod.items():
+                m = m1 if m1 < fm else fm
+                t = (v1 + fv, u1 * fu % pk[m], m)
                 cur = acc.get(fe)
                 acc[fe] = t if cur is None else _raw_add(pk, cur, t)
-        return _from_triples(p, w, self.degree, acc)
+        return _from_triples(p, w, deg, acc)
 
     # -- comparison ------------------------------------------------------------
 
@@ -303,6 +306,10 @@ class Series:
         return f"Series(p={self.p}, vars={self.nvars}, D={self.degree}, {n} terms)"
 
 
+def _triples(s: Series) -> dict:
+    return {e: (c.val, c.unit, c.prec) for e, c in s.terms.items()}
+
+
 def _from_triples(p, nvars, degree, acc) -> Series:
     """The series of an accumulator {exponents: (val, unit, prec)}; the
     triples that cancelled to exact zero are dropped."""
@@ -310,20 +317,51 @@ def _from_triples(p, nvars, degree, acc) -> Series:
                   {e: Padic(p, v, u, m) for e, (v, u, m) in acc.items() if u})
 
 
-def _power(s: Series, e: int, cache: dict) -> Series:
-    if e == 1:
+def _mul_triples(pk, a: dict, b: dict, bound: int) -> dict:
+    """The product of two {exponents: (val, unit, prec)} dicts through total
+    degree `bound`, with the triples that cancelled to exact zero dropped.
+
+    Each distinct room left by a term of a (`bound - deg e1`) gets one row of
+    b's terms that fit, in dict order, so the pairs come in the order of the
+    full double loop over both dicts.
+    """
+    terms = [(e, sum(e), v, u, m) for e, (v, u, m) in b.items()]
+    rows = {}
+    acc = {}
+    for e1, (v1, u1, m1) in a.items():
+        room = bound - sum(e1)
+        row = rows.get(room)
+        if row is None:
+            row = rows[room] = [(e2, v2, u2, m2)
+                                for e2, d2, v2, u2, m2 in terms if d2 <= room]
+        for e2, v2, u2, m2 in row:
+            e = tuple(map(add, e1, e2))
+            m = m1 if m1 < m2 else m2
+            t = (v1 + v2, u1 * u2 % pk[m], m)
+            cur = acc.get(e)
+            acc[e] = t if cur is None else _raw_add(pk, cur, t)
+    return {e: t for e, t in acc.items() if t[1]}
+
+
+def _triple_power(pk, s: dict, md: int, k: int, bound: int, cache: dict) -> dict:
+    """s**k through degree `bound`, for a triple dict s of lowest degree md.
+
+    s**k needs s**(k//2) only through bound - ceil(k/2)*md, and its square,
+    for odd k, only through bound - md.  The cache maps k to (bound, s**k);
+    a power cached at a larger bound serves a smaller one, as the row rule
+    of the product drops its extra terms.
+    """
+    if k == 1:
         return s
-    md = s.min_total_degree()
-    if md is None or md * e > s.degree:
-        return Series.zero(s.p, s.nvars, s.degree)
-    hit = cache.get(e)
-    if hit is not None:
-        return hit
-    half = _power(s, e // 2, cache)
-    out = half * half
-    if e % 2:
-        out = out * s
-    cache[e] = out
+    hit = cache.get(k)
+    if hit is not None and hit[0] >= bound:
+        return hit[1]
+    half = _triple_power(pk, s, md, k // 2, bound - (k - k // 2) * md, cache)
+    if k % 2:
+        out = _mul_triples(pk, _mul_triples(pk, half, half, bound - md), s, bound)
+    else:
+        out = _mul_triples(pk, half, half, bound)
+    cache[k] = (bound, out)
     return out
 
 

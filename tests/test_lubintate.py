@@ -314,6 +314,26 @@ def test_group_law_is_derived_once(monkeypatch):
     assert group.group_law is law
 
 
+def test_law_shape_is_found_once_per_group(monkeypatch):
+    from lubintate2d import lubintate
+
+    calls = []
+    law_shape = lubintate._law_shape
+
+    def spy(law, prec):
+        calls.append(law)
+        return law_shape(law, prec)
+
+    monkeypatch.setattr(lubintate, "_law_shape", spy)
+    group = build_group(2, (2, 3), 6)
+    assert group_axioms_report(group, assoc_degree=4).ok
+    # a law passed in is checked when the report first needs it
+    given = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
+                           group.logarithm, group.exponential, group.group_law)
+    assert group_axioms_report(given, assoc_degree=4).ok
+    assert calls == [group.group_law] * 2
+
+
 def test_spiked_exponential_fails_on_first_law_read():
     group = g23()
     exp = group.exponential

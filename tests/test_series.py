@@ -349,3 +349,108 @@ def test_kernels_do_no_padic_arithmetic(monkeypatch):
         monkeypatch.setattr(Padic, name, forbidden)
     assert _raw_terms(log.first * log.second) == _raw_terms(product)
     assert compose(group.exponential, summed) == law
+
+
+# -- the composition against full-degree powers ---------------------------------
+
+
+def _reference_substitute(outer, inner):
+    """Every power built at full degree with `_reference_mul`, by squaring
+    (times the base for an odd exponent), the factors of a monomial
+    multiplied in variable order, and the terms summed with Padic
+    arithmetic in grlex outer order; also counts the partial sums that
+    cancelled to exact zero."""
+    p, deg = outer.p, outer.degree
+    w = inner[0].nvars
+    cancelled = 0
+    caches = [{1: s} for s in inner]
+
+    def power(i, k):
+        nonlocal cancelled
+        if k not in caches[i]:
+            half = power(i, k // 2)
+            out, n = _reference_mul(half, half)
+            cancelled += n
+            if k % 2:
+                out, n = _reference_mul(out, inner[i])
+                cancelled += n
+            caches[i][k] = out
+        return caches[i][k]
+
+    one = Series.from_coeffs(p, w, deg, {(0,) * w: 1})
+    acc = {}
+    for e in sorted(outer.terms, key=grlex):
+        prod = None
+        for i, k in enumerate(e):
+            if k:
+                pw = power(i, k)
+                if prod is None:
+                    prod = pw
+                else:
+                    prod, n = _reference_mul(prod, pw)
+                    cancelled += n
+        c = outer.terms[e]
+        for fe, fc in (prod or one).terms.items():
+            t = fc * c if prod is not None else c
+            acc[fe] = t if fe not in acc else acc[fe] + t
+            cancelled += acc[fe].is_zero
+    return Series(p, w, deg, acc), cancelled
+
+
+def _cancelling_inner(rng, p, nvars, degree, low):
+    """`_cancelling_series` without terms below degree `low`."""
+    s = _cancelling_series(rng, p, nvars, degree)
+    return Series(p, nvars, degree, {e: c for e, c in s.terms.items() if sum(e) >= low})
+
+
+def _substitution_cases(rng, count):
+    """Seeded random compositions: 1-3 outer variables with exponents up
+    to 9, inner series in 1-4 variables of lowest degree 1 or 2."""
+    for _ in range(count):
+        p = rng.choice((2, 3, 5))
+        degree = rng.randrange(1, 13)
+        nouter = rng.randrange(1, 4)
+        w = rng.randrange(1, 5)
+        outer = {}
+        for _ in range(rng.randrange(1, 8)):
+            e = tuple(rng.randrange(0, 10) for _ in range(nouter))
+            if sum(e) <= degree:
+                outer[e] = Padic(p, rng.randrange(-2, 3),
+                                 rng.choice((1, -1, p + 1, rng.randrange(1, 10**6))),
+                                 rng.choice((1, 2, 3, 4, 64)))
+        inner = [_cancelling_inner(rng, p, w, degree, rng.choice((1, 2)))
+                 for _ in range(nouter)]
+        yield Series(p, nouter, degree, outer), inner
+
+
+def test_substitute_matches_full_degree_powers_term_for_term():
+    # x1^2 x3 comes first in grlex and needs inner[0]^2 only through
+    # degree 6; x1^2 x2 then needs it through degree 7
+    first = Series.from_coeffs(2, 2, 8, {(1, 0): 1, (0, 6): 3})
+    late = (Series.from_coeffs(2, 3, 8, {(2, 0, 1): 1, (2, 1, 0): 1}),
+            [first, Series.variable(2, 2, 8, 0), Series.from_coeffs(2, 2, 8, {(0, 2): 1})])
+    cancelling = 0
+    for outer, inner in [late, *_substitution_cases(random.Random(70529), 600)]:
+        want, cancelled = _reference_substitute(outer, inner)
+        assert _raw_terms(outer.substitute(inner)) == _raw_terms(want)
+        cancelling += cancelled > 0
+    assert cancelling >= 50  # compositions that take the cancel-to-exact-zero path
+
+
+def test_compose_builds_one_series_per_component(monkeypatch):
+    from lubintate2d.lubintate import build_group
+
+    group = build_group(3, (1, 2), 12)
+    log = group.logarithm
+    summed = log.embed(4, (0, 1)) + log.embed(4, (2, 3))
+    counts = {Series: 0, Padic: 0}
+    for cls in counts:
+        def counted(self, *args, __init__=cls.__init__, cls=cls):
+            counts[cls] += 1
+            __init__(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    law = compose(group.exponential, summed)
+    monkeypatch.undo()
+    assert law == group.group_law
+    assert counts[Series] == 2
+    assert counts[Padic] <= len(law.first.terms) + len(law.second.terms) + 4
