@@ -9,8 +9,11 @@ Subcommands
     verify     run the verification battery on parameters or a fixture
 
 Exit codes: 0 success, 1 a verification failed, 2 bad usage or inputs.
-Failures print a single JSON line {"error": ..., "detail": ...} on stderr.
-Outputs are deterministic byte-for-byte for fixed inputs.
+Every failure, argparse's own included, prints a single JSON line
+{"error": ..., "detail": ...} on stderr, written by `main`.  Counts
+(-N, LT2D_PRECISION, -D, -n, --sweep, --assoc-degree, --unramified-degree)
+must be integers at least 1.  Outputs are deterministic byte-for-byte for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import sys
 from fractions import Fraction
 
 from .copolygon import Copolygon, emit_svg, fraction_str, parse_support_text
-from .fixtures import FIXTURE_NAMES, load_fixture
+from .fixtures import FIXTURE_NAMES, frobenius_profile, load_fixture, stored_mult45
 from .lubintate import (
     build_group,
     build_logarithm,
+    congruence_report,
     gamma_endomorphism,
     group_axioms_report,
     group_to_text,
@@ -54,25 +58,33 @@ class VerificationError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2, so
+    that `main` reports every bad input the same way."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _fail(code: str, detail) -> None:
     sys.stderr.write(json.dumps({"error": code, "detail": detail},
                                 sort_keys=True) + "\n")
 
 
-def _precision(flag) -> int:
-    """The working precision from -N, else LT2D_PRECISION, else the default."""
-    name, raw = "-N", flag
-    if raw is None:
-        name, raw = "LT2D_PRECISION", os.environ.get("LT2D_PRECISION")
-        if raw is None:
-            return DEFAULT_PRECISION
+def _at_least_one(name: str, raw: str) -> int:
+    """`raw` read as an integer at least 1; errors name the flag or variable."""
     try:
-        prec = int(raw)
+        value = int(raw)
     except ValueError:
         raise UsageError(f"{name} must be an integer, got {raw!r}")
-    if prec < 1:
+    if value < 1:
         raise UsageError(f"{name} must be at least 1")
-    return prec
+    return value
+
+
+def _add_count(sub, *flags, **kwargs):
+    """Declare an integer flag that must be at least 1."""
+    sub.add_argument(*flags, type=lambda raw: _at_least_one(flags[0], raw), **kwargs)
 
 
 def _write_text(args, text: str) -> None:
@@ -94,13 +106,19 @@ def _series_header(args, **extra):
     return header
 
 
-def _add_params(sub, degree_default=None):
-    sub.add_argument("-p", type=int, required=True, help="prime")
-    sub.add_argument("--h1", type=int, required=True, help="first height")
-    sub.add_argument("--h2", type=int, required=True, help="second height")
-    sub.add_argument("-D", "--degree", type=int, default=degree_default,
-                     required=degree_default is None,
-                     help="total-degree truncation")
+def _add_params(sub, required=True, degree=True):
+    sub.add_argument("-p", type=int, required=required, help="prime")
+    sub.add_argument("--h1", type=int, required=required, help="first height")
+    sub.add_argument("--h2", type=int, required=required, help="second height")
+    if degree:
+        _add_count(sub, "-D", "--degree", required=required,
+                   help="total-degree truncation")
+
+
+def _axioms(args, group):
+    """The axiom report at --assoc-degree, else at the library's default."""
+    given = {} if args.assoc_degree is None else {"assoc_degree": args.assoc_degree}
+    return group_axioms_report(group, **given)
 
 
 def cmd_log(args) -> int:
@@ -117,8 +135,7 @@ def cmd_log(args) -> int:
 
 def cmd_group(args) -> int:
     group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
-    assoc = args.assoc_degree or min(8, args.degree)
-    report = group_axioms_report(group, assoc_degree=assoc)
+    report = _axioms(args, group)
     if not report.ok:
         raise VerificationError([str(v) for v in report.violations])
     _write_text(args, group_to_text(group))
@@ -138,24 +155,17 @@ def cmd_mult(args) -> int:
 
 
 def _copolygon_from_args(args) -> tuple:
-    if args.fixture and args.support:
-        raise UsageError("choose either --fixture or --support, not both")
-    if args.fixture:
-        data = load_fixture(args.fixture, args.degree)
-        if isinstance(data, SeriesPair):
-            comp = data.first if args.component == 1 else data.second
-        else:
-            if args.component == 2:
-                raise UsageError(f"fixture {args.fixture} has a single component")
-            comp = data
-        return comp.p, comp.degree, Copolygon.from_series(comp)
-    if args.support:
-        try:
-            with open(args.support) as f:
-                return parse_support_text(f.read())
-        except OSError as exc:
-            raise UsageError(str(exc))
-    raise UsageError("copolygon needs --fixture or --support")
+    if args.support is not None:
+        with open(args.support) as f:
+            return parse_support_text(f.read())
+    data = load_fixture(args.fixture, args.degree)
+    if isinstance(data, SeriesPair):
+        comp = data.first if args.component == 1 else data.second
+    else:
+        if args.component == 2:
+            raise UsageError(f"fixture {args.fixture} has a single component")
+        comp = data
+    return comp.p, comp.degree, Copolygon.from_series(comp)
 
 
 def cmd_copolygon(args) -> int:
@@ -208,7 +218,7 @@ def cmd_torsion(args) -> int:
                 "witness_h2": report.witness_h2,
             })
         return 0
-    if args.sweep:
+    if args.sweep is not None:
         rows = profile_report(p, heights, args.sweep)
         if not all(row["agree"] for row in rows):
             raise VerificationError("closed form and min-plus disagree")
@@ -241,12 +251,7 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .lubintate import congruence_report
-    from .fixtures import frobenius_profile, stored_mult45
-
     if args.fixture:
-        if args.fixture != "mult45":
-            raise UsageError("verify supports the stored fixture mult45")
         header, pair = stored_mult45()
         profile = frobenius_profile(pair, header["p"])
         report = congruence_report(pair, header["p"], (header["h1"], header["h2"]))
@@ -260,19 +265,20 @@ def cmd_verify(args) -> int:
         }
         _emit_json(payload)
         return 0 if report.ok else 1
+    missing = [n for n in ("p", "h1", "h2", "degree") if getattr(args, n) is None]
+    if missing:
+        raise UsageError(f"verify needs --fixture or {missing}")
     checks = {}
     group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
     defects = recursion_defects(group.logarithm, args.p, (args.h1, args.h2))
     checks["logarithm_recursion"] = not defects
-    assoc = args.assoc_degree or min(8, args.degree)
-    axioms = group_axioms_report(group, assoc_degree=assoc)
-    checks["group_axioms"] = axioms.ok
+    checks["group_axioms"] = _axioms(args, group).ok
     congruences = verify_p_congruences(group)
     checks["p_congruences"] = congruences.ok
     height = height_of(group)
     checks["height"] = height
     checks["height_ok"] = height == args.h1 + args.h2
-    if args.unramified_degree:
+    if args.unramified_degree is not None:
         ring = UnramifiedRing(args.p, args.unramified_degree, prec=args.precision)
         gamma = teichmuller(ring, ring.generator())
         checks["gamma_endomorphism"] = gamma_endomorphism(gamma, group).ok
@@ -283,13 +289,12 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lt2d",
         description="two-dimensional Lubin-Tate formal groups, Newton "
                     "copolygons and torsion-point valuations")
-    parser.add_argument("-N", "--precision", type=int, default=None,
-                        help="p-adic working precision "
-                             "(default: LT2D_PRECISION or 64)")
+    _add_count(parser, "-N", "--precision",
+               help="p-adic working precision (default: LT2D_PRECISION or 64)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("log", help="build and verify a logarithm pair")
@@ -299,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("group", help="build a formal group and check axioms")
     _add_params(s)
-    s.add_argument("--assoc-degree", type=int, default=None,
-                   help="degree for the associativity check (default min(8, D))")
+    _add_count(s, "--assoc-degree",
+               help="degree for the associativity check (default min(8, D))")
     s.add_argument("--out", help="write the group container to a file")
     s.set_defaults(func=cmd_group)
 
@@ -311,28 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_mult)
 
     s = sub.add_parser("copolygon", help="copolygon geometry of a series")
-    s.add_argument("--fixture", choices=FIXTURE_NAMES,
-                   help="named example input")
-    s.add_argument("--support", help="path to a support file (p D header, "
-                                     "then i j num/den lines)")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fixture", choices=FIXTURE_NAMES, help="named example input")
+    source.add_argument("--support", help="path to a support file (p D header, "
+                                          "then i j num/den lines)")
     s.add_argument("--component", type=int, choices=(1, 2), default=1,
                    help="component when the fixture is a pair")
-    s.add_argument("-D", "--degree", type=int, default=None,
-                   help="truncation degree for series fixtures")
+    _add_count(s, "-D", "--degree", help="truncation degree for series fixtures")
     s.add_argument("--json", action="store_true", help="machine-readable output")
     s.add_argument("--svg", help="write a picture to this file")
     s.add_argument("--out", help="write the text report to a file")
     s.set_defaults(func=cmd_copolygon)
 
     s = sub.add_parser("torsion", help="torsion valuations and ramification")
-    s.add_argument("-p", type=int, required=True, help="prime")
-    s.add_argument("--h1", type=int, required=True, help="first height")
-    s.add_argument("--h2", type=int, required=True, help="second height")
-    s.add_argument("-n", type=int, default=1, help="torsion level")
+    _add_params(s, degree=False)
+    _add_count(s, "-n", default=1, help="torsion level")
     s.add_argument("--method", choices=("closed", "minplus", "both"),
                    default="both")
-    s.add_argument("--sweep", type=int, default=None,
-                   help="report levels 1..N with both methods")
+    _add_count(s, "--sweep", help="report levels 1..N with both methods")
     s.add_argument("--ramification", action="store_true",
                    help="report the ramification degree instead")
     s.add_argument("--csv", action="store_true",
@@ -340,38 +341,32 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_torsion)
 
     s = sub.add_parser("verify", help="run the verification battery")
-    s.add_argument("--fixture", help="verify a stored fixture instead")
-    s.add_argument("-p", type=int, help="prime")
-    s.add_argument("--h1", type=int, help="first height")
-    s.add_argument("--h2", type=int, help="second height")
-    s.add_argument("-D", "--degree", type=int, help="total-degree truncation")
-    s.add_argument("--assoc-degree", type=int, default=None)
-    s.add_argument("--unramified-degree", type=int, default=None,
-                   help="also check the Teichmueller endomorphism over the "
-                        "unramified extension of this degree")
+    s.add_argument("--fixture", choices=("mult45",),
+                   help="verify the stored fixture instead")
+    _add_params(s, required=False)
+    _add_count(s, "--assoc-degree")
+    _add_count(s, "--unramified-degree",
+               help="also check the Teichmueller endomorphism over the "
+                    "unramified extension of this degree")
     s.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args.precision = _precision(args.precision)
-        if args.func is cmd_verify and not args.fixture:
-            missing = [n for n in ("p", "h1", "h2", "degree")
-                       if getattr(args, n) is None]
-            if missing:
-                raise UsageError(f"verify needs --fixture or {missing}")
+        args = build_parser().parse_args(argv)
+        if args.precision is None:
+            env = os.environ.get("LT2D_PRECISION")
+            args.precision = (DEFAULT_PRECISION if env is None
+                              else _at_least_one("LT2D_PRECISION", env))
         return args.func(args)
-    except UsageError as exc:
-        _fail("usage", str(exc))
-        return 2
     except VerificationError as exc:
         detail = exc.args[0] if exc.args else str(exc)
         _fail("verification", detail)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (UsageError, ValueError, ArithmeticError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not a bad path, e.g. a closed stdout
         _fail("usage", str(exc))
         return 2
 

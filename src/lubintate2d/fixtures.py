@@ -79,14 +79,15 @@ def load_fixture(name: str, degree: int = None,
     dyn312 -> dynamical system at p = 3, heights (1, 2) (default degree 9)
     mult45 -> the stored height-(4, 5) sample (fixed degree 32)
     """
-    if name == "ex1":
-        return worked_copolygon_series(degree or 9, prec)
-    if name == "dyn23":
-        return dynamical_system(2, (2, 3), degree or 9, prec)
-    if name == "dyn312":
-        return dynamical_system(3, (1, 2), degree or 9, prec)
     if name == "mult45":
         if degree is not None and degree != 32:
             raise ValueError("the stored sample has fixed degree 32")
         return stored_mult45()[1]
+    degree = 9 if degree is None else degree
+    if name == "ex1":
+        return worked_copolygon_series(degree, prec)
+    if name == "dyn23":
+        return dynamical_system(2, (2, 3), degree, prec)
+    if name == "dyn312":
+        return dynamical_system(3, (1, 2), degree, prec)
     raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")

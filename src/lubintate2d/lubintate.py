@@ -27,7 +27,8 @@ from functools import cached_property
 from math import gcd
 
 from .padics import DEFAULT_PRECISION, Padic, UnramifiedElement, _check_prime
-from .series import Series, SeriesPair, compose, grlex, invert_pair
+from .series import (Series, SeriesPair, compose, dump_sections, grlex, invert_pair,
+                     parse_sections)
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,10 @@ class GroupConstructionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class LubinTateGroup:
-    """The logarithm and its inverse.  The group law, its shape findings and
-    [p]_F are derived on first read and cached; a law passed in is taken as
-    given and shape-checked on the first read of `law_shape`."""
+    """The logarithm and its inverse.  The group law, its shape findings,
+    [p]_F and its congruence report are derived on first read and cached; a
+    law passed in is taken as given and shape-checked on the first read of
+    `law_shape`."""
 
     p: int
     heights: HeightPair
@@ -150,7 +152,13 @@ class LubinTateGroup:
 
     @cached_property
     def p_multiplication(self) -> SeriesPair:
-        return multiplication(self.p, self)  # [p]_F, read by three checkers
+        return multiplication(self.p, self)  # [p]_F
+
+    @cached_property
+    def p_congruences(self) -> CongruenceReport:
+        """`congruence_report` on [p]_F, found once per group:
+        `verify_p_congruences`, `height_of` and `group_axioms_report` read it."""
+        return congruence_report(self.p_multiplication, self.p, self.heights)
 
 
 def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> LubinTateGroup:
@@ -262,7 +270,7 @@ def congruence_report(f: SeriesPair, p: int, heights) -> CongruenceReport:
 def verify_p_congruences(group: LubinTateGroup) -> CongruenceReport:
     """Congruence checks on [p]_F plus exact linearity L([p]_F X) = p L(X)."""
     m = group.p_multiplication
-    out = list(congruence_report(m, group.p, group.heights).violations)
+    out = list(group.p_congruences.violations)
     out.extend(Violation(idx, e, "linearity", "L([p] X) != p L(X)")
                for idx, e in _differences(compose(group.logarithm, m),
                                           group.logarithm.scale(group.p)))
@@ -348,8 +356,7 @@ def height_of(group: LubinTateGroup):
     """
     if group.p ** max(group.heights.h1, group.heights.h2) > group.degree:
         return "not monomial-Frobenius"
-    report = congruence_report(group.p_multiplication, group.p, group.heights)
-    if any(v.check in ("integral", "frobenius") for v in report.violations):
+    if any(v.check in ("integral", "frobenius") for v in group.p_congruences.violations):
         return "not monomial-Frobenius"
     return group.heights.total
 
@@ -434,7 +441,7 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsR
     integral = [v for v in shape if v.check == "integral"]
     out += integral
 
-    p_diff = not _linear_defects(group.p_multiplication, p)
+    p_diff = not any(v.check == "linear" for v in group.p_congruences.violations)
     if not p_diff:
         out.append(Violation(0, None, "p-differential", "[p]_F linear part is not p*X"))
 
@@ -444,8 +451,6 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsR
 
 def group_to_text(group: LubinTateGroup) -> str:
     """Series text serialization with a JSON parameter header."""
-    from .series import dump_sections
-
     header = {"p": group.p, "h1": group.heights.h1, "h2": group.heights.h2,
               "D": group.degree, "N": group.prec}
     sections = {
@@ -460,8 +465,6 @@ def group_to_text(group: LubinTateGroup) -> str:
 
 
 def group_from_text(text: str) -> LubinTateGroup:
-    from .series import parse_sections
-
     header, sections = parse_sections(text)
     heights = HeightPair(header["h1"], header["h2"])
     log = SeriesPair(sections["logarithm.1"], sections["logarithm.2"])

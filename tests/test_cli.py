@@ -293,3 +293,79 @@ def test_precision_flag_below_one_is_a_usage_error(capsys, prec):
                          "--h2", "3", "-D", "4")
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "usage", "detail": "-N must be at least 1"}
+
+
+PARAMS = ("-p", "2", "--h1", "2", "--h2", "3")
+UNOPENABLE = "no-such-dir/out"  # relative to tmp_path, whose subdir is never made
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("group", "-p", "x", "--h1", "2", "--h2", "3", "-D", "4"), "-p"),
+    (("group", "--h1", "2", "--h2", "3", "-D", "4"), "-p"),
+    (("frob",), "frob"),
+    (("-N", "x", "log", *PARAMS, "-D", "4"), "-N"),
+    (("group", *PARAMS, "-D", "6", "--assoc-degree", "0"),
+     "--assoc-degree must be at least 1"),
+    (("group", *PARAMS, "-D", "6", "--assoc-degree", "-1"),
+     "--assoc-degree must be at least 1"),
+    (("torsion", *PARAMS, "--sweep", "0"), "--sweep must be at least 1"),
+    (("torsion", *PARAMS, "--sweep", "-2"), "--sweep must be at least 1"),
+    (("torsion", *PARAMS, "-n", "0"), "-n must be at least 1"),
+    (("copolygon", "--fixture", "ex1", "-D", "0"), "-D must be at least 1"),
+    (("verify", *PARAMS, "-D", "9", "--unramified-degree", "0"),
+     "--unramified-degree must be at least 1"),
+    (("log", *PARAMS, "-D", "4", "--out", UNOPENABLE), UNOPENABLE),
+    (("copolygon", "--fixture", "ex1", "--svg", UNOPENABLE), UNOPENABLE),
+    (("copolygon", "--support", UNOPENABLE), UNOPENABLE),
+])
+def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LT2D_PRECISION", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "usage" and named in payload["detail"]
+    if named.endswith("must be at least 1"):
+        assert payload["detail"] == named
+
+
+@pytest.mark.parametrize("argv", [(), ("log",), ("group",), ("mult",), ("copolygon",),
+                                  ("torsion",), ("verify",)])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lt2d")
+
+
+def test_module_entry_point_reports_argparse_errors_as_json():
+    proc = subprocess.run([sys.executable, "-m", "lubintate2d.cli",
+                           "group", "-p", "x", "--h1", "2", "--h2", "3", "-D", "4"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "usage",
+                                       "detail": "argument -p: invalid int value: 'x'"}
+
+
+def test_verify_reports_p_congruences_once(capsys, monkeypatch):
+    from lubintate2d import lubintate
+
+    calls = []
+    real = lubintate.congruence_report
+    monkeypatch.setattr(lubintate, "congruence_report",
+                        lambda f, p, heights: calls.append(p) or real(f, p, heights))
+    code, out, _ = run(capsys, "verify", *PARAMS, "-D", "9")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls == [2]
+
+
+def test_oserror_without_a_path_is_not_a_usage_error(monkeypatch):
+    # a broken stdout is not bad input: it propagates as it always did
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["torsion", *PARAMS])

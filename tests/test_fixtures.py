@@ -90,3 +90,11 @@ def test_load_fixture_errors():
         load_fixture("nope")
     with pytest.raises(ValueError, match="fixed degree 32"):
         load_fixture("mult45", degree=16)
+
+
+def test_load_fixture_degree_zero_is_not_the_default():
+    # only a missing degree means 9; D = 0 is passed on as given
+    with pytest.raises(ValueError, match="drops a Frobenius monomial"):
+        load_fixture("dyn23", 0)
+    ex1 = load_fixture("ex1", 0)
+    assert ex1.degree == 0 and ex1.terms == {}
