@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 a verification failed, 2 bad usage or inputs.
 Every failure, argparse's own included, prints a single JSON line
 {"error": ..., "detail": ...} on stderr, written by `main`.  Counts
 (-N, LT2D_PRECISION, -D, -n, --sweep, --assoc-degree, --unramified-degree)
-must be integers at least 1.  Outputs are deterministic byte-for-byte for
-fixed inputs.
+must be integers at least 1; a flag the chosen mode never reads is bad
+usage.  Every report leaves through `_write_text`, to --out if given, else
+to stdout; JSON through `_emit_json`, which prints a rational as num/den.
+Outputs are deterministic byte-for-byte for fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .copolygon import Copolygon, emit_svg, fraction_str, parse_support_text
 from .fixtures import FIXTURE_NAMES, frobenius_profile, load_fixture, stored_mult45
@@ -87,7 +88,16 @@ def _add_count(sub, *flags, **kwargs):
     sub.add_argument(*flags, type=lambda raw: _at_least_one(flags[0], raw), **kwargs)
 
 
+def _refuse(args, mode: str, **flags) -> None:
+    """Reject the flags among `flags` (dest=flag) that were given, since
+    `mode` never reads them."""
+    unread = [flag for dest, flag in flags.items() if getattr(args, dest) is not None]
+    if unread:
+        raise UsageError(f"{mode} does not read {', '.join(unread)}")
+
+
 def _write_text(args, text: str) -> None:
+    """The only writer of a report: to --out if given, else to stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w", newline="") as f:
             f.write(text)
@@ -95,15 +105,18 @@ def _write_text(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+def _emit_json(args, payload) -> None:
+    """Write `payload` as sorted JSON; a Fraction prints as "num/den"."""
+    _write_text(args, json.dumps(payload, sort_keys=True, default=fraction_str) + "\n")
 
 
-def _series_header(args, **extra):
+def _write_pair(args, name: str, pair, **extra) -> None:
+    """Write `pair` as sections name.1 and name.2 under the parameter
+    header, which `extra` extends."""
     header = {"p": args.p, "h1": args.h1, "h2": args.h2,
-              "D": args.degree, "N": args.precision}
-    header.update(extra)
-    return header
+              "D": args.degree, "N": args.precision, **extra}
+    _write_text(args, dump_sections(header, {f"{name}.1": pair.first,
+                                             f"{name}.2": pair.second}))
 
 
 def _add_params(sub, required=True, degree=True):
@@ -127,9 +140,7 @@ def cmd_log(args) -> int:
     if defects:
         raise VerificationError(
             f"logarithm functional equation fails at {defects[:3]}")
-    text = dump_sections(_series_header(args),
-                         {"logarithm.1": log.first, "logarithm.2": log.second})
-    _write_text(args, text)
+    _write_pair(args, "logarithm", log)
     return 0
 
 
@@ -148,19 +159,18 @@ def cmd_mult(args) -> int:
     mv = m.min_valuation()
     if mv is not None and mv < 0:
         raise VerificationError(f"[{args.a}] has a negative-valuation coefficient")
-    text = dump_sections(_series_header(args, a=args.a),
-                         {"mult.1": m.first, "mult.2": m.second})
-    _write_text(args, text)
+    _write_pair(args, "mult", m, a=args.a)
     return 0
 
 
 def _copolygon_from_args(args) -> tuple:
     if args.support is not None:
+        _refuse(args, "--support", degree="-D", component="--component")
         with open(args.support) as f:
             return parse_support_text(f.read())
     data = load_fixture(args.fixture, args.degree)
     if isinstance(data, SeriesPair):
-        comp = data.first if args.component == 1 else data.second
+        comp = data.second if args.component == 2 else data.first
     else:
         if args.component == 2:
             raise UsageError(f"fixture {args.fixture} has a single component")
@@ -173,30 +183,23 @@ def cmd_copolygon(args) -> int:
     if args.svg:
         with open(args.svg, "wb") as f:
             f.write(emit_svg(poly).encode("utf-8"))
-    payload = {
-        "p": p,
-        "degree": degree,
-        "functionals": [[i, j, fraction_str(v)] for i, j, v in poly.functionals],
-        "vertices": [[fraction_str(x1), fraction_str(x2), fraction_str(val)]
-                     for x1, x2, val in poly.vertices()],
-        "tie_segments": [
-            {"pair": [[s.first[0], s.first[1]], [s.second[0], s.second[1]]],
-             "line": [s.line[0], s.line[1], fraction_str(s.line[2])],
-             "t_lo": None if s.t_lo is None else fraction_str(s.t_lo),
-             "t_hi": None if s.t_hi is None else fraction_str(s.t_hi)}
-            for s in poly.tie_segments()],
-    }
+    vertices, segments = poly.vertices(), poly.tie_segments()
     if args.json:
-        _emit_json(payload)
-    else:
-        lines = [f"copolygon over Z_{p}, degree {degree}"]
-        for i, j, v in poly.functionals:
-            lines.append(f"functional: {i} {j} {fraction_str(v)}")
-        for x1, x2, val in poly.vertices():
-            lines.append(f"vertex: {fraction_str(x1)} {fraction_str(x2)} "
-                         f"value {fraction_str(val)}")
-        lines.append(f"tie segments: {len(payload['tie_segments'])}")
-        _write_text(args, "\n".join(lines) + "\n")
+        _emit_json(args, {
+            "p": p, "degree": degree, "functionals": poly.functionals,
+            "vertices": vertices,
+            "tie_segments": [{"pair": [s.first[:2], s.second[:2]], "line": s.line,
+                              "t_lo": s.t_lo, "t_hi": s.t_hi} for s in segments],
+        })
+        return 0
+    lines = [f"copolygon over Z_{p}, degree {degree}"]
+    for i, j, v in poly.functionals:
+        lines.append(f"functional: {i} {j} {fraction_str(v)}")
+    for x1, x2, val in vertices:
+        lines.append(f"vertex: {fraction_str(x1)} {fraction_str(x2)} "
+                     f"value {fraction_str(val)}")
+    lines.append(f"tie segments: {len(segments)}")
+    _write_text(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -205,69 +208,56 @@ def cmd_torsion(args) -> int:
     if args.csv and not args.ramification:
         raise UsageError("--csv applies to --ramification output")
     if args.ramification:
-        report = ramification_report(p, heights)
+        _refuse(args, "--ramification", n="-n", method="--method", sweep="--sweep")
         if args.csv:
-            sys.stdout.write(ramification_csv([(p, heights)]))
+            _write_text(args, ramification_csv([(p, heights)]))
         else:
-            _emit_json({
-                "p": report.p, "h1": report.h1, "h2": report.h2,
-                "degree": report.degree,
-                "v_xi": fraction_str(report.v_xi),
-                "v_eta": fraction_str(report.v_eta),
-                "witness_h1": report.witness_h1,
-                "witness_h2": report.witness_h2,
-            })
+            _emit_json(args, vars(ramification_report(p, heights)))
         return 0
     if args.sweep is not None:
+        _refuse(args, "--sweep", n="-n", method="--method")
         rows = profile_report(p, heights, args.sweep)
         if not all(row["agree"] for row in rows):
             raise VerificationError("closed form and min-plus disagree")
-        _emit_json([
-            {"n": row["n"],
-             "v_xi": fraction_str(row["v_xi"]),
-             "v_eta": fraction_str(row["v_eta"]),
-             "agree": row["agree"],
-             "hypothesis_status": row["hypothesis_status"]}
-            for row in rows])
+        _emit_json(args, [{k: v for k, v in row.items() if not k.startswith("minplus_")}
+                          for row in rows])
         return 0
-    if args.method == "closed":
-        profile = torsion_valuations(p, heights, args.n)
-    elif args.method == "minplus":
-        profile = torsion_valuations_via_minplus(p, heights, args.n)
+    n, method = args.n or 1, args.method or "both"
+    if method == "closed":
+        profile = torsion_valuations(p, heights, n)
+    elif method == "minplus":
+        profile = torsion_valuations_via_minplus(p, heights, n)
     else:
-        profile = torsion_valuations(p, heights, args.n)
-        other = torsion_valuations_via_minplus(p, heights, args.n)
+        profile = torsion_valuations(p, heights, n)
+        other = torsion_valuations_via_minplus(p, heights, n)
         if profile != other:
             raise VerificationError(
-                f"methods disagree at n={args.n}: {profile} vs {other}")
-    _emit_json({
-        "p": p, "h1": args.h1, "h2": args.h2, "n": args.n,
-        "v_xi": fraction_str(profile.v_xi),
-        "v_eta": fraction_str(profile.v_eta),
-        "method": args.method,
-        "hypothesis_status": hypothesis_status(p, heights),
-    })
+                f"methods disagree at n={n}: {profile} vs {other}")
+    _emit_json(args, {"p": p, "h1": args.h1, "h2": args.h2, "n": n, **vars(profile),
+                      "method": method, "hypothesis_status": hypothesis_status(p, heights)})
     return 0
 
 
 def cmd_verify(args) -> int:
+    params = {"p": "-p", "h1": "--h1", "h2": "--h2", "degree": "-D"}
     if args.fixture:
+        _refuse(args, "--fixture", **params, assoc_degree="--assoc-degree",
+                unramified_degree="--unramified-degree")
         header, pair = stored_mult45()
         profile = frobenius_profile(pair, header["p"])
         report = congruence_report(pair, header["p"], (header["h1"], header["h2"]))
-        payload = {
+        _emit_json(args, {
             "fixture": args.fixture,
             "linear_ok": profile["linear_ok"],
             "cross": profile["cross"],
             "exponents": profile["exponents"],
             "congruences_ok": report.ok,
             "violations": [str(v) for v in report.violations],
-        }
-        _emit_json(payload)
+        })
         return 0 if report.ok else 1
-    missing = [n for n in ("p", "h1", "h2", "degree") if getattr(args, n) is None]
+    missing = [flag for dest, flag in params.items() if getattr(args, dest) is None]
     if missing:
-        raise UsageError(f"verify needs --fixture or {missing}")
+        raise UsageError(f"verify needs --fixture or {', '.join(missing)}")
     checks = {}
     group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
     defects = recursion_defects(group.logarithm, args.p, (args.h1, args.h2))
@@ -284,7 +274,7 @@ def cmd_verify(args) -> int:
         checks["gamma_endomorphism"] = gamma_endomorphism(gamma, group).ok
     ok = all(v is True for k, v in checks.items() if k != "height")
     checks["ok"] = ok
-    _emit_json(checks)
+    _emit_json(args, checks)
     return 0 if ok else 1
 
 
@@ -299,20 +289,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("log", help="build and verify a logarithm pair")
     _add_params(s)
-    s.add_argument("--out", help="write the series container to a file")
+    s.add_argument("--out", help="write the report to a file")
     s.set_defaults(func=cmd_log)
 
     s = sub.add_parser("group", help="build a formal group and check axioms")
     _add_params(s)
     _add_count(s, "--assoc-degree",
                help="degree for the associativity check (default min(8, D))")
-    s.add_argument("--out", help="write the group container to a file")
+    s.add_argument("--out", help="write the report to a file")
     s.set_defaults(func=cmd_group)
 
     s = sub.add_parser("mult", help="build a multiplication endomorphism")
     _add_params(s)
     s.add_argument("-a", type=int, required=True, help="the multiplier")
-    s.add_argument("--out", help="write the series container to a file")
+    s.add_argument("--out", help="write the report to a file")
     s.set_defaults(func=cmd_mult)
 
     s = sub.add_parser("copolygon", help="copolygon geometry of a series")
@@ -320,19 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--fixture", choices=FIXTURE_NAMES, help="named example input")
     source.add_argument("--support", help="path to a support file (p D header, "
                                           "then i j num/den lines)")
-    s.add_argument("--component", type=int, choices=(1, 2), default=1,
-                   help="component when the fixture is a pair")
+    s.add_argument("--component", type=int, choices=(1, 2),
+                   help="component when the fixture is a pair (default 1)")
     _add_count(s, "-D", "--degree", help="truncation degree for series fixtures")
     s.add_argument("--json", action="store_true", help="machine-readable output")
     s.add_argument("--svg", help="write a picture to this file")
-    s.add_argument("--out", help="write the text report to a file")
+    s.add_argument("--out", help="write the report to a file")
     s.set_defaults(func=cmd_copolygon)
 
     s = sub.add_parser("torsion", help="torsion valuations and ramification")
     _add_params(s, degree=False)
-    _add_count(s, "-n", default=1, help="torsion level")
+    _add_count(s, "-n", help="torsion level (default 1)")
     s.add_argument("--method", choices=("closed", "minplus", "both"),
-                   default="both")
+                   help="valuation method (default both, which checks they agree)")
     _add_count(s, "--sweep", help="report levels 1..N with both methods")
     s.add_argument("--ramification", action="store_true",
                    help="report the ramification degree instead")

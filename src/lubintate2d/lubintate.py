@@ -406,6 +406,8 @@ class AxiomsReport:
 def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsReport:
     """Exact group-axiom suite; associativity runs in six variables at
     min(assoc_degree, group degree) to keep the blowup bounded."""
+    if assoc_degree < 1:
+        raise ValueError(f"assoc_degree must be at least 1, got {assoc_degree}")
     p, degree = group.p, group.degree
     law = group.group_law
     out = []

@@ -148,6 +148,8 @@ def torsion_valuations_via_minplus(p: int, heights, n: int,
 
 def profile_report(p: int, heights, n_max: int) -> list:
     """Level-by-level table comparing the two valuation computations."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     hs = _as_heights(heights)
     status = hypothesis_status(p, hs)
     rows = []

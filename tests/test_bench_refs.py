@@ -1,0 +1,56 @@
+"""Byte-stability of every command the benchmark can draw.
+
+Each grid command of bench/workloads.py runs in-process through `cli.main`
+in a fresh directory that holds the support files recorded in the
+workload's references.  Its exit code, stdout and every file it writes
+must equal bench/refs/<workload>.json byte for byte.  Nothing under bench/
+is written.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from lubintate2d import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_grid_matches_bench_refs(name, tmp_path, monkeypatch):
+    refs = json.loads((BENCH / "refs" / f"{name}.json").read_text())
+    for support, text in refs.get("supports", {}).items():
+        (tmp_path / support).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LT2D_PRECISION", raising=False)
+    grid = WORKLOADS[name].grid()
+    bad = []
+    for cmd in grid:
+        ref = refs[cmd.key]
+        for out in cmd.outputs:
+            (tmp_path / out).unlink(missing_ok=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(cmd.argv))
+        files = {out: (tmp_path / out).read_bytes().decode() for out in cmd.outputs}
+        if (code, stdout.getvalue(), files) != (ref["exit"], ref["stdout"],
+                                                ref.get("files", {})):
+            bad.append(cmd.key)
+    assert not bad, f"{len(bad)} of {len(grid)} differ from bench/refs, e.g. {bad[:3]}"

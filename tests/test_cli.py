@@ -297,6 +297,7 @@ def test_precision_flag_below_one_is_a_usage_error(capsys, prec):
 
 PARAMS = ("-p", "2", "--h1", "2", "--h2", "3")
 UNOPENABLE = "no-such-dir/out"  # relative to tmp_path, whose subdir is never made
+RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -317,6 +318,22 @@ UNOPENABLE = "no-such-dir/out"  # relative to tmp_path, whose subdir is never ma
     (("log", *PARAMS, "-D", "4", "--out", UNOPENABLE), UNOPENABLE),
     (("copolygon", "--fixture", "ex1", "--svg", UNOPENABLE), UNOPENABLE),
     (("copolygon", "--support", UNOPENABLE), UNOPENABLE),
+    # a flag the chosen mode never reads is refused before any work or file read
+    (("copolygon", "--support", "series.support", "-D", "3"), "-D"),
+    (("copolygon", "--support", "series.support", "--component", "2"), "--component"),
+    (("verify", "--fixture", "mult45", "-p", "5"), "-p"),
+    (("verify", "--fixture", "mult45", "--h1", "9"), "--h1"),
+    (("verify", "--fixture", "mult45", "--h2", "9"), "--h2"),
+    (("verify", "--fixture", "mult45", "-D", "9"), "-D"),
+    (("verify", "--fixture", "mult45", "--assoc-degree", "3"), "--assoc-degree"),
+    (("verify", "--fixture", "mult45", "--unramified-degree", "2"),
+     "--unramified-degree"),
+    (("torsion", *RAMIFIED, "--ramification", "-n", "2"), "-n"),
+    (("torsion", *RAMIFIED, "--ramification", "--method", "closed"), "--method"),
+    (("torsion", *RAMIFIED, "--ramification", "--sweep", "3"), "--sweep"),
+    (("torsion", *PARAMS, "--sweep", "3", "-n", "2"), "-n"),
+    (("torsion", *PARAMS, "--sweep", "3", "--method", "minplus"), "--method"),
+    (("verify", "-p", "2"), "-D"),
 ])
 def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -369,3 +386,39 @@ def test_oserror_without_a_path_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(sys, "stdout", BrokenStdout())
     with pytest.raises(BrokenPipeError):
         cli.main(["torsion", *PARAMS])
+
+
+def test_copolygon_json_goes_to_out(capsys, tmp_path):
+    _, printed, _ = run(capsys, "copolygon", "--fixture", "ex1", "--json")
+    target = tmp_path / "ex1.json"
+    code, out, err = run(capsys, "copolygon", "--fixture", "ex1", "--json",
+                         "--out", str(target))
+    assert code == 0 and out == "" and err == ""
+    assert target.read_bytes() == printed.encode()
+
+
+def test_ramification_csv_builds_the_report_once(capsys, monkeypatch):
+    from lubintate2d import torsion
+
+    calls = []
+    real = torsion.ramification_report
+
+    def spy(p, heights):
+        calls.append(p)
+        return real(p, heights)
+
+    monkeypatch.setattr(torsion, "ramification_report", spy)
+    monkeypatch.setattr(cli, "ramification_report", spy)
+    code, out, _ = run(capsys, "torsion", *RAMIFIED, "--ramification", "--csv")
+    assert code == 0 and out.splitlines()[1] == "3,2,3,121,5/121,14/121,1,1"
+    assert calls == [3]
+
+
+def test_copolygon_text_reads_vertices_once(capsys, monkeypatch):
+    calls = []
+    real = Copolygon.vertices
+    monkeypatch.setattr(Copolygon, "vertices",
+                        lambda poly: calls.append(poly) or real(poly))
+    code, out, _ = run(capsys, "copolygon", "--fixture", "ex1")
+    assert code == 0 and "vertex: 5/11 4/11 value 20/11" in out
+    assert len(calls) == 1

@@ -357,3 +357,9 @@ def test_axioms_report_checks_both_identity_laws():
     assert report.identity is False and report.integral is True
     assert [str(v) for v in report.violations if v.check == "identity"] == [
         "[identity] component 0: F(0, Y) != Y"]
+
+
+@pytest.mark.parametrize("assoc_degree", [0, -2])
+def test_axioms_report_rejects_assoc_degree_below_one(assoc_degree):
+    with pytest.raises(ValueError, match="assoc_degree must be at least 1"):
+        group_axioms_report(g23(6), assoc_degree=assoc_degree)

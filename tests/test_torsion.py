@@ -115,6 +115,12 @@ def test_profile_report_rows():
     assert rows[0]["v_xi"] == Fraction(10, 242)
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_profile_report_rejects_n_max_below_one(n_max):
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        profile_report(2, (2, 3), n_max)
+
+
 def test_count_p_torsion():
     assert count_p_torsion(2, (2, 3)) == 32
     assert count_p_torsion(3, (1, 2)) == 27
