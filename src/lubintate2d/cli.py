@@ -13,9 +13,10 @@ Every failure, argparse's own included, prints a single JSON line
 {"error": ..., "detail": ...} on stderr, written by `main`.  Counts
 (-N, LT2D_PRECISION, -D, -n, --sweep, --assoc-degree, --unramified-degree)
 must be integers at least 1; a flag the chosen mode never reads is bad
-usage.  Every report leaves through `_write_text`, to --out if given, else
-to stdout; JSON through `_emit_json`, which prints a rational as num/den.
-Outputs are deterministic byte-for-byte for fixed inputs.
+usage, -N too outside log, group, mult and verify on parameters.  Every
+report leaves through `_write_text`, to --out if given, else to stdout;
+JSON through `_emit_json`, which prints a rational as num/den.  Outputs
+are deterministic byte-for-byte for fixed inputs.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ def _copolygon_from_args(args) -> tuple:
 
 
 def cmd_copolygon(args) -> int:
+    _refuse(args, "copolygon", typed_precision="-N")
     p, degree, poly = _copolygon_from_args(args)
     if args.svg:
         with open(args.svg, "wb") as f:
@@ -204,6 +206,7 @@ def cmd_copolygon(args) -> int:
 
 
 def cmd_torsion(args) -> int:
+    _refuse(args, "torsion", typed_precision="-N")
     p, heights = args.p, (args.h1, args.h2)
     if args.csv and not args.ramification:
         raise UsageError("--csv applies to --ramification output")
@@ -241,8 +244,8 @@ def cmd_torsion(args) -> int:
 def cmd_verify(args) -> int:
     params = {"p": "-p", "h1": "--h1", "h2": "--h2", "degree": "-D"}
     if args.fixture:
-        _refuse(args, "--fixture", **params, assoc_degree="--assoc-degree",
-                unramified_degree="--unramified-degree")
+        _refuse(args, "--fixture", **params, typed_precision="-N",
+                assoc_degree="--assoc-degree", unramified_degree="--unramified-degree")
         header, pair = stored_mult45()
         profile = frobenius_profile(pair, header["p"])
         report = congruence_report(pair, header["p"], (header["h1"], header["h2"]))
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lt2d",
         description="two-dimensional Lubin-Tate formal groups, Newton "
                     "copolygons and torsion-point valuations")
-    _add_count(parser, "-N", "--precision",
+    _add_count(parser, "-N", "--precision", dest="typed_precision",
                help="p-adic working precision (default: LT2D_PRECISION or 64)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -345,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        args.precision = args.typed_precision
         if args.precision is None:
             env = os.environ.get("LT2D_PRECISION")
             args.precision = (DEFAULT_PRECISION if env is None

@@ -331,19 +331,15 @@ def parse_support_text(text: str):
 # -- deterministic SVG ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SvgOptions:
-    width: int = 640
-    height: int = 640
-    margin: int = 60
-    xmin: Fraction = Fraction(-1, 2)
-    ymin: Fraction = Fraction(-1, 2)
-    xmax: Fraction = Fraction(2)
-    ymax: Fraction = Fraction(2)
-    palette: tuple = (
-        "#c6dbef", "#fdd0a2", "#c7e9c0", "#fcbba1", "#dadaeb",
-        "#d9d9d9", "#9ecae1", "#fdae6b", "#a1d99b", "#fc9272",
-    )
+_SIZE = 640  # width and height of the picture, in pixels
+_MARGIN = 60
+_LO, _HI = Fraction(-1, 2), Fraction(2)  # the window [-1/2, 2] in both coordinates
+_BOX = ((_LO, _LO), (_HI, _LO), (_HI, _HI), (_LO, _HI))
+_AXES = (((0, _HI), (0, _LO)), ((_LO, 0), (_HI, 0)))  # xi1 = 0, xi2 = 0 in the window
+_PALETTE = (
+    "#c6dbef", "#fdd0a2", "#c7e9c0", "#fcbba1", "#dadaeb",
+    "#d9d9d9", "#9ecae1", "#fdae6b", "#a1d99b", "#fc9272",
+)
 
 
 def _fmt(q: Fraction) -> str:
@@ -381,34 +377,28 @@ def _clip_halfplane(polygon, a, b, c):
     return deduped
 
 
-def emit_svg(poly: Copolygon, options: SvgOptions = None) -> str:
+def emit_svg(poly: Copolygon) -> str:
     """Draw the minimality cells, tie segments and vertices of a copolygon.
 
     The output is byte-stable: exact rational geometry, fixed iteration
     order, and integer fixed-point coordinate formatting.
     """
-    opt = options or SvgOptions()
-    span_x = opt.xmax - opt.xmin
-    span_y = opt.ymax - opt.ymin
-    inner_w = opt.width - 2 * opt.margin
-    inner_h = opt.height - 2 * opt.margin
+    scale = Fraction(_SIZE - 2 * _MARGIN) / (_HI - _LO)
 
     def to_px(pt):
-        px = opt.margin + (pt[0] - opt.xmin) * inner_w / span_x
-        py = opt.height - opt.margin - (pt[1] - opt.ymin) * inner_h / span_y
+        px = _MARGIN + (pt[0] - _LO) * scale
+        py = _SIZE - _MARGIN - (pt[1] - _LO) * scale
         return _fmt(px), _fmt(py)
 
-    box = [(opt.xmin, opt.ymin), (opt.xmax, opt.ymin),
-           (opt.xmax, opt.ymax), (opt.xmin, opt.ymax)]
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{opt.width}" '
-        f'height="{opt.height}" viewBox="0 0 {opt.width} {opt.height}">',
-        f'<rect width="{opt.width}" height="{opt.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>',
     ]
 
     fs = poly.functionals
     for idx, (i1, j1, v1) in enumerate(fs):
-        cell = list(box)
+        cell = list(_BOX)
         for k, (ik, jk, vk) in enumerate(fs):
             if k == idx:
                 continue
@@ -419,30 +409,22 @@ def emit_svg(poly: Copolygon, options: SvgOptions = None) -> str:
                 break
         if len(cell) < 3:
             continue
-        color = opt.palette[idx % len(opt.palette)]
+        color = _PALETTE[idx % len(_PALETTE)]
         coords = " ".join(",".join(to_px(pt)) for pt in cell)
         parts.append(f'<polygon points="{coords}" fill="{color}" '
                      f'stroke="none"><title>{i1} {j1} {fraction_str(v1)}'
                      f'</title></polygon>')
 
-    # coordinate axes
-    for a, b, c in ((1, 0, 0), (0, 1, 0)):  # xi1 = 0, xi2 = 0
-        ends = _segment_in_box(a, b, c, None, None, None, None, box)
-        if ends:
-            (x1, y1), (x2, y2) = (to_px(ends[0]), to_px(ends[1]))
-            parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                         f'stroke="#888888" stroke-width="1"/>')
-
-    for seg in poly.tie_segments():
-        ends = _segment_in_box(seg.line[0], seg.line[1], -seg.line[2],
-                               seg.base, seg.direction, seg.t_lo, seg.t_hi, box)
-        if ends:
-            (x1, y1), (x2, y2) = (to_px(ends[0]), to_px(ends[1]))
-            parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                         f'stroke="#000000" stroke-width="2"/>')
+    lines = [(ends, "#888888", 1) for ends in _AXES]
+    lines += [(ends, "#000000", 2) for ends in map(_segment_in_box, poly.tie_segments())
+              if ends]
+    for ends, stroke, width in lines:
+        (x1, y1), (x2, y2) = to_px(ends[0]), to_px(ends[1])
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                     f'stroke="{stroke}" stroke-width="{width}"/>')
 
     for x1, x2, value in poly.vertices():
-        if opt.xmin <= x1 <= opt.xmax and opt.ymin <= x2 <= opt.ymax:
+        if _LO <= x1 <= _HI and _LO <= x2 <= _HI:
             cx, cy = to_px((x1, x2))
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="#000000">'
                          f'<title>{fraction_str(x1)} {fraction_str(x2)} '
@@ -452,23 +434,15 @@ def emit_svg(poly: Copolygon, options: SvgOptions = None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _segment_in_box(a, b, c, base, direction, t_lo, t_hi, box):
-    """Clip the line a*x + b*y + c = 0 (restricted to [t_lo, t_hi] when a
-    parametrization is given) to the box; returns two endpoints or None."""
-    if base is None:
-        # parametrize the raw line
-        if a:
-            base = (Fraction(-c, a), Fraction(0))
-        else:
-            base = (Fraction(0), Fraction(-c, b))
-        direction = (b, -a)
-    lo, hi = t_lo, t_hi
-    (xmin, ymin), (xmax, ymax) = box[0], box[2]
-    # box edge constraints, each affine in t
-    for coeff, bound, keep_ge in ((direction[0], xmin - base[0], True),
-                                  (direction[0], xmax - base[0], False),
-                                  (direction[1], ymin - base[1], True),
-                                  (direction[1], ymax - base[1], False)):
+def _segment_in_box(seg: TieSegment):
+    """Clip a tie segment to the window; returns two endpoints or None."""
+    base, direction = seg.base, seg.direction
+    lo, hi = seg.t_lo, seg.t_hi
+    # window edge constraints, each affine in t
+    for coeff, bound, keep_ge in ((direction[0], _LO - base[0], True),
+                                  (direction[0], _HI - base[0], False),
+                                  (direction[1], _LO - base[1], True),
+                                  (direction[1], _HI - base[1], False)):
         if coeff == 0:
             inside = bound <= 0 if keep_ge else bound >= 0
             if not inside:
@@ -484,5 +458,4 @@ def _segment_in_box(a, b, c, base, direction, t_lo, t_hi, box):
                 hi = t
     if lo is None or hi is None or lo > hi:
         return None
-    return (base[0] + lo * direction[0], base[1] + lo * direction[1]), \
-           (base[0] + hi * direction[0], base[1] + hi * direction[1])
+    return seg.point_at(lo), seg.point_at(hi)

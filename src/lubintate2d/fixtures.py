@@ -15,17 +15,15 @@ from __future__ import annotations
 from importlib import resources
 
 from .lubintate import _linear_defects
-from .padics import DEFAULT_PRECISION
 from .series import Series, SeriesPair, parse_sections
 from .torsion import dynamical_system
 
 
-def worked_copolygon_series(degree: int = 9,
-                            prec: int = DEFAULT_PRECISION) -> Series:
+def worked_copolygon_series(degree: int = 9) -> Series:
     """2*x1*x2 + x1^4 + x2^5 over Z_2, whose copolygon has one vertex."""
     terms = {(1, 1): 2, (4, 0): 1, (0, 5): 1}
     kept = {e: c for e, c in terms.items() if sum(e) <= degree}
-    return Series.from_coeffs(2, 2, degree, kept, prec=prec)
+    return Series.from_coeffs(2, 2, degree, kept)
 
 
 def stored_mult45():
@@ -70,8 +68,7 @@ def frobenius_profile(pair: SeriesPair, p: int) -> dict:
 FIXTURE_NAMES = ("ex1", "dyn23", "dyn312", "mult45")
 
 
-def load_fixture(name: str, degree: int = None,
-                 prec: int = DEFAULT_PRECISION):
+def load_fixture(name: str, degree: int = None):
     """Fixture registry for the command line.
 
     ex1    -> the worked copolygon series (default degree 9)
@@ -85,9 +82,9 @@ def load_fixture(name: str, degree: int = None,
         return stored_mult45()[1]
     degree = 9 if degree is None else degree
     if name == "ex1":
-        return worked_copolygon_series(degree, prec)
+        return worked_copolygon_series(degree)
     if name == "dyn23":
-        return dynamical_system(2, (2, 3), degree, prec)
+        return dynamical_system(2, (2, 3), degree)
     if name == "dyn312":
-        return dynamical_system(3, (1, 2), degree, prec)
+        return dynamical_system(3, (1, 2), degree)
     raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")

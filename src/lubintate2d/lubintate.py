@@ -96,14 +96,17 @@ def _differences(a: SeriesPair, b: SeriesPair) -> list:
 def recursion_defects(log: SeriesPair, p: int, heights) -> list:
     """Monomials violating the twisted functional equations; empty = exact.
 
-    Checked coefficientwise through the truncation degree.  Raising the
-    variables to the p^{h_i} power maps degree d to degree d * p^{h_i}, so
-    the truncated right-hand side is complete through the shared degree.
+    Checked coefficientwise through the truncation degree, at the widest
+    precision among the logarithm's coefficients, so that p^{-1} and the
+    identity cap no digit the logarithm carries.  Raising the variables to
+    the p^{h_i} power maps degree d to degree d * p^{h_i}, so the truncated
+    right-hand side is complete through the shared degree.
     """
     heights = _as_heights(heights)
-    pinv = Padic(p, -1, 1)
+    prec = max((c.prec for comp in log for c in comp.terms.values()), default=DEFAULT_PRECISION)
     twisted = SeriesPair(log.second.raise_vars(p**heights.h1), log.first.raise_vars(p**heights.h2))
-    return _differences(log, SeriesPair.identity(p, log.degree) + twisted.scale(pinv))
+    return _differences(log, SeriesPair.identity(p, log.degree, prec)
+                        + twisted.scale(Padic(p, -1, 1, prec)))
 
 
 class GroupConstructionError(ArithmeticError):

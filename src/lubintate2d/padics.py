@@ -417,12 +417,11 @@ def minimal_irreducible(p: int, degree: int):
 class UnramifiedRing:
     """Integers of the degree-h unramified extension of Q_p, modulo p**prec.
 
-    Elements are polynomial residues Z[x]/(modulus, p**prec) for a fixed
-    monic modulus irreducible modulo p.  The modulus is chosen
-    deterministically (lexicographically least) unless one is supplied.
+    Elements are polynomial residues Z[x]/(modulus, p**prec) for the
+    lexicographically least monic modulus irreducible modulo p.
     """
 
-    def __init__(self, p: int, degree: int, prec: int = DEFAULT_PRECISION, modulus=None):
+    def __init__(self, p: int, degree: int, prec: int = DEFAULT_PRECISION):
         _check_prime(p)
         if degree < 1:
             raise ValueError("degree must be positive")
@@ -432,15 +431,7 @@ class UnramifiedRing:
         self.degree = degree
         self.prec = prec
         self.pk = p**prec
-        if modulus is None:
-            modulus = minimal_irreducible(p, degree)
-        else:
-            modulus = tuple(int(c) for c in modulus)
-            if len(modulus) != degree + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of the ring degree")
-            if not is_irreducible_mod_p(modulus, p):
-                raise ValueError("modulus is reducible modulo p")
-        self.modulus = modulus
+        self.modulus = minimal_irreducible(p, degree)
 
     def element(self, coeffs) -> "UnramifiedElement":
         coeffs = list(coeffs)
@@ -467,8 +458,7 @@ class UnramifiedRing:
     def __eq__(self, other):
         return (
             isinstance(other, UnramifiedRing)
-            and (self.p, self.degree, self.prec, self.modulus)
-            == (other.p, other.degree, other.prec, other.modulus)
+            and (self.p, self.degree, self.prec) == (other.p, other.degree, other.prec)
         )
 
     __hash__ = None

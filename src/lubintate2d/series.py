@@ -5,15 +5,19 @@ truncation degree is dropped eagerly and exact-zero coefficients are never
 stored.  Values are treated as immutable once built, so series can be
 shared freely.
 
-Products and substitutions accumulate on plain (val, unit, prec) integer
-triples with `padics._raw_add`, the sum rule of `Padic`, and build one
-`Padic` per output term at the end.  A product (`_mul_triples`) visits only
-the pairs of terms whose degrees fit the truncation: each distinct room
-left by a left term gets one row of the right factor's fitting terms, in
-dict order.  The pairs therefore come in the order of the full double loop
-over both dicts, and so does every coefficient's chain of partial sums.
-That order is part of the result: a partial sum that cancels below its
-known digits becomes an exact zero and forgets its precision cap.
+Sums, products and substitutions accumulate on plain (val, unit, prec)
+integer triples with `padics._raw_add`, the sum rule of `Padic`, and build
+one `Padic` per output term at the end.  Two series agree (`==`) when no
+term of their difference survives that rule, the same rule by which the
+verifiers list where two series differ.
+
+A product (`_mul_triples`) visits only the pairs of terms whose degrees fit
+the truncation: each distinct room left by a left term gets one row of the
+right factor's fitting terms, in dict order.  The pairs therefore come in
+the order of the full double loop over both dicts, and so does every
+coefficient's chain of partial sums.  That order is part of the result: a
+partial sum that cancels below its known digits becomes an exact zero and
+forgets its precision cap.
 
 A substitution keeps its powers and factor products as triple dicts, each
 built only through the working truncation that can still reach the output:
@@ -153,11 +157,12 @@ class Series:
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
+        pk = _powers(self.p)
+        acc = _triples(self)
+        for e, t in _triples(other).items():
             cur = acc.get(e)
-            acc[e] = c if cur is None else cur + c
-        return Series(self.p, self.nvars, self.degree, acc)
+            acc[e] = t if cur is None else _raw_add(pk, cur, t)
+        return _from_triples(self.p, self.nvars, self.degree, acc)
 
     def __neg__(self):
         return Series(self.p, self.nvars, self.degree, {e: -c for e, c in self.terms.items()})
@@ -290,14 +295,13 @@ class Series:
     # -- comparison ------------------------------------------------------------
 
     def __eq__(self, other):
+        """Same prime, variables and degree, and no term of the difference
+        survives the sum rule: the one rule for "two series agree"."""
         if not isinstance(other, Series):
             return NotImplemented
-        if (self.p, self.nvars) != (other.p, other.nvars):
+        if (self.p, self.nvars, self.degree) != (other.p, other.nvars, other.degree):
             return False
-        for e in self.terms.keys() | other.terms.keys():
-            if self.coefficient(e) != other.coefficient(e):
-                return False
-        return True
+        return (self - other).is_zero
 
     __hash__ = None
 
@@ -469,7 +473,7 @@ def invert_pair(f: SeriesPair, prec: int = DEFAULT_PRECISION) -> SeriesPair:
 # -- plain-text serialization -------------------------------------------------
 #
 # One term per line, "e1 e2 ... ev : valuation unit", graded-lex order.
-# A file is an optional JSON header line followed by [name v=<nvars> D=<degree>]
+# A file is a JSON header line followed by [name v=<nvars> D=<degree>]
 # sections, one per series.
 
 
@@ -482,10 +486,8 @@ def series_to_lines(s: Series):
 
 
 def dump_sections(header, sections) -> str:
-    """Serialize {name: Series} with an optional JSON header dict."""
-    lines = []
-    if header is not None:
-        lines.append(json.dumps(header, sort_keys=True, separators=(", ", ": ")))
+    """Serialize {name: Series} under a JSON header dict."""
+    lines = [json.dumps(header, sort_keys=True, separators=(", ", ": "))]
     for name, s in sections.items():
         lines.append(f"[{name} v={s.nvars} D={s.degree}]")
         lines.extend(series_to_lines(s))

@@ -20,7 +20,7 @@ from math import gcd
 
 from .copolygon import Copolygon, fraction_str, intersect_tie_loci
 from .lubintate import _as_heights
-from .padics import DEFAULT_PRECISION, _check_prime
+from .padics import _check_prime
 from .series import Series, SeriesPair
 
 
@@ -28,8 +28,7 @@ class AmbiguousBranchError(ArithmeticError):
     """A min-plus inversion step could not single out the Frobenius branch."""
 
 
-def dynamical_system(p: int, heights, degree: int,
-                     prec: int = DEFAULT_PRECISION) -> SeriesPair:
+def dynamical_system(p: int, heights, degree: int) -> SeriesPair:
     """The pair (p*x1 + x2^(p^h1), p*x2 + x1^(p^h2)) as truncated series.
 
     The truncation degree must reach both Frobenius monomials, otherwise
@@ -42,8 +41,8 @@ def dynamical_system(p: int, heights, degree: int,
         raise ValueError(
             f"truncation degree {degree} drops a Frobenius monomial: "
             f"need at least {max(q1, q2)}")
-    first = Series.from_coeffs(p, 2, degree, {(1, 0): p, (0, q1): 1}, prec=prec)
-    second = Series.from_coeffs(p, 2, degree, {(0, 1): p, (q2, 0): 1}, prec=prec)
+    first = Series.from_coeffs(p, 2, degree, {(1, 0): p, (0, q1): 1})
+    second = Series.from_coeffs(p, 2, degree, {(0, 1): p, (q2, 0): 1})
     return SeriesPair(first, second)
 
 

@@ -334,6 +334,9 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
     (("torsion", *PARAMS, "--sweep", "3", "-n", "2"), "-n"),
     (("torsion", *PARAMS, "--sweep", "3", "--method", "minplus"), "--method"),
     (("verify", "-p", "2"), "-D"),
+    (("-N", "3", "torsion", *PARAMS), "-N"),
+    (("-N", "5", "copolygon", "--fixture", "ex1"), "-N"),
+    (("-N", "1", "verify", "--fixture", "mult45"), "-N"),
 ])
 def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named):
     monkeypatch.chdir(tmp_path)

@@ -85,6 +85,17 @@ def test_recursion_detects_corruption():
     assert (1, (0, 4)) in defects
 
 
+def test_recursion_checks_at_the_logarithms_own_precision():
+    # a change at relative digit 80 of L1's x2^4 coefficient, built at
+    # N = 100, is past the 64-digit default but not past the logarithm's
+    log = build_logarithm(2, (2, 3), 12, 100)
+    c = log.first.terms[(0, 4)]
+    terms = {**log.first.terms, (0, 4): Padic(2, c.val, c.unit + 2**80, c.prec)}
+    assert recursion_defects(log, 2, (2, 3)) == []
+    bad = SeriesPair(Series(2, 2, 12, terms), log.second)
+    assert recursion_defects(bad, 2, (2, 3)) == [(1, (0, 4))]
+
+
 def test_group_law_frozen_2_23():
     law = build_group(2, (2, 3), 8).group_law
     f1 = {

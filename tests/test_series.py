@@ -351,6 +351,74 @@ def test_kernels_do_no_padic_arithmetic(monkeypatch):
     assert compose(group.exponential, summed) == law
 
 
+# -- one rule for "two series agree" -----------------------------------------------
+
+
+def _nearby(rng, a):
+    """A series close to a: each term kept, dropped, re-capped, moved at a
+    digit that may or may not lie inside its precision, or moved one
+    valuation up; and sometimes one term replaced."""
+    p = a.p
+    terms = {}
+    for e, c in a.terms.items():
+        val, unit, prec = c.val, c.unit, c.prec
+        kind = rng.choices(("keep", "drop", "recap", "digit", "val"), (4, 1, 2, 2, 1))[0]
+        if kind == "drop":
+            continue
+        if kind == "recap":
+            prec = rng.choice((1, 2, 3, 4, 64))
+        elif kind == "digit":
+            unit += p**rng.randrange(0, 6) * rng.randrange(1, p)
+        elif kind == "val":
+            val += 1
+        terms[e] = Padic(p, val, unit, prec)
+    if a.terms and rng.random() < 0.2:
+        terms[rng.choice(list(a.terms))] = Padic(p, rng.randrange(-2, 3), rng.randrange(1, 50),
+                                                 rng.choice((1, 3, 64)))
+    return Series(p, a.nvars, a.degree, terms)
+
+
+def test_series_equality_is_the_difference_rule():
+    from lubintate2d.lubintate import _differences
+
+    rng = random.Random(90210)
+    seen = {True: 0, False: 0}
+    for _ in range(1500):
+        p = rng.choice((2, 3, 5))
+        nvars, degree = rng.randrange(1, 4), rng.randrange(1, 7)
+        a1, a2 = (_cancelling_series(rng, p, nvars, degree) for _ in range(2))
+        b1, b2 = _nearby(rng, a1), _nearby(rng, a2)
+        same = b1 == a1
+        assert same == (not _differences(SeriesPair(a1, a1), SeriesPair(b1, a1)))
+        assert same == all(a1.coefficient(e) == b1.coefficient(e)
+                           for e in a1.terms.keys() | b1.terms.keys())
+        assert (SeriesPair(a1, a2) == SeriesPair(b1, b2)) == \
+            (not _differences(SeriesPair(a1, a2), SeriesPair(b1, b2)))
+        seen[same] += 1
+    assert min(seen.values()) >= 300  # both verdicts are exercised
+
+
+def test_series_of_different_degree_are_unequal():
+    x3 = Series.variable(2, 2, 3, 0)
+    x4 = Series.variable(2, 2, 4, 0)
+    assert x3 != x4
+    assert x3 == x4.truncate(3)
+    assert SeriesPair.identity(2, 3) != SeriesPair.identity(2, 4)
+
+
+def test_series_equality_reaches_no_padic_equality(monkeypatch):
+    f = hand_logarithm_pair()
+    g = SeriesPair(f.first + Series.variable(2, 2, 9, 1), f.second)
+
+    def forbidden(*args):
+        raise AssertionError("Padic comparison in Series.__eq__")
+
+    monkeypatch.setattr(Padic, "__eq__", forbidden)
+    assert f.first == hand_logarithm_pair().first
+    assert f.first != g.first
+    assert f == hand_logarithm_pair() and f != g
+
+
 # -- the composition against full-degree powers ---------------------------------
 
 
