@@ -102,7 +102,7 @@ class Copolygon:
             raise ValueError("copolygons are defined for two-variable series")
         if not s.terms:
             raise ValueError("the zero series has an empty copolygon")
-        return cls((e[0], e[1], Fraction(c.valuation)) for e, c in s.terms.items())
+        return cls((e[0], e[1], Fraction(v)) for e, (v, _, _) in s.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, Copolygon):
@@ -260,7 +260,7 @@ def evaluate_series(s: Series, point) -> Padic:
 
     total = Padic.zero(s.p, min(a.prec, b.prec))
     for e in sorted(s.terms, key=grlex):
-        term = s.terms[e] * power(a, e[0], powers_a) * power(b, e[1], powers_b)
+        term = s.coefficient(e) * power(a, e[0], powers_a) * power(b, e[1], powers_b)
         total = total + term
     return total
 
@@ -282,8 +282,8 @@ def lower_bound_check(s: Series, point) -> bool:
     if not total.is_zero:
         return Fraction(total.valuation) >= bound
     floor = None
-    for e, c in s.terms.items():
-        abs_prec = c.abs_precision + e[0] * a.valuation + e[1] * b.valuation
+    for e, (v, _, m) in s.terms.items():
+        abs_prec = v + m + e[0] * a.valuation + e[1] * b.valuation
         if floor is None or abs_prec < floor:
             floor = abs_prec
     if floor is not None and Fraction(floor) >= bound:
@@ -305,7 +305,7 @@ def support_text(s: Series) -> str:
         raise ValueError("expected a two-variable series")
     lines = [f"{s.p} {s.degree}"]
     for e in s.support():
-        lines.append(f"{e[0]} {e[1]} {fraction_str(s.terms[e].valuation)}")
+        lines.append(f"{e[0]} {e[1]} {fraction_str(s.terms[e][0])}")
     return "\n".join(lines) + "\n"
 
 

@@ -57,7 +57,7 @@ def frobenius_profile(pair: SeriesPair, p: int) -> dict:
              and monomials[0][0] == 0 and monomials[1][1] == 0)
     exponents = sorted(sum(e) for e in monomials if e is not None)
     return {
-        "linear_ok": not _linear_defects(pair, p),
+        "linear_ok": not _linear_defects(pair),
         "first": monomials[0],
         "second": monomials[1],
         "cross": cross,

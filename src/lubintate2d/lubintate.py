@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from math import gcd
 
-from .padics import DEFAULT_PRECISION, Padic, UnramifiedElement, _check_prime
+from .padics import DEFAULT_PRECISION, Padic, PrecisionError, UnramifiedElement, _check_prime
 from .series import (Series, SeriesPair, compose, dump_sections, grlex, invert_pair,
                      parse_sections)
 
@@ -56,33 +56,32 @@ def _as_heights(heights) -> HeightPair:
     return HeightPair(h1, h2)
 
 
-def _check_params(p: int, degree: int):
+def _check_params(p: int, degree: int, prec: int):
     _check_prime(p)
     if degree < 1:
         raise ValueError("truncation degree must be at least 1")
+    if prec < 1:
+        raise PrecisionError("relative precision must be at least 1")
 
 
 def build_logarithm(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> SeriesPair:
     """Closed-form logarithm pair, truncated at total degree `degree`."""
     heights = _as_heights(heights)
-    _check_params(p, degree)
+    _check_params(p, degree, prec)
     h = heights.total
-    one = Padic.one(p, prec)
-    terms1 = {(1, 0): one}
-    terms2 = {(0, 1): one}
+    terms1 = {(1, 0): (0, 1, prec)}
+    terms2 = {(0, 1): (0, 1, prec)}
     k = 1
     while p ** (k * h) <= degree:
-        c = Padic(p, -2 * k, 1, prec)
-        terms1[(p ** (k * h), 0)] = c
-        terms2[(0, p ** (k * h))] = c
+        terms1[(p ** (k * h), 0)] = terms2[(0, p ** (k * h))] = (-2 * k, 1, prec)
         k += 1
     k = 0
     while p ** (heights.h1 + k * h) <= degree:
-        terms1[(0, p ** (heights.h1 + k * h))] = Padic(p, -(2 * k + 1), 1, prec)
+        terms1[(0, p ** (heights.h1 + k * h))] = (-(2 * k + 1), 1, prec)
         k += 1
     k = 0
     while p ** (heights.h2 + k * h) <= degree:
-        terms2[(p ** (heights.h2 + k * h), 0)] = Padic(p, -(2 * k + 1), 1, prec)
+        terms2[(p ** (heights.h2 + k * h), 0)] = (-(2 * k + 1), 1, prec)
         k += 1
     return SeriesPair(Series(p, 2, degree, terms1), Series(p, 2, degree, terms2))
 
@@ -103,7 +102,7 @@ def recursion_defects(log: SeriesPair, p: int, heights) -> list:
     right-hand side is complete through the shared degree.
     """
     heights = _as_heights(heights)
-    prec = max((c.prec for comp in log for c in comp.terms.values()), default=DEFAULT_PRECISION)
+    prec = max((m for comp in log for _, _, m in comp.terms.values()), default=DEFAULT_PRECISION)
     twisted = SeriesPair(log.second.raise_vars(p**heights.h1), log.first.raise_vars(p**heights.h2))
     return _differences(log, SeriesPair.identity(p, log.degree, prec)
                         + twisted.scale(Padic(p, -1, 1, prec)))
@@ -169,7 +168,7 @@ def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> 
     inverse); the group law waits for its first read."""
     heights = _as_heights(heights)
     log = build_logarithm(p, heights, degree, prec)
-    return LubinTateGroup(p, heights, degree, prec, log, invert_pair(log, prec))
+    return LubinTateGroup(p, heights, degree, prec, log, invert_pair(log))
 
 
 def multiplication(a, group: LubinTateGroup) -> SeriesPair:
@@ -214,10 +213,17 @@ def _law_shape(law: SeriesPair, prec: int) -> list:
     return out
 
 
-def _linear_defects(f: SeriesPair, p: int) -> list:
-    """(component, exponents) where the linear part of f is not p*X."""
-    p_x = SeriesPair.identity(p, 1).scale(p)
-    return [(idx, e) for idx, e in _differences(f.truncate(1), p_x) if sum(e) == 1]
+def _linear_defects(f: SeriesPair) -> list:
+    """(component, exponents) where the linear part of f is not exactly
+    p*X: each component's degree-1 terms must be its variable with
+    valuation 1 and unit 1, to every digit the term carries."""
+    out = []
+    for idx, comp, var in ((1, f.first, (1, 0)), (2, f.second, (0, 1))):
+        lin = {e: (v, u) for e, (v, u, _) in comp.terms.items() if sum(e) == 1}
+        want = {var: (1, 1)}
+        out += [(idx, e) for e in sorted(lin.keys() | want.keys(), key=grlex)
+                if lin.get(e) != want.get(e)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -242,12 +248,12 @@ def congruence_report(f: SeriesPair, p: int, heights) -> CongruenceReport:
     if f.nvars != 2:
         raise ValueError("expected a two-variable pair")
     out = []
-    lin_bad = _linear_defects(f, p)
+    lin_bad = _linear_defects(f)
     frob_exp = ((0, p**heights.h1), (p**heights.h2, 0))
     for idx, comp in ((1, f.first), (2, f.second)):
-        if not comp.coefficient((0, 0)).is_zero:
+        if (0, 0) in comp.terms:
             out.append(Violation(idx, (0, 0), "constant", "nonzero constant term"))
-        bad_val = [e for e, c in comp.terms.items() if c.val < 0]
+        bad_val = [e for e, (v, _, _) in comp.terms.items() if v < 0]
         for e in sorted(bad_val, key=grlex):
             out.append(Violation(idx, e, "integral", "negative valuation"))
         out.extend(Violation(idx, e, "linear", "linear part is not p*X")
@@ -274,9 +280,9 @@ def verify_p_congruences(group: LubinTateGroup) -> CongruenceReport:
     """Congruence checks on [p]_F plus exact linearity L([p]_F X) = p L(X)."""
     m = group.p_multiplication
     out = list(group.p_congruences.violations)
+    p_log = group.logarithm.scale(Padic(group.p, 1, 1, group.prec))
     out.extend(Violation(idx, e, "linearity", "L([p] X) != p L(X)")
-               for idx, e in _differences(compose(group.logarithm, m),
-                                          group.logarithm.scale(group.p)))
+               for idx, e in _differences(compose(group.logarithm, m), p_log))
     return CongruenceReport(tuple(out))
 
 

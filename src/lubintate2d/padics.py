@@ -553,16 +553,3 @@ def teichmuller(ring: UnramifiedRing, residue) -> UnramifiedElement:
         raise PrecisionError("Teichmuller iteration failed to stabilize")
     return x
 
-
-def valuation_of(x):
-    """Valuation of a Padic or UnramifiedElement; None for exact zero.
-
-    The unramified extension is unramified, so element valuations are the
-    minimum of the coefficient valuations and stay integers.
-    """
-    if isinstance(x, Padic):
-        return x.valuation
-    if isinstance(x, UnramifiedElement):
-        vals = [int_valuation(c, x.ring.p) for c in x.coeffs if c != 0]
-        return min(vals) if vals else None
-    raise TypeError(f"no valuation for {type(x).__name__}")

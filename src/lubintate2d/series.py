@@ -5,11 +5,14 @@ truncation degree is dropped eagerly and exact-zero coefficients are never
 stored.  Values are treated as immutable once built, so series can be
 shared freely.
 
-Sums, products and substitutions accumulate on plain (val, unit, prec)
-integer triples with `padics._raw_add`, the sum rule of `Padic`, and build
-one `Padic` per output term at the end.  Two series agree (`==`) when no
-term of their difference survives that rule, the same rule by which the
-verifiers list where two series differ.
+A coefficient is stored as a canonical (val, unit, prec) integer triple:
+the unit is coprime to p and reduced modulo p**prec, as `Padic` keeps it.
+Values from outside enter only through `Series.from_coeffs`, which reads
+them through `Padic`; `coefficient` hands one back out as a `Padic`.
+Sums, products, scalings and substitutions work on the stored triples with
+`padics._raw_add`, the sum rule of `Padic`, and build no `Padic`.  Two
+series agree (`==`) when no term of their difference survives that rule,
+the same rule by which the verifiers list where two series differ.
 
 A product (`_mul_triples`) visits only the pairs of terms whose degrees fit
 the truncation: each distinct room left by a left term gets one row of the
@@ -61,11 +64,10 @@ class Series:
                 raise ValueError(f"bad exponent tuple {e} for {nvars} variables")
             if sum(e) > degree:
                 raise ValueError(f"monomial {e} exceeds truncation degree {degree}")
-            if not isinstance(c, Padic):
-                raise TypeError("coefficients must be Padic")
-            if c.p != p:
-                raise ValueError("coefficient prime mismatch")
-            if not c.is_zero:
+            if type(c) is not tuple:
+                raise TypeError("coefficients must be (val, unit, prec) triples; "
+                                "use Series.from_coeffs for other values")
+            if c[1]:
                 clean[e] = c
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "nvars", nvars)
@@ -84,19 +86,21 @@ class Series:
     @classmethod
     def variable(cls, p, nvars, degree, index, prec=DEFAULT_PRECISION):
         e = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(p, nvars, degree, {e: Padic.one(p, prec)})
+        return cls.from_coeffs(p, nvars, degree, {e: 1}, prec)
 
     @classmethod
     def from_coeffs(cls, p, nvars, degree, coeffs, prec=DEFAULT_PRECISION):
-        """Build from {exponents: int | Fraction | Padic}."""
+        """Build from {exponents: int | Fraction | Padic}, ints and fractions
+        at relative precision `prec`; the one way in for such values."""
         terms = {}
         for e, c in coeffs.items():
-            if isinstance(c, Padic):
-                terms[tuple(e)] = c
-            elif isinstance(c, int):
-                terms[tuple(e)] = Padic.from_int(p, c, prec)
-            else:
-                terms[tuple(e)] = Padic.from_fraction(p, Fraction(c), prec)
+            if isinstance(c, int):
+                c = Padic.from_int(p, c, prec)
+            elif not isinstance(c, Padic):
+                c = Padic.from_fraction(p, Fraction(c), prec)
+            if c.p != p:
+                raise ValueError("coefficient prime mismatch")
+            terms[e] = (c.val, c.unit, c.prec)
         return cls(p, nvars, degree, terms)
 
     # -- inspection -------------------------------------------------------
@@ -109,7 +113,8 @@ class Series:
         return sorted(self.terms, key=grlex)
 
     def coefficient(self, e) -> Padic:
-        return self.terms.get(tuple(e), Padic.zero(self.p))
+        t = self.terms.get(tuple(e))
+        return Padic.zero(self.p) if t is None else Padic(self.p, *t)
 
     def min_total_degree(self):
         """Least total degree with a nonzero term, or None for zero."""
@@ -121,16 +126,13 @@ class Series:
         """Least coefficient valuation, or None for zero."""
         if not self.terms:
             return None
-        return min(c.val for c in self.terms.values())
+        return min(v for v, _, _ in self.terms.values())
 
     def min_val_plus_degree(self):
         """min over terms of (coefficient valuation + total degree)."""
         if not self.terms:
             return None
-        return min(c.val + sum(e) for e, c in self.terms.items())
-
-    def degree_slice(self, k: int) -> dict:
-        return {e: c for e, c in self.terms.items() if sum(e) == k}
+        return min(v + sum(e) for e, (v, _, _) in self.terms.items())
 
     def units_mod_p(self) -> dict:
         """Reduction modulo p: {exponents: unit % p} over valuation-0 terms.
@@ -138,11 +140,11 @@ class Series:
         Requires every coefficient to be integral.
         """
         out = {}
-        for e, c in self.terms.items():
-            if c.val < 0:
-                raise ValueError(f"coefficient at {e} has negative valuation {c.val}")
-            if c.val == 0:
-                u = c.unit % self.p
+        for e, (v, unit, _) in self.terms.items():
+            if v < 0:
+                raise ValueError(f"coefficient at {e} has negative valuation {v}")
+            if v == 0:
+                u = unit % self.p
                 if u:
                     out[e] = u
         return out
@@ -158,31 +160,29 @@ class Series:
     def __add__(self, other):
         self._check(other)
         pk = _powers(self.p)
-        acc = _triples(self)
-        for e, t in _triples(other).items():
+        acc = dict(self.terms)
+        for e, t in other.terms.items():
             cur = acc.get(e)
             acc[e] = t if cur is None else _raw_add(pk, cur, t)
-        return _from_triples(self.p, self.nvars, self.degree, acc)
+        return Series(self.p, self.nvars, self.degree, acc)
 
     def __neg__(self):
-        return Series(self.p, self.nvars, self.degree, {e: -c for e, c in self.terms.items()})
+        pk = _powers(self.p)
+        return Series(self.p, self.nvars, self.degree,
+                      {e: (v, -u % pk[m], m) for e, (v, u, m) in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        acc = _mul_triples(_powers(self.p), _triples(self), _triples(other), self.degree)
-        return _from_triples(self.p, self.nvars, self.degree, acc)
+        return Series(self.p, self.nvars, self.degree,
+                      _mul_triples(_powers(self.p), self.terms, other.terms, self.degree))
 
     def scale(self, c) -> "Series":
-        if isinstance(c, int):
-            c = Padic.from_int(self.p, c)
-        elif isinstance(c, Fraction):
-            c = Padic.from_fraction(self.p, c)
-        if c.p != self.p:
-            raise ValueError("prime mismatch")
-        return Series(self.p, self.nvars, self.degree, {e: t * c for e, t in self.terms.items()})
+        """c times the series: the product with c as a constant series, an
+        int or Fraction c taken at the default precision."""
+        return self * Series.from_coeffs(self.p, self.nvars, self.degree, {(0,) * self.nvars: c})
 
     # -- reshaping ----------------------------------------------------------
 
@@ -256,15 +256,14 @@ class Series:
                 raise ValueError("inner series must have zero constant term")
         p, deg = self.p, self.degree
         pk = _powers(p)
-        bases = [_triples(g) for g in inner]
+        bases = [g.terms for g in inner]
         # an empty inner series gets lowest degree deg + 1, so every outer
         # monomial that uses it is skipped
         mds = [g.min_total_degree() or deg + 1 for g in inner]
         caches = [dict() for _ in inner]
         acc = {}
         for e in sorted(self.terms, key=grlex):
-            c = self.terms[e]
-            v1, u1, m1 = c.val, c.unit, c.prec
+            v1, u1, m1 = self.terms[e]
             tot = sum(k * md for k, md in zip(e, mds))
             if tot > deg:
                 continue  # every term of the product lies past the truncation
@@ -290,7 +289,7 @@ class Series:
                 t = (v1 + fv, u1 * fu % pk[m], m)
                 cur = acc.get(fe)
                 acc[fe] = t if cur is None else _raw_add(pk, cur, t)
-        return _from_triples(p, w, deg, acc)
+        return Series(p, w, deg, acc)
 
     # -- comparison ------------------------------------------------------------
 
@@ -308,17 +307,6 @@ class Series:
     def __repr__(self):
         n = len(self.terms)
         return f"Series(p={self.p}, vars={self.nvars}, D={self.degree}, {n} terms)"
-
-
-def _triples(s: Series) -> dict:
-    return {e: (c.val, c.unit, c.prec) for e, c in s.terms.items()}
-
-
-def _from_triples(p, nvars, degree, acc) -> Series:
-    """The series of an accumulator {exponents: (val, unit, prec)}; the
-    triples that cancelled to exact zero are dropped."""
-    return Series(p, nvars, degree,
-                  {e: Padic(p, v, u, m) for e, (v, u, m) in acc.items() if u})
 
 
 def _mul_triples(pk, a: dict, b: dict, bound: int) -> dict:
@@ -438,25 +426,25 @@ def compose(outer: SeriesPair, inner: Sequence[Series]) -> SeriesPair:
     return SeriesPair(outer.first.substitute(ins), outer.second.substitute(ins))
 
 
-def invert_pair(f: SeriesPair, prec: int = DEFAULT_PRECISION) -> SeriesPair:
+def invert_pair(f: SeriesPair) -> SeriesPair:
     """Compositional inverse of a pair congruent to the identity mod degree 2.
 
     Degree-by-degree correction: with g exact through degree k, the defect
     r = f(g) - id starts in degree k+1, and g - r is exact through k+1
-    because the linear part of f is the identity.
+    because the linear part of f is the identity.  That identity is f's
+    own linear part, so it carries the precision of f's linear terms.
     """
     if f.nvars != 2:
         raise ValueError("inversion needs a two-variable pair")
     p, degree = f.p, f.degree
-    one = Padic.one(p, prec)
-    zero_exp = (0, 0)
     for comp, var in ((f.first, (1, 0)), (f.second, (0, 1))):
-        if not comp.coefficient(zero_exp).is_zero:
+        if (0, 0) in comp.terms:
             raise ValueError("pair must have zero constant term")
-        lin = comp.degree_slice(1)
-        if set(lin) != {var} or lin[var] != one:
+        lin = {e: (v, u) for e, (v, u, _) in comp.terms.items() if sum(e) == 1}
+        if lin != {var: (0, 1)}:
             raise ValueError("linear part must be the identity")
-    ident = SeriesPair.identity(p, degree, prec)
+    ident = SeriesPair(Series(p, 2, degree, {(1, 0): f.first.terms[(1, 0)]}),
+                       Series(p, 2, degree, {(0, 1): f.second.terms[(0, 1)]}))
     g = ident
     for _ in range(degree + 1):
         r = compose(f, g) - ident
@@ -480,8 +468,8 @@ def invert_pair(f: SeriesPair, prec: int = DEFAULT_PRECISION) -> SeriesPair:
 def series_to_lines(s: Series):
     out = []
     for e in s.support():
-        c = s.terms[e]
-        out.append(f"{' '.join(str(x) for x in e)} : {c.val} {c.unit}")
+        v, u, _ = s.terms[e]
+        out.append(f"{' '.join(str(x) for x in e)} : {v} {u}")
     return out
 
 
@@ -505,7 +493,7 @@ def parse_sections(text: str):
     def flush():
         if current is not None:
             name, nv, dg, terms = current
-            sections[name] = Series(p, nv, dg, terms)
+            sections[name] = Series.from_coeffs(p, nv, dg, terms)
 
     for raw in text.splitlines():
         line = raw.strip()

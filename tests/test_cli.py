@@ -284,7 +284,7 @@ def test_low_precision_mult_skips_the_law(capsys):
                              "--h2", h2, "-D", "16", "-a", p)
         assert code == 0 and err == ""
         _, sections = parse_sections(out)
-        assert all(c.val >= 0 for s in sections.values() for c in s.terms.values())
+        assert all(v >= 0 for s in sections.values() for v, _, _ in s.terms.values())
 
 
 @pytest.mark.parametrize("prec", ["0", "-3"])

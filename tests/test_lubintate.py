@@ -89,10 +89,11 @@ def test_recursion_checks_at_the_logarithms_own_precision():
     # a change at relative digit 80 of L1's x2^4 coefficient, built at
     # N = 100, is past the 64-digit default but not past the logarithm's
     log = build_logarithm(2, (2, 3), 12, 100)
-    c = log.first.terms[(0, 4)]
-    terms = {**log.first.terms, (0, 4): Padic(2, c.val, c.unit + 2**80, c.prec)}
+    val, unit, prec = log.first.terms[(0, 4)]
+    terms = {e: log.first.coefficient(e) for e in log.first.terms}
+    terms[(0, 4)] = Padic(2, val, unit + 2**80, prec)
     assert recursion_defects(log, 2, (2, 3)) == []
-    bad = SeriesPair(Series(2, 2, 12, terms), log.second)
+    bad = SeriesPair(Series.from_coeffs(2, 2, 12, terms), log.second)
     assert recursion_defects(bad, 2, (2, 3)) == [(1, (0, 4))]
 
 
@@ -193,6 +194,30 @@ def test_congruence_rejects_non_integral():
     report = congruence_report(bad, 2, (2, 3))
     checks = {v.check for v in report.violations}
     assert "integral" in checks
+
+
+def test_linear_check_reads_every_digit_past_64():
+    # 3 * (1 + 3^80) at N = 100 differs from 3 only past the 64-digit default
+    n = 100
+    f = SeriesPair(Series.from_coeffs(3, 2, 2, {(1, 0): Padic(3, 1, 1 + 3**80, n)}),
+                   Series.from_coeffs(3, 2, 2, {(0, 1): Padic(3, 1, 1, n)}))
+    report = congruence_report(f, 3, (1, 2))
+    assert [(v.component, v.exponents, v.check) for v in report.violations] == [
+        (1, (1, 0), "linear")]
+
+
+def test_p_linearity_reads_every_digit_past_64():
+    # [p]_F with its x2^4 coefficient moved at relative digit 80, at N = 100
+    group = build_group(2, (2, 3), 9, 100)
+    assert verify_p_congruences(group).ok
+    m = group.p_multiplication
+    c = m.first.coefficient((0, 4))
+    terms = {e: m.first.coefficient(e) for e in m.first.terms}
+    terms[(0, 4)] = Padic(2, c.val, c.unit + 2**80, c.prec)
+    vars(group)["p_multiplication"] = SeriesPair(Series.from_coeffs(2, 2, 9, terms), m.second)
+    report = verify_p_congruences(group)
+    assert [(v.component, v.exponents, v.check) for v in report.violations] == [
+        (1, (0, 4), "linearity")]
 
 
 def test_integrality_of_law_and_multiples():
@@ -348,7 +373,7 @@ def test_law_shape_is_found_once_per_group(monkeypatch):
 def test_spiked_exponential_fails_on_first_law_read():
     group = g23()
     exp = group.exponential
-    spike = Series(2, 2, 9, {(2, 0): Padic(2, -1, 1)})
+    spike = Series.from_coeffs(2, 2, 9, {(2, 0): Padic(2, -1, 1)})
     fake = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
                           group.logarithm, SeriesPair(exp.first + spike, exp.second))
     with pytest.raises(GroupConstructionError, match="group law has a denominator"):
@@ -360,7 +385,7 @@ def test_axioms_report_checks_both_identity_laws():
     # a y1^2 term leaves F(X, 0) = X alone and breaks F(0, Y) = Y
     group = g23(6)
     law = group.group_law
-    y1_squared = Series(2, 4, 6, {(0, 0, 2, 0): Padic.one(2)})
+    y1_squared = Series.from_coeffs(2, 4, 6, {(0, 0, 2, 0): Padic.one(2)})
     bad = SeriesPair(law.first + y1_squared, law.second)
     fake = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
                           group.logarithm, group.exponential, bad)

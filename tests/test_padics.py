@@ -15,7 +15,6 @@ from lubintate2d.padics import (
     is_prime,
     minimal_irreducible,
     teichmuller,
-    valuation_of,
 )
 
 
@@ -209,8 +208,6 @@ def test_unramified_arithmetic():
     # (1 + 2x)(2 + x) = 2 + 5x + 2x^2, and x^2 = -1 for modulus x^2 + 1
     assert a * b == ring.element([0, 5])
     assert a * ring.one() == a
-    assert valuation_of(ring.element([9, 6])) == 1
-    assert valuation_of(ring.zero()) is None
 
 
 def test_teichmuller_5adic_frozen():
@@ -254,11 +251,6 @@ def test_teichmuller_qth_power_stability():
             w = teichmuller(ring, coeffs)
             assert w**q == w
             assert w.reduce_mod_p() == tuple(coeffs)
-
-
-def test_valuation_of_type_error():
-    with pytest.raises(TypeError):
-        valuation_of("nope")
 
 
 def test_precision_floor():
