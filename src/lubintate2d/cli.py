@@ -247,7 +247,7 @@ def cmd_verify(args) -> int:
         _refuse(args, "--fixture", **params, typed_precision="-N",
                 assoc_degree="--assoc-degree", unramified_degree="--unramified-degree")
         header, pair = stored_mult45()
-        profile = frobenius_profile(pair, header["p"])
+        profile = frobenius_profile(pair)
         report = congruence_report(pair, header["p"], (header["h1"], header["h2"]))
         _emit_json(args, {
             "fixture": args.fixture,

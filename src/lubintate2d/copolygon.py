@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .padics import Padic, PrecisionError
+from .padics import Padic, PrecisionError, _powers, _raw_add
 from .series import Series, grlex
 
 
@@ -246,23 +246,28 @@ def intersect_tie_loci(first: Copolygon, second: Copolygon) -> list:
 
 
 def evaluate_series(s: Series, point) -> Padic:
-    """Value of a two-variable series at a pair of p-adic scalars."""
+    """Value of a two-variable series at a pair of p-adic scalars.
+
+    Computed on the stored (val, unit, prec) triples: the term c a^i b^j is
+    (v + i va + j vb, u ua^i ub^j mod p^m, m) with m the least of the three
+    precisions, the product rule of `series._mul_triples`.  The terms are
+    summed in grlex order by `padics._raw_add`, and one `Padic` is built
+    from the sum.  A zero coordinate needs no branch: its unit is 0, so
+    pow(0, 0) = 1 and pow(0, k) = 0.
+    """
     if s.nvars != 2:
         raise ValueError("expected a two-variable series")
     a, b = point
-    powers_a = {0: Padic.one(s.p, a.prec)}
-    powers_b = {0: Padic.one(s.p, b.prec)}
-
-    def power(x, e, cache):
-        if e not in cache:
-            cache[e] = power(x, e - 1, cache) * x
-        return cache[e]
-
-    total = Padic.zero(s.p, min(a.prec, b.prec))
+    if a.p != s.p or b.p != s.p:
+        raise ValueError(f"prime mismatch: the series is over Z_{s.p}")
+    pk = _powers(s.p)
+    total = (0, 0, min(a.prec, b.prec))
     for e in sorted(s.terms, key=grlex):
-        term = s.coefficient(e) * power(a, e[0], powers_a) * power(b, e[1], powers_b)
-        total = total + term
-    return total
+        v, u, m = s.terms[e]
+        m = min(m, a.prec, b.prec)
+        unit = u * pow(a.unit, e[0], pk[m]) * pow(b.unit, e[1], pk[m]) % pk[m]
+        total = _raw_add(pk, total, (v + e[0] * a.val + e[1] * b.val, unit, m))
+    return Padic(s.p, *total)
 
 
 def lower_bound_check(s: Series, point) -> bool:

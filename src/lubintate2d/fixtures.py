@@ -36,7 +36,7 @@ def stored_mult45():
     return header, SeriesPair(sections["first"], sections["second"])
 
 
-def frobenius_profile(pair: SeriesPair, p: int) -> dict:
+def frobenius_profile(pair: SeriesPair) -> dict:
     """What a multiplication-by-p candidate actually looks like mod p.
 
     Reports whether the linear part is exactly (p*x1, p*x2), the single

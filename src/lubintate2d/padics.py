@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
 
 DEFAULT_PRECISION = 64
 
@@ -99,12 +98,17 @@ def _raw_add(pk: _Powers, a, b):
 
 
 class Padic:
-    """A p-adic number at capped relative precision.
+    """A p-adic number at capped relative precision: the boundary type.
 
-    Nonzero values are canonical: ``unit`` is coprime to p and reduced to
-    the range [1, p**prec).  The exact zero has ``unit == 0`` and no
-    valuation.  Two values compare equal when their valuations match and
-    their units agree modulo p to the smaller of the two precisions.
+    Scalars enter and leave the library as `Padic` values; inside, series
+    and evaluations compute on the same (val, unit, prec) triples with
+    `_raw_add` as the sum rule.  Nonzero values are canonical: ``unit`` is
+    coprime to p and reduced to the range [1, p**prec).  The exact zero has
+    ``unit == 0`` and no valuation.  Two values compare equal when their
+    valuations match and their units agree modulo p to the smaller of the
+    two precisions.  ``+`` and ``*`` take only a `Padic` over the same
+    prime; they are the scalar reference the tests check the series
+    kernels against, and no library code calls them.
     """
 
     __slots__ = ("p", "val", "unit", "prec")
@@ -171,18 +175,6 @@ class Padic:
         """Exact valuation, or None for the exact zero."""
         return None if self.unit == 0 else self.val
 
-    @property
-    def abs_precision(self) -> int:
-        """First power of p about which nothing is known."""
-        return self.val + self.prec
-
-    def unit_mod(self, k: int) -> int:
-        if self.unit == 0:
-            return 0
-        if k > self.prec:
-            raise PrecisionError(f"unit known only modulo p^{self.prec}")
-        return self.unit % self.p**k
-
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other):
@@ -190,10 +182,6 @@ class Padic:
             if other.p != self.p:
                 raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
             return other
-        if isinstance(other, int):
-            return Padic.from_int(self.p, other, self.prec)
-        if isinstance(other, Fraction):
-            return Padic.from_fraction(self.p, other, self.prec)
         return NotImplemented
 
     def __add__(self, other):
@@ -206,20 +194,6 @@ class Padic:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return Padic(self.p, self.val, -self.unit, self.prec)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -230,31 +204,6 @@ class Padic:
         return Padic(self.p, self.val + other.val, (self.unit * other.unit) % self.p**m, m)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by exact p-adic zero")
-        if self.is_zero:
-            return Padic.zero(self.p, min(self.prec, other.prec))
-        m = min(self.prec, other.prec)
-        inv = pow(other.unit, -1, self.p**m)
-        return Padic(self.p, self.val - other.val, (self.unit * inv) % self.p**m, m)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e == 0:
-            return Padic.one(self.p, self.prec)
-        if self.is_zero:
-            if e < 0:
-                raise ZeroDivisionError("negative power of exact zero")
-            return self
-        if e < 0:
-            return Padic.one(self.p, self.prec) / self**(-e)
-        return Padic(self.p, self.val * e, pow(self.unit, e, self.p**self.prec), self.prec)
 
     # -- comparison and display ------------------------------------------
 
@@ -287,7 +236,7 @@ class Padic:
     def __repr__(self):
         if self.is_zero:
             return f"Padic({self.p}, 0)"
-        return f"Padic({self.p}, {self.p}^{self.val} * {self.balanced_unit()} + O({self.p}^{self.abs_precision}))"
+        return f"Padic({self.p}, {self.p}^{self.val} * {self.balanced_unit()} + O({self.p}^{self.val + self.prec}))"
 
 
 # -- polynomial helpers over F_p (low-degree-first coefficient tuples) ----
@@ -440,19 +389,13 @@ class UnramifiedRing:
         coeffs += [0] * (self.degree - len(coeffs))
         return UnramifiedElement(self, tuple(c % self.pk for c in coeffs))
 
-    def zero(self) -> "UnramifiedElement":
-        return self.element([])
-
     def one(self) -> "UnramifiedElement":
         return self.element([1])
-
-    def from_int(self, n: int) -> "UnramifiedElement":
-        return self.element([n])
 
     def generator(self) -> "UnramifiedElement":
         """Residue class of x; only meaningful for degree >= 2."""
         if self.degree < 2:
-            raise ValueError("generator needs degree >= 2; use from_int")
+            raise ValueError("generator needs degree >= 2; use element")
         return self.element([0, 1])
 
     def __eq__(self, other):
@@ -481,18 +424,6 @@ class UnramifiedElement:
     def _check(self, other):
         if not isinstance(other, UnramifiedElement) or other.ring != self.ring:
             raise ValueError("elements of different rings")
-
-    def __add__(self, other):
-        self._check(other)
-        pk = self.ring.pk
-        return UnramifiedElement(self.ring, tuple((a + b) % pk for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        pk = self.ring.pk
-        return UnramifiedElement(self.ring, tuple(-a % pk for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)

@@ -407,9 +407,6 @@ class SeriesPair:
     def truncate(self, degree):
         return SeriesPair(self.first.truncate(degree), self.second.truncate(degree))
 
-    def raise_vars(self, q):
-        return SeriesPair(self.first.raise_vars(q), self.second.raise_vars(q))
-
     def embed(self, nvars, positions):
         return SeriesPair(self.first.embed(nvars, positions),
                           self.second.embed(nvars, positions))

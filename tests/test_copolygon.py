@@ -6,7 +6,7 @@ import pytest
 
 from lubintate2d.fixtures import FIXTURE_NAMES, load_fixture
 from lubintate2d.padics import Padic
-from lubintate2d.series import Series, SeriesPair
+from lubintate2d.series import Series, SeriesPair, grlex
 from lubintate2d.copolygon import (
     Copolygon,
     TieSegment,
@@ -224,6 +224,71 @@ def test_lower_bound_random_sweep():
             bound = Copolygon.from_series(f).evaluate(
                 (pt[0].valuation, pt[1].valuation))
             assert value.valuation >= bound
+
+
+def _reference_evaluate(s, point):
+    """The scalar oracle for evaluate_series: powers, products and the grlex
+    sum all taken with `Padic` arithmetic."""
+    a, b = point
+    powers_a = {0: Padic.one(s.p, a.prec)}
+    powers_b = {0: Padic.one(s.p, b.prec)}
+
+    def power(x, e, cache):
+        if e not in cache:
+            cache[e] = power(x, e - 1, cache) * x
+        return cache[e]
+
+    total = Padic.zero(s.p, min(a.prec, b.prec))
+    for e in sorted(s.terms, key=grlex):
+        term = s.coefficient(e) * power(a, e[0], powers_a) * power(b, e[1], powers_b)
+        total = total + term
+    return total
+
+
+def _sweep_scalar(rng, p):
+    prec = rng.choice((1, 2, 3, 5, 16, 64))
+    if rng.random() < 0.15:
+        return Padic.zero(p, prec)
+    unit = rng.choice((1, -1, p - 1, p + 1, rng.randrange(1, 10**9)))
+    return Padic(p, rng.randrange(-2, 4), unit, prec)
+
+
+def _sweep_series(rng, p, point):
+    """A random series, with some terms paired so that their values at the
+    point cancel: c x^e and -(c / a) x^(e + (1, 0))."""
+    a = point[0]
+    degree = rng.randrange(1, 7)
+    terms = {}
+    for _ in range(rng.randrange(1, 6)):
+        i = rng.randrange(0, degree + 1)
+        e = (i, rng.randrange(0, degree - i + 1))
+        c = _sweep_scalar(rng, p)
+        terms[e] = c
+        f = (e[0] + 1, e[1])
+        if not c.is_zero and not a.is_zero and sum(f) <= degree and rng.random() < 0.5:
+            m = min(c.prec, a.prec)
+            terms[f] = Padic(p, c.val - a.val, -c.unit * pow(a.unit, -1, p**m), m)
+    return Series.from_coeffs(p, 2, degree, terms)
+
+
+def test_evaluate_series_matches_the_padic_loop():
+    rng = random.Random(11071)
+    zeros = cancelled = 0
+    for _ in range(2500):
+        p = rng.choice((2, 3, 5, 7))
+        point = (_sweep_scalar(rng, p), _sweep_scalar(rng, p))
+        s = _sweep_series(rng, p, point)
+        got = evaluate_series(s, point)
+        want = _reference_evaluate(s, point)
+        assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
+        zeros += got.is_zero
+        cancelled += got.is_zero and not any(x.is_zero for x in point) and bool(s.terms)
+    assert zeros >= 100
+    assert cancelled >= 100  # sums of nonzero terms that cancel to exact zero
+    three = (Padic.from_int(3, 2), Padic.from_int(3, 2))
+    for evaluate in (evaluate_series, _reference_evaluate):
+        with pytest.raises(ValueError):
+            evaluate(ex1_series(), three)  # a point over another prime
 
 
 def test_support_text_round_trip():

@@ -36,7 +36,7 @@ def test_stored_sample_header_and_terms():
 
 def test_stored_sample_frobenius_profile():
     header, pair = stored_mult45()
-    profile = frobenius_profile(pair, header["p"])
+    profile = frobenius_profile(pair)
     # the stored sample reduces to the diagonal pair (x1^32, x2^16) mod 2,
     # not the crossed orientation a height-(4, 5) multiplication needs
     assert profile == {
@@ -60,7 +60,7 @@ def test_stored_sample_fails_cross_congruence():
 
 def test_cross_profile_on_real_multiplication():
     dyn = dynamical_system(2, (2, 3), 9)
-    profile = frobenius_profile(dyn, 2)
+    profile = frobenius_profile(dyn)
     assert profile["linear_ok"]
     assert profile["cross"]
     assert profile["first"] == (0, 4)

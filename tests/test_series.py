@@ -352,6 +352,8 @@ def test_mul_matches_the_pair_loop_term_for_term():
 
 
 def test_kernels_do_no_padic_arithmetic(monkeypatch):
+    from lubintate2d.copolygon import evaluate_series, lower_bound_check
+    from lubintate2d.fixtures import load_fixture
     from lubintate2d.lubintate import build_group
 
     group = build_group(3, (1, 2), 12)
@@ -359,14 +361,20 @@ def test_kernels_do_no_padic_arithmetic(monkeypatch):
     summed = log.embed(4, (0, 1)) + log.embed(4, (2, 3))
     law = group.group_law
     product, _ = _reference_mul(log.first, log.second)
+    ex1, two = load_fixture("ex1"), Padic.from_int(2, 2)
 
     def forbidden(*args):
-        raise AssertionError("Padic arithmetic in a series kernel")
+        raise AssertionError("Padic arithmetic in library code")
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(Padic, name, forbidden)
     assert _raw_terms(log.first * log.second) == _raw_terms(product)
     assert compose(group.exponential, summed) == law
+    value = evaluate_series(ex1, (two, two))
+    assert (value.val, value.unit, value.prec) == (3, 7, 63)  # 56 = 2^3 * 7
+    assert lower_bound_check(ex1, (two, two))
+    for name in ("__sub__", "__neg__", "__truediv__", "__pow__"):
+        assert not hasattr(Padic, name), name
 
 
 def test_series_operations_build_no_padic(monkeypatch):
