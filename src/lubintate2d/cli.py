@@ -137,10 +137,10 @@ def _axioms(args, group):
 
 def cmd_log(args) -> int:
     log = build_logarithm(args.p, (args.h1, args.h2), args.degree, args.precision)
-    defects = recursion_defects(log, args.p, (args.h1, args.h2))
-    if defects:
-        raise VerificationError(
-            f"logarithm functional equation fails at {defects[:3]}")
+    report = recursion_defects(log, args.p, (args.h1, args.h2))
+    if not report.ok:
+        where = [(v.component, v.exponents) for v in report.violations[:3]]
+        raise VerificationError(f"logarithm functional equation fails at {where}")
     _write_pair(args, "logarithm", log)
     return 0
 
@@ -263,11 +263,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"verify needs --fixture or {', '.join(missing)}")
     checks = {}
     group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
-    defects = recursion_defects(group.logarithm, args.p, (args.h1, args.h2))
-    checks["logarithm_recursion"] = not defects
+    checks["logarithm_recursion"] = recursion_defects(group.logarithm, args.p,
+                                                      (args.h1, args.h2)).ok
     checks["group_axioms"] = _axioms(args, group).ok
-    congruences = verify_p_congruences(group)
-    checks["p_congruences"] = congruences.ok
+    checks["p_congruences"] = verify_p_congruences(group).ok
     height = height_of(group)
     checks["height"] = height
     checks["height_ok"] = height == args.h1 + args.h2

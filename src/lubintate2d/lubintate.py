@@ -15,14 +15,14 @@ and F = L^{-1}(L(X) + L(Y)) is then a formal group law with integral
 coefficients whose multiplication-by-p reduces mod p to the cross
 Frobenius pair (x2^{p^{h1}}, x1^{p^{h2}}), giving height h1 + h2.
 
-Everything here is exact at the chosen truncation degree; the verifiers
-return structured violation lists rather than booleans alone, so a failure
-names the offending monomial.
+Everything here is exact at the chosen truncation degree.  Every verifier
+returns a `Report`: its violations in the checker's order, each naming the
+check and, where there is one, the offending monomial; `ok` means none.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from math import gcd
 
@@ -86,14 +86,39 @@ def build_logarithm(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION)
     return SeriesPair(Series(p, 2, degree, terms1), Series(p, 2, degree, terms2))
 
 
+@dataclass(frozen=True)
+class Violation:
+    component: int        # 1 or 2
+    exponents: tuple | None
+    check: str
+    detail: str = ""
+
+    def __str__(self):
+        where = f" at {self.exponents}" if self.exponents is not None else ""
+        tail = f": {self.detail}" if self.detail else ""
+        return f"[{self.check}] component {self.component}{where}{tail}"
+
+
+@dataclass(frozen=True)
+class Report:
+    """A checker's verdict: its violations, in the order it found them."""
+
+    violations: tuple = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
 def _differences(a: SeriesPair, b: SeriesPair) -> list:
     """(component, exponents) where two pairs differ, each component in
     graded-lex order."""
     return [(idx, e) for idx, comp in enumerate(a - b, 1) for e in comp.support()]
 
 
-def recursion_defects(log: SeriesPair, p: int, heights) -> list:
-    """Monomials violating the twisted functional equations; empty = exact.
+def recursion_defects(log: SeriesPair, p: int, heights) -> Report:
+    """A `recursion` violation per monomial where the twisted functional
+    equations fail.
 
     Checked coefficientwise through the truncation degree, at the widest
     precision among the logarithm's coefficients, so that p^{-1} and the
@@ -104,8 +129,9 @@ def recursion_defects(log: SeriesPair, p: int, heights) -> list:
     heights = _as_heights(heights)
     prec = max((m for comp in log for _, _, m in comp.terms.values()), default=DEFAULT_PRECISION)
     twisted = SeriesPair(log.second.raise_vars(p**heights.h1), log.first.raise_vars(p**heights.h2))
-    return _differences(log, SeriesPair.identity(p, log.degree, prec)
-                        + twisted.scale(Padic(p, -1, 1, prec)))
+    rhs = SeriesPair.identity(p, log.degree, prec) + twisted.scale(Padic(p, -1, 1, prec))
+    return Report(tuple(Violation(idx, e, "recursion", "twisted functional equation fails")
+                        for idx, e in _differences(log, rhs)))
 
 
 class GroupConstructionError(ArithmeticError):
@@ -157,7 +183,7 @@ class LubinTateGroup:
         return multiplication(self.p, self)  # [p]_F
 
     @cached_property
-    def p_congruences(self) -> CongruenceReport:
+    def p_congruences(self) -> Report:
         """`congruence_report` on [p]_F, found once per group:
         `verify_p_congruences`, `height_of` and `group_axioms_report` read it."""
         return congruence_report(self.p_multiplication, self.p, self.heights)
@@ -184,19 +210,6 @@ def multiplication(a, group: LubinTateGroup) -> SeriesPair:
     if c.valuation < 0:
         raise ValueError(f"multiplier must be integral, valuation {c.valuation} < 0")
     return compose(group.exponential, group.logarithm.scale(c))
-
-
-@dataclass(frozen=True)
-class Violation:
-    component: int        # 1 or 2
-    exponents: tuple | None
-    check: str
-    detail: str = ""
-
-    def __str__(self):
-        where = f" at {self.exponents}" if self.exponents is not None else ""
-        tail = f": {self.detail}" if self.detail else ""
-        return f"[{self.check}] component {self.component}{where}{tail}"
 
 
 def _law_shape(law: SeriesPair, prec: int) -> list:
@@ -226,16 +239,7 @@ def _linear_defects(f: SeriesPair) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def congruence_report(f: SeriesPair, p: int, heights) -> CongruenceReport:
+def congruence_report(f: SeriesPair, p: int, heights) -> Report:
     """Check a pair against the multiplication-by-p congruences.
 
     Term by term through the pair's truncation degree:
@@ -273,52 +277,38 @@ def congruence_report(f: SeriesPair, p: int, heights) -> CongruenceReport:
             if got != want_u:
                 out.append(Violation(idx, e, "frobenius",
                                      f"mod-p coefficient {got}, expected {want_u}"))
-    return CongruenceReport(tuple(out))
+    return Report(tuple(out))
 
 
-def verify_p_congruences(group: LubinTateGroup) -> CongruenceReport:
+def verify_p_congruences(group: LubinTateGroup) -> Report:
     """Congruence checks on [p]_F plus exact linearity L([p]_F X) = p L(X)."""
     m = group.p_multiplication
     out = list(group.p_congruences.violations)
     p_log = group.logarithm.scale(Padic(group.p, 1, 1, group.prec))
     out.extend(Violation(idx, e, "linearity", "L([p] X) != p L(X)")
                for idx, e in _differences(compose(group.logarithm, m), p_log))
-    return CongruenceReport(tuple(out))
+    return Report(tuple(out))
 
 
-def is_endomorphism(f: SeriesPair, group: LubinTateGroup):
+def is_endomorphism(f: SeriesPair, group: LubinTateGroup) -> Report:
     """Does f(F(X, Y)) equal F(f(X), f(Y)) through the group's degree?
 
-    Returns (ok, first_violation) with the earliest offending monomial in
-    graded-lex order when the answer is no.
+    One violation per differing monomial, sorted by (graded-lex order,
+    component), so the first names the earliest.
     """
     if f.nvars != 2 or f.degree != group.degree or f.p != group.p:
         raise ValueError("endomorphism candidate must match the group's shape")
     law = group.group_law
     diffs = _differences(compose(f, law),
                          compose(law, [*f.embed(4, (0, 1)), *f.embed(4, (2, 3))]))
-    if not diffs:
-        return True, None
-    idx, e = min(diffs, key=lambda d: (grlex(d[1]), d[0]))
-    return False, Violation(idx, e, "endomorphism", "f(F(X,Y)) != F(f(X), f(Y))")
+    return Report(tuple(Violation(idx, e, "endomorphism", "f(F(X,Y)) != F(f(X), f(Y))")
+                        for idx, e in sorted(diffs, key=lambda d: (grlex(d[1]), d[0]))))
 
 
-@dataclass(frozen=True)
-class GammaEndomorphism:
-    """The diagonal endomorphism X -> (g x1, g^{p^{h2}} x2) for a
-    Teichmuller unit g of the degree-(h1+h2) unramified extension."""
-
-    gamma: UnramifiedElement
-    twist: UnramifiedElement  # gamma^{p^{h2}}
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def gamma_endomorphism(gamma: UnramifiedElement, group: LubinTateGroup) -> GammaEndomorphism:
-    """Verify L(gamma x1, gamma^{p^{h2}} x2) = diag(gamma, gamma^{p^{h2}}) L(X).
+def gamma_endomorphism(gamma: UnramifiedElement, group: LubinTateGroup) -> Report:
+    """Verify L(gamma x1, gamma^{p^{h2}} x2) = diag(gamma, gamma^{p^{h2}}) L(X),
+    the diagonal endomorphism of a Teichmuller unit gamma of the
+    degree-(h1+h2) unramified extension.
 
     The check is coefficientwise over the logarithm's support: the monomial
     x1^i x2^j picks up gamma^(i + j p^{h2}), which must equal gamma on the
@@ -353,7 +343,7 @@ def gamma_endomorphism(gamma: UnramifiedElement, group: LubinTateGroup) -> Gamma
             if gpow(i + j * q2) != target:
                 out.append(Violation(idx, e, "gamma",
                                      f"gamma^{i + j * q2} differs from the diagonal entry"))
-    return GammaEndomorphism(gamma, twist, tuple(out))
+    return Report(tuple(out))
 
 
 def height_of(group: LubinTateGroup):
@@ -395,24 +385,7 @@ def cauchy_gap(group: LubinTateGroup, m: int, n: int):
     return min(vals) if vals else None
 
 
-@dataclass(frozen=True)
-class AxiomsReport:
-    commutative: bool
-    identity: bool
-    associative: bool
-    associativity_degree: int
-    additive: bool          # L(F(X,Y)) = L(X) + L(Y)
-    integral: bool
-    p_differential: bool    # [p]_F has linear part exactly p * X
-    violations: tuple = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return (self.commutative and self.identity and self.associative
-                and self.additive and self.integral and self.p_differential)
-
-
-def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsReport:
+def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> Report:
     """Exact group-axiom suite; associativity runs in six variables at
     min(assoc_degree, group degree) to keep the blowup bounded."""
     if assoc_degree < 1:
@@ -423,13 +396,11 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsR
 
     swapped = SeriesPair(law.first.permute_vars((2, 3, 0, 1)),
                          law.second.permute_vars((2, 3, 0, 1)))
-    commutative = swapped == law
-    if not commutative:
+    if swapped != law:
         out.append(Violation(0, None, "commutative", "F(X,Y) != F(Y,X)"))
 
     shape = group.law_shape
-    identity = [v for v in shape if v.check == "identity"]
-    out += identity
+    out += [v for v in shape if v.check == "identity"]
 
     da = min(assoc_degree, degree)
     fa = law.truncate(da)
@@ -439,25 +410,19 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> AxiomsR
     z2 = Series.variable(p, 6, da, 5, group.prec)
     x1 = Series.variable(p, 6, da, 0, group.prec)
     x2 = Series.variable(p, 6, da, 1, group.prec)
-    associative = compose(fa, [*f_xy, z1, z2]) == compose(fa, [x1, x2, *f_yz])
-    if not associative:
+    if compose(fa, [*f_xy, z1, z2]) != compose(fa, [x1, x2, *f_yz]):
         out.append(Violation(0, None, "associative", f"fails at degree {da}"))
 
-    lhs_add = compose(group.logarithm, law)
     rhs_add = group.logarithm.embed(4, (0, 1)) + group.logarithm.embed(4, (2, 3))
-    additive = lhs_add == rhs_add
-    if not additive:
+    if compose(group.logarithm, law) != rhs_add:
         out.append(Violation(0, None, "additive", "L(F(X,Y)) != L(X) + L(Y)"))
 
-    integral = [v for v in shape if v.check == "integral"]
-    out += integral
+    out += [v for v in shape if v.check == "integral"]
 
-    p_diff = not any(v.check == "linear" for v in group.p_congruences.violations)
-    if not p_diff:
+    if any(v.check == "linear" for v in group.p_congruences.violations):
         out.append(Violation(0, None, "p-differential", "[p]_F linear part is not p*X"))
 
-    return AxiomsReport(commutative, not identity, associative, da,
-                        additive, not integral, p_diff, tuple(out))
+    return Report(tuple(out))
 
 
 def group_to_text(group: LubinTateGroup) -> str:

@@ -117,8 +117,7 @@ def torsion_valuations_via_minplus(p: int, heights, n: int,
     if n < 1:
         raise ValueError("torsion level n must be at least 1")
     q1, q2 = p**hs.h1, p**hs.h2
-    comp1 = Copolygon([(1, 0, 1), (0, q1, 0)])
-    comp2 = Copolygon([(0, 1, 1), (q2, 0, 0)])
+    comp1, comp2 = map(Copolygon.from_series, dynamical_system(p, hs, max(q1, q2)))
     if start is None:
         crossings = [pt for pt in intersect_tie_loci(comp1, comp2)
                      if pt[0] > 0 and pt[1] > 0]

@@ -63,7 +63,7 @@ def test_criterion_01_logarithm_recursion():
     def body():
         for p, heights in FIXTURES:
             log = build_logarithm(p, heights, 40)
-            assert recursion_defects(log, p, heights) == []
+            assert recursion_defects(log, p, heights).ok
 
     criterion(1, "logarithm recursion at D=40", 5.0, body)
 
@@ -109,9 +109,9 @@ def test_criterion_05_non_endomorphism_counterexample():
             Series.from_coeffs(2, 2, 9, {(1, 0): 2, (4, 0): 1}),
             Series.from_coeffs(2, 2, 9, {(0, 1): 2, (0, 8): 1}),
         )
-        ok, violation = is_endomorphism(f, group)
-        assert ok is False
-        assert violation is not None
+        report = is_endomorphism(f, group)
+        assert report.ok is False
+        violation = report.violations[0]
         assert violation.component in (1, 2)
         assert len(violation.exponents) == 4
 

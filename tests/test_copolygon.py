@@ -197,6 +197,9 @@ def test_lower_bound_survives_exact_cancellation():
     two = Padic.from_int(2, 2)
     assert evaluate_series(f, (two, two)).is_zero
     assert lower_bound_check(f, (two, two))
+    rough = Padic(2, 1, 1, 1)  # 2 + O(2^2): one known digit per coordinate
+    assert evaluate_series(f, (rough, rough)).is_zero
+    assert lower_bound_check(f, (rough, rough))
 
 
 def test_lower_bound_rejects_zero_coordinate():
