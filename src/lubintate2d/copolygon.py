@@ -13,11 +13,10 @@ intersections are solved with 2x2 rational linear algebra.  No floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .padics import Padic, _powers, _raw_add
+from .padics import Padic, _powers, _raw_add, _Record
 from .series import Series, grlex
 
 
@@ -35,21 +34,17 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-@dataclass(frozen=True)
-class TieSegment:
-    """Locus where two support functionals tie and both are minimal.
+class TieSegment(_Record):
+    """Locus where the support functionals `first` and `second` tie and
+    both are minimal.
 
-    The line is a*xi1 + b*xi2 = c; points are base + t*direction with t in
-    [t_lo, t_hi], a bound of None meaning unbounded on that side.
+    The line is (a, b, c) with a*xi1 + b*xi2 = c; points are base +
+    t*direction, with base a pair of Fractions, direction an integer vector
+    and t in [t_lo, t_hi], a bound of None meaning unbounded on that side.
     """
 
-    first: tuple
-    second: tuple
-    line: tuple  # (a, b, c) with a*xi1 + b*xi2 = c
-    base: tuple  # a point on the line, pair of Fractions
-    direction: tuple  # integer direction vector along the line
-    t_lo: object = None
-    t_hi: object = None
+    _fields = ("first", "second", "line", "base", "direction", "t_lo", "t_hi")
+    _defaults = (None, None)
 
     def point_at(self, t) -> tuple:
         t = Fraction(t)

@@ -12,7 +12,7 @@ the congruence checks.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .lubintate import _linear_defects
 from .series import Series, SeriesPair, parse_sections
@@ -31,7 +31,8 @@ def stored_mult45():
 
     Returns (header, pair) where the header carries p, h1, h2, D and N.
     """
-    text = resources.files("lubintate2d").joinpath("data/mult45.txt").read_text()
+    with open(os.path.join(os.path.dirname(__file__), "data", "mult45.txt"), encoding="utf-8") as f:
+        text = f.read()
     header, sections = parse_sections(text)
     return header, SeriesPair(sections["first"], sections["second"])
 

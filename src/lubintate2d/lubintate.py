@@ -22,21 +22,19 @@ check and, where there is one, the offending monomial; `ok` means none.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from functools import cached_property
 from math import gcd
 
-from .padics import DEFAULT_PRECISION, Padic, PrecisionError, UnramifiedElement, _check_prime
+from .padics import (DEFAULT_PRECISION, Padic, PrecisionError, UnramifiedElement, _check_prime,
+                     _Record)
 from .series import (Series, SeriesPair, compose, dump_sections, grlex, invert_pair,
                      parse_sections)
 
 
-@dataclass(frozen=True)
-class HeightPair:
-    h1: int
-    h2: int
+class HeightPair(_Record):
+    _fields = ("h1", "h2")
 
-    def __post_init__(self):
+    def _check(self):
         if not (isinstance(self.h1, int) and isinstance(self.h2, int)):
             raise ValueError("heights must be integers")
         if self.h1 < 1 or self.h2 < 1:
@@ -86,12 +84,12 @@ def build_logarithm(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION)
     return SeriesPair(Series(p, 2, degree, terms1), Series(p, 2, degree, terms2))
 
 
-@dataclass(frozen=True)
-class Violation:
-    component: int        # 1 or 2
-    exponents: tuple | None
-    check: str
-    detail: str = ""
+class Violation(_Record):
+    """One failed check in component 1 or 2, at a monomial's exponents or
+    at None."""
+
+    _fields = ("component", "exponents", "check", "detail")
+    _defaults = ("",)
 
     def __str__(self):
         where = f" at {self.exponents}" if self.exponents is not None else ""
@@ -99,11 +97,11 @@ class Violation:
         return f"[{self.check}] component {self.component}{where}{tail}"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
     """A checker's verdict: its violations, in the order it found them."""
 
-    violations: tuple = ()
+    _fields = ("violations",)
+    _defaults = ((),)
 
     @property
     def ok(self) -> bool:
@@ -138,22 +136,17 @@ class GroupConstructionError(ArithmeticError):
     """The constructed law failed a structural invariant."""
 
 
-@dataclass(frozen=True)
-class LubinTateGroup:
-    """The logarithm and its inverse.  The group law, its shape findings,
-    [p]_F and its congruence report are derived on first read and cached; a
-    law passed in is taken as given and shape-checked on the first read of
+class LubinTateGroup(_Record):
+    """The logarithm and its inverse, two-variable pairs.  The group law,
+    its shape findings, [p]_F and its congruence report are derived on first
+    read and cached; a law passed in (four variables: x1, x2, y1, y2) is not
+    a field, is taken as given and is shape-checked on the first read of
     `law_shape`."""
 
-    p: int
-    heights: HeightPair
-    degree: int
-    prec: int
-    logarithm: SeriesPair   # two variables
-    exponential: SeriesPair  # two variables, inverse of the logarithm
-    law: InitVar[SeriesPair | None] = None  # four variables: x1, x2, y1, y2
+    _fields = ("p", "heights", "degree", "prec", "logarithm", "exponential")
 
-    def __post_init__(self, law):
+    def __init__(self, p, heights, degree, prec, logarithm, exponential, law=None):
+        super().__init__(p, heights, degree, prec, logarithm, exponential)
         if law is not None:
             self.__dict__["group_law"] = law
 

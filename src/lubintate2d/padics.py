@@ -19,6 +19,54 @@ class PrecisionError(ArithmeticError):
     """A result has no trustworthy digit left at the working precision."""
 
 
+class _Record:
+    """A frozen value with named fields: equality, hash and repr over them.
+
+    A subclass names its fields in `_fields`, in constructor order, the
+    defaults of its last fields in `_defaults`, and may validate or
+    normalise a new instance in `_check`.  The fields fill the instance
+    `__dict__` in field order, beside anything a `cached_property` stores
+    there later.  Assigning or deleting an attribute raises AttributeError.
+    """
+
+    _fields = ()
+    _defaults = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        values = dict(zip(fields[len(fields) - len(self._defaults):], self._defaults))
+        values.update(zip(fields, args), **kwargs)
+        if len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__} needs all of the fields {fields}")
+        self.__dict__.update({name: values[name] for name in fields})
+        self._check()
+
+    def _check(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

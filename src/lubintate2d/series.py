@@ -36,12 +36,11 @@ does, fit no row and change nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import add
-from typing import Sequence
 
-from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add
+from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add, _Record
 
 
 def grlex(exponents):
@@ -357,12 +356,10 @@ def _triple_power(pk, s: dict, md: int, k: int, bound: int, cache: dict) -> dict
     return out
 
 
-@dataclass(frozen=True)
-class SeriesPair:
-    first: Series
-    second: Series
+class SeriesPair(_Record):
+    _fields = ("first", "second")
 
-    def __post_init__(self):
+    def _check(self):
         a, b = self.first, self.second
         if (a.p, a.nvars, a.degree) != (b.p, b.nvars, b.degree):
             raise ValueError("pair components must share prime, variables, degree")

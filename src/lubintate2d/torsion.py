@@ -14,13 +14,12 @@ and h = h1 + h2 is odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .copolygon import Copolygon, fraction_str, intersect_tie_loci
 from .lubintate import _as_heights
-from .padics import _check_prime
+from .padics import _check_prime, _Record
 from .series import Series, SeriesPair
 
 
@@ -58,16 +57,13 @@ def hypothesis_status(p: int, heights) -> str:
     return "in" if p != 2 and hs.h1 >= 2 and hs.h2 >= 2 else "outside"
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
-    """Coordinate valuations (v(xi), v(eta)) of a torsion point."""
+class ValuationProfile(_Record):
+    """Coordinate valuations (v(xi), v(eta)) of a torsion point, as Fractions."""
 
-    v_xi: Fraction
-    v_eta: Fraction
+    _fields = ("v_xi", "v_eta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "v_xi", Fraction(self.v_xi))
-        object.__setattr__(self, "v_eta", Fraction(self.v_eta))
+    def _check(self):
+        self.__dict__.update(v_xi=Fraction(self.v_xi), v_eta=Fraction(self.v_eta))
 
     def __str__(self):
         return f"({fraction_str(self.v_xi)}, {fraction_str(self.v_eta)})"
@@ -176,21 +172,20 @@ def count_p_torsion(p: int, heights) -> int:
     return p**hs.total
 
 
-@dataclass(frozen=True)
-class SymbolicPoint:
+class SymbolicPoint(_Record):
     """Human-readable coordinates of a generic nontrivial p-torsion point."""
 
-    xi: str
-    eta: str
+    _fields = ("xi", "eta")
 
     def __str__(self):
         return f"({self.xi}, {self.eta})"
 
 
-@dataclass(frozen=True)
-class PTorsionReport:
+class PTorsionReport(_Record):
     """Everything the level-1 valuations pin down about the p-torsion.
 
+    identity_first is whether 1 + v_xi == p^h1 * v_eta, identity_second
+    whether p^h2 * v_xi == 1 + v_eta, and sample a `SymbolicPoint`.
     family_size counts the parametrized expressions (zeta over the
     (p^h - 1)-th roots of 1, zeta' over the p^h2-th roots of -1); the
     first equation of the system pins the root choice in the first
@@ -198,17 +193,8 @@ class PTorsionReport:
     family_size exceeds it by the factor p^h2.
     """
 
-    p: int
-    h1: int
-    h2: int
-    v_xi: Fraction
-    v_eta: Fraction
-    identity_first: bool   # 1 + v_xi == p^h1 * v_eta
-    identity_second: bool  # p^h2 * v_xi == 1 + v_eta
-    family_size: int
-    torsion_count: int
-    hypothesis_status: str
-    sample: SymbolicPoint
+    _fields = ("p", "h1", "h2", "v_xi", "v_eta", "identity_first", "identity_second",
+               "family_size", "torsion_count", "hypothesis_status", "sample")
 
 
 def p_torsion_report(p: int, heights) -> PTorsionReport:
@@ -262,8 +248,7 @@ def gcd_lemma(p: int, s: int, t: int) -> int:
     return gcd_lemma_raw(p, s, t)
 
 
-@dataclass(frozen=True)
-class RamificationReport:
+class RamificationReport(_Record):
     """Degree of the totally ramified extension cut out by p-torsion.
 
     Both coordinate valuations have reduced denominator (p^h - 1)/2, and
@@ -271,14 +256,7 @@ class RamificationReport:
     collapse to that single value.
     """
 
-    p: int
-    h1: int
-    h2: int
-    degree: int
-    v_xi: Fraction
-    v_eta: Fraction
-    witness_h1: int
-    witness_h2: int
+    _fields = ("p", "h1", "h2", "degree", "v_xi", "v_eta", "witness_h1", "witness_h2")
 
 
 def ramification_report(p: int, heights) -> RamificationReport:

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +235,21 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["v_xi"] == "5/31"
+
+
+def test_cli_import_stays_on_the_light_standard_library():
+    """Under `python -I -S`, importing the CLI loads no standard module it
+    never needs, and loads every library module eagerly: the traced
+    benchmark (`bench/trace_boot.py`) looks each one up in `sys.modules`
+    right after it imports the CLI."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import lubintate2d.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "typing", "importlib.resources"}
+    assert {f"lubintate2d.{name}" for name in ("padics", "series", "lubintate", "copolygon",
+                                               "torsion", "fixtures")} <= loaded
 
 
 def test_module_entry_point():

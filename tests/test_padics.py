@@ -244,3 +244,76 @@ def test_precision_floor():
     with pytest.raises(PrecisionError):
         Padic(2, 0, 1, 0)
     assert Padic.one(2, 1).prec == 1
+
+
+def _records():
+    from lubintate2d.copolygon import TieSegment
+    from lubintate2d.lubintate import HeightPair, LubinTateGroup, Report, Violation, build_group
+    from lubintate2d.series import Series, SeriesPair
+    from lubintate2d.torsion import (PTorsionReport, RamificationReport, SymbolicPoint,
+                                     ValuationProfile)
+
+    s = Series.from_coeffs(2, 2, 3, {(1, 0): 1})
+    group = build_group(2, (1, 2), 3)
+    point = SymbolicPoint("zeta", "p^(1/3)")
+    # (class, constructor arguments, repr recorded from the dataclass form)
+    return {cls.__name__: (cls, args, text) for cls, args, text in [
+        (HeightPair, (2, 3), "HeightPair(h1=2, h2=3)"),
+        (Violation, (1, (2, 3), "recursion"),
+         "Violation(component=1, exponents=(2, 3), check='recursion', detail='')"),
+        (Report, (), "Report(violations=())"),
+        (LubinTateGroup, (2, HeightPair(1, 2), 3, 64, group.logarithm, group.exponential),
+         "LubinTateGroup(p=2, heights=HeightPair(h1=1, h2=2), degree=3, prec=64, "
+         "logarithm=SeriesPair(first=Series(p=2, vars=2, D=3, 2 terms), "
+         "second=Series(p=2, vars=2, D=3, 1 terms)), "
+         "exponential=SeriesPair(first=Series(p=2, vars=2, D=3, 2 terms), "
+         "second=Series(p=2, vars=2, D=3, 1 terms)))"),
+        (SeriesPair, (s, s), "SeriesPair(first=Series(p=2, vars=2, D=3, 1 terms), "
+         "second=Series(p=2, vars=2, D=3, 1 terms))"),
+        (TieSegment, ((1, 0), (0, 1), (1, -1, 0), (Fraction(0), Fraction(0)), (1, 1)),
+         "TieSegment(first=(1, 0), second=(0, 1), line=(1, -1, 0), "
+         "base=(Fraction(0, 1), Fraction(0, 1)), direction=(1, 1), t_lo=None, t_hi=None)"),
+        (ValuationProfile, (Fraction(5, 31), Fraction(9, 31)),
+         "ValuationProfile(v_xi=Fraction(5, 31), v_eta=Fraction(9, 31))"),
+        (SymbolicPoint, ("zeta", "p^(1/3)"), "SymbolicPoint(xi='zeta', eta='p^(1/3)')"),
+        (PTorsionReport, (3, 2, 3, Fraction(5, 121), Fraction(14, 121), True, True,
+                          6534, 243, "in", point),
+         "PTorsionReport(p=3, h1=2, h2=3, v_xi=Fraction(5, 121), v_eta=Fraction(14, 121), "
+         "identity_first=True, identity_second=True, family_size=6534, torsion_count=243, "
+         "hypothesis_status='in', sample=SymbolicPoint(xi='zeta', eta='p^(1/3)'))"),
+        (RamificationReport, (3, 2, 3, 121, Fraction(5, 121), Fraction(14, 121), 1, 1),
+         "RamificationReport(p=3, h1=2, h2=3, degree=121, v_xi=Fraction(5, 121), "
+         "v_eta=Fraction(14, 121), witness_h1=1, witness_h2=1)"),
+    ]}
+
+
+@pytest.mark.parametrize("name", [
+    "HeightPair", "Violation", "Report", "LubinTateGroup", "SeriesPair", "TieSegment",
+    "ValuationProfile", "SymbolicPoint", "PTorsionReport", "RamificationReport"])
+def test_records_are_frozen_values(name):
+    cls, args, text = _records()[name]
+    a, b = cls(*args), cls(*args)
+    assert a == b and not a != b
+    assert a.__eq__(args) is NotImplemented and a != args
+    try:
+        hash(args)
+    except TypeError:  # a Series field is unhashable, so the record is too
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert repr(a) == text
+    # vars() is exactly the fields, in order: the torsion JSON keys come from it
+    assert list(vars(a)) == list(cls._fields)
+    field = cls._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
+    if args:
+        with pytest.raises(TypeError):  # a field given twice
+            cls(*args, **{field: getattr(b, field)})
+    if name == "HeightPair":
+        with pytest.raises(ValueError):
+            cls(2, 4)
