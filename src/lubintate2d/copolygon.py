@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .padics import Padic, _powers, _raw_add, _Record
+from .padics import Padic, _check_prime, _powers, _raw_add, _Record
 from .series import Series, grlex
 
 
@@ -71,12 +71,17 @@ class TieSegment(_Record):
         return self.contains_parameter(self.parameter_of(point))
 
 
-class Copolygon:
-    """Lower envelope of finitely many affine functionals i*xi1 + j*xi2 + v."""
+class Copolygon(_Record):
+    """Lower envelope of finitely many affine functionals i*xi1 + j*xi2 + v.
 
-    def __init__(self, functionals):
+    `functionals` keeps the least v per exponent (i, j), in grlex order.
+    """
+
+    _fields = ("functionals",)
+
+    def _check(self):
         best = {}
-        for i, j, v in functionals:
+        for i, j, v in self.functionals:
             i, j, v = int(i), int(j), Fraction(v)
             if i < 0 or j < 0:
                 raise ValueError("support exponents must be nonnegative")
@@ -85,11 +90,8 @@ class Copolygon:
                 best[key] = v
         if not best:
             raise ValueError("a copolygon needs at least one support point")
-        object.__setattr__(self, "functionals",
-                           tuple((i, j, v) for (i, j), v in sorted(best.items(), key=lambda kv: grlex(kv[0]))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Copolygon objects are immutable")
+        self.__dict__["functionals"] = tuple(
+            (i, j, v) for (i, j), v in sorted(best.items(), key=lambda kv: grlex(kv[0])))
 
     @classmethod
     def from_series(cls, s: Series) -> "Copolygon":
@@ -98,17 +100,6 @@ class Copolygon:
         if not s.terms:
             raise ValueError("the zero series has an empty copolygon")
         return cls((e[0], e[1], Fraction(v)) for e, (v, _, _) in s.terms.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, Copolygon):
-            return NotImplemented
-        return self.functionals == other.functionals
-
-    __hash__ = None
-
-    def __repr__(self):
-        body = ", ".join(f"({i},{j},{v})" for i, j, v in self.functionals)
-        return f"Copolygon[{body}]"
 
     # -- pointwise data --------------------------------------------------
 
@@ -301,21 +292,29 @@ def support_text(s: Series) -> str:
 
 
 def parse_support_text(text: str):
-    """Inverse of support_text: returns (p, degree, Copolygon)."""
+    """Inverse of support_text: returns (p, degree, Copolygon).
+
+    p must be prime and no monomial may exceed the truncation degree.
+    """
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
     if not rows:
         raise ValueError("empty support file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be two integers: p and truncation degree")
-    p, degree = int(head[0]), int(head[1])
+    try:
+        p, degree = map(int, rows[0].split())
+    except ValueError:
+        raise ValueError("header must be two integers: p and truncation degree") from None
+    _check_prime(p)
     funcs = []
     for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed support line: {ln!r}")
-        funcs.append((int(parts[0]), int(parts[1]), parse_fraction(parts[2])))
+        try:
+            i, j, v = ln.split()
+            i, j, v = int(i), int(j), parse_fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed support line: {ln!r}") from None
+        if i + j > degree:
+            raise ValueError(f"monomial {(i, j)} exceeds truncation degree {degree}")
+        funcs.append((i, j, v))
     return p, degree, Copolygon(funcs)
 
 

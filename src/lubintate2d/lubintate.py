@@ -23,35 +23,11 @@ check and, where there is one, the offending monomial; `ok` means none.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
 
-from .padics import (DEFAULT_PRECISION, Padic, PrecisionError, UnramifiedElement, _check_prime,
-                     _Record)
+from .padics import (DEFAULT_PRECISION, HeightPair, Padic, PrecisionError, UnramifiedElement,
+                     _as_heights, _check_prime, _Record)
 from .series import (Series, SeriesPair, compose, dump_sections, grlex, invert_pair,
                      parse_sections)
-
-
-class HeightPair(_Record):
-    _fields = ("h1", "h2")
-
-    def _check(self):
-        if not (isinstance(self.h1, int) and isinstance(self.h2, int)):
-            raise ValueError("heights must be integers")
-        if self.h1 < 1 or self.h2 < 1:
-            raise ValueError("heights must be positive")
-        if gcd(self.h1, self.h2) != 1:
-            raise ValueError(f"heights must be coprime, got ({self.h1}, {self.h2})")
-
-    @property
-    def total(self) -> int:
-        return self.h1 + self.h2
-
-
-def _as_heights(heights) -> HeightPair:
-    if isinstance(heights, HeightPair):
-        return heights
-    h1, h2 = heights
-    return HeightPair(h1, h2)
 
 
 def _check_params(p: int, degree: int, prec: int):
@@ -321,19 +297,12 @@ def gamma_endomorphism(gamma: UnramifiedElement, group: LubinTateGroup) -> Repor
         raise ValueError("gamma must be a (p^h - 1)-th root of unity (Teichmuller unit)")
     q2 = group.p**heights.h2
     twist = gamma**q2
-    powers = {1: gamma}
-
-    def gpow(e):
-        if e not in powers:
-            powers[e] = gamma**e
-        return powers[e]
-
     out = []
     for idx, comp, target in ((1, group.logarithm.first, gamma),
                               (2, group.logarithm.second, twist)):
         for e in comp.support():
             i, j = e
-            if gpow(i + j * q2) != target:
+            if gamma**(i + j * q2) != target:
                 out.append(Violation(idx, e, "gamma",
                                      f"gamma^{i + j * q2} differs from the diagonal entry"))
     return Report(tuple(out))

@@ -1,4 +1,5 @@
-"""Exact capped-precision p-adic scalars and unramified extension rings.
+"""Exact capped-precision p-adic scalars and unramified extension rings,
+with the frozen-value base and the parameter checks every module shares.
 
 The scalar model is relative precision: a nonzero value is p**val * unit
 with the unit stored modulo p**prec and coprime to p.  Valuations are exact
@@ -10,7 +11,8 @@ recorded precision instead of a silently wrong digit.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from math import gcd
 
 DEFAULT_PRECISION = 64
 
@@ -34,20 +36,22 @@ class _Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
-            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        values = dict(zip(fields[len(fields) - len(self._defaults):], self._defaults))
-        values.update(zip(fields, args), **kwargs)
-        if len(values) < len(fields):
-            raise TypeError(f"{type(self).__name__} needs all of the fields {fields}")
-        self.__dict__.update({name: values[name] for name in fields})
+        if kwargs or len(args) != len(fields):  # else all fields are given in order
+            if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+            values = dict(zip(fields[len(fields) - len(self._defaults):], self._defaults))
+            values.update(zip(fields, args), **kwargs)
+            if len(values) < len(fields):
+                raise TypeError(f"{type(self).__name__} needs all of the fields {fields}")
+            args = [values[name] for name in fields]
+        self.__dict__.update(zip(fields, args))
         self._check()
 
     def _check(self):
         pass
 
     def _values(self) -> tuple:
-        return tuple(self.__dict__[name] for name in self._fields)
+        return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} values are immutable")
@@ -55,6 +59,8 @@ class _Record:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
@@ -82,6 +88,29 @@ def _check_prime(p: int) -> None:
     """The one prime check behind every entry point that takes p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+class HeightPair(_Record):
+    _fields = ("h1", "h2")
+
+    def _check(self):
+        if not (isinstance(self.h1, int) and isinstance(self.h2, int)):
+            raise ValueError("heights must be integers")
+        if self.h1 < 1 or self.h2 < 1:
+            raise ValueError("heights must be positive")
+        if gcd(self.h1, self.h2) != 1:
+            raise ValueError(f"heights must be coprime, got ({self.h1}, {self.h2})")
+
+    @property
+    def total(self) -> int:
+        return self.h1 + self.h2
+
+
+def _as_heights(heights) -> HeightPair:
+    if isinstance(heights, HeightPair):
+        return heights
+    h1, h2 = heights
+    return HeightPair(h1, h2)
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -184,8 +213,10 @@ class Padic:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "prec", prec)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Padic values are immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors ---------------------------------------------------
 
@@ -411,24 +442,30 @@ def minimal_irreducible(p: int, degree: int):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-class UnramifiedRing:
+class UnramifiedRing(_Record):
     """Integers of the degree-h unramified extension of Q_p, modulo p**prec.
 
     Elements are polynomial residues Z[x]/(modulus, p**prec) for the
     lexicographically least monic modulus irreducible modulo p.
     """
 
-    def __init__(self, p: int, degree: int, prec: int = DEFAULT_PRECISION):
-        _check_prime(p)
-        if degree < 1:
+    _fields = ("p", "degree", "prec")
+    _defaults = (DEFAULT_PRECISION,)
+
+    def _check(self):
+        _check_prime(self.p)
+        if self.degree < 1:
             raise ValueError("degree must be positive")
-        if prec < 1:
+        if self.prec < 1:
             raise ValueError("precision must be positive")
-        self.p = p
-        self.degree = degree
-        self.prec = prec
-        self.pk = p**prec
-        self.modulus = minimal_irreducible(p, degree)
+
+    @cached_property
+    def pk(self) -> int:
+        return self.p**self.prec
+
+    @cached_property
+    def modulus(self) -> tuple:
+        return minimal_irreducible(self.p, self.degree)
 
     def element(self, coeffs) -> "UnramifiedElement":
         coeffs = list(coeffs)
@@ -446,35 +483,20 @@ class UnramifiedRing:
             raise ValueError("generator needs degree >= 2; use element")
         return self.element([0, 1])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnramifiedRing)
-            and (self.p, self.degree, self.prec) == (other.p, other.degree, other.prec)
-        )
 
-    __hash__ = None
-
-    def __repr__(self):
-        return f"UnramifiedRing(p={self.p}, degree={self.degree}, prec={self.prec})"
-
-
-class UnramifiedElement:
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: UnramifiedRing, coeffs: tuple):
-        self.ring = ring
-        self.coeffs = coeffs
+class UnramifiedElement(_Record):
+    _fields = ("ring", "coeffs")
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _check(self, other):
+    def _same_ring(self, other):
         if not isinstance(other, UnramifiedElement) or other.ring != self.ring:
             raise ValueError("elements of different rings")
 
     def __mul__(self, other):
-        self._check(other)
+        self._same_ring(other)
         ring = self.ring
         res = _poly_mulmod(self.coeffs, other.coeffs, ring.modulus, ring.pk)
         return UnramifiedElement(ring, res + (0,) * (ring.degree - len(res)))
@@ -491,18 +513,8 @@ class UnramifiedElement:
             e >>= 1
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, UnramifiedElement):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    __hash__ = None
-
     def reduce_mod_p(self) -> tuple:
         return tuple(c % self.ring.p for c in self.coeffs)
-
-    def __repr__(self):
-        return f"UnramifiedElement({list(self.coeffs)} over {self.ring!r})"
 
 
 def teichmuller(ring: UnramifiedRing, residue) -> UnramifiedElement:

@@ -73,8 +73,10 @@ class Series:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Series values are immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors ----------------------------------------------------
 

@@ -18,8 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .copolygon import Copolygon, fraction_str, intersect_tie_loci
-from .lubintate import _as_heights
-from .padics import _check_prime, _Record
+from .padics import _as_heights, _check_prime, _Record
 from .series import Series, SeriesPair
 
 

@@ -366,6 +366,24 @@ def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named)
         assert payload["detail"] == named
 
 
+@pytest.mark.parametrize("text, detail", [
+    ("4 9\n1 1 1/1\n", "4 is not prime"),
+    ("2 3\n1 1 1/1\n9 9 0\n", "monomial (9, 9) exceeds truncation degree 3"),
+    ("2 9\n1 x 0\n", "malformed support line: '1 x 0'"),
+    ("2 9\n1 0 1/0\n", "malformed support line: '1 0 1/0'"),
+    ("2 9\n1 0\n", "malformed support line: '1 0'"),
+    ("x 9\n1 1 1/1\n", "header must be two integers: p and truncation degree"),
+    ("2\n1 1 1/1\n", "header must be two integers: p and truncation degree"),
+], ids=["composite-p", "past-degree", "bad-exponent", "zero-denominator", "two-fields",
+        "bad-header", "short-header"])
+def test_bad_support_file_is_one_usage_line(capsys, tmp_path, text, detail):
+    path = tmp_path / "bad.support"
+    path.write_text(text)
+    code, out, err = run(capsys, "copolygon", "--support", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "usage", "detail": detail}
+
+
 @pytest.mark.parametrize("argv", [(), ("log",), ("group",), ("mult",), ("copolygon",),
                                   ("torsion",), ("verify",)])
 def test_help_still_exits_zero(capsys, argv):

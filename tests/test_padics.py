@@ -247,8 +247,9 @@ def test_precision_floor():
 
 
 def _records():
-    from lubintate2d.copolygon import TieSegment
+    from lubintate2d.copolygon import Copolygon, TieSegment
     from lubintate2d.lubintate import HeightPair, LubinTateGroup, Report, Violation, build_group
+    from lubintate2d.padics import UnramifiedElement
     from lubintate2d.series import Series, SeriesPair
     from lubintate2d.torsion import (PTorsionReport, RamificationReport, SymbolicPoint,
                                      ValuationProfile)
@@ -256,9 +257,15 @@ def _records():
     s = Series.from_coeffs(2, 2, 3, {(1, 0): 1})
     group = build_group(2, (1, 2), 3)
     point = SymbolicPoint("zeta", "p^(1/3)")
-    # (class, constructor arguments, repr recorded from the dataclass form)
+    ring = UnramifiedRing(2, 2, prec=4)
+    # (class, constructor arguments, repr: the dataclass form for the first ten)
     return {cls.__name__: (cls, args, text) for cls, args, text in [
         (HeightPair, (2, 3), "HeightPair(h1=2, h2=3)"),
+        (UnramifiedRing, (2, 5, 16), "UnramifiedRing(p=2, degree=5, prec=16)"),
+        (UnramifiedElement, (ring, (1, 3)),
+         "UnramifiedElement(ring=UnramifiedRing(p=2, degree=2, prec=4), coeffs=(1, 3))"),
+        (Copolygon, (((1, 0, 3), (0, 1, Fraction(1, 2)), (1, 0, 0)),),
+         "Copolygon(functionals=((0, 1, Fraction(1, 2)), (1, 0, Fraction(0, 1))))"),
         (Violation, (1, (2, 3), "recursion"),
          "Violation(component=1, exponents=(2, 3), check='recursion', detail='')"),
         (Report, (), "Report(violations=())"),
@@ -289,7 +296,8 @@ def _records():
 
 @pytest.mark.parametrize("name", [
     "HeightPair", "Violation", "Report", "LubinTateGroup", "SeriesPair", "TieSegment",
-    "ValuationProfile", "SymbolicPoint", "PTorsionReport", "RamificationReport"])
+    "ValuationProfile", "SymbolicPoint", "PTorsionReport", "RamificationReport",
+    "Copolygon", "UnramifiedRing", "UnramifiedElement"])
 def test_records_are_frozen_values(name):
     cls, args, text = _records()[name]
     a, b = cls(*args), cls(*args)
@@ -317,3 +325,43 @@ def test_records_are_frozen_values(name):
     if name == "HeightPair":
         with pytest.raises(ValueError):
             cls(2, 4)
+    if name == "UnramifiedRing":
+        assert a.pk == 2**16 and list(vars(a)) == ["p", "degree", "prec", "pk"]
+        with pytest.raises(ValueError):
+            cls(4, 2)
+
+
+def test_one_frozen_value_idiom():
+    """Every class a `lubintate2d` module defines, but exceptions, the power
+    cache `_Powers` and the argument parser `_Parser`, is a frozen value."""
+    import importlib
+    import pkgutil
+
+    import lubintate2d
+    from lubintate2d.padics import _Record
+    from lubintate2d.series import Series
+
+    classes = {}
+    for info in pkgutil.iter_modules(lubintate2d.__path__):
+        module = importlib.import_module(f"lubintate2d.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and not issubclass(obj, BaseException)
+                    and obj.__name__ not in ("_Powers", "_Parser")):
+                classes[obj.__name__] = obj
+    own = (_Record, Padic, Series)
+    for cls in classes.values():
+        assert issubclass(cls, _Record) or cls in own, cls
+        if cls not in own:  # equality, hash and immutability come from the base
+            assert not {"__setattr__", "__delattr__", "__eq__", "__hash__"} & vars(cls).keys(), cls
+    samples = {name: cls(*args) for name, (cls, args, _) in _records().items()}
+    samples.update(Padic=Padic.one(2), Series=Series.zero(2, 2, 3))
+    assert set(samples) == set(classes) - {"_Record"}
+    for value in samples.values():
+        field = (getattr(value, "_fields", None) or type(value).__slots__)[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, "extra", None)

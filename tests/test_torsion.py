@@ -209,3 +209,19 @@ def test_ramification_csv():
         "3,2,3,121,5/121,14/121,1,1\n"
         "5,2,3,1562,13/1562,63/1562,1,1\n"
     )
+
+
+def test_torsion_does_not_import_lubintate():
+    import ast
+    from pathlib import Path
+
+    from lubintate2d import torsion
+
+    tree = ast.parse(Path(torsion.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "lubintate" not in names
