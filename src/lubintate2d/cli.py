@@ -137,7 +137,7 @@ def _axioms(args, group):
 
 def cmd_log(args) -> int:
     log = build_logarithm(args.p, (args.h1, args.h2), args.degree, args.precision)
-    report = recursion_defects(log, args.p, (args.h1, args.h2))
+    report = recursion_defects(log, (args.h1, args.h2))
     if not report.ok:
         where = [(v.component, v.exponents) for v in report.violations[:3]]
         raise VerificationError(f"logarithm functional equation fails at {where}")
@@ -222,8 +222,7 @@ def cmd_torsion(args) -> int:
         rows = profile_report(p, heights, args.sweep)
         if not all(row["agree"] for row in rows):
             raise VerificationError("closed form and min-plus disagree")
-        _emit_json(args, [{k: v for k, v in row.items() if not k.startswith("minplus_")}
-                          for row in rows])
+        _emit_json(args, rows)
         return 0
     n, method = args.n or 1, args.method or "both"
     if method == "closed":
@@ -248,7 +247,7 @@ def cmd_verify(args) -> int:
                 assoc_degree="--assoc-degree", unramified_degree="--unramified-degree")
         header, pair = stored_mult45()
         profile = frobenius_profile(pair)
-        report = congruence_report(pair, header["p"], (header["h1"], header["h2"]))
+        report = congruence_report(pair, (header["h1"], header["h2"]))
         _emit_json(args, {
             "fixture": args.fixture,
             "linear_ok": profile["linear_ok"],
@@ -263,8 +262,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"verify needs --fixture or {', '.join(missing)}")
     checks = {}
     group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
-    checks["logarithm_recursion"] = recursion_defects(group.logarithm, args.p,
-                                                      (args.h1, args.h2)).ok
+    checks["logarithm_recursion"] = recursion_defects(group.logarithm, group.heights).ok
     checks["group_axioms"] = _axioms(args, group).ok
     checks["p_congruences"] = verify_p_congruences(group).ok
     height = height_of(group)

@@ -51,24 +51,14 @@ class TieSegment(_Record):
         return (self.base[0] + t * self.direction[0],
                 self.base[1] + t * self.direction[1])
 
-    def parameter_of(self, point):
-        """Parameter t of a point assumed to lie on the line."""
-        if self.direction[0]:
-            return Fraction(point[0] - self.base[0], self.direction[0])
-        return Fraction(point[1] - self.base[1], self.direction[1])
-
-    def contains_parameter(self, t) -> bool:
-        if self.t_lo is not None and t < self.t_lo:
-            return False
-        if self.t_hi is not None and t > self.t_hi:
-            return False
-        return True
-
     def contains(self, point) -> bool:
+        """Does the point lie on the line, with t in [t_lo, t_hi]?"""
         a, b, c = self.line
         if a * point[0] + b * point[1] != c:
             return False
-        return self.contains_parameter(self.parameter_of(point))
+        axis = 0 if self.direction[0] else 1
+        t = Fraction(point[axis] - self.base[axis], self.direction[axis])
+        return (self.t_lo is None or t >= self.t_lo) and (self.t_hi is None or t <= self.t_hi)
 
 
 class Copolygon(_Record):
@@ -218,8 +208,7 @@ def intersect_tie_loci(first: Copolygon, second: Copolygon) -> list:
                 continue
             x1 = Fraction(c1 * b2 - c2 * b1, det)
             x2 = Fraction(a1 * c2 - a2 * c1, det)
-            if sa.contains_parameter(sa.parameter_of((x1, x2))) and \
-               sb.contains_parameter(sb.parameter_of((x1, x2))):
+            if sa.contains((x1, x2)) and sb.contains((x1, x2)):
                 points.add((x1, x2))
     for poly, segments in ((first, seg_b), (second, seg_a)):
         for x1, x2, _ in poly.vertices():

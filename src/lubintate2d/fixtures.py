@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import os
 
-from .lubintate import _linear_defects
-from .series import Series, SeriesPair, parse_sections
+from .series import Series, SeriesPair, linear_defects, parse_sections
 from .torsion import dynamical_system
 
 
@@ -58,7 +57,7 @@ def frobenius_profile(pair: SeriesPair) -> dict:
              and monomials[0][0] == 0 and monomials[1][1] == 0)
     exponents = sorted(sum(e) for e in monomials if e is not None)
     return {
-        "linear_ok": not _linear_defects(pair),
+        "linear_ok": not linear_defects(pair, 1),
         "first": monomials[0],
         "second": monomials[1],
         "cross": cross,

@@ -27,7 +27,7 @@ from functools import cached_property
 from .padics import (DEFAULT_PRECISION, HeightPair, Padic, PrecisionError, UnramifiedElement,
                      _as_heights, _check_prime, _Record)
 from .series import (Series, SeriesPair, compose, dump_sections, grlex, invert_pair,
-                     parse_sections)
+                     linear_defects, parse_sections)
 
 
 def _check_params(p: int, degree: int, prec: int):
@@ -90,7 +90,7 @@ def _differences(a: SeriesPair, b: SeriesPair) -> list:
     return [(idx, e) for idx, comp in enumerate(a - b, 1) for e in comp.support()]
 
 
-def recursion_defects(log: SeriesPair, p: int, heights) -> Report:
+def recursion_defects(log: SeriesPair, heights) -> Report:
     """A `recursion` violation per monomial where the twisted functional
     equations fail.
 
@@ -100,7 +100,7 @@ def recursion_defects(log: SeriesPair, p: int, heights) -> Report:
     the p^{h_i} power maps degree d to degree d * p^{h_i}, so the truncated
     right-hand side is complete through the shared degree.
     """
-    heights = _as_heights(heights)
+    heights, p = _as_heights(heights), log.p
     prec = max((m for comp in log for _, _, m in comp.terms.values()), default=DEFAULT_PRECISION)
     twisted = SeriesPair(log.second.raise_vars(p**heights.h1), log.first.raise_vars(p**heights.h2))
     rhs = SeriesPair.identity(p, log.degree, prec) + twisted.scale(Padic(p, -1, 1, prec))
@@ -108,44 +108,38 @@ def recursion_defects(log: SeriesPair, p: int, heights) -> Report:
                         for idx, e in _differences(log, rhs)))
 
 
-class GroupConstructionError(ArithmeticError):
-    """The constructed law failed a structural invariant."""
-
-
 class LubinTateGroup(_Record):
-    """The logarithm and its inverse, two-variable pairs.  The group law,
-    its shape findings, [p]_F and its congruence report are derived on first
-    read and cached; a law passed in (four variables: x1, x2, y1, y2) is not
-    a field, is taken as given and is shape-checked on the first read of
-    `law_shape`."""
+    """The logarithm and its inverse, two-variable pairs over the prime
+    `p` and truncation degree `degree` that the group reads off the
+    logarithm.  The group law, [p]_F and its congruence report are derived
+    on first read and cached; a law passed in (four variables: x1, x2, y1,
+    y2) is not a field and is taken as given."""
 
-    _fields = ("p", "heights", "degree", "prec", "logarithm", "exponential")
+    _fields = ("heights", "prec", "logarithm", "exponential")
 
-    def __init__(self, p, heights, degree, prec, logarithm, exponential, law=None):
-        super().__init__(p, heights, degree, prec, logarithm, exponential)
+    def __init__(self, heights, prec, logarithm, exponential, law=None):
+        super().__init__(heights, prec, logarithm, exponential)
         if law is not None:
             self.__dict__["group_law"] = law
 
-    @cached_property
-    def group_law(self) -> SeriesPair:
-        """F = L^{-1}(L(X) + L(Y)), shape-checked once."""
-        log = self.logarithm
-        law = compose(self.exponential, log.embed(4, (0, 1)) + log.embed(4, (2, 3)))
-        bad = self.__dict__["law_shape"] = _law_shape(law, self.prec)
-        if bad:
-            v = bad[0]
-            raise GroupConstructionError(f"group law has a denominator ({v.detail})"
-                                         if v.check == "integral" else v.detail)
-        return law
+    def _check(self):
+        log, exp = self.logarithm, self.exponential
+        if (exp.p, exp.nvars, exp.degree) != (log.p, log.nvars, log.degree):
+            raise ValueError("exponential and logarithm must share prime, variables, degree")
+
+    @property
+    def p(self) -> int:
+        return self.logarithm.p
+
+    @property
+    def degree(self) -> int:
+        return self.logarithm.degree
 
     @cached_property
-    def law_shape(self) -> list:
-        """`_law_shape` findings on the group law, found once per group: a
-        built law records them while it is built, a law passed in is
-        checked on this first read."""
-        law = self.group_law
-        shape = self.__dict__.get("law_shape")
-        return _law_shape(law, self.prec) if shape is None else shape
+    def group_law(self) -> SeriesPair:
+        """F = L^{-1}(L(X) + L(Y)); `group_axioms_report` checks its shape."""
+        log = self.logarithm
+        return compose(self.exponential, log.embed(4, (0, 1)) + log.embed(4, (2, 3)))
 
     @cached_property
     def p_multiplication(self) -> SeriesPair:
@@ -155,7 +149,7 @@ class LubinTateGroup(_Record):
     def p_congruences(self) -> Report:
         """`congruence_report` on [p]_F, found once per group:
         `verify_p_congruences`, `height_of` and `group_axioms_report` read it."""
-        return congruence_report(self.p_multiplication, self.p, self.heights)
+        return congruence_report(self.p_multiplication, self.heights)
 
 
 def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> LubinTateGroup:
@@ -163,7 +157,7 @@ def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> 
     inverse); the group law waits for its first read."""
     heights = _as_heights(heights)
     log = build_logarithm(p, heights, degree, prec)
-    return LubinTateGroup(p, heights, degree, prec, log, invert_pair(log))
+    return LubinTateGroup(heights, prec, log, invert_pair(log))
 
 
 def multiplication(a, group: LubinTateGroup) -> SeriesPair:
@@ -195,20 +189,7 @@ def _law_shape(law: SeriesPair, prec: int) -> list:
     return out
 
 
-def _linear_defects(f: SeriesPair) -> list:
-    """(component, exponents) where the linear part of f is not exactly
-    p*X: each component's degree-1 terms must be its variable with
-    valuation 1 and unit 1, to every digit the term carries."""
-    out = []
-    for idx, comp, var in ((1, f.first, (1, 0)), (2, f.second, (0, 1))):
-        lin = {e: (v, u) for e, (v, u, _) in comp.terms.items() if sum(e) == 1}
-        want = {var: (1, 1)}
-        out += [(idx, e) for e in sorted(lin.keys() | want.keys(), key=grlex)
-                if lin.get(e) != want.get(e)]
-    return out
-
-
-def congruence_report(f: SeriesPair, p: int, heights) -> Report:
+def congruence_report(f: SeriesPair, heights) -> Report:
     """Check a pair against the multiplication-by-p congruences.
 
     Term by term through the pair's truncation degree:
@@ -217,11 +198,11 @@ def congruence_report(f: SeriesPair, p: int, heights) -> Report:
       - reduction mod p equal to the cross Frobenius pair
         (x2^{p^{h1}}, x1^{p^{h2}}), monomials beyond the truncation excused.
     """
-    heights = _as_heights(heights)
+    heights, p = _as_heights(heights), f.p
     if f.nvars != 2:
         raise ValueError("expected a two-variable pair")
     out = []
-    lin_bad = _linear_defects(f)
+    lin_bad = linear_defects(f, 1)
     frob_exp = ((0, p**heights.h1), (p**heights.h2, 0))
     for idx, comp in ((1, f.first), (2, f.second)):
         if (0, 0) in comp.terms:
@@ -354,6 +335,7 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> Report:
         raise ValueError(f"assoc_degree must be at least 1, got {assoc_degree}")
     p, degree = group.p, group.degree
     law = group.group_law
+    shape = _law_shape(law, group.prec)
     out = []
 
     swapped = SeriesPair(law.first.permute_vars((2, 3, 0, 1)),
@@ -361,7 +343,6 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> Report:
     if swapped != law:
         out.append(Violation(0, None, "commutative", "F(X,Y) != F(Y,X)"))
 
-    shape = group.law_shape
     out += [v for v in shape if v.check == "identity"]
 
     da = min(assoc_degree, degree)
@@ -408,5 +389,4 @@ def group_from_text(text: str) -> LubinTateGroup:
     log = SeriesPair(sections["logarithm.1"], sections["logarithm.2"])
     exp = SeriesPair(sections["exponential.1"], sections["exponential.2"])
     law = SeriesPair(sections["group_law.1"], sections["group_law.2"])
-    return LubinTateGroup(header["p"], heights, header["D"],
-                          header.get("N", DEFAULT_PRECISION), log, exp, law)
+    return LubinTateGroup(heights, header.get("N", DEFAULT_PRECISION), log, exp, law)

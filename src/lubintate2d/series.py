@@ -422,6 +422,19 @@ def compose(outer: SeriesPair, inner: Sequence[Series]) -> SeriesPair:
     return SeriesPair(outer.first.substitute(ins), outer.second.substitute(ins))
 
 
+def linear_defects(f: SeriesPair, val: int) -> list:
+    """(component, exponents) where the linear part of a two-variable pair
+    is not exactly p^val * X: each component's degree-1 terms must be its
+    own variable with valuation val and unit 1, to every digit it carries."""
+    out = []
+    for idx, comp, var in ((1, f.first, (1, 0)), (2, f.second, (0, 1))):
+        lin = {e: (v, u) for e, (v, u, _) in comp.terms.items() if sum(e) == 1}
+        want = {var: (val, 1)}
+        out += [(idx, e) for e in sorted(lin.keys() | want.keys(), key=grlex)
+                if lin.get(e) != want.get(e)]
+    return out
+
+
 def invert_pair(f: SeriesPair) -> SeriesPair:
     """Compositional inverse of a pair congruent to the identity mod degree 2.
 
@@ -433,12 +446,10 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
     if f.nvars != 2:
         raise ValueError("inversion needs a two-variable pair")
     p, degree = f.p, f.degree
-    for comp, var in ((f.first, (1, 0)), (f.second, (0, 1))):
-        if (0, 0) in comp.terms:
-            raise ValueError("pair must have zero constant term")
-        lin = {e: (v, u) for e, (v, u, _) in comp.terms.items() if sum(e) == 1}
-        if lin != {var: (0, 1)}:
-            raise ValueError("linear part must be the identity")
+    if any((0, 0) in comp.terms for comp in f):
+        raise ValueError("pair must have zero constant term")
+    if linear_defects(f, 0):
+        raise ValueError("linear part must be the identity")
     ident = SeriesPair(Series(p, 2, degree, {(1, 0): f.first.terms[(1, 0)]}),
                        Series(p, 2, degree, {(0, 1): f.second.terms[(0, 1)]}))
     g = ident

@@ -153,8 +153,6 @@ def profile_report(p: int, heights, n_max: int) -> list:
             "n": n,
             "v_xi": closed.v_xi,
             "v_eta": closed.v_eta,
-            "minplus_v_xi": minplus.v_xi,
-            "minplus_v_eta": minplus.v_eta,
             "agree": closed == minplus,
             "hypothesis_status": status,
         })

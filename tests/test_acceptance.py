@@ -63,7 +63,7 @@ def test_criterion_01_logarithm_recursion():
     def body():
         for p, heights in FIXTURES:
             log = build_logarithm(p, heights, 40)
-            assert recursion_defects(log, p, heights).ok
+            assert recursion_defects(log, heights).ok
 
     criterion(1, "logarithm recursion at D=40", 5.0, body)
 

@@ -285,11 +285,16 @@ def test_copolygon_svg_computes_tie_loci_once(capsys, monkeypatch, tmp_path):
 
 
 def test_low_precision_verify_still_fails_on_the_law(capsys):
-    code, out, err = run(capsys, "-N", "2", "verify", "-p", "2", "--h1", "2",
-                         "--h2", "3", "-D", "16")
-    assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "usage",
-                               "detail": "group law has a denominator (min valuation -1)"}
+    # at N = 2 the law has a denominator: a failed axiom, not bad usage
+    params = ("-p", "2", "--h1", "2", "--h2", "3", "-D", "16")
+    code, out, err = run(capsys, "-N", "2", "verify", *params)
+    assert code == 1 and err == ""
+    assert json.loads(out)["group_axioms"] is False
+    code, out, err = run(capsys, "-N", "2", "group", *params)
+    assert code == 1 and out == ""
+    failure = json.loads(err)
+    assert failure["error"] == "verification"
+    assert "[integral] component 0: min valuation -1" in failure["detail"]
 
 
 def test_low_precision_mult_skips_the_law(capsys):
@@ -408,7 +413,7 @@ def test_verify_reports_p_congruences_once(capsys, monkeypatch):
     calls = []
     real = lubintate.congruence_report
     monkeypatch.setattr(lubintate, "congruence_report",
-                        lambda f, p, heights: calls.append(p) or real(f, p, heights))
+                        lambda f, heights: calls.append(f.p) or real(f, heights))
     code, out, _ = run(capsys, "verify", *PARAMS, "-D", "9")
     assert code == 0 and json.loads(out)["ok"] is True
     assert calls == [2]

@@ -50,7 +50,7 @@ def test_stored_sample_frobenius_profile():
 
 def test_stored_sample_fails_cross_congruence():
     header, pair = stored_mult45()
-    report = congruence_report(pair, header["p"], (header["h1"], header["h2"]))
+    report = congruence_report(pair, (header["h1"], header["h2"]))
     assert not report.ok
     assert len(report.violations) == 4
     assert all(v.check == "frobenius" for v in report.violations)

@@ -5,9 +5,8 @@ from functools import lru_cache
 import pytest
 
 from lubintate2d.padics import Padic, UnramifiedRing, teichmuller
-from lubintate2d.series import Series, SeriesPair, compose
+from lubintate2d.series import Series, SeriesPair, compose, invert_pair
 from lubintate2d.lubintate import (
-    GroupConstructionError,
     HeightPair,
     LubinTateGroup,
     build_group,
@@ -75,13 +74,13 @@ def test_logarithm_support_3_12_deep():
 def test_recursion_identity_exact():
     for p, hs in ((2, (2, 3)), (3, (1, 2))):
         log = build_logarithm(p, hs, 40)
-        assert recursion_defects(log, p, hs).ok
+        assert recursion_defects(log, hs).ok
 
 
 def test_recursion_detects_corruption():
     log = build_logarithm(2, (2, 3), 40)
     bad_first = log.first + Series.from_coeffs(2, 2, 40, {(0, 4): 1})
-    report = recursion_defects(SeriesPair(bad_first, log.second), 2, (2, 3))
+    report = recursion_defects(SeriesPair(bad_first, log.second), (2, 3))
     assert (1, (0, 4)) in [(v.component, v.exponents) for v in report.violations]
 
 
@@ -92,9 +91,9 @@ def test_recursion_checks_at_the_logarithms_own_precision():
     val, unit, prec = log.first.terms[(0, 4)]
     terms = {e: log.first.coefficient(e) for e in log.first.terms}
     terms[(0, 4)] = Padic(2, val, unit + 2**80, prec)
-    assert recursion_defects(log, 2, (2, 3)).ok
+    assert recursion_defects(log, (2, 3)).ok
     bad = SeriesPair(Series.from_coeffs(2, 2, 12, terms), log.second)
-    report = recursion_defects(bad, 2, (2, 3))
+    report = recursion_defects(bad, (2, 3))
     assert [(v.component, v.exponents) for v in report.violations] == [(1, (0, 4))]
 
 
@@ -180,7 +179,7 @@ def test_congruence_fault_injection():
     m = multiplication(2, group)
     # flip the unit at x2^4: -7 becomes -6, killing the mod-p Frobenius term
     bump = Series.from_coeffs(2, 2, 9, {(0, 4): 1})
-    report = congruence_report(SeriesPair(m.first + bump, m.second), 2, (2, 3))
+    report = congruence_report(SeriesPair(m.first + bump, m.second), (2, 3))
     assert len(report.violations) == 1
     v = report.violations[0]
     assert (v.component, v.exponents, v.check) == (1, (0, 4), "frobenius")
@@ -191,7 +190,7 @@ def test_congruence_rejects_non_integral():
         Series.from_coeffs(2, 2, 9, {(1, 0): 2, (0, 4): Fraction(1, 2)}),
         Series.from_coeffs(2, 2, 9, {(0, 1): 2}),
     )
-    report = congruence_report(bad, 2, (2, 3))
+    report = congruence_report(bad, (2, 3))
     checks = {v.check for v in report.violations}
     assert "integral" in checks
 
@@ -201,7 +200,7 @@ def test_linear_check_reads_every_digit_past_64():
     n = 100
     f = SeriesPair(Series.from_coeffs(3, 2, 2, {(1, 0): Padic(3, 1, 1 + 3**80, n)}),
                    Series.from_coeffs(3, 2, 2, {(0, 1): Padic(3, 1, 1, n)}))
-    report = congruence_report(f, 3, (1, 2))
+    report = congruence_report(f, (1, 2))
     assert [(v.component, v.exponents, v.check) for v in report.violations] == [
         (1, (1, 0), "linear")]
 
@@ -273,8 +272,7 @@ def test_gamma_endomorphism_flags_foreign_monomials():
     gamma = teichmuller(ring, ring.generator())
     log = group.logarithm
     spiked = SeriesPair(log.first + Series.from_coeffs(2, 2, 9, {(1, 1): 1}), log.second)
-    fake = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
-                          spiked, group.exponential, group.group_law)
+    fake = LubinTateGroup(group.heights, group.prec, spiked, group.exponential, group.group_law)
     res = gamma_endomorphism(gamma, fake)
     assert not res.ok
     assert res.violations[0].exponents == (1, 1)
@@ -288,7 +286,7 @@ def test_height_of():
 def test_height_of_additive_group_diagnostic():
     ident = SeriesPair.identity(2, 9)
     law = ident.embed(4, (0, 1)) + ident.embed(4, (2, 3))
-    additive = LubinTateGroup(2, HeightPair(2, 3), 9, 64, ident, ident, law)
+    additive = LubinTateGroup(HeightPair(2, 3), 64, ident, ident, law)
     assert height_of(additive) == "not monomial-Frobenius"
 
 
@@ -363,22 +361,49 @@ def test_law_shape_is_found_once_per_group(monkeypatch):
     monkeypatch.setattr(lubintate, "_law_shape", spy)
     group = build_group(2, (2, 3), 6)
     assert group_axioms_report(group, assoc_degree=4).ok
-    # a law passed in is checked when the report first needs it
-    given = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
+    assert calls == [group.group_law]
+    # a law passed in is checked the same way, once per report
+    given = LubinTateGroup(group.heights, group.prec,
                            group.logarithm, group.exponential, group.group_law)
     assert group_axioms_report(given, assoc_degree=4).ok
     assert calls == [group.group_law] * 2
 
 
-def test_spiked_exponential_fails_on_first_law_read():
+def test_spiked_exponential_is_one_integral_finding():
     group = g23()
     exp = group.exponential
     spike = Series.from_coeffs(2, 2, 9, {(2, 0): Padic(2, -1, 1)})
-    fake = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
+    fake = LubinTateGroup(group.heights, group.prec,
                           group.logarithm, SeriesPair(exp.first + spike, exp.second))
-    with pytest.raises(GroupConstructionError, match="group law has a denominator"):
-        fake.group_law
+    assert fake.group_law.min_valuation() < 0  # reading the law does not raise
+    report = group_axioms_report(fake, assoc_degree=4)
+    assert "integral" in [v.check for v in report.violations]
 
+
+def test_group_reads_p_and_degree_off_the_logarithm():
+    log = build_logarithm(2, (2, 3), 9)
+    group = LubinTateGroup(HeightPair(2, 3), 40, log, invert_pair(log))
+    assert (group.p, group.degree, group.prec) == (2, 9, 40)
+    assert height_of(group) == 5
+
+
+@pytest.mark.parametrize("exp", [
+    build_logarithm(3, (1, 2), 9),             # another prime
+    build_logarithm(2, (2, 3), 12),            # another truncation degree
+    build_logarithm(2, (2, 3), 9).embed(4, (0, 1)),  # another number of variables
+])
+def test_group_refuses_an_exponential_of_another_shape(exp):
+    log = build_logarithm(2, (2, 3), 9)
+    with pytest.raises(ValueError, match="exponential and logarithm must share"):
+        LubinTateGroup(HeightPair(2, 3), 64, log, exp)
+
+
+def test_group_from_text_refuses_an_exponential_of_another_degree():
+    text = group_to_text(g23())
+    for i in (1, 2):
+        text = text.replace(f"[exponential.{i} v=2 D=9]", f"[exponential.{i} v=2 D=12]")
+    with pytest.raises(ValueError, match="exponential and logarithm must share"):
+        group_from_text(text)
 
 
 def test_axioms_report_checks_both_identity_laws():
@@ -387,8 +412,7 @@ def test_axioms_report_checks_both_identity_laws():
     law = group.group_law
     y1_squared = Series.from_coeffs(2, 4, 6, {(0, 0, 2, 0): Padic.one(2)})
     bad = SeriesPair(law.first + y1_squared, law.second)
-    fake = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
-                          group.logarithm, group.exponential, bad)
+    fake = LubinTateGroup(group.heights, group.prec, group.logarithm, group.exponential, bad)
     report = group_axioms_report(fake, assoc_degree=4)
     assert not any(v.check == "integral" for v in report.violations)
     assert [str(v) for v in report.violations if v.check == "identity"] == [
@@ -406,7 +430,7 @@ def test_axioms_report_checks_associativity_at_its_degree():
     # associativity sees it only when checked through degree 9
     group = g23()
     bump = Series.from_coeffs(2, 4, 9, {(4, 0, 5, 0): 1, (5, 0, 4, 0): 1})
-    fake = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
+    fake = LubinTateGroup(group.heights, group.prec,
                           group.logarithm, group.exponential,
                           SeriesPair(group.group_law.first + bump, group.group_law.second))
     checks = [v.check for v in group_axioms_report(fake).violations]
@@ -426,22 +450,19 @@ def test_every_checker_returns_a_report():
     bad_log = SeriesPair(log.first + Series.from_coeffs(2, 2, 9, {(1, 1): 1}), log.second)
     bad_m = SeriesPair(m.first + Series.from_coeffs(2, 2, 9, {(0, 4): 1}), m.second)
     bad_law = SeriesPair(law.first + Series.from_coeffs(2, 4, 9, {(0, 0, 2, 0): 1}), law.second)
-    with_log = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
-                              bad_log, group.exponential, law)
-    with_law = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
-                              log, group.exponential, bad_law)
-    with_m = LubinTateGroup(group.p, group.heights, group.degree, group.prec,
-                            log, group.exponential, law)
+    with_log = LubinTateGroup(group.heights, group.prec, bad_log, group.exponential, law)
+    with_law = LubinTateGroup(group.heights, group.prec, log, group.exponential, bad_law)
+    with_m = LubinTateGroup(group.heights, group.prec, log, group.exponential, law)
     vars(with_m)["p_multiplication"] = bad_m
     ring = UnramifiedRing(2, 5, prec=16)
     gamma = teichmuller(ring, ring.generator())
     shift = SeriesPair(Series.from_coeffs(2, 2, 9, {(1, 0): 2, (4, 0): 1}),
                        Series.from_coeffs(2, 2, 9, {(0, 1): 2, (0, 8): 1}))
     cases = [
-        (recursion_defects(log, 2, (2, 3)), recursion_defects(bad_log, 2, (2, 3))),
+        (recursion_defects(log, (2, 3)), recursion_defects(bad_log, (2, 3))),
         (group_axioms_report(group, assoc_degree=4),
          group_axioms_report(with_law, assoc_degree=4)),
-        (congruence_report(m, 2, (2, 3)), congruence_report(bad_m, 2, (2, 3))),
+        (congruence_report(m, (2, 3)), congruence_report(bad_m, (2, 3))),
         (verify_p_congruences(group), verify_p_congruences(with_m)),
         (is_endomorphism(m, group), is_endomorphism(shift, group)),
         (gamma_endomorphism(gamma, group), gamma_endomorphism(gamma, with_log)),

@@ -269,8 +269,8 @@ def _records():
         (Violation, (1, (2, 3), "recursion"),
          "Violation(component=1, exponents=(2, 3), check='recursion', detail='')"),
         (Report, (), "Report(violations=())"),
-        (LubinTateGroup, (2, HeightPair(1, 2), 3, 64, group.logarithm, group.exponential),
-         "LubinTateGroup(p=2, heights=HeightPair(h1=1, h2=2), degree=3, prec=64, "
+        (LubinTateGroup, (HeightPair(1, 2), 64, group.logarithm, group.exponential),
+         "LubinTateGroup(heights=HeightPair(h1=1, h2=2), prec=64, "
          "logarithm=SeriesPair(first=Series(p=2, vars=2, D=3, 2 terms), "
          "second=Series(p=2, vars=2, D=3, 1 terms)), "
          "exponential=SeriesPair(first=Series(p=2, vars=2, D=3, 2 terms), "

@@ -37,7 +37,7 @@ def test_dynamical_system_shape():
 def test_dynamical_system_satisfies_p_congruences():
     for p, hs in ((2, (2, 3)), (3, (1, 2))):
         d = dynamical_system(p, hs, p**max(hs))
-        report = congruence_report(d, p, hs)
+        report = congruence_report(d, hs)
         assert report.ok, [str(v) for v in report.violations]
 
 
