@@ -13,7 +13,8 @@ Every failure, argparse's own included, prints a single JSON line
 {"error": ..., "detail": ...} on stderr, written by `main`.  Counts
 (-N, LT2D_PRECISION, -D, -n, --sweep, --assoc-degree, --unramified-degree)
 must be integers at least 1; a flag the chosen mode never reads is bad
-usage, -N too outside log, group, mult and verify on parameters.  Every
+usage, -N too outside log, group, mult and verify on parameters, and
+--unramified-degree must equal h1 + h2.  Every
 report leaves through `_write_text`, to --out if given, else to stdout;
 JSON through `_emit_json`, which prints a rational as num/den.  Outputs
 are deterministic byte-for-byte for fixed inputs.
@@ -112,12 +113,10 @@ def _emit_json(args, payload) -> None:
 
 
 def _write_pair(args, name: str, pair, **extra) -> None:
-    """Write `pair` as sections name.1 and name.2 under the parameter
-    header, which `extra` extends."""
-    header = {"p": args.p, "h1": args.h1, "h2": args.h2,
-              "D": args.degree, "N": args.precision, **extra}
-    _write_text(args, dump_sections(header, {f"{name}.1": pair.first,
-                                             f"{name}.2": pair.second}))
+    """Write the container of `pair` under the heights and N, which
+    `extra` extends."""
+    header = {"h1": args.h1, "h2": args.h2, "N": args.precision, **extra}
+    _write_text(args, dump_sections(header, {name: pair}))
 
 
 def _add_params(sub, required=True, degree=True):
@@ -260,6 +259,10 @@ def cmd_verify(args) -> int:
     missing = [flag for dest, flag in params.items() if getattr(args, dest) is None]
     if missing:
         raise UsageError(f"verify needs --fixture or {', '.join(missing)}")
+    h = args.h1 + args.h2
+    if args.unramified_degree not in (None, h):
+        raise UsageError(f"--unramified-degree must equal h1 + h2 = {h}, "
+                         f"got {args.unramified_degree}")
     checks = {}
     group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
     checks["logarithm_recursion"] = recursion_defects(group.logarithm, group.heights).ok

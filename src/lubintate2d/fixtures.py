@@ -32,8 +32,8 @@ def stored_mult45():
     """
     with open(os.path.join(os.path.dirname(__file__), "data", "mult45.txt"), encoding="utf-8") as f:
         text = f.read()
-    header, sections = parse_sections(text)
-    return header, SeriesPair(sections["first"], sections["second"])
+    header, pairs = parse_sections(text)
+    return header, pairs["mult"]
 
 
 def frobenius_profile(pair: SeriesPair) -> dict:

@@ -368,25 +368,25 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> Report:
     return Report(tuple(out))
 
 
+_GROUP_PAIRS = ("logarithm", "exponential", "group_law")
+
+
 def group_to_text(group: LubinTateGroup) -> str:
-    """Series text serialization with a JSON parameter header."""
-    header = {"p": group.p, "h1": group.heights.h1, "h2": group.heights.h2,
-              "D": group.degree, "N": group.prec}
-    sections = {
-        "logarithm.1": group.logarithm.first,
-        "logarithm.2": group.logarithm.second,
-        "exponential.1": group.exponential.first,
-        "exponential.2": group.exponential.second,
-        "group_law.1": group.group_law.first,
-        "group_law.2": group.group_law.second,
-    }
-    return dump_sections(header, sections)
+    """The group's three pairs in one container, under its heights and N."""
+    header = {"h1": group.heights.h1, "h2": group.heights.h2, "N": group.prec}
+    return dump_sections(header, {name: getattr(group, name) for name in _GROUP_PAIRS})
 
 
 def group_from_text(text: str) -> LubinTateGroup:
-    header, sections = parse_sections(text)
-    heights = HeightPair(header["h1"], header["h2"])
-    log = SeriesPair(sections["logarithm.1"], sections["logarithm.2"])
-    exp = SeriesPair(sections["exponential.1"], sections["exponential.2"])
-    law = SeriesPair(sections["group_law.1"], sections["group_law.2"])
+    """The group `group_to_text` wrote.  Its logarithm must be the one the
+    header's p, h1 and h2 determine: the functional equations fix it."""
+    header, pairs = parse_sections(text)
+    missing = [name for name in _GROUP_PAIRS if name not in pairs]
+    if missing:
+        raise ValueError(f"group container lacks the {', '.join(missing)} pair")
+    heights = HeightPair(header.get("h1"), header.get("h2"))
+    log, exp, law = (pairs[name] for name in _GROUP_PAIRS)
+    if not recursion_defects(log, heights).ok:
+        raise ValueError(f"header p = {log.p}, h1 = {heights.h1}, h2 = {heights.h2} "
+                         "disagrees with the logarithm read")
     return LubinTateGroup(heights, header.get("N", DEFAULT_PRECISION), log, exp, law)

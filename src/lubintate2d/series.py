@@ -40,7 +40,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import add
 
-from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add, _Record
+from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add, _Record, is_prime
 
 
 def grlex(exponents):
@@ -465,66 +465,84 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
     return g
 
 
-# -- plain-text serialization -------------------------------------------------
+# -- the text container -----------------------------------------------------
 #
-# One term per line, "e1 e2 ... ev : valuation unit", graded-lex order.
-# A file is a JSON header line followed by [name v=<nvars> D=<degree>]
-# sections, one per series.
+# The one place that knows the layout.  A container is one JSON header line
+# (sorted keys) followed by named pairs; pair `name` is written as two
+# sections, "[name.1 v=<nvars> D=<degree>]" and "[name.2 ...]", each with
+# one term per line, "e1 e2 ... ev : valuation unit", in graded-lex order.
+# The header's "p" and "D" are the pairs' own; callers add their keys (the
+# heights, "N", a multiplier "a").  Coefficients are read back at the
+# header's "N" (default DEFAULT_PRECISION).
 
 
-def series_to_lines(s: Series):
-    out = []
-    for e in s.support():
-        v, u, _ = s.terms[e]
-        out.append(f"{' '.join(str(x) for x in e)} : {v} {u}")
-    return out
-
-
-def dump_sections(header, sections) -> str:
-    """Serialize {name: Series} under a JSON header dict."""
+def dump_sections(header: dict, pairs: dict) -> str:
+    """The container of {name: SeriesPair} under `header`, whose "p" and
+    "D" are filled in from the pairs."""
+    shapes = {(pair.p, pair.degree) for pair in pairs.values()}
+    if len(shapes) != 1:
+        raise ValueError("a container holds pairs of one prime and one degree")
+    (p, degree), = shapes
+    header = {**header, "p": p, "D": degree}
     lines = [json.dumps(header, sort_keys=True, separators=(", ", ": "))]
-    for name, s in sections.items():
-        lines.append(f"[{name} v={s.nvars} D={s.degree}]")
-        lines.extend(series_to_lines(s))
+    for name, pair in pairs.items():
+        for idx, s in enumerate(pair, 1):
+            lines.append(f"[{name}.{idx} v={s.nvars} D={s.degree}]")
+            for e in s.support():
+                v, u, _ = s.terms[e]
+                lines.append(f"{' '.join(map(str, e))} : {v} {u}")
     return "\n".join(lines) + "\n"
 
 
 def parse_sections(text: str):
-    """Inverse of dump_sections; the header must carry "p" (and may carry "N")."""
-    header = None
+    """Inverse of dump_sections: (header, {name: SeriesPair}).
+
+    Refuses a container without exactly one header line, first, carrying
+    a prime "p" and "D"; a section whose D is not the header's; and a pair
+    with a section missing, repeated or not named name.1 or name.2.
+    """
+    lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
+    if not lines or not lines[0].startswith("{"):
+        raise ValueError("a series container starts with its JSON header line")
+    header = json.loads(lines[0])
+    p, degree = header.get("p"), header.get("D")
+    if type(p) is not int or not is_prime(p):
+        raise ValueError(f"header p must be a prime, got {p!r}")
+    if type(degree) is not int:
+        raise ValueError(f"header D must be an integer, got {degree!r}")
+    prec = header.get("N", DEFAULT_PRECISION)
     sections = {}
-    current = None  # (name, nvars, degree, terms)
-    p = None
-    prec = DEFAULT_PRECISION
-
-    def flush():
-        if current is not None:
-            name, nv, dg, terms = current
-            sections[name] = Series.from_coeffs(p, nv, dg, terms)
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
+    terms = None
+    for line in lines[1:]:
         if line.startswith("{"):
-            header = json.loads(line)
-            p = header.get("p")
-            prec = header.get("N", DEFAULT_PRECISION)
-            continue
+            raise ValueError("a series container has one header line, before every section")
         if line.startswith("["):
-            if p is None:
-                raise ValueError("series file needs a header line with p before sections")
-            flush()
-            body = line[1:-1].split()
-            name = body[0]
-            fields = dict(part.split("=") for part in body[1:])
-            current = (name, int(fields["v"]), int(fields["D"]), {})
+            name, *fields = line[1:-1].split()
+            fields = dict(part.split("=") for part in fields)
+            if int(fields["D"]) != degree:
+                raise ValueError(f"section {name} has D={fields['D']}, header D={degree}")
+            if name in sections:
+                raise ValueError(f"section {name} appears twice")
+            terms = {}
+            sections[name] = (int(fields["v"]), terms)
             continue
-        if current is None:
+        if terms is None:
             raise ValueError(f"term line outside any section: {line!r}")
         left, right = line.split(":")
-        e = tuple(int(x) for x in left.split())
         val_s, unit_s = right.split()
-        current[3][e] = Padic(p, int(val_s), int(unit_s), prec)
-    flush()
-    return header, sections
+        terms[tuple(int(x) for x in left.split())] = Padic(p, int(val_s), int(unit_s), prec)
+    pairs = {}
+    for name in sections:
+        base, dot, idx = name.rpartition(".")
+        if not dot or idx not in ("1", "2"):
+            raise ValueError(f"section {name} is not named <pair>.1 or <pair>.2")
+        if base in pairs:
+            continue
+        halves = []
+        for half in (f"{base}.1", f"{base}.2"):
+            if half not in sections:
+                raise ValueError(f"section {half} is missing")
+            nvars, coeffs = sections[half]
+            halves.append(Series.from_coeffs(p, nvars, degree, coeffs))
+        pairs[base] = SeriesPair(*halves)
+    return header, pairs

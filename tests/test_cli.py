@@ -9,7 +9,7 @@ import pytest
 from lubintate2d import cli
 from lubintate2d.copolygon import Copolygon, emit_svg
 from lubintate2d.fixtures import worked_copolygon_series
-from lubintate2d.series import parse_sections
+from lubintate2d.series import dump_sections, parse_sections
 from lubintate2d.torsion import ramification_csv
 
 
@@ -135,22 +135,35 @@ def test_log_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "log", "-p", "2", "--h1", "2", "--h2", "3",
                        "-D", "12", "--out", str(target))
     assert code == 0 and out == ""
-    header, sections = parse_sections(target.read_text())
+    header, pairs = parse_sections(target.read_text())
     assert header == {"p": 2, "h1": 2, "h2": 3, "D": 12, "N": 64}
-    assert sections["logarithm.1"].support() == [(1, 0), (0, 4)]
-    assert sections["logarithm.2"].support() == [(0, 1), (8, 0)]
-    assert sections["logarithm.2"].coefficient((8, 0)).valuation == -1
+    log = pairs["logarithm"]
+    assert log.first.support() == [(1, 0), (0, 4)]
+    assert log.second.support() == [(0, 1), (8, 0)]
+    assert log.second.coefficient((8, 0)).valuation == -1
 
 
 def test_group_stdout_parses(capsys):
     code, out, _ = run(capsys, "group", "-p", "3", "--h1", "1", "--h2", "2", "-D", "6")
     assert code == 0
-    header, sections = parse_sections(out)
+    header, pairs = parse_sections(out)
     assert header["p"] == 3
-    assert set(sections) == {"logarithm.1", "logarithm.2",
-                             "exponential.1", "exponential.2",
-                             "group_law.1", "group_law.2"}
-    assert sections["group_law.2"].support() == [(0, 0, 0, 1), (0, 1, 0, 0)]
+    assert list(pairs) == ["logarithm", "exponential", "group_law"]
+    assert pairs["group_law"].second.support() == [(0, 0, 0, 1), (0, 1, 0, 0)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("log", "-p", "2", "--h1", "2", "--h2", "3", "-D", "12"),
+    ("mult", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9", "-a", "3"),
+    ("group", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9"),
+], ids=["log", "mult", "group"])
+def test_container_parses_and_dumps_back_byte_for_byte(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, pairs = parse_sections(out)
+    if argv[0] == "mult":
+        assert header["a"] == 3
+    assert dump_sections(header, pairs) == out
 
 
 def test_mult_with_env_precision(monkeypatch, capsys):
@@ -158,11 +171,11 @@ def test_mult_with_env_precision(monkeypatch, capsys):
     code, out, _ = run(capsys, "mult", "-p", "3", "--h1", "1", "--h2", "2",
                        "-D", "9", "-a", "3")
     assert code == 0
-    header, sections = parse_sections(out)
+    header, pairs = parse_sections(out)
     assert header["N"] == 8
     # -8 stored at relative precision 7 after one division by p
     assert "0 3 : 0 2179" in out
-    assert sections["mult.1"].support() == [(1, 0), (0, 3)]
+    assert pairs["mult"].first.support() == [(1, 0), (0, 3)]
 
 
 def test_env_precision_invalid(monkeypatch, capsys):
@@ -194,6 +207,17 @@ def test_verify_with_unramified_check(capsys):
                        "--h2", "3", "-D", "9", "--unramified-degree", "5")
     assert code == 0
     assert json.loads(out)["gamma_endomorphism"] is True
+
+
+@pytest.mark.parametrize("degree", ["1", "3"])
+def test_unramified_degree_must_be_the_total_height(capsys, monkeypatch, degree):
+    monkeypatch.setattr(cli, "build_group", None)  # refused before any group is built
+    code, out, err = run(capsys, "verify", "-p", "2", "--h1", "2", "--h2", "3",
+                         "-D", "4", "--unramified-degree", degree)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "usage",
+        "detail": f"--unramified-degree must equal h1 + h2 = 5, got {degree}"}
 
 
 def test_verify_stored_sample_fails(capsys):
@@ -304,8 +328,8 @@ def test_low_precision_mult_skips_the_law(capsys):
         code, out, err = run(capsys, "-N", "2", "mult", "-p", p, "--h1", h1,
                              "--h2", h2, "-D", "16", "-a", p)
         assert code == 0 and err == ""
-        _, sections = parse_sections(out)
-        assert all(v >= 0 for s in sections.values() for v, _, _ in s.terms.values())
+        _, pairs = parse_sections(out)
+        assert all(v >= 0 for s in pairs["mult"] for v, _, _ in s.terms.values())
 
 
 @pytest.mark.parametrize("prec", ["0", "-3"])

@@ -402,8 +402,36 @@ def test_group_from_text_refuses_an_exponential_of_another_degree():
     text = group_to_text(g23())
     for i in (1, 2):
         text = text.replace(f"[exponential.{i} v=2 D=9]", f"[exponential.{i} v=2 D=12]")
-    with pytest.raises(ValueError, match="exponential and logarithm must share"):
+    with pytest.raises(ValueError, match="section exponential.1 has D=12, header D=9"):
         group_from_text(text)
+
+
+def test_group_from_text_refuses_a_header_degree_over_other_sections():
+    text = group_to_text(g23()).replace('"D": 9', '"D": 40', 1)
+    with pytest.raises(ValueError, match="section logarithm.1 has D=9, header D=40"):
+        group_from_text(text)
+
+
+def test_group_from_text_refuses_a_header_prime_over_other_data():
+    text = group_to_text(g23()).replace('"p": 2', '"p": 3', 1)
+    with pytest.raises(ValueError, match="header p = 3, h1 = 2, h2 = 3 disagrees"):
+        group_from_text(text)
+
+
+def test_group_from_text_refuses_a_second_header():
+    text = group_to_text(g23())
+    second = '{"D": 9, "N": 8, "h1": 2, "h2": 3, "p": 3}\n'
+    text = text.replace("[exponential.1", second + "[exponential.1")
+    with pytest.raises(ValueError, match="one header line"):
+        group_from_text(text)
+
+
+def test_group_from_text_refuses_a_missing_section():
+    text = group_to_text(g23())
+    with pytest.raises(ValueError, match="section group_law.2 is missing"):
+        group_from_text(text[:text.index("[group_law.2")])
+    with pytest.raises(ValueError, match="lacks the group_law pair"):
+        group_from_text(text[:text.index("[group_law.1")])
 
 
 def test_axioms_report_checks_both_identity_laws():

@@ -12,7 +12,6 @@ from lubintate2d.series import (
     grlex,
     invert_pair,
     parse_sections,
-    series_to_lines,
 )
 
 
@@ -239,26 +238,33 @@ def test_pair_shape_checks():
 
 def test_text_lines_format_and_order():
     s = Series.from_coeffs(2, 2, 9, {(1, 0): 1, (0, 4): Fraction(1, 2), (8, 0): 0})
-    lines = series_to_lines(s)
-    assert lines == ["1 0 : 0 1", "0 4 : -1 1"]
+    text = dump_sections({"N": 64}, {"s": SeriesPair(s, Series.zero(2, 2, 9))})
+    assert text.splitlines() == ['{"D": 9, "N": 64, "p": 2}', "[s.1 v=2 D=9]",
+                                 "1 0 : 0 1", "0 4 : -1 1", "[s.2 v=2 D=9]"]
 
 
 def test_dump_parse_roundtrip():
     f = hand_logarithm_pair()
-    text = dump_sections({"p": 2, "D": 9, "N": 64}, {"first": f.first, "second": f.second})
-    header, sections = parse_sections(text)
-    assert header["p"] == 2
-    assert sections["first"] == f.first
-    assert sections["second"] == f.second
-    assert dump_sections(header, sections) == text
+    g = SeriesPair.identity(2, 9)
+    text = dump_sections({"N": 64}, {"log": f, "id": g})
+    header, pairs = parse_sections(text)
+    assert header == {"p": 2, "D": 9, "N": 64}
+    assert list(pairs) == ["log", "id"]
+    assert pairs["log"] == f and pairs["id"] == g
+    assert dump_sections(header, pairs) == text
+
+
+def test_dump_refuses_pairs_of_another_shape():
+    with pytest.raises(ValueError, match="one prime and one degree"):
+        dump_sections({}, {"a": SeriesPair.identity(2, 9), "b": SeriesPair.identity(2, 8)})
 
 
 def test_parse_reads_values_through_padic():
     # a negative unit, a unit divisible by p, a unit >= p^N and one whose
     # every known digit is zero, as a hand-written file may carry them
-    text = ('{"p": 3, "N": 5}\n[s v=2 D=4]\n'
-            '1 0 : 2 -7\n0 1 : 0 18\n2 0 : -1 1000\n1 1 : 0 243\n')
-    s = parse_sections(text)[1]["s"]
+    text = ('{"p": 3, "D": 4, "N": 5}\n[s.1 v=2 D=4]\n'
+            '1 0 : 2 -7\n0 1 : 0 18\n2 0 : -1 1000\n1 1 : 0 243\n[s.2 v=2 D=4]\n')
+    s = parse_sections(text)[1]["s"].first
     for e, val, unit in (((1, 0), 2, -7), ((0, 1), 0, 18), ((2, 0), -1, 1000)):
         want = Padic(3, val, unit, 5)
         assert s.terms[e] == (want.val, want.unit, want.prec)
@@ -268,11 +274,29 @@ def test_parse_reads_values_through_padic():
 
 
 def test_parse_empty_section():
-    text = '{"p": 2}\n[empty v=4 D=7]\n'
-    _, sections = parse_sections(text)
-    assert sections["empty"].is_zero
-    assert sections["empty"].nvars == 4
-    assert sections["empty"].degree == 7
+    text = '{"p": 2, "D": 7}\n[empty.1 v=4 D=7]\n[empty.2 v=4 D=7]\n'
+    _, pairs = parse_sections(text)
+    assert pairs["empty"].is_zero
+    assert pairs["empty"].nvars == 4
+    assert pairs["empty"].degree == 7
+
+
+PAIR = "[f.1 v=2 D=4]\n1 0 : 0 1\n[f.2 v=2 D=4]\n0 1 : 0 1\n"
+
+
+@pytest.mark.parametrize("text, detail", [
+    (PAIR, "starts with its JSON header"),
+    ('{"D": 4}\n' + PAIR, "header p must be a prime, got None"),
+    ('{"p": 4, "D": 4}\n' + PAIR, "header p must be a prime, got 4"),
+    ('{"p": 2}\n' + PAIR, "header D must be an integer, got None"),
+    ('{"p": 2, "D": 4}\n' + PAIR.split("[f.2")[0] * 2, "section f.1 appears twice"),
+    ('{"p": 2, "D": 4}\n' + PAIR.replace("f.1", "f"), "section f is not named"),
+    ('{"p": 2, "D": 4}\n1 0 : 0 1\n' + PAIR, "term line outside any section"),
+], ids=["no-header", "no-p", "composite-p", "no-D", "repeated-section",
+        "unsuffixed", "stray-term"])
+def test_parse_refuses_a_container_that_disagrees_with_itself(text, detail):
+    with pytest.raises(ValueError, match=detail):
+        parse_sections(text)
 
 
 def test_min_helpers():
