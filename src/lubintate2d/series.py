@@ -22,15 +22,24 @@ coefficient's chain of partial sums.  That order is part of the result: a
 partial sum that cancels below its known digits becomes an exact zero and
 forgets its precision cap.
 
-A substitution keeps its powers and factor products as triple dicts, each
-built only through the working truncation that can still reach the output:
-D minus the lowest degrees of the factors it is still to be multiplied by.
-A term of degree t in a product comes only from pairs whose degrees sum to
-t, so it needs nothing of either factor past that bound.  Its pairs, and
-the first-hit order of the terms kept, are those of the product at full
-degree D, so every kept coefficient has the same chain of partial sums.
-Terms a factor carries past its bound, as a power cached at a larger bound
-does, fit no row and change nothing.
+Inside products and compositions an exponent tuple is one int, its packed
+key: the digits, in radix D+1, of the total degree and then of each
+exponent.  A kept term has degree at most D, so no digit carries: a
+product term's key is the sum of its factors' keys (`_pack`, `_unpack`).
+
+A composition walks the union of its outer series' monomials once, in
+grlex order (`_substitute_each`; `Series.substitute` is the case of one
+outer series).  Each monomial's product of inner powers is built once and
+added into every outer series that has the monomial, so each output meets
+its terms in the order of its own grlex walk.  The powers and products
+are triple dicts, each built only through the working truncation that can
+still reach the output: D minus the lowest degrees of the factors it is
+still to be multiplied by.  A term of degree t in a product comes only
+from pairs whose degrees sum to t, so it needs nothing of either factor
+past that bound.  Its pairs, and the first-hit order of the terms kept,
+are those of the product at full degree D, so every kept coefficient has
+the same chain of partial sums.  Terms a factor carries past its bound, as
+a power cached at a larger bound does, fit no row and change nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import add
+from functools import reduce
 
 from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add, _Record, is_prime
 
@@ -177,8 +186,10 @@ class Series:
 
     def __mul__(self, other):
         self._check(other)
-        return Series(self.p, self.nvars, self.degree,
-                      _mul_triples(_powers(self.p), self.terms, other.terms, self.degree))
+        radix = self.degree + 1
+        out = _mul_triples(_powers(self.p), _pack(self.terms, radix), _pack(other.terms, radix),
+                           self.degree, radix**self.nvars)
+        return Series(self.p, self.nvars, self.degree, _unpack(out, self.nvars, radix))
 
     def scale(self, c) -> "Series":
         """c times the series: the product with c as a constant series, an
@@ -245,52 +256,7 @@ class Series:
     def substitute(self, inner: Sequence["Series"]) -> "Series":
         """Plug inner[i] in for variable i; inner series need zero constant
         term so the truncated composite is exact through the shared degree."""
-        inner = list(inner)
-        if len(inner) != self.nvars:
-            raise ValueError(f"need {self.nvars} inner series, got {len(inner)}")
-        w = inner[0].nvars
-        zero_exp = (0,) * w
-        for g in inner:
-            if (g.p, g.degree) != (self.p, self.degree) or g.nvars != w:
-                raise ValueError("inner series shape mismatch")
-            if zero_exp in g.terms:
-                raise ValueError("inner series must have zero constant term")
-        p, deg = self.p, self.degree
-        pk = _powers(p)
-        bases = [g.terms for g in inner]
-        # an empty inner series gets lowest degree deg + 1, so every outer
-        # monomial that uses it is skipped
-        mds = [g.min_total_degree() or deg + 1 for g in inner]
-        caches = [dict() for _ in inner]
-        acc = {}
-        for e in sorted(self.terms, key=grlex):
-            v1, u1, m1 = self.terms[e]
-            tot = sum(k * md for k, md in zip(e, mds))
-            if tot > deg:
-                continue  # every term of the product lies past the truncation
-            prod = None
-            rest = tot  # lowest degree of the factors not yet multiplied in
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                own = k * mds[i]
-                rest -= own
-                pw = _triple_power(pk, bases[i], mds[i], k, deg - (tot - own), caches[i])
-                prod = pw if prod is None else _mul_triples(pk, prod, pw, deg - rest)
-                if not prod:
-                    break
-            if prod is None:
-                # constant monomial of the outer series passes through
-                t = (v1, u1, m1)
-                cur = acc.get(zero_exp)
-                acc[zero_exp] = t if cur is None else _raw_add(pk, cur, t)
-                continue
-            for fe, (fv, fu, fm) in prod.items():
-                m = m1 if m1 < fm else fm
-                t = (v1 + fv, u1 * fu % pk[m], m)
-                cur = acc.get(fe)
-                acc[fe] = t if cur is None else _raw_add(pk, cur, t)
-        return Series(p, w, deg, acc)
+        return _substitute_each((self,), inner)[0]
 
     # -- comparison ------------------------------------------------------------
 
@@ -310,25 +276,38 @@ class Series:
         return f"Series(p={self.p}, vars={self.nvars}, D={self.degree}, {n} terms)"
 
 
-def _mul_triples(pk, a: dict, b: dict, bound: int) -> dict:
-    """The product of two {exponents: (val, unit, prec)} dicts through total
-    degree `bound`, with the triples that cancelled to exact zero dropped.
+def _pack(terms: dict, radix: int) -> dict:
+    """Exponent tuples as packed keys: the digits of the total degree and
+    then of each exponent in turn, in radix D+1."""
+    return {reduce(lambda key, x: key * radix + x, e, sum(e)): t for e, t in terms.items()}
+
+
+def _unpack(terms: dict, nvars: int, radix: int) -> dict:
+    """Inverse of _pack."""
+    places = [radix**i for i in reversed(range(nvars))]
+    return {tuple(key // place % radix for place in places): t for key, t in terms.items()}
+
+
+def _mul_triples(pk, a: dict, b: dict, bound: int, top: int) -> dict:
+    """The product of two {packed key: (val, unit, prec)} dicts through total
+    degree `bound`, with the triples that cancelled to exact zero dropped;
+    `top` is the place value of the degree digit.
 
     Each distinct room left by a term of a (`bound - deg e1`) gets one row of
     b's terms that fit, in dict order, so the pairs come in the order of the
     full double loop over both dicts.
     """
-    terms = [(e, sum(e), v, u, m) for e, (v, u, m) in b.items()]
+    terms = [(e, e // top, v, u, m) for e, (v, u, m) in b.items()]
     rows = {}
     acc = {}
     for e1, (v1, u1, m1) in a.items():
-        room = bound - sum(e1)
+        room = bound - e1 // top
         row = rows.get(room)
         if row is None:
             row = rows[room] = [(e2, v2, u2, m2)
                                 for e2, d2, v2, u2, m2 in terms if d2 <= room]
         for e2, v2, u2, m2 in row:
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             m = m1 if m1 < m2 else m2
             t = (v1 + v2, u1 * u2 % pk[m], m)
             cur = acc.get(e)
@@ -336,8 +315,8 @@ def _mul_triples(pk, a: dict, b: dict, bound: int) -> dict:
     return {e: t for e, t in acc.items() if t[1]}
 
 
-def _triple_power(pk, s: dict, md: int, k: int, bound: int, cache: dict) -> dict:
-    """s**k through degree `bound`, for a triple dict s of lowest degree md.
+def _triple_power(pk, s: dict, md: int, k: int, bound: int, top: int, cache: dict) -> dict:
+    """s**k through degree `bound`, for a packed dict s of lowest degree md.
 
     s**k needs s**(k//2) only through bound - ceil(k/2)*md, and its square,
     for odd k, only through bound - md.  The cache maps k to (bound, s**k);
@@ -349,13 +328,69 @@ def _triple_power(pk, s: dict, md: int, k: int, bound: int, cache: dict) -> dict
     hit = cache.get(k)
     if hit is not None and hit[0] >= bound:
         return hit[1]
-    half = _triple_power(pk, s, md, k // 2, bound - (k - k // 2) * md, cache)
+    half = _triple_power(pk, s, md, k // 2, bound - (k - k // 2) * md, top, cache)
     if k % 2:
-        out = _mul_triples(pk, _mul_triples(pk, half, half, bound - md), s, bound)
+        out = _mul_triples(pk, _mul_triples(pk, half, half, bound - md, top), s, bound, top)
     else:
-        out = _mul_triples(pk, half, half, bound)
+        out = _mul_triples(pk, half, half, bound, top)
     cache[k] = (bound, out)
     return out
+
+
+def _substitute_each(outers: Sequence[Series], inner: Sequence[Series]) -> list:
+    """[o(inner) for o in outers], for outer series of one shape, in one
+    grlex walk over the union of their monomials (see the module notes)."""
+    inner = list(inner)
+    first = outers[0]
+    p, deg = first.p, first.degree
+    if len(inner) != first.nvars:
+        raise ValueError(f"need {first.nvars} inner series, got {len(inner)}")
+    w = inner[0].nvars
+    for g in inner:
+        if (g.p, g.degree) != (p, deg) or g.nvars != w:
+            raise ValueError("inner series shape mismatch")
+        if (0,) * w in g.terms:
+            raise ValueError("inner series must have zero constant term")
+    pk = _powers(p)
+    radix = deg + 1
+    top = radix**w
+    bases = [_pack(g.terms, radix) for g in inner]
+    # an empty inner series gets lowest degree deg + 1, so every outer
+    # monomial that uses it is skipped
+    mds = [g.min_total_degree() or deg + 1 for g in inner]
+    caches = [dict() for _ in inner]
+    accs = [{} for _ in outers]
+    for e in sorted(set().union(*(o.terms for o in outers)), key=grlex):
+        tot = sum(k * md for k, md in zip(e, mds))
+        if tot > deg:
+            continue  # every term of the product lies past the truncation
+        prod = None
+        rest = tot  # lowest degree of the factors not yet multiplied in
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            own = k * mds[i]
+            rest -= own
+            pw = _triple_power(pk, bases[i], mds[i], k, deg - (tot - own), top, caches[i])
+            prod = pw if prod is None else _mul_triples(pk, prod, pw, deg - rest, top)
+            if not prod:
+                break
+        for o, acc in zip(outers, accs):
+            c = o.terms.get(e)
+            if c is None:
+                continue
+            if prod is None:
+                # constant monomial of the outer series passes through
+                cur = acc.get(0)
+                acc[0] = c if cur is None else _raw_add(pk, cur, c)
+                continue
+            v1, u1, m1 = c
+            for fe, (fv, fu, fm) in prod.items():
+                m = m1 if m1 < fm else fm
+                t = (v1 + fv, u1 * fu % pk[m], m)
+                cur = acc.get(fe)
+                acc[fe] = t if cur is None else _raw_add(pk, cur, t)
+    return [Series(p, w, deg, _unpack(acc, w, radix)) for acc in accs]
 
 
 class SeriesPair(_Record):
@@ -418,8 +453,7 @@ class SeriesPair(_Record):
 def compose(outer: SeriesPair, inner: Sequence[Series]) -> SeriesPair:
     """outer(inner): one inner series per variable of outer, so a pair
     serves as the inner side of a two-variable outer pair."""
-    ins = list(inner)
-    return SeriesPair(outer.first.substitute(ins), outer.second.substitute(ins))
+    return SeriesPair(*_substitute_each(tuple(outer), inner))
 
 
 def linear_defects(f: SeriesPair, val: int) -> list:
@@ -511,26 +545,36 @@ def parse_sections(text: str):
     if type(degree) is not int:
         raise ValueError(f"header D must be an integer, got {degree!r}")
     prec = header.get("N", DEFAULT_PRECISION)
+    if type(prec) is not int or prec < 1:
+        raise ValueError(f"header N must be a positive integer, got {prec!r}")
     sections = {}
     terms = None
     for line in lines[1:]:
         if line.startswith("{"):
             raise ValueError("a series container has one header line, before every section")
         if line.startswith("["):
-            name, *fields = line[1:-1].split()
-            fields = dict(part.split("=") for part in fields)
-            if int(fields["D"]) != degree:
-                raise ValueError(f"section {name} has D={fields['D']}, header D={degree}")
+            try:
+                name, *fields = line[1:-1].split()
+                fields = dict(part.split("=") for part in fields)
+                nvars, sec_degree = int(fields["v"]), int(fields["D"])
+            except (KeyError, ValueError):
+                raise ValueError(f"section line {line!r} is not [name v=<int> D=<int>]") from None
+            if sec_degree != degree:
+                raise ValueError(f"section {name} has D={sec_degree}, header D={degree}")
             if name in sections:
                 raise ValueError(f"section {name} appears twice")
             terms = {}
-            sections[name] = (int(fields["v"]), terms)
+            sections[name] = (nvars, terms)
             continue
         if terms is None:
             raise ValueError(f"term line outside any section: {line!r}")
-        left, right = line.split(":")
-        val_s, unit_s = right.split()
-        terms[tuple(int(x) for x in left.split())] = Padic(p, int(val_s), int(unit_s), prec)
+        try:
+            left, right = line.split(":")
+            val, unit = map(int, right.split())
+            e = tuple(map(int, left.split()))
+        except ValueError:
+            raise ValueError(f"term line {line!r} is not 'e1 ... ev : valuation unit'") from None
+        terms[e] = Padic(p, val, unit, prec)
     pairs = {}
     for name in sections:
         base, dot, idx = name.rpartition(".")

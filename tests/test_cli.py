@@ -265,10 +265,12 @@ def test_cli_import_stays_on_the_light_standard_library():
     """Under `python -I -S`, importing the CLI loads no standard module it
     never needs, and loads every library module eagerly: the traced
     benchmark (`bench/trace_boot.py`) looks each one up in `sys.modules`
-    right after it imports the CLI."""
+    right after it imports the CLI.  `-B` keeps the child from writing
+    bytecode into the tree, which `-I` would do despite
+    PYTHONDONTWRITEBYTECODE, and which later benchmark runs would load."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys; sys.path.insert(0, sys.argv[1]); import lubintate2d.cli; print(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+    proc = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code, src],
                           capture_output=True, text=True, check=True)
     loaded = set(proc.stdout.split())
     assert not loaded & {"dataclasses", "inspect", "typing", "importlib.resources"}

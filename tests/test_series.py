@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,8 @@ from lubintate2d.padics import Padic
 from lubintate2d.series import (
     Series,
     SeriesPair,
+    _pack,
+    _unpack,
     compose,
     dump_sections,
     grlex,
@@ -292,8 +295,17 @@ PAIR = "[f.1 v=2 D=4]\n1 0 : 0 1\n[f.2 v=2 D=4]\n0 1 : 0 1\n"
     ('{"p": 2, "D": 4}\n' + PAIR.split("[f.2")[0] * 2, "section f.1 appears twice"),
     ('{"p": 2, "D": 4}\n' + PAIR.replace("f.1", "f"), "section f is not named"),
     ('{"p": 2, "D": 4}\n1 0 : 0 1\n' + PAIR, "term line outside any section"),
+    ('{"p": 2, "D": 4, "N": "8"}\n' + PAIR, "header N must be a positive integer, got '8'"),
+    ('{"p": 2, "D": 4}\n' + PAIR.replace("v=2 D=4]\n1", "v=2]\n1"),
+     r"section line '\[f\.1 v=2\]'"),
+    ('{"p": 2, "D": 4}\n' + PAIR.replace("f.1 v=2", "f.1 v=x"),
+     r"section line '\[f\.1 v=x D=4\]'"),
+    ('{"p": 2, "D": 4}\n' + PAIR.replace("f.1 v=2", "f.1 v2"),
+     r"section line '\[f\.1 v2 D=4\]'"),
+    ('{"p": 2, "D": 4}\n' + PAIR.replace("1 0 : 0 1", "1 0 0 1"), "term line '1 0 0 1'"),
 ], ids=["no-header", "no-p", "composite-p", "no-D", "repeated-section",
-        "unsuffixed", "stray-term"])
+        "unsuffixed", "stray-term", "text-N", "section-without-D", "bad-v",
+        "field-without-equals", "term-without-colon"])
 def test_parse_refuses_a_container_that_disagrees_with_itself(text, detail):
     with pytest.raises(ValueError, match=detail):
         parse_sections(text)
@@ -551,12 +563,31 @@ def _substitution_cases(rng, count):
         for _ in range(rng.randrange(1, 8)):
             e = tuple(rng.randrange(0, 10) for _ in range(nouter))
             if sum(e) <= degree:
-                outer[e] = Padic(p, rng.randrange(-2, 3),
-                                 rng.choice((1, -1, p + 1, rng.randrange(1, 10**6))),
-                                 rng.choice((1, 2, 3, 4, 64)))
+                outer[e] = _low_precision_coefficient(rng, p)
         inner = [_cancelling_inner(rng, p, w, degree, rng.choice((1, 2)))
                  for _ in range(nouter)]
         yield Series.from_coeffs(p, nouter, degree, outer), inner
+
+
+def _low_precision_coefficient(rng, p):
+    return Padic(p, rng.randrange(-2, 3), rng.choice((1, -1, p + 1, rng.randrange(1, 10**6))),
+                 rng.choice((1, 2, 3, 4, 64)))
+
+
+def _companion(rng, outer, kind):
+    """A second series of outer's shape whose support overlaps outer's,
+    misses it, or holds the constant term beside some of outer's terms."""
+    p, n, degree = outer.p, outer.nvars, outer.degree
+    others = [e for e in product(range(degree + 1), repeat=n)
+              if sum(e) <= degree and e not in outer.terms]
+    if kind == "disjoint":
+        support = rng.sample(others, min(len(others), rng.randrange(1, 8)))
+    else:
+        support = rng.sample(sorted(outer.terms), rng.randint(min(1, len(outer.terms)),
+                                                             len(outer.terms)))
+        support.append((0,) * n if kind == "constant" else rng.choice(others or support))
+    return Series.from_coeffs(p, n, degree, {e: _low_precision_coefficient(rng, p)
+                                             for e in support})
 
 
 def test_substitute_matches_full_degree_powers_term_for_term():
@@ -571,6 +602,22 @@ def test_substitute_matches_full_degree_powers_term_for_term():
         assert _raw_terms(outer.substitute(inner)) == _raw_terms(want)
         cancelling += cancelled > 0
     assert cancelling >= 50  # compositions that take the cancel-to-exact-zero path
+    # compose walks both components' monomials at once: each component
+    # must still be its own substitution, term for term
+    rng = random.Random(41771)
+    cancelling = {"overlapping": 0, "disjoint": 0, "constant": 0}
+    for outer, inner in _substitution_cases(rng, 600):
+        kind = rng.choice(sorted(cancelling))
+        pair = SeriesPair(outer, _companion(rng, outer, kind))
+        if rng.random() < 0.5:
+            pair = SeriesPair(pair.second, pair.first)
+        cancelled = 0
+        for got, comp in zip(compose(pair, inner), pair):
+            want, n = _reference_substitute(comp, inner)
+            assert _raw_terms(got) == _raw_terms(want)
+            cancelled += n
+        cancelling[kind] += cancelled > 0
+    assert min(cancelling.values()) >= 20, cancelling
 
 
 def test_compose_builds_one_series_per_component(monkeypatch):
@@ -590,3 +637,21 @@ def test_compose_builds_one_series_per_component(monkeypatch):
     assert law == group.group_law
     assert counts[Series] == 2
     assert counts[Padic] == 0
+
+
+def test_packed_keys_round_trip():
+    degree = 4
+    radix = degree + 1
+    for nvars in range(1, 7):
+        exps = [e for e in product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+        assert all(any(e[i] == degree for e in exps) for i in range(nvars))
+        terms = {e: (0, i + 1, 64) for i, e in enumerate(exps)}
+        packed = _pack(terms, radix)
+        assert list(packed.values()) == list(terms.values())  # one key per tuple, in order
+        assert [key // radix**nvars for key in packed] == [sum(e) for e in terms]
+        assert list(_unpack(packed, nvars, radix).items()) == list(terms.items())
+        key = dict(zip(exps, packed))
+        for e1 in exps:
+            for e2 in exps:
+                if sum(e1) + sum(e2) <= degree:  # the key of a product term
+                    assert key[e1] + key[e2] == key[tuple(map(sum, zip(e1, e2)))]

@@ -1,13 +1,17 @@
-"""Verdicts of `group`, `verify` and `mult -a p` at low precision.
+"""Verdicts and containers of `group`, `verify`, `mult` and `log` at low
+precision.
 
 Each cell runs `lt2d -N <N> <command> -p <p> --h1 <h1> --h2 <h2> -D <D>`
 in-process through `cli.main`, over N = 1..8, D in {6, 9, 12, 16} and the
 two acceptance fixtures (p = 2, heights (2, 3); p = 3, heights (1, 2)).
-Its exit code, stderr and the sha256 of its stdout must equal the golden
-tests/data/verdicts.json.  The grid reaches every exit class of these
-commands (group and verify 0/1/2, mult 0/2), the known low-precision
-failures included, so a checker that changes a verdict or a message
-fails here.
+`mult` runs with `-a` the fixture's own prime and, in a second block,
+the other fixture's prime.  Its exit code, stderr and the sha256 of its
+stdout must equal the golden tests/data/verdicts.json.  The grid reaches
+every exit class of these commands (group and verify 0/1/2, mult 0/2),
+the known low-precision failures included, so a checker that changes a
+verdict or a message fails here; and it pins every low-precision
+container that is built by composition, so a kernel that reorders a
+chain of partial sums fails here too.
 
 Re-record the golden, only when a verdict change is intended, with
 
@@ -38,6 +42,13 @@ def cells() -> list:
                 out.append(head + ["group"] + params)
                 out.append(head + ["verify"] + params)
                 out.append(head + ["mult"] + params + ["-a", p])
+    for (p, h1, h2), (other, _, _) in zip(FIXTURES, FIXTURES[::-1]):
+        for degree in ("6", "9", "12", "16"):
+            for prec in range(1, 9):
+                params = ["-p", p, "--h1", h1, "--h2", h2, "-D", degree]
+                head = ["-N", str(prec)]
+                out.append(head + ["log"] + params)
+                out.append(head + ["mult"] + params + ["-a", other])
     return out
 
 
@@ -61,7 +72,7 @@ def test_grid_reaches_every_exit_class():
     seen = {(e["argv"].split()[2], e["exit"]) for e in json.loads(GOLDEN.read_text())}
     assert seen == {("group", 0), ("group", 1), ("group", 2),
                     ("verify", 0), ("verify", 1), ("verify", 2),
-                    ("mult", 0), ("mult", 2)}
+                    ("mult", 0), ("mult", 2), ("log", 0)}
 
 
 def record() -> None:
