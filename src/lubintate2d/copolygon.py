@@ -5,9 +5,11 @@ The copolygon of f = sum c_e x^e is the concave piecewise-linear function
     V_f(xi) = min over e in supp(f) of (e1*xi1 + e2*xi2 + v(c_e)),
 
 the min-plus (tropical) polynomial attached to the support.  Everything
-here is exact Fraction geometry: vertices are points where at least three
-support functionals tie on the lower envelope, tie segments are the
-one-dimensional loci where a pair ties and stays minimal, and copolygon
+here is exact: vertices are points where at least three support
+functionals tie on the lower envelope, and tie segments are the
+one-dimensional loci where a pair ties and stays minimal.  Both are read
+off one tie-locus pass in integer arithmetic over the lcm of the
+valuations' denominators, and returned as Fractions.  Copolygon
 intersections are solved with 2x2 rational linear algebra.  No floats.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .padics import Padic, _check_prime, _powers, _raw_add, _Record
 from .series import Series, grlex
@@ -116,45 +119,53 @@ class Copolygon(_Record):
         line, or the bounds cross) or degenerate (a third functional, its
         exponent on the pair's line, matches the pair along the whole line).
         One O(n^3) pass, cached: vertices and tie segments are read off it.
+
+        Exact integer arithmetic over L, the lcm of the valuations'
+        denominators: with piv the pair's da, else db, each constraint is
+        G0 + g1*t >= 0 in integers, G0 being g0*|piv|*L, and each bound
+        -G0/g1 is an integer pair over |piv|*L.  Kept loci become Fractions.
         """
         fs = self.functionals
+        scale = lcm(*(v.denominator for _, _, v in fs))
+        ws = [(i, j, v.numerator * (scale // v.denominator)) for i, j, v in fs]
         loci = []
         n = len(fs)
         for a in range(n):
-            i1, j1, v1 = fs[a]
+            i1, j1, w1 = ws[a]
             for b in range(a + 1, n):
-                i2, j2, v2 = fs[b]
-                # tie line da*xi1 + db*xi2 = v2 - v1; exponents are distinct
+                i2, j2, w2 = ws[b]
+                # tie line da*xi1 + db*xi2 = (w2 - w1)/L; exponents are distinct
                 da, db = i1 - i2, j1 - j2
-                rhs = v2 - v1
-                if da:
-                    base = (Fraction(rhs, da), Fraction(0))
-                else:
-                    base = (Fraction(0), Fraction(rhs, db))
-                direction = (db, -da)
-                t_lo = t_hi = None
+                rise, piv = w2 - w1, da or db
+                if piv < 0:  # fold sign(piv) into rise and piv, so g0 below is G0
+                    rise, piv = -rise, -piv
+                lo = hi = None  # t_lo and t_hi times |piv|*L, as (num, den > 0)
                 for k in range(n):
-                    if k in (a, b):
+                    if k == a or k == b:
                         continue
-                    ik, jk, vk = fs[k]
+                    ik, jk, wk = ws[k]
                     # (f_k - f_a)(base + t*direction) >= 0
-                    g0 = (ik - i1) * base[0] + (jk - j1) * base[1] + vk - v1
-                    g1 = (ik - i1) * direction[0] + (jk - j1) * direction[1]
+                    g0 = (ik - i1 if da else jk - j1) * rise + piv * (wk - w1)
+                    g1 = (ik - i1) * db - (jk - j1) * da
                     if g1 == 0:
                         if g0 <= 0:  # empty or degenerate
                             break
                         continue
-                    bound = Fraction(-g0, g1)
                     if g1 > 0:
-                        if t_lo is None or bound > t_lo:
-                            t_lo = bound
-                    elif t_hi is None or bound < t_hi:
-                        t_hi = bound
-                    if t_lo is not None and t_hi is not None and t_lo > t_hi:
+                        if lo is None or -g0 * lo[1] > lo[0] * g1:
+                            lo = (-g0, g1)
+                    elif hi is None or g0 * hi[1] < hi[0] * -g1:
+                        hi = (g0, -g1)
+                    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
                         break
                 else:
-                    loci.append(TieSegment(fs[a], fs[b], (da, db, rhs),
-                                       base, direction, t_lo, t_hi))
+                    unit = piv * scale
+                    at = Fraction(rise, unit)  # rhs/da, else rhs/db
+                    loci.append(TieSegment(
+                        fs[a], fs[b], (da, db, Fraction(w2 - w1, scale)),
+                        (at, Fraction(0)) if da else (Fraction(0), at), (db, -da),
+                        None if lo is None else Fraction(lo[0], lo[1] * unit),
+                        None if hi is None else Fraction(hi[0], hi[1] * unit)))
         return tuple(loci)
 
     def vertices(self) -> list:
@@ -283,7 +294,8 @@ def support_text(s: Series) -> str:
 def parse_support_text(text: str):
     """Inverse of support_text: returns (p, degree, Copolygon).
 
-    p must be prime and no monomial may exceed the truncation degree.
+    p must be prime, and no monomial may exceed the truncation degree or
+    appear on two lines.
     """
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
@@ -294,7 +306,7 @@ def parse_support_text(text: str):
     except ValueError:
         raise ValueError("header must be two integers: p and truncation degree") from None
     _check_prime(p)
-    funcs = []
+    funcs = {}
     for ln in rows[1:]:
         try:
             i, j, v = ln.split()
@@ -303,8 +315,10 @@ def parse_support_text(text: str):
             raise ValueError(f"malformed support line: {ln!r}") from None
         if i + j > degree:
             raise ValueError(f"monomial {(i, j)} exceeds truncation degree {degree}")
-        funcs.append((i, j, v))
-    return p, degree, Copolygon(funcs)
+        if (i, j) in funcs:
+            raise ValueError(f"support line {ln!r} repeats the monomial {(i, j)}")
+        funcs[(i, j)] = v
+    return p, degree, Copolygon((i, j, v) for (i, j), v in funcs.items())
 
 
 # -- deterministic SVG ------------------------------------------------------

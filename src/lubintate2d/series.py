@@ -532,8 +532,9 @@ def parse_sections(text: str):
     """Inverse of dump_sections: (header, {name: SeriesPair}).
 
     Refuses a container without exactly one header line, first, carrying
-    a prime "p" and "D"; a section whose D is not the header's; and a pair
-    with a section missing, repeated or not named name.1 or name.2.
+    a prime "p" and "D"; a section whose D is not the header's or that
+    repeats a monomial; and a pair with a section missing, repeated or not
+    named name.1 or name.2.
     """
     lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     if not lines or not lines[0].startswith("{"):
@@ -574,6 +575,8 @@ def parse_sections(text: str):
             e = tuple(map(int, left.split()))
         except ValueError:
             raise ValueError(f"term line {line!r} is not 'e1 ... ev : valuation unit'") from None
+        if e in terms:
+            raise ValueError(f"section {name} repeats the monomial {e}")
         terms[e] = Padic(p, val, unit, prec)
     pairs = {}
     for name in sections:

@@ -405,8 +405,9 @@ def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named)
     ("2 9\n1 0\n", "malformed support line: '1 0'"),
     ("x 9\n1 1 1/1\n", "header must be two integers: p and truncation degree"),
     ("2\n1 1 1/1\n", "header must be two integers: p and truncation degree"),
+    ("2 9\n1 1 1/1\n0 0 2\n1 1 0\n", "support line '1 1 0' repeats the monomial (1, 1)"),
 ], ids=["composite-p", "past-degree", "bad-exponent", "zero-denominator", "two-fields",
-        "bad-header", "short-header"])
+        "bad-header", "short-header", "repeated-monomial"])
 def test_bad_support_file_is_one_usage_line(capsys, tmp_path, text, detail):
     path = tmp_path / "bad.support"
     path.write_text(text)

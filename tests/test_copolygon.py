@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from lubintate2d.fixtures import FIXTURE_NAMES, load_fixture
+from lubintate2d.lubintate import build_logarithm
 from lubintate2d.padics import Padic
-from lubintate2d.series import Series, SeriesPair, grlex
+from lubintate2d.series import Series, SeriesPair, compose, grlex, invert_pair
 from lubintate2d.copolygon import (
     Copolygon,
     TieSegment,
@@ -444,6 +446,56 @@ def test_vertices_and_segments_against_oracles_on_fixtures():
             _assert_matches_oracles(Copolygon.from_series(comp))
     _assert_matches_oracles(Copolygon([(0, 0, 0), (1, 0, 0), (2, 0, 0),
                                        (0, 1, 0), (1, 1, 0), (0, 2, 0)]))
+
+
+def _mixed_denominator_support(rng):
+    """Up to 10 functionals with exponents <= 6 and valuations of either
+    sign over denominators 1, 2, 3, 7 and 31.  Every other support is
+    affine in the exponents, with rational slopes, plus a few bumps, so
+    that collinear ties and degenerate pairs meet a denominator lcm > 1."""
+    points = {(rng.randrange(7), rng.randrange(7)) for _ in range(rng.randrange(2, 11))}
+    dens = (1, 2, 3, 7, 31)
+    if rng.randrange(2):
+        return [(i, j, Fraction(rng.randrange(-40, 41), rng.choice(dens))) for i, j in points]
+    slope = (Fraction(rng.randrange(-5, 6), rng.choice(dens)),
+             Fraction(rng.randrange(-5, 6), rng.choice(dens)))
+    shift = Fraction(rng.randrange(-9, 10), rng.choice(dens))
+    return [(i, j, slope[0] * i + slope[1] * j + shift
+             + rng.choice([0, 0, 0, Fraction(1, rng.choice(dens))])) for i, j in points]
+
+
+def test_vertices_and_segments_against_oracles_on_mixed_denominators():
+    rng = random.Random(52813)
+    scaled = negative = collinear = 0
+    pivots = set()
+    for _ in range(300):
+        cp = Copolygon(_mixed_denominator_support(rng))
+        _assert_matches_oracles(cp)
+        if lcm(*(v.denominator for _, _, v in cp.functionals)) > 1:
+            scaled += 1
+            collinear += _collinear_tie_at_a_vertex(cp)
+        negative += any(v < 0 for _, _, v in cp.functionals)
+        for seg in cp.tie_segments():
+            da, db, _ = seg.line
+            pivots.add("da > 0" if da > 0 else "da < 0" if da < 0 else
+                       "db < 0" if db < 0 else "db > 0")
+    assert scaled >= 250 and negative >= 200 and collinear >= 30
+    # grlex order puts the smaller exponent first when da = 0, so db > 0 cannot occur
+    assert pivots == {"da > 0", "da < 0", "db < 0"}
+
+
+@pytest.mark.parametrize("p, heights, degree", [(2, (2, 3), 32), (2, (2, 3), 40),
+                                                (3, (1, 2), 32)],
+                         ids=["p2-h2-3-D32", "p2-h2-3-D40", "p3-h1-2-D32"])
+def test_vertices_and_segments_against_oracles_on_benchmark_supports(p, heights, degree):
+    # the supports of both components of [p]_F = L^{-1}(p L(X)) that the
+    # copolygon benchmark reads, built the same way
+    log = build_logarithm(p, heights, degree)
+    p_series = compose(invert_pair(log), log.scale(p))
+    for comp in (p_series.first, p_series.second):
+        cp = Copolygon.from_series(comp)
+        assert len(cp.functionals) >= 19
+        _assert_matches_oracles(cp)
 
 
 @pytest.mark.xfail(strict=True, reason="a collinear tie drops the pairs that "

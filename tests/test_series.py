@@ -303,9 +303,11 @@ PAIR = "[f.1 v=2 D=4]\n1 0 : 0 1\n[f.2 v=2 D=4]\n0 1 : 0 1\n"
     ('{"p": 2, "D": 4}\n' + PAIR.replace("f.1 v=2", "f.1 v2"),
      r"section line '\[f\.1 v2 D=4\]'"),
     ('{"p": 2, "D": 4}\n' + PAIR.replace("1 0 : 0 1", "1 0 0 1"), "term line '1 0 0 1'"),
+    ('{"p": 2, "D": 4}\n' + PAIR.replace("1 0 : 0 1", "1 0 : 0 1\n1 0 : 3 5"),
+     r"section f\.1 repeats the monomial \(1, 0\)"),
 ], ids=["no-header", "no-p", "composite-p", "no-D", "repeated-section",
         "unsuffixed", "stray-term", "text-N", "section-without-D", "bad-v",
-        "field-without-equals", "term-without-colon"])
+        "field-without-equals", "term-without-colon", "repeated-monomial"])
 def test_parse_refuses_a_container_that_disagrees_with_itself(text, detail):
     with pytest.raises(ValueError, match=detail):
         parse_sections(text)
