@@ -8,16 +8,17 @@ the min-plus (tropical) polynomial attached to the support.  Everything
 here is exact: vertices are points where at least three support
 functionals tie on the lower envelope, and tie segments are the
 one-dimensional loci where a pair ties and stays minimal.  Both are read
-off one tie-locus pass in integer arithmetic over the lcm of the
-valuations' denominators, and returned as Fractions.  Copolygon
-intersections are solved with 2x2 rational linear algebra.  No floats.
+off one tie-locus pass in integer arithmetic over L, the lcm of the
+valuations' denominators, and returned as Fractions; the SVG's cells are
+clipped in integers over L too.  Copolygon intersections are solved with
+2x2 rational linear algebra.  No floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .padics import Padic, _check_prime, _powers, _raw_add, _Record
 from .series import Series, grlex
@@ -74,8 +75,11 @@ class Copolygon(_Record):
 
     def _check(self):
         best = {}
-        for i, j, v in self.functionals:
-            i, j, v = int(i), int(j), Fraction(v)
+        for f in self.functionals:
+            i, j, v = f if type(f) is tuple and len(f) == 3 else (None,) * 3
+            if not (type(i) is type(j) is int and type(v) in (int, Fraction)):
+                raise TypeError(f"functional {f!r}: want int i, j and int or Fraction v")
+            v = Fraction(v)
             if i < 0 or j < 0:
                 raise ValueError("support exponents must be nonnegative")
             key = (i, j)
@@ -110,6 +114,14 @@ class Copolygon(_Record):
     # -- exact geometry ---------------------------------------------------
 
     @cached_property
+    def _scaled(self) -> tuple:
+        """(L, the functionals as (i, j, v*L)), L the lcm of the
+        valuations' denominators: all integers."""
+        scale = lcm(*(v.denominator for _, _, v in self.functionals))
+        return scale, tuple((i, j, v.numerator * (scale // v.denominator))
+                            for i, j, v in self.functionals)
+
+    @cached_property
     def _tie_loci(self) -> tuple:
         """Every pair's locus where it ties and is minimal, a point or more.
 
@@ -120,14 +132,13 @@ class Copolygon(_Record):
         exponent on the pair's line, matches the pair along the whole line).
         One O(n^3) pass, cached: vertices and tie segments are read off it.
 
-        Exact integer arithmetic over L, the lcm of the valuations'
-        denominators: with piv the pair's da, else db, each constraint is
-        G0 + g1*t >= 0 in integers, G0 being g0*|piv|*L, and each bound
-        -G0/g1 is an integer pair over |piv|*L.  Kept loci become Fractions.
+        Integer arithmetic over `_scaled`: with piv the pair's da, else db,
+        each constraint is G0 + g1*t >= 0 in integers, G0 being g0*|piv|*L,
+        and each bound -G0/g1 is an integer pair over |piv|*L.  Kept loci
+        become Fractions.
         """
         fs = self.functionals
-        scale = lcm(*(v.denominator for _, _, v in fs))
-        ws = [(i, j, v.numerator * (scale // v.denominator)) for i, j, v in fs]
+        scale, ws = self._scaled
         loci = []
         n = len(fs)
         for a in range(n):
@@ -327,7 +338,6 @@ def parse_support_text(text: str):
 _SIZE = 640  # width and height of the picture, in pixels
 _MARGIN = 60
 _LO, _HI = Fraction(-1, 2), Fraction(2)  # the window [-1/2, 2] in both coordinates
-_BOX = ((_LO, _LO), (_HI, _LO), (_HI, _HI), (_LO, _HI))
 _AXES = (((0, _HI), (0, _LO)), ((_LO, 0), (_HI, 0)))  # xi1 = 0, xi2 = 0 in the window
 _PALETTE = (
     "#c6dbef", "#fdd0a2", "#c7e9c0", "#fcbba1", "#dadaeb",
@@ -343,38 +353,62 @@ def _fmt(q: Fraction) -> str:
     return f"{sign}{n // 1000}.{n % 1000:03d}"
 
 
-def _clip_halfplane(polygon, a, b, c):
-    """Sutherland-Hodgman step: keep a*x + b*y + c >= 0."""
-    if not polygon:
-        return []
+def _reduced(x: int, y: int, w: int) -> tuple:
+    """The point (x/w, y/w), w != 0, as its one triple with gcd 1 and w > 0."""
+    g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+    return x // g, y // g, w // g
+
+
+_BOX = tuple(_reduced(x.numerator * y.denominator, y.numerator * x.denominator,
+                      x.denominator * y.denominator)  # the window's corners
+             for x, y in ((_LO, _LO), (_HI, _LO), (_HI, _HI), (_LO, _HI)))
+
+
+def _clip_halfplane(cell: tuple, a: int, b: int, c: int) -> tuple:
+    """Sutherland-Hodgman step on `_reduced` vertices: keep s >= 0, s being
+    a*X + b*Y + c*W at (X, Y, W).  An edge cur -> nxt whose ends differ in
+    that test crosses at s_cur*nxt - s_nxt*cur.  Repeats in a row, and a
+    last vertex equal to the first, are dropped."""
+    sides = [a * x + b * y + c * w for x, y, w in cell]
     out = []
-    m = len(polygon)
+    m = len(cell)
     for idx in range(m):
-        cur = polygon[idx]
-        nxt = polygon[(idx + 1) % m]
-        cur_in = a * cur[0] + b * cur[1] + c >= 0
-        nxt_in = a * nxt[0] + b * nxt[1] + c >= 0
-        if cur_in:
+        cur, s_cur = cell[idx], sides[idx]
+        nxt, s_nxt = cell[(idx + 1) % m], sides[(idx + 1) % m]
+        if s_cur >= 0:
             out.append(cur)
-        if cur_in != nxt_in:
-            denom = a * (nxt[0] - cur[0]) + b * (nxt[1] - cur[1])
-            t = Fraction(-(a * cur[0] + b * cur[1] + c), denom)
-            out.append((cur[0] + t * (nxt[0] - cur[0]),
-                        cur[1] + t * (nxt[1] - cur[1])))
-    deduped = []
-    for pt in out:
-        if not deduped or deduped[-1] != pt:
-            deduped.append(pt)
-    if deduped and len(deduped) > 1 and deduped[0] == deduped[-1]:
-        deduped.pop()
-    return deduped
+        if (s_cur >= 0) != (s_nxt >= 0):
+            out.append(_reduced(*(s_cur * q - s_nxt * r for q, r in zip(nxt, cur))))
+    out = [pt for k, pt in enumerate(out) if k == 0 or pt != out[k - 1]]
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _cells(poly: Copolygon) -> list:
+    """(index, vertices as Fraction pairs) of each functional f whose cell
+    keeps three vertices: the window clipped, in order, to f <= g for each
+    other g, that is (ig-if)*L*X + (jg-jf)*L*Y + (wg-wf)*W >= 0."""
+    scale, ws = poly._scaled
+    cells = []
+    for idx, (i1, j1, w1) in enumerate(ws):
+        cell = _BOX
+        for k, (ik, jk, wk) in enumerate(ws):
+            if k == idx:
+                continue
+            cell = _clip_halfplane(cell, (ik - i1) * scale, (jk - j1) * scale, wk - w1)
+            if len(cell) < 3:
+                break
+        else:
+            cells.append((idx, [(Fraction(x, w), Fraction(y, w)) for x, y, w in cell]))
+    return cells
 
 
 def emit_svg(poly: Copolygon) -> str:
     """Draw the minimality cells, tie segments and vertices of a copolygon.
 
-    The output is byte-stable: exact rational geometry, fixed iteration
-    order, and integer fixed-point coordinate formatting.
+    The output is byte-stable: integer cell clipping over L, fixed
+    iteration order, and integer fixed-point coordinate formatting.
     """
     scale = Fraction(_SIZE - 2 * _MARGIN) / (_HI - _LO)
 
@@ -389,19 +423,8 @@ def emit_svg(poly: Copolygon) -> str:
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>',
     ]
 
-    fs = poly.functionals
-    for idx, (i1, j1, v1) in enumerate(fs):
-        cell = list(_BOX)
-        for k, (ik, jk, vk) in enumerate(fs):
-            if k == idx:
-                continue
-            # keep f_idx <= f_k: (ik-i1)x + (jk-j1)y + (vk-v1) >= 0
-            cell = _clip_halfplane(cell, ik - i1, jk - j1, vk - v1)
-            if len(cell) < 3:
-                cell = []
-                break
-        if len(cell) < 3:
-            continue
+    for idx, cell in _cells(poly):
+        i1, j1, v1 = poly.functionals[idx]
         color = _PALETTE[idx % len(_PALETTE)]
         coords = " ".join(",".join(to_px(pt)) for pt in cell)
         parts.append(f'<polygon points="{coords}" fill="{color}" '

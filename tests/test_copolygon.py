@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -12,6 +14,7 @@ from lubintate2d.series import Series, SeriesPair, compose, grlex, invert_pair
 from lubintate2d.copolygon import (
     Copolygon,
     TieSegment,
+    _cells,
     emit_svg,
     evaluate_series,
     fraction_str,
@@ -41,6 +44,25 @@ def test_constructor_dedupes_and_validates():
         Copolygon([])
     with pytest.raises(ValueError):
         Copolygon([(-1, 0, 0)])
+
+
+@pytest.mark.parametrize("functional", [
+    (0, 0, 0.1),  # a float valuation would become 3602879701896397/36028797018963968
+    (1.5, 0, 0),  # a float exponent would be truncated to 1
+    (0, 2.0, 0),
+    (True, 0, 0),
+    (0, 0, True),
+    (0, 0, "1/3"),
+    ("1", 0, 0),
+    (0, 0, None),
+    [0, 0, 0],
+    (0, 0),
+    (0, 0, 0, 0),
+    "abc",
+], ids=repr)
+def test_constructor_refuses_bad_functionals(functional):
+    with pytest.raises(TypeError, match="functional " + re.escape(repr(functional))):
+        Copolygon([(1, 1, 0), functional])
 
 
 def test_from_series_validation():
@@ -484,18 +506,111 @@ def test_vertices_and_segments_against_oracles_on_mixed_denominators():
     assert pivots == {"da > 0", "da < 0", "db < 0"}
 
 
-@pytest.mark.parametrize("p, heights, degree", [(2, (2, 3), 32), (2, (2, 3), 40),
-                                                (3, (1, 2), 32)],
-                         ids=["p2-h2-3-D32", "p2-h2-3-D40", "p3-h1-2-D32"])
-def test_vertices_and_segments_against_oracles_on_benchmark_supports(p, heights, degree):
-    # the supports of both components of [p]_F = L^{-1}(p L(X)) that the
-    # copolygon benchmark reads, built the same way
+BENCHMARK_SUPPORTS = pytest.mark.parametrize(
+    "p, heights, degree", [(2, (2, 3), 32), (2, (2, 3), 40), (3, (1, 2), 32)],
+    ids=["p2-h2-3-D32", "p2-h2-3-D40", "p3-h1-2-D32"])
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_copolygons(p, heights, degree):
+    """The copolygons of both components of [p]_F = L^{-1}(p L(X)) whose
+    supports the copolygon benchmark reads, built the same way."""
     log = build_logarithm(p, heights, degree)
     p_series = compose(invert_pair(log), log.scale(p))
-    for comp in (p_series.first, p_series.second):
-        cp = Copolygon.from_series(comp)
+    return tuple(Copolygon.from_series(comp) for comp in (p_series.first, p_series.second))
+
+
+@BENCHMARK_SUPPORTS
+def test_vertices_and_segments_against_oracles_on_benchmark_supports(p, heights, degree):
+    for cp in _benchmark_copolygons(p, heights, degree):
         assert len(cp.functionals) >= 19
         _assert_matches_oracles(cp)
+
+
+def _reference_clip(polygon, a, b, c):
+    """Sutherland-Hodgman step on Fraction points: keep a*x + b*y + c >= 0.
+    An edge leaving or entering the half-plane adds the point at
+    t = -side(cur) / (side(nxt) - side(cur)) along it."""
+    out = []
+    m = len(polygon)
+    sides = [a * x + b * y + c for x, y in polygon]
+    for idx in range(m):
+        cur, nxt = polygon[idx], polygon[(idx + 1) % m]
+        cur_side, nxt_side = sides[idx], sides[(idx + 1) % m]
+        if cur_side >= 0:
+            out.append(cur)
+        if (cur_side >= 0) != (nxt_side >= 0):
+            t = -cur_side / (nxt_side - cur_side)
+            out.append((cur[0] + t * (nxt[0] - cur[0]),
+                        cur[1] + t * (nxt[1] - cur[1])))
+    deduped = []
+    for pt in out:
+        if not deduped or deduped[-1] != pt:
+            deduped.append(pt)
+    if len(deduped) > 1 and deduped[0] == deduped[-1]:
+        deduped.pop()
+    return deduped
+
+
+def _reference_cells(cp):
+    """The oracle for `_cells`: each functional's cell clipped on Fraction
+    points, starting from the window [-1/2, 2]^2, by every other
+    functional in order; cells of fewer than three vertices are dropped."""
+    lo, hi = Fraction(-1, 2), Fraction(2)
+    fs = cp.functionals
+    cells = []
+    for idx, (i1, j1, v1) in enumerate(fs):
+        cell = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
+        for k, (ik, jk, vk) in enumerate(fs):
+            if k == idx:
+                continue
+            cell = _reference_clip(cell, ik - i1, jk - j1, vk - v1)
+            if len(cell) < 3:
+                break
+        else:
+            cells.append((idx, cell))
+    return cells
+
+
+def _cell_support(rng):
+    """Up to 8 functionals with exponents <= 6 and valuations of either
+    sign over denominators 1, 2, 3, 7 and 31, scaled by 1/4 so that most
+    cells meet the window [-1/2, 2]^2.  Every third support is affine in
+    the exponents plus a few bumps, so cells touch at window corners and
+    along whole edges."""
+    dens = (1, 2, 3, 7, 31)
+    points = {(rng.randrange(7), rng.randrange(7)) for _ in range(rng.randrange(1, 9))}
+    if rng.randrange(3):
+        return [(i, j, Fraction(rng.randrange(-24, 25), 4 * rng.choice(dens)))
+                for i, j in points]
+    slope = (Fraction(rng.randrange(-3, 4), 2 * rng.choice(dens)),
+             Fraction(rng.randrange(-3, 4), 2 * rng.choice(dens)))
+    return [(i, j, slope[0] * i + slope[1] * j
+             + rng.choice([0, 0, Fraction(1, 2 * rng.choice(dens))])) for i, j in points]
+
+
+def test_cells_against_oracle_on_ex1_and_random_supports():
+    ex1 = Copolygon.from_series(ex1_series())
+    assert _cells(ex1) == _reference_cells(ex1)
+    rng = random.Random(31337)
+    scaled = negative = drawn = clipped = 0
+    for _ in range(3000):
+        cp = Copolygon(_cell_support(rng))
+        cells = _cells(cp)
+        assert cells == _reference_cells(cp)
+        scaled += lcm(*(v.denominator for _, _, v in cp.functionals)) > 1
+        negative += any(v < 0 for _, _, v in cp.functionals)
+        drawn += len(cells) >= 2
+        clipped += any(len(cell) != 4 for _, cell in cells)
+    assert scaled >= 2700 and negative >= 2000 and drawn >= 2200 and clipped >= 1900
+
+
+@BENCHMARK_SUPPORTS
+def test_cells_against_oracle_on_benchmark_supports(p, heights, degree):
+    for cp in _benchmark_copolygons(p, heights, degree):
+        cells = _cells(cp)
+        assert len(cells) >= 4
+        assert cells == _reference_cells(cp)
 
 
 @pytest.mark.xfail(strict=True, reason="a collinear tie drops the pairs that "
