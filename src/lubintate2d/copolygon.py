@@ -12,6 +12,10 @@ off one tie-locus pass in integer arithmetic over L, the lcm of the
 valuations' denominators, and returned as Fractions; the SVG's cells are
 clipped in integers over L too.  Copolygon intersections are solved with
 2x2 rational linear algebra.  No floats.
+
+A series enters through its coefficients' valuations alone, read with
+`Series.coefficient`; the lower-bound certificate evaluates the series
+with `series.evaluate_series`.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .padics import Padic, _check_prime, _powers, _raw_add, _Record
-from .series import Series, grlex
+from .padics import _check_prime, _Record
+from .series import Series, evaluate_series, grlex
 
 
 def fraction_str(q) -> str:
@@ -96,7 +100,7 @@ class Copolygon(_Record):
             raise ValueError("copolygons are defined for two-variable series")
         if not s.terms:
             raise ValueError("the zero series has an empty copolygon")
-        return cls((e[0], e[1], Fraction(v)) for e, (v, _, _) in s.terms.items())
+        return cls((e[0], e[1], Fraction(s.coefficient(e).valuation)) for e in s.terms)
 
     # -- pointwise data --------------------------------------------------
 
@@ -242,31 +246,6 @@ def intersect_tie_loci(first: Copolygon, second: Copolygon) -> list:
 # -- evaluation bounds ----------------------------------------------------
 
 
-def evaluate_series(s: Series, point) -> Padic:
-    """Value of a two-variable series at a pair of p-adic scalars.
-
-    Computed on the stored (val, unit, prec) triples: the term c a^i b^j is
-    (v + i va + j vb, u ua^i ub^j mod p^m, m) with m the least of the three
-    precisions, the product rule of `series._mul_triples`.  The terms are
-    summed in grlex order by `padics._raw_add`, and one `Padic` is built
-    from the sum.  A zero coordinate needs no branch: its unit is 0, so
-    pow(0, 0) = 1 and pow(0, k) = 0.
-    """
-    if s.nvars != 2:
-        raise ValueError("expected a two-variable series")
-    a, b = point
-    if a.p != s.p or b.p != s.p:
-        raise ValueError(f"prime mismatch: the series is over Z_{s.p}")
-    pk = _powers(s.p)
-    total = (0, 0, min(a.prec, b.prec))
-    for e in sorted(s.terms, key=grlex):
-        v, u, m = s.terms[e]
-        m = min(m, a.prec, b.prec)
-        unit = u * pow(a.unit, e[0], pk[m]) * pow(b.unit, e[1], pk[m]) % pk[m]
-        total = _raw_add(pk, total, (v + e[0] * a.val + e[1] * b.val, unit, m))
-    return Padic(s.p, *total)
-
-
 def lower_bound_check(s: Series, point) -> bool:
     """Certify v(f(alpha)) >= V_f(v(alpha1), v(alpha2)) at a concrete point.
 
@@ -298,7 +277,7 @@ def support_text(s: Series) -> str:
         raise ValueError("expected a two-variable series")
     lines = [f"{s.p} {s.degree}"]
     for e in s.support():
-        lines.append(f"{e[0]} {e[1]} {fraction_str(s.terms[e][0])}")
+        lines.append(f"{e[0]} {e[1]} {fraction_str(s.coefficient(e).valuation)}")
     return "\n".join(lines) + "\n"
 
 

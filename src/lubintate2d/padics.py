@@ -174,21 +174,23 @@ def _raw_add(pk: _Powers, a, b):
     return (val, s, m)
 
 
-class Padic:
+class Padic(_Record):
     """A p-adic number at capped relative precision: the boundary type.
 
-    Scalars enter and leave the library as `Padic` values; inside, series
-    and evaluations compute on the same (val, unit, prec) triples with
-    `_raw_add` as the sum rule.  Nonzero values are canonical: ``unit`` is
-    coprime to p and reduced to the range [1, p**prec).  The exact zero has
-    ``unit == 0`` and no valuation.  Two values compare equal when their
-    valuations match and their units agree modulo p to the smaller of the
-    two precisions.  ``+`` and ``*`` take only a `Padic` over the same
-    prime; they are the scalar reference the tests check the series
-    kernels against, and no library code calls them.
+    Scalars enter and leave the library as `Padic` values; inside,
+    `series` computes on the same (val, unit, prec) triples with `_raw_add`
+    as the sum rule.  The constructor normalises its arguments, so it
+    replaces the one of `_Record`.  Nonzero values are canonical: ``unit``
+    is coprime to p and reduced to the range [1, p**prec).  The exact zero
+    has ``unit == 0`` and no valuation.  Two values over one prime compare
+    equal when their valuations match and their units agree modulo p to
+    the smaller of the two precisions; values over two primes differ.
+    ``+`` and ``*`` take only a `Padic` over the same prime; they are the
+    scalar reference the tests check the series kernels against, and no
+    library code calls them.
     """
 
-    __slots__ = ("p", "val", "unit", "prec")
+    _fields = ("p", "val", "unit", "prec")
 
     def __init__(self, p: int, val: int, unit: int, prec: int = DEFAULT_PRECISION):
         if prec < 1:
@@ -208,15 +210,7 @@ class Padic:
                     prec -= shift
             if unit:
                 unit %= p**prec
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Padic values are immutable")
-
-    __delattr__ = __setattr__
+        self.__dict__.update(p=p, val=val, unit=unit, prec=prec)
 
     # -- constructors ---------------------------------------------------
 
@@ -287,9 +281,10 @@ class Padic:
     # -- comparison and display ------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Padic):
             return NotImplemented
+        if other.p != self.p:
+            return False
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
         if self.val != other.val:

@@ -2,17 +2,19 @@
 
 Terms live in a dict keyed by exponent tuples; every monomial past the
 truncation degree is dropped eagerly and exact-zero coefficients are never
-stored.  Values are treated as immutable once built, so series can be
-shared freely.
+stored.  A `Series` is a frozen `padics._Record`, so series can be shared
+freely.
 
 A coefficient is stored as a canonical (val, unit, prec) integer triple:
 the unit is coprime to p and reduced modulo p**prec, as `Padic` keeps it.
-Values from outside enter only through `Series.from_coeffs`, which reads
-them through `Padic`; `coefficient` hands one back out as a `Padic`.
-Sums, products, scalings and substitutions work on the stored triples with
-`padics._raw_add`, the sum rule of `Padic`, and build no `Padic`.  Two
-series agree (`==`) when no term of their difference survives that rule,
-the same rule by which the verifiers list where two series differ.
+Only this module and `padics` know that.  Values enter only through
+`Series.from_coeffs`, which reads them through `Padic`, and leave only
+through `coefficient`, as a `Padic`; other modules read `terms` for its
+keys alone.  Sums, products, scalings, substitutions and `evaluate_series`
+work on the stored triples with `padics._raw_add`, the sum rule of
+`Padic`, and build no `Padic` but the value `evaluate_series` returns.
+Two series agree (`==`) when no term of their difference survives that
+rule, the same rule by which the verifiers list where two series differ.
 
 A product (`_mul_triples`) visits only the pairs of terms whose degrees fit
 the truncation: each distinct room left by a left term gets one row of the
@@ -57,16 +59,18 @@ def grlex(exponents):
     return (sum(exponents), exponents)
 
 
-class Series:
-    __slots__ = ("p", "nvars", "degree", "terms")
+class Series(_Record):
+    _fields = ("p", "nvars", "degree", "terms")
+    _defaults = (None,)
 
-    def __init__(self, p: int, nvars: int, degree: int, terms=None):
+    def _check(self):
+        nvars, degree = self.nvars, self.degree
         if nvars < 1:
             raise ValueError("need at least one variable")
         if degree < 0:
             raise ValueError("truncation degree must be nonnegative")
         clean = {}
-        for e, c in (terms or {}).items():
+        for e, c in (self.terms or {}).items():
             e = tuple(e)
             if len(e) != nvars or min(e) < 0:
                 raise ValueError(f"bad exponent tuple {e} for {nvars} variables")
@@ -77,15 +81,7 @@ class Series:
                                 "use Series.from_coeffs for other values")
             if c[1]:
                 clean[e] = c
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Series values are immutable")
-
-    __delattr__ = __setattr__
+        self.__dict__["terms"] = clean
 
     # -- constructors ----------------------------------------------------
 
@@ -161,14 +157,14 @@ class Series:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other):
+    def _same_shape(self, other):
         if not isinstance(other, Series):
             raise TypeError("expected a Series")
         if (other.p, other.nvars, other.degree) != (self.p, self.nvars, self.degree):
             raise ValueError("series shape mismatch (prime, variables, degree)")
 
     def __add__(self, other):
-        self._check(other)
+        self._same_shape(other)
         pk = _powers(self.p)
         acc = dict(self.terms)
         for e, t in other.terms.items():
@@ -185,7 +181,7 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
+        self._same_shape(other)
         radix = self.degree + 1
         out = _mul_triples(_powers(self.p), _pack(self.terms, radix), _pack(other.terms, radix),
                            self.degree, radix**self.nvars)
@@ -228,15 +224,6 @@ class Series:
                 new[pos] = e[old]
             acc[tuple(new)] = c
         return Series(self.p, nvars, self.degree, acc)
-
-    def permute_vars(self, perm: Sequence[int]) -> "Series":
-        """Relabel variables: new exponent i comes from old exponent perm[i]."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError("not a permutation")
-        return Series(self.p, self.nvars, self.degree,
-                      {tuple(e[perm[i]] for i in range(self.nvars)): c
-                       for e, c in self.terms.items()})
 
     def eliminate_zeros(self, positions: Sequence[int]) -> "Series":
         """Set the listed variables to 0 and drop them from the tuple."""
@@ -497,6 +484,31 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
     if not (compose(g, f) - ident).is_zero:
         raise ArithmeticError("inverse failed the two-sided check")
     return g
+
+
+def evaluate_series(s: Series, point) -> Padic:
+    """Value of a two-variable series at a pair of p-adic scalars.
+
+    Computed on the stored (val, unit, prec) triples: the term c a^i b^j is
+    (v + i va + j vb, u ua^i ub^j mod p^m, m) with m the least of the three
+    precisions, the product rule of `_mul_triples`.  The terms are
+    summed in grlex order by `padics._raw_add`, and one `Padic` is built
+    from the sum.  A zero coordinate needs no branch: its unit is 0, so
+    pow(0, 0) = 1 and pow(0, k) = 0.
+    """
+    if s.nvars != 2:
+        raise ValueError("expected a two-variable series")
+    a, b = point
+    if a.p != s.p or b.p != s.p:
+        raise ValueError(f"prime mismatch: the series is over Z_{s.p}")
+    pk = _powers(s.p)
+    total = (0, 0, min(a.prec, b.prec))
+    for e in sorted(s.terms, key=grlex):
+        v, u, m = s.terms[e]
+        m = min(m, a.prec, b.prec)
+        unit = u * pow(a.unit, e[0], pk[m]) * pow(b.unit, e[1], pk[m]) % pk[m]
+        total = _raw_add(pk, total, (v + e[0] * a.val + e[1] * b.val, unit, m))
+    return Padic(s.p, *total)
 
 
 # -- the text container -----------------------------------------------------

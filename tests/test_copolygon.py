@@ -10,13 +10,12 @@ import pytest
 from lubintate2d.fixtures import FIXTURE_NAMES, load_fixture
 from lubintate2d.lubintate import build_logarithm
 from lubintate2d.padics import Padic
-from lubintate2d.series import Series, SeriesPair, compose, grlex, invert_pair
+from lubintate2d.series import Series, SeriesPair, compose, evaluate_series, grlex, invert_pair
 from lubintate2d.copolygon import (
     Copolygon,
     TieSegment,
     _cells,
     emit_svg,
-    evaluate_series,
     fraction_str,
     intersect_tie_loci,
     lower_bound_check,

@@ -353,24 +353,28 @@ def test_group_law_is_derived_once(monkeypatch):
 
 
 def test_law_shape_is_found_once_per_group(monkeypatch):
-    from lubintate2d import lubintate
-
+    """The identity checks set X, then Y, to zero in both components of the
+    law: four eliminations per report, and nothing else eliminates."""
     calls = []
-    law_shape = lubintate._law_shape
+    eliminate_zeros = Series.eliminate_zeros
 
-    def spy(law, prec):
-        calls.append(law)
-        return law_shape(law, prec)
+    def spy(self, positions):
+        calls.append((self, tuple(positions)))
+        return eliminate_zeros(self, positions)
 
-    monkeypatch.setattr(lubintate, "_law_shape", spy)
+    monkeypatch.setattr(Series, "eliminate_zeros", spy)
     group = build_group(2, (2, 3), 6)
     assert group_axioms_report(group, assoc_degree=4).ok
-    assert calls == [group.group_law]
+    law = group.group_law
+    want = [(law.first, (2, 3)), (law.second, (2, 3)), (law.first, (0, 1)), (law.second, (0, 1))]
+    assert len(calls) == 4
+    assert all(s is w and zeros == z for (s, zeros), (w, z) in zip(calls, want))
     # a law passed in is checked the same way, once per report
     given = LubinTateGroup(group.heights, group.prec,
-                           group.logarithm, group.exponential, group.group_law)
+                           group.logarithm, group.exponential, law)
     assert group_axioms_report(given, assoc_degree=4).ok
-    assert calls == [group.group_law] * 2
+    assert len(calls) == 8
+    assert all(s is w and zeros == z for (s, zeros), (w, z) in zip(calls[4:], want))
 
 
 def test_spiked_exponential_is_one_integral_finding():

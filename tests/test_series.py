@@ -12,6 +12,7 @@ from lubintate2d.series import (
     _unpack,
     compose,
     dump_sections,
+    evaluate_series,
     grlex,
     invert_pair,
     parse_sections,
@@ -67,7 +68,7 @@ def test_reshaping_helpers():
     e = s.embed(4, (2, 3))
     assert e.support() == [(0, 0, 1, 0), (0, 0, 0, 4)] or set(e.support()) == {(0, 0, 1, 0), (0, 0, 0, 4)}
 
-    p = Series.from_coeffs(2, 4, 8, {(1, 2, 0, 3): 1}).permute_vars((2, 3, 0, 1))
+    p = Series.from_coeffs(2, 4, 8, {(1, 2, 0, 3): 1}).embed(4, (2, 3, 0, 1))
     assert p.support() == [(0, 3, 1, 2)]
 
     el = Series.from_coeffs(2, 4, 8, {(1, 0, 0, 0): 5, (1, 0, 2, 0): 7}).eliminate_zeros((2, 3))
@@ -389,8 +390,39 @@ def test_mul_matches_the_pair_loop_term_for_term():
     assert cancelling >= 50  # products that take the cancel-to-exact-zero path
 
 
+def test_only_padics_and_series_know_the_coefficient():
+    """The modules past `series` import none of the triple kernels and read
+    `Series.terms` for its keys alone; a coefficient comes out through
+    `Series.coefficient`."""
+    import ast
+    from pathlib import Path
+
+    import lubintate2d
+
+    kernels = {"_raw_add", "_powers", "_mul_triples"}
+
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    found = []
+    for name in ("lubintate", "copolygon", "torsion", "fixtures", "cli"):
+        path = Path(lubintate2d.__file__).with_name(f"{name}.py")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [(name, alias.name) for alias in node.names
+                          if alias.name.rpartition(".")[2] in kernels]
+            elif isinstance(node, ast.Attribute) and node.attr in kernels:
+                found.append((name, node.attr))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("values", "items") and is_terms(node.func.value)):
+                found.append((name, f"terms.{node.func.attr}()"))
+            elif isinstance(node, ast.Subscript) and is_terms(node.value):
+                found.append((name, "terms[...]"))
+    assert not found
+
+
 def test_kernels_do_no_padic_arithmetic(monkeypatch):
-    from lubintate2d.copolygon import evaluate_series, lower_bound_check
+    from lubintate2d.copolygon import lower_bound_check
     from lubintate2d.fixtures import load_fixture
     from lubintate2d.lubintate import build_group
 
@@ -427,7 +459,7 @@ def test_series_operations_build_no_padic(monkeypatch):
 
     monkeypatch.setattr(Padic, "__init__", counted)
     results = [a + b, a - b, -a, a * b, a.scale(two), a.truncate(5), a.raise_vars(2),
-               a.embed(4, (0, 1)), a.permute_vars((1, 0)), four.eliminate_zeros((2, 3)),
+               a.embed(4, (0, 1)), a.embed(2, (1, 0)), four.eliminate_zeros((2, 3)),
                a.substitute([a, b])]
     monkeypatch.undo()
     assert built == []
