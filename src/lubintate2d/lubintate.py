@@ -115,13 +115,19 @@ class LubinTateGroup(_Record):
     `p` and truncation degree `degree` that the group reads off the
     logarithm.  The group law, [p]_F and its congruence report are derived
     on first read and cached; a law passed in (four variables: x1, x2, y1,
-    y2) is not a field and is taken as given."""
+    y2) is not a field, is checked for that shape and is otherwise taken
+    as given."""
 
     _fields = ("heights", "prec", "logarithm", "exponential")
 
     def __init__(self, heights, prec, logarithm, exponential, law=None):
         super().__init__(heights, prec, logarithm, exponential)
         if law is not None:
+            shape = (law.p, law.nvars, law.degree) if isinstance(law, SeriesPair) else None
+            if shape != (self.p, 4, self.degree):
+                raise ValueError(f"group law must be a pair over p = {self.p} in 4 variables "
+                                 f"through degree {self.degree}, got (p, variables, degree) "
+                                 f"= {shape or type(law).__name__}")
             self.__dict__["group_law"] = law
 
     def _check(self):

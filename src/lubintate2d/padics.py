@@ -145,10 +145,13 @@ def _raw_add(pk: _Powers, a, b):
 
     Triples are canonical: a unit is coprime to p and reduced modulo
     p**prec, and unit 0 is the exact zero.  The sum is known to the smaller
-    absolute precision of the two.  A sum that cancels below its known
-    digits is an exact zero that keeps the precision of the operand of
-    smaller valuation (the first one on a tie) and nothing of its cap, so
-    the result of a chain of sums depends on the order in which it is taken.
+    absolute precision (val + prec) of the two.  A sum that cancels below
+    its known digits is an exact zero that keeps the precision of the
+    operand of smaller valuation (the first one on a tie) and nothing of
+    its cap, so the result of a chain of sums depends on the order in which
+    it is taken.  Products and compositions apply the same rule inline, on
+    absolute caps, in `series._accumulate`, and normalise once, in
+    `series._settle`; a test binds the two forms.
     """
     if not a[1]:
         return b
@@ -178,8 +181,8 @@ class Padic(_Record):
     """A p-adic number at capped relative precision: the boundary type.
 
     Scalars enter and leave the library as `Padic` values; inside,
-    `series` computes on the same (val, unit, prec) triples with `_raw_add`
-    as the sum rule.  The constructor normalises its arguments, so it
+    `series` computes on the same (val, unit, prec) triples with the sum
+    rule of `_raw_add`.  The constructor normalises its arguments, so it
     replaces the one of `_Record`.  Nonzero values are canonical: ``unit``
     is coprime to p and reduced to the range [1, p**prec).  The exact zero
     has ``unit == 0`` and no valuation.  Two values over one prime compare

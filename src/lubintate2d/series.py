@@ -10,19 +10,22 @@ the unit is coprime to p and reduced modulo p**prec, as `Padic` keeps it.
 Only this module and `padics` know that.  Values enter only through
 `Series.from_coeffs`, which reads them through `Padic`, and leave only
 through `coefficient`, as a `Padic`; other modules read `terms` for its
-keys alone.  Sums, products, scalings, substitutions and `evaluate_series`
-work on the stored triples with `padics._raw_add`, the sum rule of
-`Padic`, and build no `Padic` but the value `evaluate_series` returns.
-Two series agree (`==`) when no term of their difference survives that
-rule, the same rule by which the verifiers list where two series differ.
+keys alone.  Sums and `evaluate_series` add triples with `padics._raw_add`,
+the sum rule of `Padic`; products, scalings and substitutions use that
+rule in the absolute form below.  None builds a `Padic` but the value
+`evaluate_series` returns.  Two series agree (`==`) when no term of their
+difference survives the sum rule, the rule by which the verifiers list
+where two series differ.
 
-A product (`_mul_triples`) visits only the pairs of terms whose degrees fit
+A product (`_accumulate`) visits only the pairs of terms whose degrees fit
 the truncation: each distinct room left by a left term gets one row of the
-right factor's fitting terms, in dict order.  The pairs therefore come in
-the order of the full double loop over both dicts, and so does every
-coefficient's chain of partial sums.  That order is part of the result: a
-partial sum that cancels below its known digits becomes an exact zero and
-forgets its precision cap.
+right factor's fitting terms, in dict order, so the pairs come in the
+order of the full double loop over both dicts.  A coefficient being summed
+is held as (val, x, cap), p**val * x known modulo p**cap: a pair costs one
+multiply-add and one reduction modulo p**(cap - val), and `_settle` finds
+each surviving term's valuation once, at the end.  The order of the pairs
+is part of the result: a partial sum that cancels to 0 modulo its cap
+becomes an exact zero and forgets that cap, as in a chain of `_raw_add`.
 
 Inside products and compositions an exponent tuple is one int, its packed
 key: the digits, in radix D+1, of the total degree and then of each
@@ -50,6 +53,7 @@ import json
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
+from math import inf
 
 from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add, _Record, is_prime
 
@@ -275,18 +279,14 @@ def _unpack(terms: dict, nvars: int, radix: int) -> dict:
     return {tuple(key // place % radix for place in places): t for key, t in terms.items()}
 
 
-def _mul_triples(pk, a: dict, b: dict, bound: int, top: int) -> dict:
-    """The product of two {packed key: (val, unit, prec)} dicts through total
-    degree `bound`, with the triples that cancelled to exact zero dropped;
-    `top` is the place value of the degree digit.
-
-    Each distinct room left by a term of a (`bound - deg e1`) gets one row of
-    b's terms that fit, in dict order, so the pairs come in the order of the
-    full double loop over both dicts.
-    """
+def _accumulate(pk, acc: dict, a: dict, b: dict, bound: int, top: int) -> dict:
+    """Add the product of two {packed key: (val, unit, prec)} dicts through
+    total degree `bound` into `acc` and return it; `top` is the place value
+    of the degree digit.  `acc` maps a key to (val, x, cap), or to None
+    for an exact zero (see the module notes)."""
     terms = [(e, e // top, v, u, m) for e, (v, u, m) in b.items()]
     rows = {}
-    acc = {}
+    get = acc.get
     for e1, (v1, u1, m1) in a.items():
         room = bound - e1 // top
         row = rows.get(room)
@@ -295,11 +295,45 @@ def _mul_triples(pk, a: dict, b: dict, bound: int, top: int) -> dict:
                                 for e2, d2, v2, u2, m2 in terms if d2 <= room]
         for e2, v2, u2, m2 in row:
             e = e1 + e2
-            m = m1 if m1 < m2 else m2
-            t = (v1 + v2, u1 * u2 % pk[m], m)
-            cur = acc.get(e)
-            acc[e] = t if cur is None else _raw_add(pk, cur, t)
-    return {e: t for e, t in acc.items() if t[1]}
+            v = v1 + v2
+            x = u1 * u2
+            cap = v + (m1 if m1 < m2 else m2)
+            cur = get(e)
+            if cur is None:
+                acc[e] = (v, x, cap)
+                continue
+            # the sum rule of _raw_add on absolute caps
+            cv, cx, cc = cur
+            if cc < cap:
+                cap = cc
+            if v < cv:
+                x += cx * pk[cv - v]
+            else:
+                x = cx + x * pk[v - cv]
+                v = cv
+            x %= pk[cap - v]
+            acc[e] = (v, x, cap) if x else None
+    return acc
+
+
+def _settle(pk, acc: dict) -> dict:
+    """The nonzero sums of `acc` as canonical triples, in its key order."""
+    p = pk[1]
+    out = {}
+    for e, t in acc.items():
+        if t is not None:
+            v, x, cap = t
+            x %= pk[cap - v]
+            while not x % p:
+                x //= p
+                v += 1
+            out[e] = (v, x, cap - v)
+    return out
+
+
+def _mul_triples(pk, a: dict, b: dict, bound: int, top: int) -> dict:
+    """a * b through total degree `bound`, as a packed triple dict."""
+    return _settle(pk, _accumulate(pk, {}, a, b, bound, top))
 
 
 def _triple_power(pk, s: dict, md: int, k: int, bound: int, top: int, cache: dict) -> dict:
@@ -322,6 +356,9 @@ def _triple_power(pk, s: dict, md: int, k: int, bound: int, top: int, cache: dic
         out = _mul_triples(pk, half, half, bound, top)
     cache[k] = (bound, out)
     return out
+
+
+_ONE = {0: (0, 1, inf)}  # the exact one as a packed dict: no cap
 
 
 def _substitute_each(outers: Sequence[Series], inner: Sequence[Series]) -> list:
@@ -364,20 +401,10 @@ def _substitute_each(outers: Sequence[Series], inner: Sequence[Series]) -> list:
                 break
         for o, acc in zip(outers, accs):
             c = o.terms.get(e)
-            if c is None:
-                continue
-            if prod is None:
-                # constant monomial of the outer series passes through
-                cur = acc.get(0)
-                acc[0] = c if cur is None else _raw_add(pk, cur, c)
-                continue
-            v1, u1, m1 = c
-            for fe, (fv, fu, fm) in prod.items():
-                m = m1 if m1 < fm else fm
-                t = (v1 + fv, u1 * fu % pk[m], m)
-                cur = acc.get(fe)
-                acc[fe] = t if cur is None else _raw_add(pk, cur, t)
-    return [Series(p, w, deg, _unpack(acc, w, radix)) for acc in accs]
+            if c is not None:
+                # a constant outer monomial is c times an exact one
+                _accumulate(pk, acc, _ONE if prod is None else prod, {0: c}, deg, top)
+    return [Series(p, w, deg, _unpack(_settle(pk, acc), w, radix)) for acc in accs]
 
 
 class SeriesPair(_Record):
@@ -491,7 +518,7 @@ def evaluate_series(s: Series, point) -> Padic:
 
     Computed on the stored (val, unit, prec) triples: the term c a^i b^j is
     (v + i va + j vb, u ua^i ub^j mod p^m, m) with m the least of the three
-    precisions, the product rule of `_mul_triples`.  The terms are
+    precisions, the product rule of `_accumulate`.  The terms are
     summed in grlex order by `padics._raw_add`, and one `Padic` is built
     from the sum.  A zero coordinate needs no branch: its unit is 0, so
     pow(0, 0) = 1 and pow(0, k) = 0.

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 
 from lubintate2d.padics import Padic, UnramifiedRing, teichmuller
-from lubintate2d.series import Series, SeriesPair, compose, invert_pair
+from lubintate2d.series import Series, SeriesPair, compose, dump_sections, invert_pair
 from lubintate2d.lubintate import (
     HeightPair,
     LubinTateGroup,
@@ -508,3 +508,33 @@ def test_every_checker_returns_a_report():
         assert passing.ok and passing.violations == ()
         assert not failing.ok and all(isinstance(v, lubintate.Violation)
                                       for v in failing.violations)
+
+
+def test_group_from_text_refuses_a_law_of_another_shape():
+    """A law is refused where it enters, not later by the checks that read
+    it: group_law sections written v=2, or of another degree than the
+    logarithm beside them."""
+    group = g23(8)
+    header = {"h1": 2, "h2": 3, "N": group.prec}
+    two_vars = dump_sections(header, {"logarithm": group.logarithm,
+                                      "exponential": group.exponential,
+                                      "group_law": group.logarithm})
+    with pytest.raises(ValueError, match=r"group law must be a pair over p = 2 in 4 "
+                       r"variables through degree 8, got \(p, variables, degree\) = \(2, 2, 8\)"):
+        group_from_text(two_vars)
+    text, six = group_to_text(group), group_to_text(g23(6))
+    degree_six = text[:text.index("[group_law.1")] + six[six.index("[group_law.1"):]
+    with pytest.raises(ValueError, match="section group_law.1 has D=6, header D=8"):
+        group_from_text(degree_six)
+
+
+@pytest.mark.parametrize("law", [
+    g23(6).group_law,                            # another truncation degree
+    g312(8).group_law,                           # another prime
+    g23(8).logarithm,                            # two variables
+    g23(8).group_law.first,                      # a series, not a pair
+])
+def test_group_refuses_a_law_of_another_shape(law):
+    group = g23(8)
+    with pytest.raises(ValueError, match="group law must be a pair over p = 2 in 4 variables"):
+        LubinTateGroup(group.heights, group.prec, group.logarithm, group.exponential, law)

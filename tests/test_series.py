@@ -4,11 +4,14 @@ from itertools import product
 
 import pytest
 
-from lubintate2d.padics import Padic
+from lubintate2d.padics import Padic, _powers, _raw_add
 from lubintate2d.series import (
     Series,
     SeriesPair,
+    _ONE,
+    _accumulate,
     _pack,
+    _settle,
     _unpack,
     compose,
     dump_sections,
@@ -390,6 +393,36 @@ def test_mul_matches_the_pair_loop_term_for_term():
     assert cancelling >= 50  # products that take the cancel-to-exact-zero path
 
 
+def test_the_accumulator_and_the_raw_sum_rule_agree():
+    """Chains of nonzero triples summed one by one by `padics._raw_add`, and
+    as products with the exact one by `_accumulate` then `_settle`, end in
+    the same triple or both in exact zero: the two forms of one sum rule."""
+    rng = random.Random(21)
+    zeros = ties = 0  # chains that reach the exact-zero branch, the tie
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        pk = _powers(p)
+        total, acc, zero, tie = None, {}, False, False
+        for _ in range(rng.randrange(1, 7)):
+            unit = rng.choice((1, -1, p - 1, p + 1, -(p - 1), -(p + 1), rng.randrange(1, 10**9)))
+            c = Padic(p, rng.randrange(-3, 4), unit, rng.choice((1, 2, 3, 4, 64)))
+            if c.is_zero:
+                continue
+            t = (c.val, c.unit, c.prec)
+            if total is None:
+                total = t
+            else:
+                tie |= bool(total[1]) and total[0] == t[0]
+                total = _raw_add(pk, total, t)
+                zero |= not total[1]
+            _accumulate(pk, acc, {0: t}, _ONE, 0, 1)
+        if total is not None:
+            assert _settle(pk, acc) == ({0: total} if total[1] else {})
+        zeros += zero
+        ties += tie
+    assert zeros >= 100 and ties >= 100
+
+
 def test_only_padics_and_series_know_the_coefficient():
     """The modules past `series` import none of the triple kernels and read
     `Series.terms` for its keys alone; a coefficient comes out through
@@ -399,7 +432,7 @@ def test_only_padics_and_series_know_the_coefficient():
 
     import lubintate2d
 
-    kernels = {"_raw_add", "_powers", "_mul_triples"}
+    kernels = {"_raw_add", "_powers", "_mul_triples", "_accumulate", "_settle"}
 
     def is_terms(node):
         return isinstance(node, ast.Attribute) and node.attr == "terms"
