@@ -91,6 +91,12 @@ def _differences(a: SeriesPair, b: SeriesPair) -> list:
     return [(idx, e) for idx, comp in enumerate(a - b, 1) for e in comp.support()]
 
 
+def _widest_precision(log: SeriesPair) -> int:
+    """The widest precision among the logarithm's coefficients."""
+    return max((comp.coefficient(e).prec for comp in log for e in comp.terms),
+               default=DEFAULT_PRECISION)
+
+
 def recursion_defects(log: SeriesPair, heights) -> Report:
     """A `recursion` violation per monomial where the twisted functional
     equations fail.
@@ -101,9 +107,7 @@ def recursion_defects(log: SeriesPair, heights) -> Report:
     the p^{h_i} power maps degree d to degree d * p^{h_i}, so the truncated
     right-hand side is complete through the shared degree.
     """
-    heights, p = _as_heights(heights), log.p
-    prec = max((comp.coefficient(e).prec for comp in log for e in comp.terms),
-               default=DEFAULT_PRECISION)
+    heights, p, prec = _as_heights(heights), log.p, _widest_precision(log)
     twisted = SeriesPair(log.second.raise_vars(p**heights.h1), log.first.raise_vars(p**heights.h2))
     rhs = SeriesPair.identity(p, log.degree, prec) + twisted.scale(Padic(p, -1, 1, prec))
     return Report(tuple(Violation(idx, e, "recursion", "twisted functional equation fails")
@@ -112,16 +116,16 @@ def recursion_defects(log: SeriesPair, heights) -> Report:
 
 class LubinTateGroup(_Record):
     """The logarithm and its inverse, two-variable pairs over the prime
-    `p` and truncation degree `degree` that the group reads off the
-    logarithm.  The group law, [p]_F and its congruence report are derived
-    on first read and cached; a law passed in (four variables: x1, x2, y1,
-    y2) is not a field, is checked for that shape and is otherwise taken
-    as given."""
+    `p`, truncation degree `degree` and precision `prec` that the group
+    reads off the logarithm.  The group law, [p]_F and its congruence
+    report are derived on first read and cached; a law passed in (four
+    variables: x1, x2, y1, y2) is not a field, is checked for that shape
+    and is otherwise taken as given."""
 
-    _fields = ("heights", "prec", "logarithm", "exponential")
+    _fields = ("heights", "logarithm", "exponential")
 
-    def __init__(self, heights, prec, logarithm, exponential, law=None):
-        super().__init__(heights, prec, logarithm, exponential)
+    def __init__(self, heights, logarithm, exponential, law=None):
+        super().__init__(heights, logarithm, exponential)
         if law is not None:
             shape = (law.p, law.nvars, law.degree) if isinstance(law, SeriesPair) else None
             if shape != (self.p, 4, self.degree):
@@ -142,6 +146,10 @@ class LubinTateGroup(_Record):
     @property
     def degree(self) -> int:
         return self.logarithm.degree
+
+    @cached_property
+    def prec(self) -> int:
+        return _widest_precision(self.logarithm)
 
     @cached_property
     def group_law(self) -> SeriesPair:
@@ -165,7 +173,7 @@ def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> 
     inverse); the group law waits for its first read."""
     heights = _as_heights(heights)
     log = build_logarithm(p, heights, degree, prec)
-    return LubinTateGroup(heights, prec, log, invert_pair(log))
+    return LubinTateGroup(heights, log, invert_pair(log))
 
 
 def multiplication(a, group: LubinTateGroup) -> SeriesPair:
@@ -385,4 +393,4 @@ def group_from_text(text: str) -> LubinTateGroup:
     if not recursion_defects(log, heights).ok:
         raise ValueError(f"header p = {log.p}, h1 = {heights.h1}, h2 = {heights.h2} "
                          "disagrees with the logarithm read")
-    return LubinTateGroup(heights, header.get("N", DEFAULT_PRECISION), log, exp, law)
+    return LubinTateGroup(heights, log, exp, law)

@@ -10,6 +10,12 @@ p^n-torsion points obey closed formulae; this module computes them both
 from the formulae and from first principles with the min-plus copolygon
 machinery, and derives the ramification degree they force when p is odd
 and h = h1 + h2 is odd.
+
+The system only approximates [p]_F: the law defined by its limit
+logarithm, lim p^{-n} times the n-th iterate of D, is not integral
+(tests/test_torsion.py::test_the_cross_frobenius_limit_law_is_not_integral),
+so only the true [p]_F can certify the valuations for F (Hazewinkel,
+Formal Groups and Applications, 1978, for the functional-equation lemma).
 """
 
 from __future__ import annotations
@@ -145,10 +151,11 @@ def profile_report(p: int, heights, n_max: int) -> list:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     hs = _as_heights(heights)
     status = hypothesis_status(p, hs)
-    rows = []
+    rows, minplus = [], None
     for n in range(1, n_max + 1):
         closed = torsion_valuations(p, hs, n)
-        minplus = torsion_valuations_via_minplus(p, hs, n)
+        # level 1 crosses the tie loci; each further level is one step up from the last
+        minplus = torsion_valuations_via_minplus(p, hs, min(n, 2), start=minplus)
         rows.append({
             "n": n,
             "v_xi": closed.v_xi,
@@ -167,57 +174,6 @@ def count_p_torsion(p: int, heights) -> int:
     _check_prime(p)
     hs = _as_heights(heights)
     return p**hs.total
-
-
-class SymbolicPoint(_Record):
-    """Human-readable coordinates of a generic nontrivial p-torsion point."""
-
-    _fields = ("xi", "eta")
-
-    def __str__(self):
-        return f"({self.xi}, {self.eta})"
-
-
-class PTorsionReport(_Record):
-    """Everything the level-1 valuations pin down about the p-torsion.
-
-    identity_first is whether 1 + v_xi == p^h1 * v_eta, identity_second
-    whether p^h2 * v_xi == 1 + v_eta, and sample a `SymbolicPoint`.
-    family_size counts the parametrized expressions (zeta over the
-    (p^h - 1)-th roots of 1, zeta' over the p^h2-th roots of -1); the
-    first equation of the system pins the root choice in the first
-    coordinate, so the honest count of nontrivial points is p^h - 1 and
-    family_size exceeds it by the factor p^h2.
-    """
-
-    _fields = ("p", "h1", "h2", "v_xi", "v_eta", "identity_first", "identity_second",
-               "family_size", "torsion_count", "hypothesis_status", "sample")
-
-
-def p_torsion_report(p: int, heights) -> PTorsionReport:
-    _check_prime(p)
-    hs = _as_heights(heights)
-    level1 = torsion_valuations(p, hs, 1)
-    a, b = level1.v_xi, level1.v_eta
-    q1, q2 = p**hs.h1, p**hs.h2
-    h = hs.total
-    sample = SymbolicPoint(
-        xi=f"zeta' * zeta^{q1} * p^({fraction_str(a)})",
-        eta=f"zeta * p^({fraction_str(b)})",
-    )
-    return PTorsionReport(
-        p=p,
-        h1=hs.h1,
-        h2=hs.h2,
-        v_xi=a,
-        v_eta=b,
-        identity_first=(1 + a == q1 * b),
-        identity_second=(q2 * a == 1 + b),
-        family_size=(p**h - 1) * q2,
-        torsion_count=p**h,
-        hypothesis_status=hypothesis_status(p, hs),
-        sample=sample,
-    )
 
 
 # -- ramification -----------------------------------------------------------

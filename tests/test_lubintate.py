@@ -272,7 +272,7 @@ def test_gamma_endomorphism_flags_foreign_monomials():
     gamma = teichmuller(ring, ring.generator())
     log = group.logarithm
     spiked = SeriesPair(log.first + Series.from_coeffs(2, 2, 9, {(1, 1): 1}), log.second)
-    fake = LubinTateGroup(group.heights, group.prec, spiked, group.exponential, group.group_law)
+    fake = LubinTateGroup(group.heights, spiked, group.exponential, group.group_law)
     res = gamma_endomorphism(gamma, fake)
     assert not res.ok
     assert res.violations[0].exponents == (1, 1)
@@ -286,7 +286,7 @@ def test_height_of():
 def test_height_of_additive_group_diagnostic():
     ident = SeriesPair.identity(2, 9)
     law = ident.embed(4, (0, 1)) + ident.embed(4, (2, 3))
-    additive = LubinTateGroup(HeightPair(2, 3), 64, ident, ident, law)
+    additive = LubinTateGroup(HeightPair(2, 3), ident, ident, law)
     assert height_of(additive) == "not monomial-Frobenius"
 
 
@@ -370,8 +370,7 @@ def test_law_shape_is_found_once_per_group(monkeypatch):
     assert len(calls) == 4
     assert all(s is w and zeros == z for (s, zeros), (w, z) in zip(calls, want))
     # a law passed in is checked the same way, once per report
-    given = LubinTateGroup(group.heights, group.prec,
-                           group.logarithm, group.exponential, law)
+    given = LubinTateGroup(group.heights, group.logarithm, group.exponential, law)
     assert group_axioms_report(given, assoc_degree=4).ok
     assert len(calls) == 8
     assert all(s is w and zeros == z for (s, zeros), (w, z) in zip(calls[4:], want))
@@ -381,8 +380,8 @@ def test_spiked_exponential_is_one_integral_finding():
     group = g23()
     exp = group.exponential
     spike = Series.from_coeffs(2, 2, 9, {(2, 0): Padic(2, -1, 1)})
-    fake = LubinTateGroup(group.heights, group.prec,
-                          group.logarithm, SeriesPair(exp.first + spike, exp.second))
+    fake = LubinTateGroup(group.heights, group.logarithm,
+                          SeriesPair(exp.first + spike, exp.second))
     assert fake.group_law.min_valuation() < 0  # reading the law does not raise
     report = group_axioms_report(fake, assoc_degree=4)
     assert "integral" in [v.check for v in report.violations]
@@ -390,9 +389,22 @@ def test_spiked_exponential_is_one_integral_finding():
 
 def test_group_reads_p_and_degree_off_the_logarithm():
     log = build_logarithm(2, (2, 3), 9)
-    group = LubinTateGroup(HeightPair(2, 3), 40, log, invert_pair(log))
-    assert (group.p, group.degree, group.prec) == (2, 9, 40)
+    group = LubinTateGroup(HeightPair(2, 3), log, invert_pair(log))
+    assert (group.p, group.degree, group.prec) == (2, 9, 64)
     assert height_of(group) == 5
+
+
+@pytest.mark.parametrize("prec", [1, 3, 64])
+def test_group_reads_its_precision_off_the_logarithm(prec):
+    """No group holds a precision its logarithm does not carry: a built
+    group and the group its container reads back both report the
+    logarithm's, and the container's header says the same."""
+    for p, heights in ((2, (2, 3)), (3, (1, 2))):
+        group = build_group(p, heights, 9, prec)
+        assert group.prec == prec
+        back = group_from_text(group_to_text(group))
+        assert back.prec == prec and back.logarithm == group.logarithm
+        assert f'"N": {prec}' in group_to_text(back).splitlines()[0]
 
 
 @pytest.mark.parametrize("exp", [
@@ -403,7 +415,7 @@ def test_group_reads_p_and_degree_off_the_logarithm():
 def test_group_refuses_an_exponential_of_another_shape(exp):
     log = build_logarithm(2, (2, 3), 9)
     with pytest.raises(ValueError, match="exponential and logarithm must share"):
-        LubinTateGroup(HeightPair(2, 3), 64, log, exp)
+        LubinTateGroup(HeightPair(2, 3), log, exp)
 
 
 def test_group_from_text_refuses_an_exponential_of_another_degree():
@@ -448,7 +460,7 @@ def test_axioms_report_checks_both_identity_laws():
     law = group.group_law
     y1_squared = Series.from_coeffs(2, 4, 6, {(0, 0, 2, 0): Padic.one(2)})
     bad = SeriesPair(law.first + y1_squared, law.second)
-    fake = LubinTateGroup(group.heights, group.prec, group.logarithm, group.exponential, bad)
+    fake = LubinTateGroup(group.heights, group.logarithm, group.exponential, bad)
     report = group_axioms_report(fake, assoc_degree=4)
     assert not any(v.check == "integral" for v in report.violations)
     assert [str(v) for v in report.violations if v.check == "identity"] == [
@@ -466,8 +478,7 @@ def test_axioms_report_checks_associativity_at_its_degree():
     # associativity sees it only when checked through degree 9
     group = g23()
     bump = Series.from_coeffs(2, 4, 9, {(4, 0, 5, 0): 1, (5, 0, 4, 0): 1})
-    fake = LubinTateGroup(group.heights, group.prec,
-                          group.logarithm, group.exponential,
+    fake = LubinTateGroup(group.heights, group.logarithm, group.exponential,
                           SeriesPair(group.group_law.first + bump, group.group_law.second))
     checks = [v.check for v in group_axioms_report(fake).violations]
     assert "additive" in checks and "associative" not in checks
@@ -486,9 +497,9 @@ def test_every_checker_returns_a_report():
     bad_log = SeriesPair(log.first + Series.from_coeffs(2, 2, 9, {(1, 1): 1}), log.second)
     bad_m = SeriesPair(m.first + Series.from_coeffs(2, 2, 9, {(0, 4): 1}), m.second)
     bad_law = SeriesPair(law.first + Series.from_coeffs(2, 4, 9, {(0, 0, 2, 0): 1}), law.second)
-    with_log = LubinTateGroup(group.heights, group.prec, bad_log, group.exponential, law)
-    with_law = LubinTateGroup(group.heights, group.prec, log, group.exponential, bad_law)
-    with_m = LubinTateGroup(group.heights, group.prec, log, group.exponential, law)
+    with_log = LubinTateGroup(group.heights, bad_log, group.exponential, law)
+    with_law = LubinTateGroup(group.heights, log, group.exponential, bad_law)
+    with_m = LubinTateGroup(group.heights, log, group.exponential, law)
     vars(with_m)["p_multiplication"] = bad_m
     ring = UnramifiedRing(2, 5, prec=16)
     gamma = teichmuller(ring, ring.generator())
@@ -537,4 +548,4 @@ def test_group_from_text_refuses_a_law_of_another_shape():
 def test_group_refuses_a_law_of_another_shape(law):
     group = g23(8)
     with pytest.raises(ValueError, match="group law must be a pair over p = 2 in 4 variables"):
-        LubinTateGroup(group.heights, group.prec, group.logarithm, group.exponential, law)
+        LubinTateGroup(group.heights, group.logarithm, group.exponential, law)

@@ -262,12 +262,10 @@ def _records():
     from lubintate2d.lubintate import HeightPair, LubinTateGroup, Report, Violation, build_group
     from lubintate2d.padics import UnramifiedElement
     from lubintate2d.series import Series, SeriesPair
-    from lubintate2d.torsion import (PTorsionReport, RamificationReport, SymbolicPoint,
-                                     ValuationProfile)
+    from lubintate2d.torsion import RamificationReport, ValuationProfile
 
     s = Series.from_coeffs(2, 2, 3, {(1, 0): 1})
     group = build_group(2, (1, 2), 3)
-    point = SymbolicPoint("zeta", "p^(1/3)")
     ring = UnramifiedRing(2, 2, prec=4)
     # (class, constructor arguments, repr: the dataclass form for the first ten)
     return {cls.__name__: (cls, args, text) for cls, args, text in [
@@ -280,8 +278,8 @@ def _records():
         (Violation, (1, (2, 3), "recursion"),
          "Violation(component=1, exponents=(2, 3), check='recursion', detail='')"),
         (Report, (), "Report(violations=())"),
-        (LubinTateGroup, (HeightPair(1, 2), 64, group.logarithm, group.exponential),
-         "LubinTateGroup(heights=HeightPair(h1=1, h2=2), prec=64, "
+        (LubinTateGroup, (HeightPair(1, 2), group.logarithm, group.exponential),
+         "LubinTateGroup(heights=HeightPair(h1=1, h2=2), "
          "logarithm=SeriesPair(first=Series(p=2, vars=2, D=3, 2 terms), "
          "second=Series(p=2, vars=2, D=3, 1 terms)), "
          "exponential=SeriesPair(first=Series(p=2, vars=2, D=3, 2 terms), "
@@ -293,12 +291,6 @@ def _records():
          "base=(Fraction(0, 1), Fraction(0, 1)), direction=(1, 1), t_lo=None, t_hi=None)"),
         (ValuationProfile, (Fraction(5, 31), Fraction(9, 31)),
          "ValuationProfile(v_xi=Fraction(5, 31), v_eta=Fraction(9, 31))"),
-        (SymbolicPoint, ("zeta", "p^(1/3)"), "SymbolicPoint(xi='zeta', eta='p^(1/3)')"),
-        (PTorsionReport, (3, 2, 3, Fraction(5, 121), Fraction(14, 121), True, True,
-                          6534, 243, "in", point),
-         "PTorsionReport(p=3, h1=2, h2=3, v_xi=Fraction(5, 121), v_eta=Fraction(14, 121), "
-         "identity_first=True, identity_second=True, family_size=6534, torsion_count=243, "
-         "hypothesis_status='in', sample=SymbolicPoint(xi='zeta', eta='p^(1/3)'))"),
         (RamificationReport, (3, 2, 3, 121, Fraction(5, 121), Fraction(14, 121), 1, 1),
          "RamificationReport(p=3, h1=2, h2=3, degree=121, v_xi=Fraction(5, 121), "
          "v_eta=Fraction(14, 121), witness_h1=1, witness_h2=1)"),
@@ -307,7 +299,7 @@ def _records():
 
 @pytest.mark.parametrize("name", [
     "HeightPair", "Violation", "Report", "LubinTateGroup", "SeriesPair", "TieSegment",
-    "ValuationProfile", "SymbolicPoint", "PTorsionReport", "RamificationReport",
+    "ValuationProfile", "RamificationReport",
     "Copolygon", "UnramifiedRing", "UnramifiedElement"])
 def test_records_are_frozen_values(name):
     cls, args, text = _records()[name]

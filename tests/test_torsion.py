@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from lubintate2d import torsion
 from lubintate2d.lubintate import congruence_report
-from lubintate2d.series import Series
+from lubintate2d.padics import Padic
+from lubintate2d.series import Series, compose, invert_pair
 from lubintate2d.torsion import (
     AmbiguousBranchError,
     ValuationProfile,
@@ -13,7 +15,6 @@ from lubintate2d.torsion import (
     gcd_lemma,
     gcd_lemma_raw,
     hypothesis_status,
-    p_torsion_report,
     profile_report,
     ramification_csv,
     ramification_report,
@@ -115,6 +116,34 @@ def test_profile_report_rows():
     assert rows[0]["v_xi"] == Fraction(10, 242)
 
 
+@pytest.mark.parametrize("p,heights", [(2, (1, 2)), (2, (2, 3)), (3, (1, 2)), (3, (2, 3)),
+                                       (5, (3, 4)), (7, (1, 1))])
+def test_profile_report_rows_equal_the_per_level_calls(p, heights):
+    status = hypothesis_status(p, heights)
+    want = []
+    for n in range(1, 7):
+        closed = torsion_valuations(p, heights, n)
+        want.append({"n": n, "v_xi": closed.v_xi, "v_eta": closed.v_eta,
+                     "agree": closed == torsion_valuations_via_minplus(p, heights, n),
+                     "hypothesis_status": status})
+    assert profile_report(p, heights, 6) == want
+
+
+def test_profile_report_crosses_the_tie_loci_once(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return intersect(*args)
+
+    intersect = torsion.intersect_tie_loci
+    monkeypatch.setattr(torsion, "intersect_tie_loci", spy)
+    for p, heights in ((2, (2, 3)), (3, (1, 2))):
+        calls.clear()
+        assert len(profile_report(p, heights, 6)) == 6
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n_max", [0, -3])
 def test_profile_report_rejects_n_max_below_one(n_max):
     with pytest.raises(ValueError, match="n_max must be at least 1"):
@@ -126,26 +155,36 @@ def test_count_p_torsion():
     assert count_p_torsion(3, (1, 2)) == 27
 
 
-def test_p_torsion_report_frozen():
-    r = p_torsion_report(2, (2, 3))
-    assert r.v_xi == Fraction(5, 31) and r.v_eta == Fraction(9, 31)
-    assert r.identity_first and r.identity_second
-    assert r.family_size == 248
-    assert r.torsion_count == 32
-    assert r.hypothesis_status == "outside"
-    assert "p^(5/31)" in r.sample.xi
-    assert "zeta * p^(9/31)" == r.sample.eta
-
-
-def test_p_torsion_identities_sweep():
+def test_level_one_valuations_satisfy_the_leading_system():
+    """At a nontrivial p-torsion point the two branches of each component
+    of the leading system meet: 1 + v_xi = p^h1 * v_eta and
+    p^h2 * v_xi = 1 + v_eta."""
+    assert torsion_valuations(2, (2, 3), 1) == ValuationProfile(Fraction(5, 31), Fraction(9, 31))
     rng = random.Random(3491)
     pairs = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5), (1, 4)]
     for _ in range(30):
         p = rng.choice([2, 3, 5, 7, 11])
         h1, h2 = rng.choice(pairs)
-        r = p_torsion_report(p, (h1, h2))
-        assert r.identity_first and r.identity_second, (p, h1, h2)
-        assert r.family_size == (r.torsion_count - 1) * p**h2
+        level1 = torsion_valuations(p, (h1, h2), 1)
+        assert 1 + level1.v_xi == p**h1 * level1.v_eta, (p, h1, h2)
+        assert p**h2 * level1.v_xi == 1 + level1.v_eta, (p, h1, h2)
+
+
+def test_the_cross_frobenius_limit_law_is_not_integral():
+    """The renormalised iterates L_n = p^{-n} D^{n} of the system converge,
+    but the law L^{-1}(L(X) + L(Y)) of their limit has a coefficient of
+    valuation -1: D is not [p] of an integral group (p = 2, heights (1, 2))."""
+    p, degree = 2, 12
+    system = dynamical_system(p, (1, 2), degree)
+    iterate, previous = system, None
+    for n in range(2, 40):
+        previous, iterate = iterate, compose(system, iterate)
+    log = iterate.scale(Padic(p, -39, 1))
+    step = log - previous.scale(Padic(p, -38, 1))
+    assert step.min_valuation() >= 35
+    law = compose(invert_pair(log), log.embed(4, (0, 1)) + log.embed(4, (2, 3)))
+    c = law.first.coefficient((0, 8, 4, 0))
+    assert (c.valuation, c.prec) == (-1, 57)
 
 
 def test_gcd_lemma_hypotheses():
