@@ -155,11 +155,19 @@ def test_count_p_torsion():
     assert count_p_torsion(3, (1, 2)) == 27
 
 
-def test_level_one_valuations_satisfy_the_leading_system():
+def test_p_torsion_report_frozen():
     """At a nontrivial p-torsion point the two branches of each component
     of the leading system meet: 1 + v_xi = p^h1 * v_eta and
     p^h2 * v_xi = 1 + v_eta."""
-    assert torsion_valuations(2, (2, 3), 1) == ValuationProfile(Fraction(5, 31), Fraction(9, 31))
+    level1 = torsion_valuations(2, (2, 3), 1)
+    assert level1 == ValuationProfile(Fraction(5, 31), Fraction(9, 31))
+    assert 1 + level1.v_xi == 2**2 * level1.v_eta
+    assert 2**3 * level1.v_xi == 1 + level1.v_eta
+    assert count_p_torsion(2, (2, 3)) == 32
+    assert hypothesis_status(2, (2, 3)) == "outside"
+
+
+def test_p_torsion_identities_sweep():
     rng = random.Random(3491)
     pairs = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5), (1, 4)]
     for _ in range(30):
