@@ -8,13 +8,15 @@ Subcommands
     torsion    torsion-point valuations, sweeps and ramification data
     verify     run the verification battery on parameters or a fixture
 
-Exit codes: 0 success, 1 a verification failed, 2 bad usage or inputs.
+Exit codes: 0 success, 1 a verification failed, 2 bad usage or inputs,
+3 the p-adic precision ran out (a `PrecisionError`: "precision").
 Every failure, argparse's own included, prints a single JSON line
 {"error": ..., "detail": ...} on stderr, written by `main`.  Counts
 (-N, LT2D_PRECISION, -D, -n, --sweep, --assoc-degree, --unramified-degree)
 must be integers at least 1; a flag the chosen mode never reads is bad
-usage, -N too outside log, group, mult and verify on parameters, and
---unramified-degree must equal h1 + h2.  Every
+usage, -N too outside log, group, mult and verify on parameters,
+--unramified-degree must equal h1 + h2, and verify's -D must keep both
+Frobenius monomials.  Every
 report leaves through `_write_text`, to --out if given, else to stdout;
 JSON through `_emit_json`, which prints a rational as num/den.  Outputs
 are deterministic byte-for-byte for fixed inputs.
@@ -41,7 +43,7 @@ from .lubintate import (
     recursion_defects,
     verify_p_congruences,
 )
-from .padics import DEFAULT_PRECISION, UnramifiedRing, teichmuller
+from .padics import DEFAULT_PRECISION, PrecisionError, UnramifiedRing, _check_reach, teichmuller
 from .series import SeriesPair, dump_sections
 from .torsion import (
     hypothesis_status,
@@ -263,6 +265,7 @@ def cmd_verify(args) -> int:
     if args.unramified_degree not in (None, h):
         raise UsageError(f"--unramified-degree must equal h1 + h2 = {h}, "
                          f"got {args.unramified_degree}")
+    _check_reach(args.p, (args.h1, args.h2), args.degree, "-D")
     checks = {}
     group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
     checks["logarithm_recursion"] = recursion_defects(group.logarithm, group.heights).ok
@@ -358,6 +361,9 @@ def main(argv=None) -> int:
         detail = exc.args[0] if exc.args else str(exc)
         _fail("verification", detail)
         return 1
+    except PrecisionError as exc:
+        _fail("precision", str(exc))
+        return 3
     except (UsageError, ValueError, ArithmeticError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is None:
             raise  # not a bad path, e.g. a closed stdout

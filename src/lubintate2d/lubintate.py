@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .padics import (DEFAULT_PRECISION, HeightPair, Padic, PrecisionError, UnramifiedElement,
-                     _as_heights, _check_prime, _Record)
+                     _as_heights, _check_prime, _check_reach, _Record)
 from .series import (Series, SeriesPair, compose, dump_sections, grlex, invert_pair,
                      linear_defects, parse_sections)
 
@@ -177,13 +177,16 @@ def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> 
 
 
 def multiplication(a, group: LubinTateGroup) -> SeriesPair:
-    """[a]_F = L^{-1}(a L(X)) for an integral p-adic multiplier a."""
+    """[a]_F = L^{-1}(a L(X)) for an integral p-adic multiplier a; a nonzero
+    int multiplier that is 0 modulo p^prec is a `PrecisionError`."""
     if isinstance(a, Padic):
         if a.p != group.p:
             raise ValueError("prime mismatch")
         c = a
     else:
         c = Padic.from_int(group.p, a, group.prec)
+        if a and c.is_zero:
+            raise PrecisionError(f"multiplier {a} is 0 modulo {group.p}^{group.prec}")
     if c.is_zero:
         return SeriesPair.zero(group.p, 2, group.degree)
     if c.valuation < 0:
@@ -296,10 +299,10 @@ def height_of(group: LubinTateGroup):
 
     Returns h1 + h2 when the reduction is exactly the cross Frobenius pair
     (x2^{p^{h1}}, x1^{p^{h2}}); any other shape gets the diagnostic string
-    "not monomial-Frobenius" rather than a guess.
+    "not monomial-Frobenius" rather than a guess.  A truncation too short to
+    keep both Frobenius monomials raises (`padics._check_reach`).
     """
-    if group.p ** max(group.heights.h1, group.heights.h2) > group.degree:
-        return "not monomial-Frobenius"
+    _check_reach(group.p, group.heights, group.degree)
     if any(v.check in ("integral", "frobenius") for v in group.p_congruences.violations):
         return "not monomial-Frobenius"
     return group.heights.total

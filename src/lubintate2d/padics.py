@@ -90,6 +90,16 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _check_reach(p: int, heights, degree: int, name: str = "truncation degree") -> None:
+    """The one rule that a truncation can show the height h1 + h2: it keeps
+    both Frobenius monomials, x2^(p^h1) and x1^(p^h2), so D >= max(p^h1, p^h2)."""
+    _check_prime(p)
+    hs = _as_heights(heights)
+    need = p ** max(hs.h1, hs.h2)
+    if degree < need:
+        raise ValueError(f"{name} {degree} drops a Frobenius monomial: need at least {need}")
+
+
 class HeightPair(_Record):
     _fields = ("h1", "h2")
 
@@ -347,15 +357,15 @@ def _poly_mulmod(a, b, mod, p):
     return _poly_trim(res)
 
 
-def _poly_powmod_x(e: int, mod, p):
-    """x**e modulo (mod, p); mod monic of degree >= 2."""
+def _poly_powmod(base, e: int, mod, m):
+    """base**e modulo (mod, m) for e >= 0, by square-and-multiply over `_poly_mulmod`."""
     result = (1,)
-    base = (0, 1)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            result = _poly_mulmod(result, base, mod, m)
         e >>= 1
+        if e:
+            base = _poly_mulmod(base, base, mod, m)
     return result
 
 
@@ -382,42 +392,19 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _minus_x(g, p):
-    """g(x) - x over F_p."""
-    coeffs = list(g) + [0] * max(0, 2 - len(g))
-    coeffs[1] = (coeffs[1] - 1) % p
-    return _poly_trim(coeffs)
-
-
 def is_irreducible_mod_p(poly, p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p (Rabin's test)."""
+    """Irreducibility of a monic polynomial f of degree h over F_p by Ben-Or's
+    test (FOCS 1981): gcd(x^{p^d} - x, f) = 1 for every d <= h/2."""
     f = tuple(c % p for c in poly)
     h = len(f) - 1
     if h < 1 or f[-1] != 1:
         raise ValueError("expected a monic polynomial of positive degree")
-    if f[0] == 0 and h > 1:
-        return False  # divisible by x
-    if h == 1:
-        return True
-    if _minus_x(_poly_powmod_x(p**h, f, p), p):
-        return False  # x^{p^h} != x mod f
-    for ell in _prime_factors(h):
-        g = _minus_x(_poly_powmod_x(p**(h // ell), f, p), p)
-        if len(_poly_gcd(g, f, p)) != 1:
+    g = (0, 1)
+    for _ in range(h // 2):
+        g = _poly_powmod(g, p, f, p)  # x^{p^d} mod f
+        g_minus_x = list(g) + [0, 0]
+        g_minus_x[1] = (g_minus_x[1] - 1) % p
+        if len(_poly_gcd(g_minus_x, f, p)) != 1:
             return False
     return True
 
@@ -496,20 +483,13 @@ class UnramifiedElement(_Record):
     def __mul__(self, other):
         self._same_ring(other)
         ring = self.ring
-        res = _poly_mulmod(self.coeffs, other.coeffs, ring.modulus, ring.pk)
-        return UnramifiedElement(ring, res + (0,) * (ring.degree - len(res)))
+        return ring.element(_poly_mulmod(self.coeffs, other.coeffs, ring.modulus, ring.pk))
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers not supported in the integer ring")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ring = self.ring
+        return ring.element(_poly_powmod(self.coeffs, e, ring.modulus, ring.pk))
 
     def reduce_mod_p(self) -> tuple:
         return tuple(c % self.ring.p for c in self.coeffs)
@@ -536,9 +516,7 @@ def teichmuller(ring: UnramifiedRing, residue) -> UnramifiedElement:
     for _ in range(ring.prec):
         nxt = x**q
         if nxt == x:
-            break
+            return x
         x = nxt
-    if x**q != x:
-        raise PrecisionError("Teichmuller iteration failed to stabilize")
-    return x
+    raise PrecisionError("Teichmuller iteration failed to stabilize")
 

@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import reduce
 from math import inf
 
-from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add, _Record, is_prime
+from .padics import DEFAULT_PRECISION, Padic, PrecisionError, _powers, _raw_add, _Record, is_prime
 
 
 def grlex(exponents):
@@ -489,7 +489,8 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
     Degree-by-degree correction: with g exact through degree k, the defect
     r = f(g) - id starts in degree k+1, and g - r is exact through k+1
     because the linear part of f is the identity.  That identity is f's
-    own linear part, so it carries the precision of f's linear terms.
+    own linear part, so it carries the precision of f's linear terms.  The
+    exact inverse always exists, so a failure is a `PrecisionError`.
     """
     if f.nvars != 2:
         raise ValueError("inversion needs a two-variable pair")
@@ -507,9 +508,9 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
             break
         g = g - r
     else:
-        raise ArithmeticError("inversion did not converge")
+        raise PrecisionError("inversion did not converge")
     if not (compose(g, f) - ident).is_zero:
-        raise ArithmeticError("inverse failed the two-sided check")
+        raise PrecisionError("inverse failed the two-sided check")
     return g
 
 

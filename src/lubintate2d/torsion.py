@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from .copolygon import Copolygon, fraction_str, intersect_tie_loci
-from .padics import _as_heights, _check_prime, _Record
+from .padics import _as_heights, _check_prime, _check_reach, _Record
 from .series import Series, SeriesPair
 
 
@@ -35,16 +35,13 @@ class AmbiguousBranchError(ArithmeticError):
 def dynamical_system(p: int, heights, degree: int) -> SeriesPair:
     """The pair (p*x1 + x2^(p^h1), p*x2 + x1^(p^h2)) as truncated series.
 
-    The truncation degree must reach both Frobenius monomials, otherwise
-    the system degenerates to its linear part.
+    The truncation degree must reach both Frobenius monomials
+    (`padics._check_reach`), otherwise the system degenerates to its
+    linear part.
     """
-    _check_prime(p)
+    _check_reach(p, heights, degree)
     hs = _as_heights(heights)
     q1, q2 = p**hs.h1, p**hs.h2
-    if degree < max(q1, q2):
-        raise ValueError(
-            f"truncation degree {degree} drops a Frobenius monomial: "
-            f"need at least {max(q1, q2)}")
     first = Series.from_coeffs(p, 2, degree, {(1, 0): p, (0, q1): 1})
     second = Series.from_coeffs(p, 2, degree, {(0, 1): p, (q2, 0): 1})
     return SeriesPair(first, second)

@@ -323,6 +323,37 @@ def test_low_precision_verify_still_fails_on_the_law(capsys):
     assert "[integral] component 0: min valuation -1" in failure["detail"]
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (("-N", "4", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "16", "-a", "2"),
+     "inverse failed the two-sided check"),
+    (("-N", "1", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "6", "-a", "2"),
+     "multiplier 2 is 0 modulo 2^1"),
+    (("-N", "1", "group", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9"),
+     "multiplier 3 is 0 modulo 3^1"),
+], ids=["inverse", "zero-multiplier", "zero-[p]"])
+def test_lost_precision_exits_3_as_a_precision_error(capsys, monkeypatch, argv, detail):
+    monkeypatch.delenv("LT2D_PRECISION", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "precision", "detail": detail}
+
+
+def test_a_zero_multiplier_is_the_zero_pair_at_any_precision(capsys):
+    code, out, err = run(capsys, "-N", "1", "mult", "-p", "2", "--h1", "2", "--h2", "3",
+                         "-D", "6", "-a", "0")
+    assert code == 0 and err == ""
+    header, pairs = parse_sections(out)
+    assert header["a"] == 0 and all(s.is_zero for s in pairs["mult"])
+
+
+def test_verify_refuses_a_degree_that_cannot_show_the_height(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_group", None)  # refused before any group is built
+    code, out, err = run(capsys, "verify", "-p", "2", "--h1", "2", "--h2", "3", "-D", "6")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "usage", "detail": "-D 6 drops a Frobenius monomial: need at least 8"}
+
+
 def test_low_precision_mult_skips_the_law(capsys):
     # mult never reads the group law, so a law that would carry a
     # denominator at N = 2 no longer stops it; [a] itself is integral.

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from lubintate2d.padics import Padic, UnramifiedRing, teichmuller
+from lubintate2d.padics import Padic, PrecisionError, UnramifiedRing, teichmuller
 from lubintate2d.series import Series, SeriesPair, compose, dump_sections, invert_pair
 from lubintate2d.lubintate import (
     HeightPair,
@@ -146,6 +146,14 @@ def test_multiplication_small_cases():
         multiplication(Padic.from_fraction(2, Fraction(1, 2)), group)
 
 
+def test_a_multiplier_that_is_zero_only_at_the_precision_is_a_precision_error():
+    group = build_group(2, (2, 3), 9, prec=2)
+    assert multiplication(0, group).is_zero
+    assert not multiplication(2, group).is_zero
+    with pytest.raises(PrecisionError, match="multiplier 4 is 0 modulo 2\\^2"):
+        multiplication(4, group)
+
+
 def test_multiplication_matches_iterated_addition():
     for group in (g23(), g312()):
         law = group.group_law
@@ -281,6 +289,12 @@ def test_gamma_endomorphism_flags_foreign_monomials():
 def test_height_of():
     assert height_of(g23()) == 5
     assert height_of(g312()) == 3
+
+
+def test_height_of_refuses_a_truncation_short_of_a_frobenius_monomial():
+    with pytest.raises(ValueError, match="truncation degree 6 drops a Frobenius monomial: "
+                                         "need at least 8"):
+        height_of(build_group(2, (2, 3), 6))
 
 
 def test_height_of_additive_group_diagnostic():

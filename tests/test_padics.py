@@ -182,7 +182,9 @@ def brute_force_irreducible(poly, p):
 
 
 def test_is_irreducible_matches_brute_force():
-    for p, h in ((2, 4), (2, 5), (3, 3), (5, 2)):
+    # the composite degrees (2, 6), (3, 4) and (7, 2) are where Ben-Or's
+    # and Rabin's tests take different steps
+    for p, h in ((2, 4), (2, 5), (3, 3), (5, 2), (2, 6), (3, 4), (7, 2)):
         for code in range(p**h):
             coeffs = []
             c = code
@@ -206,6 +208,11 @@ def test_unramified_arithmetic():
     # (1 + 2x)(2 + x) = 2 + 5x + 2x^2, and x^2 = -1 for modulus x^2 + 1
     assert a * b == ring.element([0, 5])
     assert a * ring.one() == a
+    for x in (a, b, ring.element([])):  # powers are repeated products, zero included
+        product = ring.one()
+        for e in range(ring.p**ring.degree + 1):
+            assert x**e == product, (x, e)
+            product = product * x
 
 
 def test_teichmuller_5adic_frozen():

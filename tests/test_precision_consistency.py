@@ -15,7 +15,8 @@ Containers: `log` and `mult -a a` with a in {2, 3, p}.  A cell that exits
 Verdicts: `group` and `verify`.  A cell offends when its exit code is not
 the `-N 64` one, or, for `verify`, when its JSON report differs.  A low-N
 pass where `-N 64` fails is a lie; a low-N failure where `-N 64` passes
-is lost precision reported as a verdict.
+is lost precision reported as a verdict.  A cell that exits 3 with a
+`precision` error claims no verdict, so it does not offend.
 
 A cell that offends prints a digit or a verdict it does not know
 (Caruso, Roe & Vaccon, "Tracking p-adic precision", LMS J. Comput. Math.
@@ -107,6 +108,8 @@ def first_lie(prec: int, low: dict, high: dict):
 def verdict_lie(command: tuple, low: tuple, high: tuple):
     """How a low-N (exit code, stdout) disagrees with the `-N 64` one, or None."""
     (code, out), (high_code, high_out) = low, high
+    if code == 3:
+        return None  # a precision error claims no verdict
     if code != high_code:
         return f"exit {code} here, {high_code} at -N {HIGH}"
     if command == ("verify",) and out != high_out:

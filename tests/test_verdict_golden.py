@@ -7,7 +7,7 @@ two acceptance fixtures (p = 2, heights (2, 3); p = 3, heights (1, 2)).
 `mult` runs with `-a` the fixture's own prime and, in a second block,
 the other fixture's prime.  Its exit code, stderr and the sha256 of its
 stdout must equal the golden tests/data/verdicts.json.  The grid reaches
-every exit class of these commands (group and verify 0/1/2, mult 0/2),
+every exit class of these commands (group 0/1/3, verify 0/1/2/3, mult 0/3),
 the known low-precision failures included, so a checker that changes a
 verdict or a message fails here; and it pins every low-precision
 container that is built by composition, so a kernel that reorders a
@@ -70,9 +70,9 @@ def test_low_precision_verdicts(monkeypatch):
 
 def test_grid_reaches_every_exit_class():
     seen = {(e["argv"].split()[2], e["exit"]) for e in json.loads(GOLDEN.read_text())}
-    assert seen == {("group", 0), ("group", 1), ("group", 2),
-                    ("verify", 0), ("verify", 1), ("verify", 2),
-                    ("mult", 0), ("mult", 2), ("log", 0)}
+    assert seen == {("group", 0), ("group", 1), ("group", 3),
+                    ("verify", 0), ("verify", 1), ("verify", 2), ("verify", 3),
+                    ("mult", 0), ("mult", 3), ("log", 0)}
 
 
 def record() -> None:
