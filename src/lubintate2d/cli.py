@@ -29,30 +29,9 @@ import json
 import os
 import sys
 
-from .copolygon import Copolygon, emit_svg, fraction_str, parse_support_text
-from .fixtures import FIXTURE_NAMES, frobenius_profile, load_fixture, stored_mult45
-from .lubintate import (
-    build_group,
-    build_logarithm,
-    congruence_report,
-    gamma_endomorphism,
-    group_axioms_report,
-    group_to_text,
-    height_of,
-    multiplication,
-    recursion_defects,
-    verify_p_congruences,
-)
-from .padics import DEFAULT_PRECISION, PrecisionError, UnramifiedRing, _check_reach, teichmuller
-from .series import SeriesPair, dump_sections
-from .torsion import (
-    hypothesis_status,
-    profile_report,
-    ramification_csv,
-    ramification_report,
-    torsion_valuations,
-    torsion_valuations_via_minplus,
-)
+# Modules, not names: all but padics and series load on first use (see the
+# package root), so each subcommand runs only the modules it reads.
+from . import copolygon, fixtures, lubintate, padics, series, torsion
 
 
 class UsageError(Exception):
@@ -111,14 +90,14 @@ def _write_text(args, text: str) -> None:
 
 def _emit_json(args, payload) -> None:
     """Write `payload` as sorted JSON; a Fraction prints as "num/den"."""
-    _write_text(args, json.dumps(payload, sort_keys=True, default=fraction_str) + "\n")
+    _write_text(args, json.dumps(payload, sort_keys=True, default=padics.fraction_str) + "\n")
 
 
 def _write_pair(args, name: str, pair, **extra) -> None:
     """Write the container of `pair` under the heights and N, which
     `extra` extends."""
     header = {"h1": args.h1, "h2": args.h2, "N": args.precision, **extra}
-    _write_text(args, dump_sections(header, {name: pair}))
+    _write_text(args, series.dump_sections(header, {name: pair}))
 
 
 def _add_params(sub, required=True, degree=True):
@@ -133,12 +112,12 @@ def _add_params(sub, required=True, degree=True):
 def _axioms(args, group):
     """The axiom report at --assoc-degree, else at the library's default."""
     given = {} if args.assoc_degree is None else {"assoc_degree": args.assoc_degree}
-    return group_axioms_report(group, **given)
+    return lubintate.group_axioms_report(group, **given)
 
 
 def cmd_log(args) -> int:
-    log = build_logarithm(args.p, (args.h1, args.h2), args.degree, args.precision)
-    report = recursion_defects(log, (args.h1, args.h2))
+    log = lubintate.build_logarithm(args.p, (args.h1, args.h2), args.degree, args.precision)
+    report = lubintate.recursion_defects(log, (args.h1, args.h2))
     if not report.ok:
         where = [(v.component, v.exponents) for v in report.violations[:3]]
         raise VerificationError(f"logarithm functional equation fails at {where}")
@@ -147,17 +126,17 @@ def cmd_log(args) -> int:
 
 
 def cmd_group(args) -> int:
-    group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
+    group = lubintate.build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
     report = _axioms(args, group)
     if not report.ok:
         raise VerificationError([str(v) for v in report.violations])
-    _write_text(args, group_to_text(group))
+    _write_text(args, lubintate.group_to_text(group))
     return 0
 
 
 def cmd_mult(args) -> int:
-    group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
-    m = multiplication(args.a, group)
+    group = lubintate.build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
+    m = lubintate.multiplication(args.a, group)
     mv = m.min_valuation()
     if mv is not None and mv < 0:
         raise VerificationError(f"[{args.a}] has a negative-valuation coefficient")
@@ -169,15 +148,15 @@ def _copolygon_from_args(args) -> tuple:
     if args.support is not None:
         _refuse(args, "--support", degree="-D", component="--component")
         with open(args.support) as f:
-            return parse_support_text(f.read())
-    data = load_fixture(args.fixture, args.degree)
-    if isinstance(data, SeriesPair):
+            return copolygon.parse_support_text(f.read())
+    data = fixtures.load_fixture(args.fixture, args.degree)
+    if isinstance(data, series.SeriesPair):
         comp = data.second if args.component == 2 else data.first
     else:
         if args.component == 2:
             raise UsageError(f"fixture {args.fixture} has a single component")
         comp = data
-    return comp.p, comp.degree, Copolygon.from_series(comp)
+    return comp.p, comp.degree, copolygon.Copolygon.from_series(comp)
 
 
 def cmd_copolygon(args) -> int:
@@ -185,7 +164,7 @@ def cmd_copolygon(args) -> int:
     p, degree, poly = _copolygon_from_args(args)
     if args.svg:
         with open(args.svg, "wb") as f:
-            f.write(emit_svg(poly).encode("utf-8"))
+            f.write(copolygon.emit_svg(poly).encode("utf-8"))
     vertices, segments = poly.vertices(), poly.tie_segments()
     if args.json:
         _emit_json(args, {
@@ -197,10 +176,10 @@ def cmd_copolygon(args) -> int:
         return 0
     lines = [f"copolygon over Z_{p}, degree {degree}"]
     for i, j, v in poly.functionals:
-        lines.append(f"functional: {i} {j} {fraction_str(v)}")
+        lines.append(f"functional: {i} {j} {padics.fraction_str(v)}")
     for x1, x2, val in vertices:
-        lines.append(f"vertex: {fraction_str(x1)} {fraction_str(x2)} "
-                     f"value {fraction_str(val)}")
+        lines.append(f"vertex: {padics.fraction_str(x1)} {padics.fraction_str(x2)} "
+                     f"value {padics.fraction_str(val)}")
     lines.append(f"tie segments: {len(segments)}")
     _write_text(args, "\n".join(lines) + "\n")
     return 0
@@ -214,30 +193,31 @@ def cmd_torsion(args) -> int:
     if args.ramification:
         _refuse(args, "--ramification", n="-n", method="--method", sweep="--sweep")
         if args.csv:
-            _write_text(args, ramification_csv([(p, heights)]))
+            _write_text(args, torsion.ramification_csv([(p, heights)]))
         else:
-            _emit_json(args, vars(ramification_report(p, heights)))
+            _emit_json(args, vars(torsion.ramification_report(p, heights)))
         return 0
     if args.sweep is not None:
         _refuse(args, "--sweep", n="-n", method="--method")
-        rows = profile_report(p, heights, args.sweep)
+        rows = torsion.profile_report(p, heights, args.sweep)
         if not all(row["agree"] for row in rows):
             raise VerificationError("closed form and min-plus disagree")
         _emit_json(args, rows)
         return 0
     n, method = args.n or 1, args.method or "both"
     if method == "closed":
-        profile = torsion_valuations(p, heights, n)
+        profile = torsion.torsion_valuations(p, heights, n)
     elif method == "minplus":
-        profile = torsion_valuations_via_minplus(p, heights, n)
+        profile = torsion.torsion_valuations_via_minplus(p, heights, n)
     else:
-        profile = torsion_valuations(p, heights, n)
-        other = torsion_valuations_via_minplus(p, heights, n)
+        profile = torsion.torsion_valuations(p, heights, n)
+        other = torsion.torsion_valuations_via_minplus(p, heights, n)
         if profile != other:
             raise VerificationError(
                 f"methods disagree at n={n}: {profile} vs {other}")
     _emit_json(args, {"p": p, "h1": args.h1, "h2": args.h2, "n": n, **vars(profile),
-                      "method": method, "hypothesis_status": hypothesis_status(p, heights)})
+                      "method": method,
+                      "hypothesis_status": torsion.hypothesis_status(p, heights)})
     return 0
 
 
@@ -246,9 +226,9 @@ def cmd_verify(args) -> int:
     if args.fixture:
         _refuse(args, "--fixture", **params, typed_precision="-N",
                 assoc_degree="--assoc-degree", unramified_degree="--unramified-degree")
-        header, pair = stored_mult45()
-        profile = frobenius_profile(pair)
-        report = congruence_report(pair, (header["h1"], header["h2"]))
+        header, pair = fixtures.stored_mult45()
+        profile = fixtures.frobenius_profile(pair)
+        report = lubintate.congruence_report(pair, (header["h1"], header["h2"]))
         _emit_json(args, {
             "fixture": args.fixture,
             "linear_ok": profile["linear_ok"],
@@ -265,19 +245,19 @@ def cmd_verify(args) -> int:
     if args.unramified_degree not in (None, h):
         raise UsageError(f"--unramified-degree must equal h1 + h2 = {h}, "
                          f"got {args.unramified_degree}")
-    _check_reach(args.p, (args.h1, args.h2), args.degree, "-D")
+    padics._check_reach(args.p, (args.h1, args.h2), args.degree, "-D")
     checks = {}
-    group = build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
-    checks["logarithm_recursion"] = recursion_defects(group.logarithm, group.heights).ok
+    group = lubintate.build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
+    checks["logarithm_recursion"] = lubintate.recursion_defects(group.logarithm, group.heights).ok
     checks["group_axioms"] = _axioms(args, group).ok
-    checks["p_congruences"] = verify_p_congruences(group).ok
-    height = height_of(group)
+    checks["p_congruences"] = lubintate.verify_p_congruences(group).ok
+    height = lubintate.height_of(group)
     checks["height"] = height
     checks["height_ok"] = height == args.h1 + args.h2
     if args.unramified_degree is not None:
-        ring = UnramifiedRing(args.p, args.unramified_degree, prec=args.precision)
-        gamma = teichmuller(ring, ring.generator())
-        checks["gamma_endomorphism"] = gamma_endomorphism(gamma, group).ok
+        ring = padics.UnramifiedRing(args.p, args.unramified_degree, prec=args.precision)
+        gamma = padics.teichmuller(ring, ring.generator())
+        checks["gamma_endomorphism"] = lubintate.gamma_endomorphism(gamma, group).ok
     ok = all(v is True for k, v in checks.items() if k != "height")
     checks["ok"] = ok
     _emit_json(args, checks)
@@ -313,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("copolygon", help="copolygon geometry of a series")
     source = s.add_mutually_exclusive_group(required=True)
-    source.add_argument("--fixture", choices=FIXTURE_NAMES, help="named example input")
+    # fixtures.FIXTURE_NAMES, spelled out so that no other command loads `fixtures`
+    source.add_argument("--fixture", choices=("ex1", "dyn23", "dyn312", "mult45"),
+                        help="named example input")
     source.add_argument("--support", help="path to a support file (p D header, "
                                           "then i j num/den lines)")
     s.add_argument("--component", type=int, choices=(1, 2),
@@ -354,14 +336,14 @@ def main(argv=None) -> int:
         args.precision = args.typed_precision
         if args.precision is None:
             env = os.environ.get("LT2D_PRECISION")
-            args.precision = (DEFAULT_PRECISION if env is None
+            args.precision = (padics.DEFAULT_PRECISION if env is None
                               else _at_least_one("LT2D_PRECISION", env))
         return args.func(args)
     except VerificationError as exc:
         detail = exc.args[0] if exc.args else str(exc)
         _fail("verification", detail)
         return 1
-    except PrecisionError as exc:
+    except padics.PrecisionError as exc:
         _fail("precision", str(exc))
         return 3
     except (UsageError, ValueError, ArithmeticError, OSError) as exc:

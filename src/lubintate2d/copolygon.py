@@ -24,14 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .padics import _check_prime, _Record
+from .padics import _check_prime, _Record, fraction_str
 from .series import Series, evaluate_series, grlex
-
-
-def fraction_str(q) -> str:
-    """Render a rational as num/den, denominator always present."""
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def parse_fraction(text: str) -> Fraction:

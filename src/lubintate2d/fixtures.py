@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import os
 
+from . import torsion
 from .series import Series, SeriesPair, linear_defects, parse_sections
-from .torsion import dynamical_system
 
 
 def worked_copolygon_series(degree: int = 9) -> Series:
@@ -84,7 +84,7 @@ def load_fixture(name: str, degree: int = None):
     if name == "ex1":
         return worked_copolygon_series(degree)
     if name == "dyn23":
-        return dynamical_system(2, (2, 3), degree)
+        return torsion.dynamical_system(2, (2, 3), degree)
     if name == "dyn312":
-        return dynamical_system(3, (1, 2), degree)
+        return torsion.dynamical_system(3, (1, 2), degree)
     raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")

@@ -159,7 +159,11 @@ class LubinTateGroup(_Record):
 
     @cached_property
     def p_multiplication(self) -> SeriesPair:
-        return multiplication(self.p, self)  # [p]_F
+        """[p]_F; at N = 1 the multiplier p itself is 0, a `PrecisionError`."""
+        if self.prec < 2:
+            raise PrecisionError(f"[p]_F needs N at least 2: p = {self.p} is 0 modulo "
+                                 f"{self.p}^{self.prec}")
+        return multiplication(self.p, self)
 
     @cached_property
     def p_congruences(self) -> Report:

@@ -1,5 +1,6 @@
 """Exact capped-precision p-adic scalars and unramified extension rings,
-with the frozen-value base and the parameter checks every module shares.
+with the frozen-value base, the parameter checks and the num/den form of
+a rational that every module shares.
 
 The scalar model is relative precision: a nonzero value is p**val * unit
 with the unit stored modulo p**prec and coprime to p.  Valuations are exact
@@ -10,7 +11,6 @@ recorded precision instead of a silently wrong digit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
 
@@ -134,6 +134,11 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+def fraction_str(q) -> str:
+    """Render an int or Fraction as num/den, denominator always present."""
+    return f"{q.numerator}/{q.denominator}"
+
+
 class _Powers(dict):
     """p**k by k, each power computed on first use."""
 
@@ -241,6 +246,8 @@ class Padic(_Record):
 
     @classmethod
     def from_fraction(cls, p: int, q, prec: int = DEFAULT_PRECISION) -> "Padic":
+        from fractions import Fraction  # only a rational coefficient loads `fractions`
+
         q = Fraction(q)
         if q == 0:
             return cls.zero(p, prec)
@@ -316,6 +323,8 @@ class Padic(_Record):
 
     def to_fraction(self) -> Fraction:
         """Exact value of the balanced representative."""
+        from fractions import Fraction
+
         if self.is_zero:
             return Fraction(0)
         return Fraction(self.balanced_unit()) * Fraction(self.p) ** self.val

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import reduce
 from math import inf
 
@@ -107,7 +106,7 @@ class Series(_Record):
             if isinstance(c, int):
                 c = Padic.from_int(p, c, prec)
             elif not isinstance(c, Padic):
-                c = Padic.from_fraction(p, Fraction(c), prec)
+                c = Padic.from_fraction(p, c, prec)
             if c.p != p:
                 raise ValueError("coefficient prime mismatch")
             terms[e] = (c.val, c.unit, c.prec)

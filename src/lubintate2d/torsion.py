@@ -20,11 +20,13 @@ Formal Groups and Applications, 1978, for the functional-equation lemma).
 
 from __future__ import annotations
 
+# `copolygon` first: compiled before `fractions` and `decimal` are live,
+# its transient memory sets a lower peak RSS for `torsion`.
+from .copolygon import Copolygon, intersect_tie_loci  # isort: skip
 from fractions import Fraction
 from math import gcd
 
-from .copolygon import Copolygon, fraction_str, intersect_tie_loci
-from .padics import _as_heights, _check_prime, _check_reach, _Record
+from .padics import _as_heights, _check_prime, _check_reach, _Record, fraction_str
 from .series import Series, SeriesPair
 
 

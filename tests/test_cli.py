@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from lubintate2d import cli
+from lubintate2d import cli, lubintate
 from lubintate2d.copolygon import Copolygon, emit_svg
-from lubintate2d.fixtures import worked_copolygon_series
+from lubintate2d.fixtures import FIXTURE_NAMES, worked_copolygon_series
 from lubintate2d.series import dump_sections, parse_sections
 from lubintate2d.torsion import ramification_csv
 
@@ -211,7 +211,7 @@ def test_verify_with_unramified_check(capsys):
 
 @pytest.mark.parametrize("degree", ["1", "3"])
 def test_unramified_degree_must_be_the_total_height(capsys, monkeypatch, degree):
-    monkeypatch.setattr(cli, "build_group", None)  # refused before any group is built
+    monkeypatch.setattr(lubintate, "build_group", None)  # refused before any group is built
     code, out, err = run(capsys, "verify", "-p", "2", "--h1", "2", "--h2", "3",
                          "-D", "4", "--unramified-degree", degree)
     assert code == 2 and out == ""
@@ -261,21 +261,71 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["v_xi"] == "5/31"
 
 
+LIBRARY = ("padics", "series", "lubintate", "copolygon", "torsion", "fixtures")
+
+# Imports the CLI in a `python -B -I -S` child, runs `main` on the
+# arguments given, if any, and prints to stderr its exit code, the
+# modules whose code ran, and every module in sys.modules.  A lazily
+# registered module is told apart by `type` alone: reading any of its
+# attributes would run it.
+_LOAD_PROBE = """
+import sys, types
+sys.path.insert(0, sys.argv[1])
+import lubintate2d.cli
+code = lubintate2d.cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+ran = [name for name, m in sys.modules.items() if type(m) is types.ModuleType]
+print(code, " ".join(ran), " ".join(sys.modules), sep="\\n", file=sys.stderr)
+"""
+
+
+def _load_probe(*argv):
+    """The library modules whose code ran and every module loaded, when a
+    child imports the CLI and runs `main(argv)` if argv is given."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", _LOAD_PROBE, src, *argv],
+                          capture_output=True, text=True, check=True)
+    code, ran, loaded = proc.stderr.splitlines()
+    assert code == "0"
+    ours = {name.removeprefix("lubintate2d.") for name in ran.split()
+            if name.startswith("lubintate2d.")}
+    return ours, set(loaded.split())
+
+
 def test_cli_import_stays_on_the_light_standard_library():
     """Under `python -I -S`, importing the CLI loads no standard module it
-    never needs, and loads every library module eagerly: the traced
-    benchmark (`bench/trace_boot.py`) looks each one up in `sys.modules`
-    right after it imports the CLI.  `-B` keeps the child from writing
-    bytecode into the tree, which `-I` would do despite
+    never needs, `fractions` and `decimal` included, and runs only the
+    library modules every command reads.  All six library modules are
+    still in `sys.modules`, four of them lazily: the traced benchmark
+    (`bench/trace_boot.py`) looks each one up there right after it imports
+    the CLI, and its first attribute read runs it.  `-B` keeps the child
+    from writing bytecode into the tree, which `-I` would do despite
     PYTHONDONTWRITEBYTECODE, and which later benchmark runs would load."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import lubintate2d.cli; print(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code, src],
-                          capture_output=True, text=True, check=True)
-    loaded = set(proc.stdout.split())
-    assert not loaded & {"dataclasses", "inspect", "typing", "importlib.resources"}
-    assert {f"lubintate2d.{name}" for name in ("padics", "series", "lubintate", "copolygon",
-                                               "torsion", "fixtures")} <= loaded
+    ran, loaded = _load_probe()
+    assert not loaded & {"dataclasses", "inspect", "typing", "importlib.resources",
+                         "fractions", "decimal"}
+    assert {f"lubintate2d.{name}" for name in LIBRARY} <= loaded
+    assert ran == {"cli", "padics", "series"}
+
+
+@pytest.mark.parametrize("argv, runs, rationals", [
+    (("mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "8", "-a", "2"), {"lubintate"}, False),
+    (("torsion", "-p", "2", "--h1", "2", "--h2", "3"), {"copolygon", "torsion"}, True),
+    (("copolygon", "--support", "SUPPORT", "--json"), {"copolygon"}, True),
+], ids=["mult", "torsion", "copolygon-support"])
+def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, runs, rationals):
+    support = tmp_path / "support.txt"
+    support.write_text("2 9\n1 1 1\n4 0 0\n0 5 0\n")
+    ran, loaded = _load_probe(*(str(support) if a == "SUPPORT" else a for a in argv))
+    assert ran == {"cli", "padics", "series", *runs}
+    rational = {"fractions", "decimal"}
+    assert loaded & rational == (rational if rationals else set())
+
+
+def test_copolygon_offers_every_fixture(capsys):
+    # the parser spells the names out, so that other commands never run `fixtures`
+    with pytest.raises(SystemExit):
+        cli.main(["copolygon", "--help"])
+    assert "--fixture {" + ",".join(FIXTURE_NAMES) + "}" in capsys.readouterr().out
 
 
 def test_module_entry_point():
@@ -287,8 +337,6 @@ def test_module_entry_point():
 
 
 def test_verify_builds_p_multiplication_once(capsys, monkeypatch):
-    from lubintate2d import lubintate
-
     calls = []
     real = lubintate.multiplication
     monkeypatch.setattr(lubintate, "multiplication",
@@ -329,7 +377,7 @@ def test_low_precision_verify_still_fails_on_the_law(capsys):
     (("-N", "1", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "6", "-a", "2"),
      "multiplier 2 is 0 modulo 2^1"),
     (("-N", "1", "group", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9"),
-     "multiplier 3 is 0 modulo 3^1"),
+     "[p]_F needs N at least 2: p = 3 is 0 modulo 3^1"),
 ], ids=["inverse", "zero-multiplier", "zero-[p]"])
 def test_lost_precision_exits_3_as_a_precision_error(capsys, monkeypatch, argv, detail):
     monkeypatch.delenv("LT2D_PRECISION", raising=False)
@@ -347,7 +395,7 @@ def test_a_zero_multiplier_is_the_zero_pair_at_any_precision(capsys):
 
 
 def test_verify_refuses_a_degree_that_cannot_show_the_height(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "build_group", None)  # refused before any group is built
+    monkeypatch.setattr(lubintate, "build_group", None)  # refused before any group is built
     code, out, err = run(capsys, "verify", "-p", "2", "--h1", "2", "--h2", "3", "-D", "6")
     assert code == 2 and out == ""
     assert json.loads(err) == {
@@ -466,8 +514,6 @@ def test_module_entry_point_reports_argparse_errors_as_json():
 
 
 def test_verify_reports_p_congruences_once(capsys, monkeypatch):
-    from lubintate2d import lubintate
-
     calls = []
     real = lubintate.congruence_report
     monkeypatch.setattr(lubintate, "congruence_report",
@@ -508,7 +554,6 @@ def test_ramification_csv_builds_the_report_once(capsys, monkeypatch):
         return real(p, heights)
 
     monkeypatch.setattr(torsion, "ramification_report", spy)
-    monkeypatch.setattr(cli, "ramification_report", spy)
     code, out, _ = run(capsys, "torsion", *RAMIFIED, "--ramification", "--csv")
     assert code == 0 and out.splitlines()[1] == "3,2,3,121,5/121,14/121,1,1"
     assert calls == [3]
