@@ -3,8 +3,9 @@
 Exact construction of the closed-form logarithm, the group law and its
 endomorphisms, Newton copolygons of two-variable p-adic series, and the
 valuations of torsion points with their ramification consequences.
-Import each name from its submodule: `padics`, `series`, `lubintate`,
-`copolygon`, `torsion`, `fixtures`, or the command line in `cli`.
+Import each name from its submodule: `padics`, `series` (which
+re-exports its second half, `series_ops`), `lubintate`, `copolygon`,
+`torsion`, `fixtures`, or the command line in `cli`.
 """
 
 import importlib.util
@@ -13,17 +14,21 @@ import sys
 # Load order.  Without a bytecode cache a command's peak RSS is its live
 # heap plus the transient memory of the module being compiled, so a big
 # module compiled late, once `cli` and its parser are live, raises it.
-# `padics` and `series`, which every command reads and which are the
-# largest to compile, are imported here, first.  The other four are put in
-# sys.modules and on the package by `importlib.util.LazyLoader`, which
-# compiles and runs a module on its first attribute access, so a command
-# pays only for those it reads (`torsion` imports `copolygon` before
-# `fractions` for the same reason).  Against importing all six here
-# (CPython 3.11, x86-64 Linux, ru_maxrss medians of 9-15 runs): `mult`
-# peaks 0.35 MiB lower, `torsion --sweep` 0.09 MiB and `copolygon
-# --fixture` 0.04 MiB higher.  All six lazy would add 0.35 MiB to `mult`
-# and 1.0 MiB to `torsion`.
-from . import padics, series  # noqa: F401
+# `padics`, which every command reads, is imported here, first.  The other
+# six are put in sys.modules and on the package by
+# `importlib.util.LazyLoader`, which compiles and runs a module on its
+# first attribute access, so a command pays only for those it reads:
+# `torsion` and `copolygon --support` never compile `series`.  `series`
+# is two modules for the same reason: `Series` in `series` (11.9 KB), and
+# the kernels, pairs and container in `series_ops` (15.7 KB), which
+# `series` imports and re-exports.  Loaded lazily as one 26 KB module it
+# raised the peak of `mult`, `log` and `group` by 0.85 MiB.  Split, they
+# peak up to 0.19 MiB below importing it here, `copolygon --fixture`
+# within 0.07 MiB of that, and the commands that never load it 0.16-0.32
+# MiB below (CPython 3.11, x86-64 Linux, ru_maxrss medians of 9-25 runs).
+# `torsion` imports `copolygon` before `fractions`, so that the larger
+# module compiles first.
+from . import padics  # noqa: F401
 
 
 def _lazy(name: str):
@@ -35,6 +40,8 @@ def _lazy(name: str):
     return module
 
 
+series = _lazy("series")
+series_ops = _lazy("series_ops")
 lubintate = _lazy("lubintate")
 copolygon = _lazy("copolygon")
 torsion = _lazy("torsion")

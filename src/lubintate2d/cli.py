@@ -25,12 +25,12 @@ are deterministic byte-for-byte for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-# Modules, not names: all but padics and series load on first use (see the
-# package root), so each subcommand runs only the modules it reads.
+# Modules, not names: all but padics load on first use (see the package
+# root), so each subcommand runs only the modules it reads.  `json` too is
+# imported where a report is written as JSON, not here.
 from . import copolygon, fixtures, lubintate, padics, series, torsion
 
 
@@ -51,6 +51,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fail(code: str, detail) -> None:
+    import json
+
     sys.stderr.write(json.dumps({"error": code, "detail": detail},
                                 sort_keys=True) + "\n")
 
@@ -90,6 +92,8 @@ def _write_text(args, text: str) -> None:
 
 def _emit_json(args, payload) -> None:
     """Write `payload` as sorted JSON; a Fraction prints as "num/den"."""
+    import json
+
     _write_text(args, json.dumps(payload, sort_keys=True, default=padics.fraction_str) + "\n")
 
 

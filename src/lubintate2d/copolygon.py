@@ -15,7 +15,8 @@ clipped in integers over L too.  Copolygon intersections are solved with
 
 A series enters through its coefficients' valuations alone, read with
 `Series.coefficient`; the lower-bound certificate evaluates the series
-with `series.evaluate_series`.
+with `series.evaluate_series`, the one call that loads `series`, so a
+copolygon read from a support file never compiles it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .padics import _check_prime, _Record, fraction_str
-from .series import Series, evaluate_series, grlex
+from . import series
+from .padics import _check_prime, _Record, fraction_str, grlex
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -89,7 +90,7 @@ class Copolygon(_Record):
             (i, j, v) for (i, j), v in sorted(best.items(), key=lambda kv: grlex(kv[0])))
 
     @classmethod
-    def from_series(cls, s: Series) -> "Copolygon":
+    def from_series(cls, s: series.Series) -> "Copolygon":
         if s.nvars != 2:
             raise ValueError("copolygons are defined for two-variable series")
         if not s.terms:
@@ -240,7 +241,7 @@ def intersect_tie_loci(first: Copolygon, second: Copolygon) -> list:
 # -- evaluation bounds ----------------------------------------------------
 
 
-def lower_bound_check(s: Series, point) -> bool:
+def lower_bound_check(s: series.Series, point) -> bool:
     """Certify v(f(alpha)) >= V_f(v(alpha1), v(alpha2)) at a concrete point.
 
     Both coordinates must be nonzero so the coordinate valuations are
@@ -254,14 +255,14 @@ def lower_bound_check(s: Series, point) -> bool:
     if a.is_zero or b.is_zero:
         raise ValueError("coordinates must be nonzero so valuations are finite")
     bound = Copolygon.from_series(s).evaluate((a.valuation, b.valuation))
-    total = evaluate_series(s, point)
+    total = series.evaluate_series(s, point)
     return total.is_zero or total.valuation >= bound
 
 
 # -- support files ---------------------------------------------------------
 
 
-def support_text(s: Series) -> str:
+def support_text(s: series.Series) -> str:
     """Serialize a series support with coefficient valuations.
 
     Header line "p D", then one "i j num/den" line per monomial in graded

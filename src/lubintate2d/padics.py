@@ -1,6 +1,6 @@
 """Exact capped-precision p-adic scalars and unramified extension rings,
-with the frozen-value base, the parameter checks and the num/den form of
-a rational that every module shares.
+with the frozen-value base, the parameter checks, the num/den form of a
+rational and the grlex order of exponent tuples that every module shares.
 
 The scalar model is relative precision: a nonzero value is p**val * unit
 with the unit stored modulo p**prec and coprime to p.  Valuations are exact
@@ -139,6 +139,11 @@ def fraction_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def grlex(exponents):
+    """Graded-lexicographic sort key."""
+    return (sum(exponents), exponents)
+
+
 class _Powers(dict):
     """p**k by k, each power computed on first use."""
 
@@ -165,8 +170,8 @@ def _raw_add(pk: _Powers, a, b):
     operand of smaller valuation (the first one on a tie) and nothing of
     its cap, so the result of a chain of sums depends on the order in which
     it is taken.  Products and compositions apply the same rule inline, on
-    absolute caps, in `series._accumulate`, and normalise once, in
-    `series._settle`; a test binds the two forms.
+    absolute caps, in `series_ops._accumulate`, and normalise once, in
+    `series_ops._settle`; a test binds the two forms.
     """
     if not a[1]:
         return b

@@ -26,27 +26,42 @@ from .copolygon import Copolygon, intersect_tie_loci  # isort: skip
 from fractions import Fraction
 from math import gcd
 
+from . import series
 from .padics import _as_heights, _check_prime, _check_reach, _Record, fraction_str
-from .series import Series, SeriesPair
 
 
 class AmbiguousBranchError(ArithmeticError):
     """A min-plus inversion step could not single out the Frobenius branch."""
 
 
-def dynamical_system(p: int, heights, degree: int) -> SeriesPair:
+def dynamical_system(p: int, heights, degree: int) -> series.SeriesPair:
     """The pair (p*x1 + x2^(p^h1), p*x2 + x1^(p^h2)) as truncated series.
 
     The truncation degree must reach both Frobenius monomials
     (`padics._check_reach`), otherwise the system degenerates to its
-    linear part.
+    linear part.  The fixtures and the tests build it; the min-plus
+    valuations read its four monomials through `component_copolygons`.
     """
     _check_reach(p, heights, degree)
     hs = _as_heights(heights)
     q1, q2 = p**hs.h1, p**hs.h2
-    first = Series.from_coeffs(p, 2, degree, {(1, 0): p, (0, q1): 1})
-    second = Series.from_coeffs(p, 2, degree, {(0, 1): p, (q2, 0): 1})
-    return SeriesPair(first, second)
+    first = series.Series.from_coeffs(p, 2, degree, {(1, 0): p, (0, q1): 1})
+    second = series.Series.from_coeffs(p, 2, degree, {(0, 1): p, (q2, 0): 1})
+    return series.SeriesPair(first, second)
+
+
+def component_copolygons(p: int, heights) -> tuple:
+    """The copolygons of the two components of `dynamical_system`.
+
+    Each component has two monomials: the linear one, with coefficient p
+    of valuation 1, and the Frobenius one, with coefficient 1.  So the
+    copolygons are those of (1, 0, 1), (0, q1, 0) and of (0, 1, 1),
+    (q2, 0, 0), q_i = p^h_i, built with no series arithmetic.
+    """
+    _check_prime(p)
+    hs = _as_heights(heights)
+    q1, q2 = p**hs.h1, p**hs.h2
+    return Copolygon([(1, 0, 1), (0, q1, 0)]), Copolygon([(0, 1, 1), (q2, 0, 0)])
 
 
 def hypothesis_status(p: int, heights) -> str:
@@ -103,7 +118,9 @@ def torsion_valuations_via_minplus(p: int, heights, n: int,
     """Valuations of p^n-torsion computed from the copolygon geometry.
 
     Level 1 is the unique positive crossing of the tie loci of the two
-    component copolygons.  Each further level inverts the system once:
+    component copolygons, which `component_copolygons` reads off the
+    system's four monomials: no series is built, so this path never loads
+    `series`.  Each further level inverts the system once:
     the new valuations are forced by the Frobenius branches, and the step
     is accepted only if each Frobenius branch is the strict minimizer of
     its component copolygon at the new point; a tie or an undercut by the
@@ -117,7 +134,7 @@ def torsion_valuations_via_minplus(p: int, heights, n: int,
     if n < 1:
         raise ValueError("torsion level n must be at least 1")
     q1, q2 = p**hs.h1, p**hs.h2
-    comp1, comp2 = map(Copolygon.from_series, dynamical_system(p, hs, max(q1, q2)))
+    comp1, comp2 = component_copolygons(p, hs)
     if start is None:
         crossings = [pt for pt in intersect_tie_loci(comp1, comp2)
                      if pt[0] > 0 and pt[1] > 0]

@@ -261,7 +261,7 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["v_xi"] == "5/31"
 
 
-LIBRARY = ("padics", "series", "lubintate", "copolygon", "torsion", "fixtures")
+LIBRARY = ("padics", "series", "series_ops", "lubintate", "copolygon", "torsion", "fixtures")
 
 # Imports the CLI in a `python -B -I -S` child, runs `main` on the
 # arguments given, if any, and prints to stderr its exit code, the
@@ -278,14 +278,15 @@ print(code, " ".join(ran), " ".join(sys.modules), sep="\\n", file=sys.stderr)
 """
 
 
-def _load_probe(*argv):
+def _load_probe(*argv, code=0):
     """The library modules whose code ran and every module loaded, when a
-    child imports the CLI and runs `main(argv)` if argv is given."""
+    child imports the CLI and runs `main(argv)`, which must return `code`,
+    if argv is given."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", _LOAD_PROBE, src, *argv],
                           capture_output=True, text=True, check=True)
-    code, ran, loaded = proc.stderr.splitlines()
-    assert code == "0"
+    returned, ran, loaded = proc.stderr.splitlines()
+    assert returned == str(code)
     ours = {name.removeprefix("lubintate2d.") for name in ran.split()
             if name.startswith("lubintate2d.")}
     return ours, set(loaded.split())
@@ -293,32 +294,53 @@ def _load_probe(*argv):
 
 def test_cli_import_stays_on_the_light_standard_library():
     """Under `python -I -S`, importing the CLI loads no standard module it
-    never needs, `fractions` and `decimal` included, and runs only the
-    library modules every command reads.  All six library modules are
-    still in `sys.modules`, four of them lazily: the traced benchmark
-    (`bench/trace_boot.py`) looks each one up there right after it imports
-    the CLI, and its first attribute read runs it.  `-B` keeps the child
-    from writing bytecode into the tree, which `-I` would do despite
-    PYTHONDONTWRITEBYTECODE, and which later benchmark runs would load."""
+    never needs, `fractions`, `decimal` and `json` included, and runs only
+    the library modules every command reads.  All seven library modules
+    are still in `sys.modules`, all but `padics` lazily: the traced
+    benchmark (`bench/trace_boot.py`) looks each one up there right after
+    it imports the CLI, and its first attribute read runs it.  `-B` keeps
+    the child from writing bytecode into the tree, which `-I` would do
+    despite PYTHONDONTWRITEBYTECODE, and which later benchmark runs would
+    load."""
     ran, loaded = _load_probe()
     assert not loaded & {"dataclasses", "inspect", "typing", "importlib.resources",
-                         "fractions", "decimal"}
+                         "fractions", "decimal", "json"}
     assert {f"lubintate2d.{name}" for name in LIBRARY} <= loaded
-    assert ran == {"cli", "padics", "series"}
+    assert ran == {"cli", "padics"}
 
 
-@pytest.mark.parametrize("argv, runs, rationals", [
-    (("mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "8", "-a", "2"), {"lubintate"}, False),
-    (("torsion", "-p", "2", "--h1", "2", "--h2", "3"), {"copolygon", "torsion"}, True),
-    (("copolygon", "--support", "SUPPORT", "--json"), {"copolygon"}, True),
-], ids=["mult", "torsion", "copolygon-support"])
-def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, runs, rationals):
+PARAMS = ("-p", "2", "--h1", "2", "--h2", "3")
+SERIES = {"series", "series_ops"}
+RATIONAL = {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv, code, runs, stdlib", [
+    (("mult", *PARAMS, "-D", "8", "-a", "2"), 0, {"lubintate", *SERIES}, {"json"}),
+    (("log", *PARAMS, "-D", "8"), 0, {"lubintate", *SERIES}, {"json"}),
+    (("verify", "--fixture", "mult45"), 1, {"fixtures", "lubintate", *SERIES}, {"json"}),
+    (("torsion", *PARAMS), 0, {"copolygon", "torsion"}, {*RATIONAL, "json"}),
+    (("torsion", *PARAMS, "-n", "4"), 0, {"copolygon", "torsion"}, {*RATIONAL, "json"}),
+    (("torsion", *PARAMS, "-n", "4", "--method", "minplus"), 0, {"copolygon", "torsion"},
+     {*RATIONAL, "json"}),
+    (("torsion", *PARAMS, "--sweep", "3"), 0, {"copolygon", "torsion"}, {*RATIONAL, "json"}),
+    (("torsion", "-p", "3", "--h1", "2", "--h2", "3", "--ramification", "--csv"), 0,
+     {"copolygon", "torsion"}, RATIONAL),
+    (("copolygon", "--support", "SUPPORT", "--json"), 0, {"copolygon"}, {*RATIONAL, "json"}),
+    (("copolygon", "--support", "SUPPORT", "--svg", "SVG"), 0, {"copolygon"}, RATIONAL),
+    (("copolygon", "--fixture", "dyn23"), 0, {"copolygon", "fixtures", "torsion", *SERIES},
+     {*RATIONAL, "json"}),
+], ids=["mult", "log", "verify-mult45", "torsion", "torsion-n", "torsion-minplus",
+        "torsion-sweep", "torsion-ramification-csv", "copolygon-support",
+        "copolygon-support-svg", "copolygon-fixture-dyn23"])
+def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, code, runs, stdlib):
+    """`series` compiles only where a series is built, and `json` only where
+    JSON is written or a series container is read."""
     support = tmp_path / "support.txt"
     support.write_text("2 9\n1 1 1\n4 0 0\n0 5 0\n")
-    ran, loaded = _load_probe(*(str(support) if a == "SUPPORT" else a for a in argv))
-    assert ran == {"cli", "padics", "series", *runs}
-    rational = {"fractions", "decimal"}
-    assert loaded & rational == (rational if rationals else set())
+    files = {"SUPPORT": str(support), "SVG": str(tmp_path / "out.svg")}
+    ran, loaded = _load_probe(*(files.get(a, a) for a in argv), code=code)
+    assert ran == {"cli", "padics", *runs}
+    assert loaded & {*RATIONAL, "json"} == stdlib
 
 
 def test_copolygon_offers_every_fixture(capsys):

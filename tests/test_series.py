@@ -8,11 +8,6 @@ from lubintate2d.padics import Padic, _powers, _raw_add
 from lubintate2d.series import (
     Series,
     SeriesPair,
-    _ONE,
-    _accumulate,
-    _pack,
-    _settle,
-    _unpack,
     compose,
     dump_sections,
     evaluate_series,
@@ -20,6 +15,7 @@ from lubintate2d.series import (
     invert_pair,
     parse_sections,
 )
+from lubintate2d.series_ops import _ONE, _accumulate, _pack, _settle, _unpack
 
 
 def test_constructor_drops_zeros_and_validates():

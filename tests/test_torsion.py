@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from lubintate2d import torsion
+from lubintate2d.copolygon import Copolygon
 from lubintate2d.lubintate import congruence_report
 from lubintate2d.padics import Padic
 from lubintate2d.series import Series, compose, invert_pair
 from lubintate2d.torsion import (
     AmbiguousBranchError,
     ValuationProfile,
+    component_copolygons,
     count_p_torsion,
     dynamical_system,
     gcd_lemma,
@@ -33,6 +36,19 @@ def test_dynamical_system_shape():
         dynamical_system(2, (2, 3), 7)
     with pytest.raises(ValueError):
         dynamical_system(4, (2, 3), 16)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_component_copolygons_are_those_of_the_system(p):
+    """The min-plus valuations read the copolygons off the system's four
+    monomials; they are the copolygons of its components as series, over
+    every prime and coprime pair of heights at most 6."""
+    for h1 in range(1, 7):
+        for h2 in range(1, 7):
+            if gcd(h1, h2) != 1:
+                continue
+            system = dynamical_system(p, (h1, h2), p**max(h1, h2))
+            assert component_copolygons(p, (h1, h2)) == tuple(map(Copolygon.from_series, system))
 
 
 def test_dynamical_system_satisfies_p_congruences():
