@@ -340,7 +340,7 @@ class Padic(_Record):
         return f"Padic({self.p}, {self.p}^{self.val} * {self.balanced_unit()} + O({self.p}^{self.val + self.prec}))"
 
 
-# -- polynomial helpers over F_p (low-degree-first coefficient tuples) ----
+# -- polynomial helpers over Z/m (low-degree-first coefficient tuples) ----
 
 
 def _poly_trim(f):
@@ -350,25 +350,15 @@ def _poly_trim(f):
     return tuple(f[:d])
 
 
-def _poly_mulmod(a, b, mod, p):
-    # mod is monic; p may be any modulus (UnramifiedElement passes p**prec)
-    if not a or not b:
-        return ()
+def _poly_mulmod(a, b, mod, m):
+    # mod is monic, so m may be any modulus (UnramifiedElement passes p**prec)
     res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
-            res[i + j] = (res[i + j] + ai * bj) % p
-    h = len(mod) - 1
-    for i in range(len(res) - 1, h - 1, -1):
-        c = res[i]
-        if c == 0:
-            continue
-        res[i] = 0
-        for j in range(h):
-            res[i - h + j] = (res[i - h + j] - c * mod[j]) % p
-    return _poly_trim(res)
+            res[i + j] = (res[i + j] + ai * bj) % m
+    return _poly_mod(res, mod, m)
 
 
 def _poly_powmod(base, e: int, mod, m):
@@ -383,19 +373,20 @@ def _poly_powmod(base, e: int, mod, m):
     return result
 
 
-def _poly_mod(a, b, p):
-    """Remainder of a modulo the nonzero polynomial b, over F_p."""
+def _poly_mod(a, b, m):
+    """Remainder of a modulo the nonzero polynomial b, over Z/m.
+
+    b's leading coefficient must be a unit modulo m; m need not be prime.
+    """
     a = list(_poly_trim(a))
     b = _poly_trim(b)
-    inv = pow(b[-1], -1, p)
+    inv = pow(b[-1], -1, m)
     while len(a) >= len(b):
-        c = a[-1] * inv % p
+        c = a[-1] * inv % m
         shift = len(a) - len(b)
         for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * bj) % p
+            a[shift + j] = (a[shift + j] - c * bj) % m
         a = list(_poly_trim(a))
-        if not a:
-            break
     return tuple(a)
 
 

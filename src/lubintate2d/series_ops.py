@@ -10,7 +10,6 @@ single compile is large (see the package root).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from functools import reduce
 from math import inf
@@ -304,6 +303,8 @@ def evaluate_series(s: Series, point) -> Padic:
 def dump_sections(header: dict, pairs: dict) -> str:
     """The container of {name: SeriesPair} under `header`, whose "p" and
     "D" are filled in from the pairs."""
+    import json
+
     shapes = {(pair.p, pair.degree) for pair in pairs.values()}
     if len(shapes) != 1:
         raise ValueError("a container holds pairs of one prime and one degree")
@@ -327,6 +328,8 @@ def parse_sections(text: str):
     repeats a monomial; and a pair with a section missing, repeated or not
     named name.1 or name.2.
     """
+    import json
+
     lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     if not lines or not lines[0].startswith("{"):
         raise ValueError("a series container starts with its JSON header line")

@@ -6,10 +6,12 @@ For coprime heights (h1, h2) the system
 
 is the lowest-order approximation of the multiplication-by-p endomorphism
 of the associated two-dimensional formal group.  The valuations of its
-p^n-torsion points obey closed formulae; this module computes them both
-from the formulae and from first principles with the min-plus copolygon
-machinery, and derives the ramification degree they force when p is odd
-and h = h1 + h2 is odd.
+p^n-torsion points obey closed formulae.  This module computes them from
+the formulae, and from first principles by one walk up the torsion levels
+(`_minplus_levels`): level 1 crosses the tie loci of the two component
+copolygons, read off the system's four monomials, and each further level
+inverts the system once (`_minplus_step`).  It also derives the
+ramification degree they force when p is odd and h = h1 + h2 is odd.
 
 The system only approximates [p]_F: the law defined by its limit
 logarithm, lim p^{-n} times the n-th iterate of D, is not integral
@@ -24,6 +26,7 @@ from __future__ import annotations
 # its transient memory sets a lower peak RSS for `torsion`.
 from .copolygon import Copolygon, intersect_tie_loci  # isort: skip
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from . import series
@@ -113,52 +116,49 @@ def torsion_valuations(p: int, heights, n: int) -> ValuationProfile:
         Fraction(p**hs.h1 + 1, p**(h * m - hs.h2) * base))
 
 
-def torsion_valuations_via_minplus(p: int, heights, n: int,
-                                   start: ValuationProfile = None) -> ValuationProfile:
-    """Valuations of p^n-torsion computed from the copolygon geometry.
+def _minplus_step(comp1, comp2, q1: int, q2: int, profile: ValuationProfile) -> ValuationProfile:
+    """One inversion of the system: the valuations one torsion level up.
 
-    Level 1 is the unique positive crossing of the tie loci of the two
-    component copolygons, which `component_copolygons` reads off the
-    system's four monomials: no series is built, so this path never loads
-    `series`.  Each further level inverts the system once:
-    the new valuations are forced by the Frobenius branches, and the step
-    is accepted only if each Frobenius branch is the strict minimizer of
-    its component copolygon at the new point; a tie or an undercut by the
-    linear branch raises AmbiguousBranchError.
+    The Frobenius branches force the new valuations and hit the old ones
+    exactly, so the step stands only if each is the sole minimizer of its
+    component copolygon there.  Beside another minimizer it ties, and
+    outside the minimizers the linear branch undercuts it: both raise
+    AmbiguousBranchError.
+    """
+    candidate = (profile.v_eta / q2, profile.v_xi / q1)
+    for poly, frob in ((comp1, (0, q1, Fraction(0))), (comp2, (q2, 0, Fraction(0)))):
+        tied = poly.argmin(candidate)
+        if frob not in tied:
+            raise AmbiguousBranchError(
+                f"linear branch undercuts the Frobenius branch at {candidate}")
+        if tied != [frob]:
+            raise AmbiguousBranchError(
+                f"linear and Frobenius branches tie at {candidate}")
+    return ValuationProfile(*candidate)
 
-    A start profile substitutes for the level-1 computation, which lets a
-    caller replay the inversion from arbitrary valuations.
+
+def _minplus_levels(p: int, hs):
+    """The min-plus valuations of p^n-torsion for n = 1, 2, ..., without end."""
+    q1, q2 = p**hs.h1, p**hs.h2
+    comp1, comp2 = component_copolygons(p, hs)
+    crossings = [pt for pt in intersect_tie_loci(comp1, comp2) if pt[0] > 0 and pt[1] > 0]
+    if len(crossings) != 1:
+        raise ArithmeticError(f"expected one positive tie crossing, found {len(crossings)}")
+    profile = ValuationProfile(*crossings[0])
+    while True:
+        yield profile
+        profile = _minplus_step(comp1, comp2, q1, q2, profile)
+
+
+def torsion_valuations_via_minplus(p: int, heights, n: int) -> ValuationProfile:
+    """Valuations of p^n-torsion computed from the copolygon geometry: level
+    n of `_minplus_levels`, which builds no series and never loads `series`.
     """
     _check_prime(p)
     hs = _as_heights(heights)
     if n < 1:
         raise ValueError("torsion level n must be at least 1")
-    q1, q2 = p**hs.h1, p**hs.h2
-    comp1, comp2 = component_copolygons(p, hs)
-    if start is None:
-        crossings = [pt for pt in intersect_tie_loci(comp1, comp2)
-                     if pt[0] > 0 and pt[1] > 0]
-        if len(crossings) != 1:
-            raise ArithmeticError(
-                f"expected one positive tie crossing, found {len(crossings)}")
-        profile = ValuationProfile(*crossings[0])
-    else:
-        profile = start
-    for _ in range(n - 1):
-        v_xi = profile.v_eta / q2
-        v_eta = profile.v_xi / q1
-        candidate = (v_xi, v_eta)
-        for poly, frob, target in ((comp1, (0, q1, Fraction(0)), profile.v_xi),
-                                   (comp2, (q2, 0, Fraction(0)), profile.v_eta)):
-            tied = poly.argmin(candidate)
-            if poly.evaluate(candidate) != target:
-                raise AmbiguousBranchError(
-                    f"linear branch undercuts the Frobenius branch at {candidate}")
-            if tied != [frob]:
-                raise AmbiguousBranchError(
-                    f"linear and Frobenius branches tie at {candidate}")
-        profile = ValuationProfile(v_xi, v_eta)
-    return profile
+    return next(islice(_minplus_levels(p, hs), n - 1, None))
 
 
 def profile_report(p: int, heights, n_max: int) -> list:
@@ -167,18 +167,12 @@ def profile_report(p: int, heights, n_max: int) -> list:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     hs = _as_heights(heights)
     status = hypothesis_status(p, hs)
-    rows, minplus = [], None
-    for n in range(1, n_max + 1):
+    rows = []
+    # `range` first: zip stops before it asks the walk for a level past n_max
+    for n, minplus in zip(range(1, n_max + 1), _minplus_levels(p, hs)):
         closed = torsion_valuations(p, hs, n)
-        # level 1 crosses the tie loci; each further level is one step up from the last
-        minplus = torsion_valuations_via_minplus(p, hs, min(n, 2), start=minplus)
-        rows.append({
-            "n": n,
-            "v_xi": closed.v_xi,
-            "v_eta": closed.v_eta,
-            "agree": closed == minplus,
-            "hypothesis_status": status,
-        })
+        rows.append({"n": n, "v_xi": closed.v_xi, "v_eta": closed.v_eta,
+                     "agree": closed == minplus, "hypothesis_status": status})
     return rows
 
 

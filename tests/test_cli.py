@@ -328,7 +328,7 @@ RATIONAL = {"fractions", "decimal"}
     (("copolygon", "--support", "SUPPORT", "--json"), 0, {"copolygon"}, {*RATIONAL, "json"}),
     (("copolygon", "--support", "SUPPORT", "--svg", "SVG"), 0, {"copolygon"}, RATIONAL),
     (("copolygon", "--fixture", "dyn23"), 0, {"copolygon", "fixtures", "torsion", *SERIES},
-     {*RATIONAL, "json"}),
+     RATIONAL),
 ], ids=["mult", "log", "verify-mult45", "torsion", "torsion-n", "torsion-minplus",
         "torsion-sweep", "torsion-ramification-csv", "copolygon-support",
         "copolygon-support-svg", "copolygon-fixture-dyn23"])

@@ -203,6 +203,23 @@ def test_congruence_rejects_non_integral():
     assert "integral" in checks
 
 
+def test_congruence_reports_a_constant_term_and_nothing_else():
+    # the constant 1 is a unit mod p at degree 0, which the Frobenius
+    # comparison leaves to the constant and linear checks
+    pair = SeriesPair(Series.from_coeffs(2, 2, 9, {(0, 0): 1, (1, 0): 2, (0, 4): 1}),
+                      Series.from_coeffs(2, 2, 9, {(0, 1): 2, (8, 0): 1}))
+    assert [str(v) for v in congruence_report(pair, (2, 3)).violations] == [
+        "[constant] component 1 at (0, 0): nonzero constant term"]
+
+
+def test_the_linear_check_owns_degree_one():
+    # the identity's linear units are linear findings only; its Frobenius
+    # findings are the two missing cross-Frobenius monomials
+    report = congruence_report(SeriesPair.identity(2, 9), (2, 3))
+    assert [(v.check, v.exponents) for v in report.violations] == [
+        ("linear", (1, 0)), ("frobenius", (0, 4)), ("linear", (0, 1)), ("frobenius", (8, 0))]
+
+
 def test_linear_check_reads_every_digit_past_64():
     # 3 * (1 + 3^80) at N = 100 differs from 3 only past the 64-digit default
     n = 100
@@ -479,6 +496,15 @@ def test_axioms_report_checks_both_identity_laws():
     assert not any(v.check == "integral" for v in report.violations)
     assert [str(v) for v in report.violations if v.check == "identity"] == [
         "[identity] component 0: F(0, Y) != Y"]
+
+
+def test_axioms_report_flags_a_p_map_whose_linear_part_is_not_p():
+    # an exponential scaled by 3 makes the law's linear part 3X + 3Y and
+    # [p]_F's linear part 3pX
+    group = g23()
+    fake = LubinTateGroup(group.heights, group.logarithm, group.exponential.scale(3))
+    assert [v.check for v in group_axioms_report(fake).violations] == [
+        "identity", "identity", "associative", "additive", "p-differential"]
 
 
 @pytest.mark.parametrize("assoc_degree", [0, -2])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -101,27 +102,28 @@ def test_scaling_identity():
             assert deep.v_eta * p**h == shallow.v_eta
 
 
-def test_minplus_start_passthrough():
+def test_minplus_step_from_level_one():
     start = ValuationProfile(Fraction(5, 31), Fraction(9, 31))
-    assert torsion_valuations_via_minplus(2, (2, 3), 1, start=start) == start
-    two_step = torsion_valuations_via_minplus(2, (2, 3), 2, start=start)
-    assert two_step == torsion_valuations(2, (2, 3), 2)
+    step = torsion._minplus_step(*component_copolygons(2, (2, 3)), 4, 8, start)
+    assert step == torsion_valuations(2, (2, 3), 2)
 
 
 def test_minplus_ambiguous_branch():
     # from (2, 9) at (3, (1, 2)) the first inversion makes the linear and
     # Frobenius branches of the first component tie at value 2
     start = ValuationProfile(Fraction(2), Fraction(9))
-    with pytest.raises(AmbiguousBranchError):
-        torsion_valuations_via_minplus(3, (1, 2), 2, start=start)
+    with pytest.raises(AmbiguousBranchError, match=re.escape(
+            "linear and Frobenius branches tie at (Fraction(1, 1), Fraction(2, 3))")):
+        torsion._minplus_step(*component_copolygons(3, (1, 2)), 3, 9, start)
 
 
 def test_minplus_undercut_branch():
     # from (3, 9) the linear branch of the first component sits strictly
     # below the Frobenius target
     start = ValuationProfile(Fraction(3), Fraction(9))
-    with pytest.raises(AmbiguousBranchError):
-        torsion_valuations_via_minplus(3, (1, 2), 2, start=start)
+    with pytest.raises(AmbiguousBranchError, match=re.escape(
+            "linear branch undercuts the Frobenius branch at (Fraction(1, 1), Fraction(1, 1))")):
+        torsion._minplus_step(*component_copolygons(3, (1, 2)), 3, 9, start)
 
 
 def test_profile_report_rows():
