@@ -14,6 +14,7 @@ L solves the twisted functional equations
 and F = L^{-1}(L(X) + L(Y)) is then a formal group law with integral
 coefficients whose multiplication-by-p reduces mod p to the cross
 Frobenius pair (x2^{p^{h1}}, x1^{p^{h2}}), giving height h1 + h2.
+`build_logarithm` finds L as the fixed point of those equations.
 
 Everything here is exact at the chosen truncation degree.  Every verifier
 returns a `Report`: its violations in the checker's order, each naming the
@@ -38,27 +39,23 @@ def _check_params(p: int, degree: int, prec: int):
         raise PrecisionError("relative precision must be at least 1")
 
 
+def _recursion_rhs(log: SeriesPair, heights: HeightPair, prec: int) -> SeriesPair:
+    """X + p^{-1} (L2(X^{p^h1}), L1(X^{p^h2})) at relative precision `prec`:
+    the right-hand side of the twisted functional equations."""
+    p = log.p
+    twisted = SeriesPair(log.second.raise_vars(p**heights.h1), log.first.raise_vars(p**heights.h2))
+    return SeriesPair.identity(p, log.degree, prec) + twisted.scale(Padic(p, -1, 1, prec))
+
+
 def build_logarithm(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> SeriesPair:
-    """Closed-form logarithm pair, truncated at total degree `degree`."""
+    """The logarithm pair truncated at total degree `degree`: the fixed point
+    of the twisted functional equations, iterated from X one level a step."""
     heights = _as_heights(heights)
     _check_params(p, degree, prec)
-    h = heights.total
-    coeffs1 = {(1, 0): 1}
-    coeffs2 = {(0, 1): 1}
-    k = 1
-    while p ** (k * h) <= degree:
-        coeffs1[(p ** (k * h), 0)] = coeffs2[(0, p ** (k * h))] = Padic(p, -2 * k, 1, prec)
-        k += 1
-    k = 0
-    while p ** (heights.h1 + k * h) <= degree:
-        coeffs1[(0, p ** (heights.h1 + k * h))] = Padic(p, -(2 * k + 1), 1, prec)
-        k += 1
-    k = 0
-    while p ** (heights.h2 + k * h) <= degree:
-        coeffs2[(p ** (heights.h2 + k * h), 0)] = Padic(p, -(2 * k + 1), 1, prec)
-        k += 1
-    return SeriesPair(Series.from_coeffs(p, 2, degree, coeffs1, prec),
-                      Series.from_coeffs(p, 2, degree, coeffs2, prec))
+    log = SeriesPair.identity(p, degree, prec)
+    while (nxt := _recursion_rhs(log, heights, prec)) != log:
+        log = nxt
+    return log
 
 
 class Violation(_Record):
@@ -107,9 +104,7 @@ def recursion_defects(log: SeriesPair, heights) -> Report:
     the p^{h_i} power maps degree d to degree d * p^{h_i}, so the truncated
     right-hand side is complete through the shared degree.
     """
-    heights, p, prec = _as_heights(heights), log.p, _widest_precision(log)
-    twisted = SeriesPair(log.second.raise_vars(p**heights.h1), log.first.raise_vars(p**heights.h2))
-    rhs = SeriesPair.identity(p, log.degree, prec) + twisted.scale(Padic(p, -1, 1, prec))
+    rhs = _recursion_rhs(log, _as_heights(heights), _widest_precision(log))
     return Report(tuple(Violation(idx, e, "recursion", "twisted functional equation fails")
                         for idx, e in _differences(log, rhs)))
 

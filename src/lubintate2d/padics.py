@@ -2,11 +2,11 @@
 with the frozen-value base, the parameter checks, the num/den form of a
 rational and the grlex order of exponent tuples that every module shares.
 
-The scalar model is relative precision: a nonzero value is p**val * unit
-with the unit stored modulo p**prec and coprime to p.  Valuations are exact
-integers, negative allowed; exact zero is a separate sentinel.  Addition
-recomputes the valuation by carrying, so cancellation surfaces as a loss of
-recorded precision instead of a silently wrong digit.
+A nonzero value is p**val * unit, the unit coprime to p and known modulo
+p**prec; `series` keeps it as (val, unit, cap) with cap = val + prec.
+Valuations are exact integers, negative allowed; exact zero is a separate
+sentinel.  Addition recomputes the valuation by carrying, so cancellation
+surfaces as a loss of recorded precision instead of a silently wrong digit.
 """
 
 from __future__ import annotations
@@ -161,17 +161,15 @@ def _powers(p: int) -> _Powers:
 
 
 def _raw_add(pk: _Powers, a, b):
-    """The sum rule of `Padic`, on (val, unit, prec) triples; pk = _powers(p).
+    """The sum rule of `Padic` on (val, unit, cap) triples; pk = _powers(p).
 
     Triples are canonical: a unit is coprime to p and reduced modulo
-    p**prec, and unit 0 is the exact zero.  The sum is known to the smaller
-    absolute precision (val + prec) of the two.  A sum that cancels below
-    its known digits is an exact zero that keeps the precision of the
-    operand of smaller valuation (the first one on a tie) and nothing of
-    its cap, so the result of a chain of sums depends on the order in which
-    it is taken.  Products and compositions apply the same rule inline, on
-    absolute caps, in `series_ops._accumulate`, and normalise once, in
-    `series_ops._settle`; a test binds the two forms.
+    p**(cap - val), and unit 0 is the exact zero.  The sum is known to the
+    smaller cap.  A sum that cancels below its known digits is an exact
+    zero that keeps the relative precision of the operand of smaller
+    valuation (the first one on a tie) and nothing of its cap, so the
+    result of a chain of sums depends on the order in which it is taken.
+    `series_ops._accumulate` inlines it for speed; a test binds the two.
     """
     if not a[1]:
         return b
@@ -179,30 +177,29 @@ def _raw_add(pk: _Powers, a, b):
         return a
     if b[0] < a[0]:
         a, b = b, a
-    val, unit, prec = a
-    dv = b[0] - val
-    if dv >= prec:
+    val, unit, cap = a
+    if b[0] >= cap:
         # b lies wholly below the known digits of a
         return a
-    m = prec if prec < b[2] + dv else b[2] + dv
-    s = (unit + b[1] * pk[dv]) % pk[m]
+    if b[2] < cap:
+        cap = b[2]
+    s = (unit + b[1] * pk[b[0] - val]) % pk[cap - val]
     if not s:
-        # cancelled below the known digits: exact zero at this precision
-        return (0, 0, prec)
+        # cancelled below the known digits: exact zero at a's precision
+        return (0, 0, a[2] - val)
     p = pk[1]
     while not s % p:
         s //= p
         val += 1
-        m -= 1
-    return (val, s, m)
+    return (val, s, cap)
 
 
 class Padic(_Record):
     """A p-adic number at capped relative precision: the boundary type.
 
     Scalars enter and leave the library as `Padic` values; inside,
-    `series` computes on the same (val, unit, prec) triples with the sum
-    rule of `_raw_add`.  The constructor normalises its arguments, so it
+    `series` computes on (val, unit, val + prec) triples with the sum rule
+    of `_raw_add`.  The constructor normalises its arguments, so it
     replaces the one of `_Record`.  Nonzero values are canonical: ``unit``
     is coprime to p and reduced to the range [1, p**prec).  The exact zero
     has ``unit == 0`` and no valuation.  Two values over one prime compare
@@ -286,9 +283,9 @@ class Padic(_Record):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        val, unit, prec = _raw_add(_powers(self.p), (self.val, self.unit, self.prec),
-                                   (other.val, other.unit, other.prec))
-        return Padic(self.p, val, unit, prec)
+        val, unit, cap = _raw_add(_powers(self.p), (self.val, self.unit, self.val + self.prec),
+                                  (other.val, other.unit, other.val + other.prec))
+        return Padic(self.p, val, unit, cap - val)
 
     __radd__ = __add__
 
@@ -386,7 +383,8 @@ def _poly_mod(a, b, m):
         shift = len(a) - len(b)
         for j, bj in enumerate(b):
             a[shift + j] = (a[shift + j] - c * bj) % m
-        a = list(_poly_trim(a))
+        while a and not a[-1]:
+            a.pop()
     return tuple(a)
 
 

@@ -5,18 +5,18 @@ truncation degree is dropped eagerly and exact-zero coefficients are never
 stored.  A `Series` is a frozen `padics._Record`, so series can be shared
 freely.
 
-A coefficient is stored as a canonical (val, unit, prec) integer triple:
-the unit is coprime to p and reduced modulo p**prec, as `Padic` keeps it.
-Only this module, with its second half `series_ops`, and `padics` know
-that.  Values enter only through
-`Series.from_coeffs`, which reads them through `Padic`, and leave only
-through `coefficient`, as a `Padic`; other modules read `terms` for its
-keys alone.  Sums and `evaluate_series` add triples with `padics._raw_add`,
-the sum rule of `Padic`; products, scalings and substitutions use that
-rule in the absolute form below.  None builds a `Padic` but the value
-`evaluate_series` returns.  Two series agree (`==`) when no term of their
-difference survives the sum rule, the rule by which the verifiers list
-where two series differ.
+A coefficient is stored as a canonical (val, unit, cap) integer triple,
+p**val * unit known modulo p**cap: the unit is coprime to p and reduced
+modulo p**(cap - val), the relative precision a `Padic` keeps.  Only this
+module, with its second half `series_ops`, and `padics` know that.  Values
+enter only through `Series.from_coeffs`, which reads them through `Padic`,
+and leave only through `coefficient`, as a `Padic`; other modules read
+`terms` for its keys alone.  Every sum applies `padics._raw_add`, the sum
+rule of `Padic`, to these triples: sums and `evaluate_series` call it, and
+products, scalings and substitutions inline it.  None builds a `Padic`
+but the value `evaluate_series` returns.  Two series agree (`==`) when no
+term of their difference survives the sum rule, the rule by which the
+verifiers list where two series differ.
 
 This module holds `Series`.  The packed-key kernels from `_pack` to
 `_substitute_each`, `SeriesPair`, `compose`, `linear_defects`,
@@ -80,7 +80,7 @@ class Series(_Record):
             if sum(e) > degree:
                 raise ValueError(f"monomial {e} exceeds truncation degree {degree}")
             if type(c) is not tuple:
-                raise TypeError("coefficients must be (val, unit, prec) triples; "
+                raise TypeError("coefficients must be (val, unit, cap) triples; "
                                 "use Series.from_coeffs for other values")
             if c[1]:
                 clean[e] = c
@@ -109,7 +109,7 @@ class Series(_Record):
                 c = Padic.from_fraction(p, c, prec)
             if c.p != p:
                 raise ValueError("coefficient prime mismatch")
-            terms[e] = (c.val, c.unit, c.prec)
+            terms[e] = (c.val, c.unit, c.val + c.prec)
         return cls(p, nvars, degree, terms)
 
     # -- inspection -------------------------------------------------------
@@ -123,7 +123,7 @@ class Series(_Record):
 
     def coefficient(self, e) -> Padic:
         t = self.terms.get(tuple(e))
-        return Padic.zero(self.p) if t is None else Padic(self.p, *t)
+        return Padic.zero(self.p) if t is None else Padic(self.p, t[0], t[1], t[2] - t[0])
 
     def min_total_degree(self):
         """Least total degree with a nonzero term, or None for zero."""
@@ -178,7 +178,7 @@ class Series(_Record):
     def __neg__(self):
         pk = _powers(self.p)
         return Series(self.p, self.nvars, self.degree,
-                      {e: (v, -u % pk[m], m) for e, (v, u, m) in self.terms.items()})
+                      {e: (v, -u % pk[c - v], c) for e, (v, u, c) in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)

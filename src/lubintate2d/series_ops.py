@@ -30,19 +30,20 @@ def _unpack(terms: dict, nvars: int, radix: int) -> dict:
 
 
 def _accumulate(pk, acc: dict, a: dict, b: dict, bound: int, top: int) -> dict:
-    """Add the product of two {packed key: (val, unit, prec)} dicts through
+    """Add the product of two {packed key: (val, unit, cap)} dicts through
     total degree `bound` into `acc` and return it; `top` is the place value
     of the degree digit.  `acc` maps a key to (val, x, cap), or to None
     for an exact zero (see the module notes)."""
-    terms = [(e, e // top, v, u, m) for e, (v, u, m) in b.items()]
+    terms = [(e, e // top, v, u, c - v) for e, (v, u, c) in b.items()]
     rows = {}
     get = acc.get
-    for e1, (v1, u1, m1) in a.items():
+    for e1, (v1, u1, c1) in a.items():
         room = bound - e1 // top
         row = rows.get(room)
         if row is None:
             row = rows[room] = [(e2, v2, u2, m2)
                                 for e2, d2, v2, u2, m2 in terms if d2 <= room]
+        m1 = c1 - v1
         for e2, v2, u2, m2 in row:
             e = e1 + e2
             v = v1 + v2
@@ -52,7 +53,7 @@ def _accumulate(pk, acc: dict, a: dict, b: dict, bound: int, top: int) -> dict:
             if cur is None:
                 acc[e] = (v, x, cap)
                 continue
-            # the sum rule of _raw_add on absolute caps
+            # the sum rule of _raw_add
             cv, cx, cc = cur
             if cc < cap:
                 cap = cc
@@ -77,7 +78,7 @@ def _settle(pk, acc: dict) -> dict:
             while not x % p:
                 x //= p
                 v += 1
-            out[e] = (v, x, cap - v)
+            out[e] = (v, x, cap)
     return out
 
 
@@ -267,12 +268,12 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
 def evaluate_series(s: Series, point) -> Padic:
     """Value of a two-variable series at a pair of p-adic scalars.
 
-    Computed on the stored (val, unit, prec) triples: the term c a^i b^j is
-    (v + i va + j vb, u ua^i ub^j mod p^m, m) with m the least of the three
-    precisions, the product rule of `_accumulate`.  The terms are
-    summed in grlex order by `padics._raw_add`, and one `Padic` is built
-    from the sum.  A zero coordinate needs no branch: its unit is 0, so
-    pow(0, 0) = 1 and pow(0, k) = 0.
+    Computed on the stored (val, unit, cap) triples: the term c a^i b^j has
+    valuation v + i va + j vb and unit u ua^i ub^j mod p^m, m the least of
+    the three relative precisions, the product rule of `_accumulate`.  The
+    terms are summed in grlex order by `padics._raw_add`, and one `Padic`
+    is built from the sum.  A zero coordinate needs no branch: its unit is
+    0, so pow(0, 0) = 1 and pow(0, k) = 0.
     """
     if s.nvars != 2:
         raise ValueError("expected a two-variable series")
@@ -282,11 +283,12 @@ def evaluate_series(s: Series, point) -> Padic:
     pk = _powers(s.p)
     total = (0, 0, min(a.prec, b.prec))
     for e in sorted(s.terms, key=grlex):
-        v, u, m = s.terms[e]
-        m = min(m, a.prec, b.prec)
+        v, u, c = s.terms[e]
+        m = min(c - v, a.prec, b.prec)
         unit = u * pow(a.unit, e[0], pk[m]) * pow(b.unit, e[1], pk[m]) % pk[m]
-        total = _raw_add(pk, total, (v + e[0] * a.val + e[1] * b.val, unit, m))
-    return Padic(s.p, *total)
+        v += e[0] * a.val + e[1] * b.val
+        total = _raw_add(pk, total, (v, unit, v + m))
+    return Padic(s.p, total[0], total[1], total[2] - total[0])
 
 
 # -- the text container -----------------------------------------------------

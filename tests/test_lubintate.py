@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -71,6 +72,40 @@ def test_logarithm_support_3_12_deep():
     assert log.second.coefficient((9, 0)) == Padic(3, -1, 1)
 
 
+def _closed_form_logarithm(p, heights, degree, prec):
+    """The closed form of the logarithm pair in the `lubintate` module notes."""
+    h1, h2 = heights
+    h = h1 + h2
+    coeffs1 = {(1, 0): 1}
+    coeffs2 = {(0, 1): 1}
+    k = 1
+    while p ** (k * h) <= degree:
+        coeffs1[(p ** (k * h), 0)] = coeffs2[(0, p ** (k * h))] = Padic(p, -2 * k, 1, prec)
+        k += 1
+    k = 0
+    while p ** (h1 + k * h) <= degree:
+        coeffs1[(0, p ** (h1 + k * h))] = Padic(p, -(2 * k + 1), 1, prec)
+        k += 1
+    k = 0
+    while p ** (h2 + k * h) <= degree:
+        coeffs2[(p ** (h2 + k * h), 0)] = Padic(p, -(2 * k + 1), 1, prec)
+        k += 1
+    return SeriesPair(Series.from_coeffs(p, 2, degree, coeffs1, prec),
+                      Series.from_coeffs(p, 2, degree, coeffs2, prec))
+
+
+def test_the_logarithm_is_the_closed_form():
+    """The fixed point of the functional equations has the closed form's
+    coefficient triples."""
+    for p in (2, 3, 5, 7):
+        for hs in ((h1, h2) for h1 in range(1, 5) for h2 in range(1, 5) if gcd(h1, h2) == 1):
+            for degree in (1, 8, 33, 96):
+                for prec in (1, 2, 64):
+                    got = build_logarithm(p, hs, degree, prec)
+                    want = _closed_form_logarithm(p, hs, degree, prec)
+                    assert [s.terms for s in got] == [s.terms for s in want], (p, hs, degree, prec)
+
+
 def test_recursion_identity_exact():
     for p, hs in ((2, (2, 3)), (3, (1, 2))):
         log = build_logarithm(p, hs, 40)
@@ -88,9 +123,9 @@ def test_recursion_checks_at_the_logarithms_own_precision():
     # a change at relative digit 80 of L1's x2^4 coefficient, built at
     # N = 100, is past the 64-digit default but not past the logarithm's
     log = build_logarithm(2, (2, 3), 12, 100)
-    val, unit, prec = log.first.terms[(0, 4)]
+    val, unit, cap = log.first.terms[(0, 4)]
     terms = {e: log.first.coefficient(e) for e in log.first.terms}
-    terms[(0, 4)] = Padic(2, val, unit + 2**80, prec)
+    terms[(0, 4)] = Padic(2, val, unit + 2**80, cap - val)
     assert recursion_defects(log, (2, 3)).ok
     bad = SeriesPair(Series.from_coeffs(2, 2, 12, terms), log.second)
     report = recursion_defects(bad, (2, 3))

@@ -8,6 +8,9 @@ from lubintate2d.padics import (
     Padic,
     PrecisionError,
     UnramifiedRing,
+    _poly_mod,
+    _poly_mulmod,
+    _poly_powmod,
     _powers,
     _raw_add,
     int_valuation,
@@ -119,8 +122,9 @@ def test_add_and_the_raw_sum_rule_agree():
                       rng.choice((1, 2, 3, 5, 64)))
                 for _ in range(2))
         s = a + b
-        raw = _raw_add(_powers(p), (a.val, a.unit, a.prec), (b.val, b.unit, b.prec))
-        assert (s.val, s.unit, s.prec) == raw
+        raw = _raw_add(_powers(p), (a.val, a.unit, a.val + a.prec),
+                       (b.val, b.unit, b.val + b.prec))
+        assert (s.val, s.unit, s.val + s.prec) == raw
         cancelled += s.is_zero and not (a.is_zero or b.is_zero)
     assert cancelled >= 100
 
@@ -213,6 +217,60 @@ def test_unramified_arithmetic():
         for e in range(ring.p**ring.degree + 1):
             assert x**e == product, (x, e)
             product = product * x
+
+
+def _naive_mod(a, b, m):
+    """a modulo b, of degree at least 1, over Z/m as the sum of a_i (x^i mod b),
+    each x^i mod b one shift of x^(i-1) mod b: no long division."""
+    b = list(b)
+    while not b[-1]:
+        b.pop()
+    n = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    power = [1] + [0] * (n - 1)  # x^0 mod b
+    out = [0] * n
+    for c in a:
+        out = [(o + c * x) % m for o, x in zip(out, power)]
+        top = power[-1]  # x^n = -(b_0 + ... + b_{n-1} x^{n-1}) / b_n
+        power = [(x - top * inv * bj) % m for x, bj in zip([0] + power[:-1], b)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _naive_mulmod(a, b, mod, m):
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _naive_mod([c % m for c in prod], mod, m)
+
+
+def test_poly_helpers_match_a_naive_reference():
+    """`_poly_mod`, `_poly_mulmod` and `_poly_powmod` over Z/p^k, on moduli
+    that are monic or lead with another unit, and on inputs and moduli
+    with trailing zeros."""
+    rng = random.Random(5077)
+    seen = {"unit": 0, "monic": 0, "trailing": 0}
+    for _ in range(600):
+        p = rng.choice((2, 3, 5))
+        m = p ** rng.choice((1, 2, 3, 5))
+        lead = rng.choice((1, rng.choice([u for u in range(2, p * m) if u % p])))
+        mod = [rng.randrange(m) for _ in range(rng.randrange(1, 5))] + [lead]
+        a, b = ([rng.randrange(m) for _ in range(rng.randrange(1, 10))] for _ in range(2))
+        for f in (mod, a, b):
+            if rng.random() < 0.3:
+                f += [0] * rng.randrange(1, 3)
+                seen["trailing"] += 1
+        seen["monic" if lead == 1 else "unit"] += 1
+        assert _poly_mod(tuple(a), tuple(mod), m) == _naive_mod(a, mod, m)
+        assert _poly_mulmod(tuple(a), tuple(b), tuple(mod), m) == _naive_mulmod(a, b, mod, m)
+        e = rng.randrange(0, 12)
+        want = (1,)
+        for _ in range(e):
+            want = _naive_mulmod(want, b, mod, m)
+        assert _poly_powmod(tuple(b), e, tuple(mod), m) == want
+    assert min(seen.values()) >= 150
 
 
 def test_teichmuller_5adic_frozen():

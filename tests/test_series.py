@@ -270,7 +270,7 @@ def test_parse_reads_values_through_padic():
     s = parse_sections(text)[1]["s"].first
     for e, val, unit in (((1, 0), 2, -7), ((0, 1), 0, 18), ((2, 0), -1, 1000)):
         want = Padic(3, val, unit, 5)
-        assert s.terms[e] == (want.val, want.unit, want.prec)
+        assert s.terms[e] == (want.val, want.unit, want.val + want.prec)
         got = s.coefficient(e)
         assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
     assert Padic(3, 0, 243, 5).is_zero and (1, 1) not in s.terms
@@ -392,7 +392,7 @@ def test_mul_matches_the_pair_loop_term_for_term():
 def test_the_accumulator_and_the_raw_sum_rule_agree():
     """Chains of nonzero triples summed one by one by `padics._raw_add`, and
     as products with the exact one by `_accumulate` then `_settle`, end in
-    the same triple or both in exact zero: the two forms of one sum rule."""
+    the same triple or both in exact zero: the sum rule and its inlined copy."""
     rng = random.Random(21)
     zeros = ties = 0  # chains that reach the exact-zero branch, the tie
     for _ in range(3000):
@@ -404,7 +404,7 @@ def test_the_accumulator_and_the_raw_sum_rule_agree():
             c = Padic(p, rng.randrange(-3, 4), unit, rng.choice((1, 2, 3, 4, 64)))
             if c.is_zero:
                 continue
-            t = (c.val, c.unit, c.prec)
+            t = (c.val, c.unit, c.val + c.prec)
             if total is None:
                 total = t
             else:
@@ -417,6 +417,23 @@ def test_the_accumulator_and_the_raw_sum_rule_agree():
         zeros += zero
         ties += tie
     assert zeros >= 100 and ties >= 100
+
+
+def test_settle_hands_series_terms_back_unchanged():
+    """Series terms are the accumulator's own (val, unit, cap) triples, so
+    `_settle` returns the packed terms of any series as they are, in order."""
+    rng = random.Random(2711)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        nvars, degree = rng.randrange(1, 4), rng.randrange(1, 9)
+        coeffs = {}
+        while not coeffs or rng.random() < 0.8:
+            e = tuple(rng.randrange(0, degree + 1) for _ in range(nvars))
+            if sum(e) <= degree:
+                unit = rng.randrange(0, 10**6) * p + rng.randrange(1, p)
+                coeffs[e] = Padic(p, rng.randrange(1, 4), unit, rng.randrange(5, 70))
+        packed = _pack(Series.from_coeffs(p, nvars, degree, coeffs).terms, degree + 1)
+        assert list(_settle(_powers(p), packed).items()) == list(packed.items())
 
 
 def test_only_padics_and_series_know_the_coefficient():
@@ -504,7 +521,8 @@ def _nearby(rng, a):
     valuation up; and sometimes one term replaced."""
     p = a.p
     terms = {}
-    for e, (val, unit, prec) in a.terms.items():
+    for e, (val, unit, cap) in a.terms.items():
+        prec = cap - val
         kind = rng.choices(("keep", "drop", "recap", "digit", "val"), (4, 1, 2, 2, 1))[0]
         if kind == "drop":
             continue
