@@ -1,8 +1,8 @@
 """Named example inputs shared by the command line and the tests.
 
 Three kinds of fixture live here: the running two-variable copolygon
-example 2*x1*x2 + x1^4 + x2^5 over Z_2, the cross-Frobenius dynamical
-systems at small parameters, and a stored degree-32 sample of a
+example 2*x1*x2 + x1^4 + x2^5 over Z_2, the cross-Frobenius systems of
+`padics.cross_frobenius` as series, and a stored degree-32 sample of a
 multiplication-by-2 endomorphism for heights (4, 5).  The stored sample
 is kept with its known defect: its mod-2 reduction is the diagonal
 Frobenius pair (x1^32, x2^16) rather than the crossed pair required of a
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 
-from . import torsion
+from .padics import _check_reach, cross_frobenius
 from .series import Series, SeriesPair, linear_defects, parse_sections
 
 
@@ -23,6 +23,14 @@ def worked_copolygon_series(degree: int = 9) -> Series:
     terms = {(1, 1): 2, (4, 0): 1, (0, 5): 1}
     kept = {e: c for e, c in terms.items() if sum(e) <= degree}
     return Series.from_coeffs(2, 2, degree, kept)
+
+
+def dynamical_system(p: int, heights, degree: int) -> SeriesPair:
+    """`padics.cross_frobenius` as truncated series, at a degree that keeps
+    its Frobenius monomials (`padics._check_reach`)."""
+    _check_reach(p, heights, degree)
+    return SeriesPair(*(Series.from_coeffs(p, 2, degree, comp)
+                        for comp in cross_frobenius(p, heights)))
 
 
 def stored_mult45():
@@ -84,7 +92,7 @@ def load_fixture(name: str, degree: int = None):
     if name == "ex1":
         return worked_copolygon_series(degree)
     if name == "dyn23":
-        return torsion.dynamical_system(2, (2, 3), degree)
+        return dynamical_system(2, (2, 3), degree)
     if name == "dyn312":
-        return torsion.dynamical_system(3, (1, 2), degree)
+        return dynamical_system(3, (1, 2), degree)
     raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .padics import (DEFAULT_PRECISION, HeightPair, Padic, PrecisionError, UnramifiedElement,
-                     _as_heights, _check_prime, _check_reach, _Record)
+                     _as_heights, _check_prime, _check_reach, _Record, cross_frobenius)
 from .series import (Series, SeriesPair, compose, dump_sections, grlex, invert_pair,
                      linear_defects, parse_sections)
 
@@ -199,16 +199,15 @@ def congruence_report(f: SeriesPair, heights) -> Report:
     Term by term through the pair's truncation degree:
       - integral coefficients, zero constant term;
       - linear part exactly (p x1, p x2);
-      - reduction mod p equal to the cross Frobenius pair
-        (x2^{p^{h1}}, x1^{p^{h2}}), monomials beyond the truncation excused.
+      - reduction mod p equal to that of `cross_frobenius`, monomials
+        beyond the truncation excused.
     """
-    heights, p = _as_heights(heights), f.p
+    p = f.p
     if f.nvars != 2:
         raise ValueError("expected a two-variable pair")
     out = []
     lin_bad = linear_defects(f, 1)
-    frob_exp = ((0, p**heights.h1), (p**heights.h2, 0))
-    for idx, comp in ((1, f.first), (2, f.second)):
+    for idx, comp, system in zip((1, 2), f, cross_frobenius(p, heights)):
         if (0, 0) in comp.terms:
             out.append(Violation(idx, (0, 0), "constant", "nonzero constant term"))
         bad_val = [e for e in comp.terms if comp.coefficient(e).valuation < 0]
@@ -219,10 +218,7 @@ def congruence_report(f: SeriesPair, heights) -> Report:
         if bad_val:
             continue  # reduction mod p undefined
         units = comp.units_mod_p()
-        expected = {}
-        e = frob_exp[idx - 1]
-        if sum(e) <= f.degree:
-            expected[e] = 1
+        expected = {e: c % p for e, c in system.items() if c % p and sum(e) <= f.degree}
         for e in sorted(units.keys() | expected.keys(), key=grlex):
             got = units.get(e, 0)
             want_u = expected.get(e, 0)

@@ -1,6 +1,7 @@
 """Exact capped-precision p-adic scalars and unramified extension rings,
-with the frozen-value base, the parameter checks, the num/den form of a
-rational and the grlex order of exponent tuples that every module shares.
+with the frozen-value base, the parameter checks, the cross-Frobenius
+system, the num/den form of a rational and the grlex order of exponent
+tuples that every module shares.
 
 A nonzero value is p**val * unit, the unit coprime to p and known modulo
 p**prec; `series` keeps it as (val, unit, cap) with cap = val + prec.
@@ -90,12 +91,19 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _check_reach(p: int, heights, degree: int, name: str = "truncation degree") -> None:
-    """The one rule that a truncation can show the height h1 + h2: it keeps
-    both Frobenius monomials, x2^(p^h1) and x1^(p^h2), so D >= max(p^h1, p^h2)."""
+def cross_frobenius(p: int, heights) -> tuple:
+    """[p]_F's lowest-order system (p*x1 + x2^(p^h1), p*x2 + x1^(p^h2)): one
+    {exponents: int coefficient} dict per component, the linear monomial,
+    then the Frobenius one."""
     _check_prime(p)
     hs = _as_heights(heights)
-    need = p ** max(hs.h1, hs.h2)
+    return {(1, 0): p, (0, p**hs.h1): 1}, {(0, 1): p, (p**hs.h2, 0): 1}
+
+
+def _check_reach(p: int, heights, degree: int, name: str = "truncation degree") -> None:
+    """The one rule that a truncation can show the height h1 + h2: it keeps
+    every monomial of `cross_frobenius`, so D >= max(p^h1, p^h2)."""
+    need = max(sum(e) for comp in cross_frobenius(p, heights) for e in comp)
     if degree < need:
         raise ValueError(f"{name} {degree} drops a Frobenius monomial: need at least {need}")
 
@@ -201,13 +209,14 @@ class Padic(_Record):
     `series` computes on (val, unit, val + prec) triples with the sum rule
     of `_raw_add`.  The constructor normalises its arguments, so it
     replaces the one of `_Record`.  Nonzero values are canonical: ``unit``
-    is coprime to p and reduced to the range [1, p**prec).  The exact zero
-    has ``unit == 0`` and no valuation.  Two values over one prime compare
-    equal when their valuations match and their units agree modulo p to
-    the smaller of the two precisions; values over two primes differ.
-    ``+`` and ``*`` take only a `Padic` over the same prime; they are the
-    scalar reference the tests check the series kernels against, and no
-    library code calls them.
+    is coprime to p and reduced to the range [1, p**prec); a factor p**k of
+    the given unit moves into ``val`` and off ``prec``, keeping val + prec.
+    The exact zero has ``unit == 0`` and no valuation.  Two values over one
+    prime compare equal when their valuations match and their units agree
+    modulo p to the smaller of the two precisions; values over two primes
+    differ.  ``+`` and ``*`` take only a `Padic` over the same prime; they
+    are the scalar reference the tests check the series kernels against,
+    and no library code calls them.
     """
 
     _fields = ("p", "val", "unit", "prec")
@@ -244,10 +253,12 @@ class Padic(_Record):
 
     @classmethod
     def from_int(cls, p: int, n: int, prec: int = DEFAULT_PRECISION) -> "Padic":
+        """n known modulo p**prec."""
         return cls(p, 0, n, prec)
 
     @classmethod
     def from_fraction(cls, p: int, q, prec: int = DEFAULT_PRECISION) -> "Padic":
+        """q at relative precision prec."""
         from fractions import Fraction  # only a rational coefficient loads `fractions`
 
         q = Fraction(q)

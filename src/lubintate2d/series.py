@@ -99,8 +99,10 @@ class Series(_Record):
 
     @classmethod
     def from_coeffs(cls, p, nvars, degree, coeffs, prec=DEFAULT_PRECISION):
-        """Build from {exponents: int | Fraction | Padic}, ints and fractions
-        at relative precision `prec`; the one way in for such values."""
+        """Build from {exponents: int | Fraction | Padic}, an int known
+        modulo p^prec and a Fraction at relative precision `prec`
+        (`Padic.from_int`, `Padic.from_fraction`); the one way in for such
+        values."""
         terms = {}
         for e, c in coeffs.items():
             if isinstance(c, int):
@@ -192,7 +194,7 @@ class Series(_Record):
 
     def scale(self, c) -> "Series":
         """c times the series: the product with c as a constant series, an
-        int or Fraction c taken at the default precision."""
+        int or Fraction c read by `from_coeffs` at the default precision."""
         return self * Series.from_coeffs(self.p, self.nvars, self.degree, {(0,) * self.nvars: c})
 
     # -- reshaping ----------------------------------------------------------

@@ -1,20 +1,17 @@
 """Torsion-point valuations of the cross-Frobenius dynamical systems.
 
-For coprime heights (h1, h2) the system
-
-    D(x1, x2) = (p*x1 + x2^(p^h1), p*x2 + x1^(p^h2))
-
-is the lowest-order approximation of the multiplication-by-p endomorphism
-of the associated two-dimensional formal group.  The valuations of its
-p^n-torsion points obey closed formulae.  This module computes them from
-the formulae, and from first principles by one walk up the torsion levels
-(`_minplus_levels`): level 1 crosses the tie loci of the two component
-copolygons, read off the system's four monomials, and each further level
-inverts the system once (`_minplus_step`).  It also derives the
+For coprime heights (h1, h2) the system D = (p*x1 + x2^(p^h1),
+p*x2 + x1^(p^h2)) of `padics.cross_frobenius` approximates [p]_F, F the
+associated two-dimensional formal group, to lowest order.  The valuations
+of its p^n-torsion points obey closed formulae.  This module computes
+them from the formulae, and from first principles by one walk up the
+torsion levels (`_minplus_levels`): level 1 crosses the tie loci of the
+two component copolygons, read off the system with no series, and each
+further level inverts it once (`_minplus_step`).  It also derives the
 ramification degree they force when p is odd and h = h1 + h2 is odd.
 
-The system only approximates [p]_F: the law defined by its limit
-logarithm, lim p^{-n} times the n-th iterate of D, is not integral
+It is not [p]_F itself: the law of its limit logarithm, lim p^{-n}
+times the n-th iterate of D, is not integral
 (tests/test_torsion.py::test_the_cross_frobenius_limit_law_is_not_integral),
 so only the true [p]_F can certify the valuations for F (Hazewinkel,
 Formal Groups and Applications, 1978, for the functional-equation lemma).
@@ -29,42 +26,19 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 
-from . import series
-from .padics import _as_heights, _check_prime, _check_reach, _Record, fraction_str
+from .padics import (_as_heights, _check_prime, _Record, cross_frobenius, fraction_str,
+                     int_valuation)
 
 
 class AmbiguousBranchError(ArithmeticError):
     """A min-plus inversion step could not single out the Frobenius branch."""
 
 
-def dynamical_system(p: int, heights, degree: int) -> series.SeriesPair:
-    """The pair (p*x1 + x2^(p^h1), p*x2 + x1^(p^h2)) as truncated series.
-
-    The truncation degree must reach both Frobenius monomials
-    (`padics._check_reach`), otherwise the system degenerates to its
-    linear part.  The fixtures and the tests build it; the min-plus
-    valuations read its four monomials through `component_copolygons`.
-    """
-    _check_reach(p, heights, degree)
-    hs = _as_heights(heights)
-    q1, q2 = p**hs.h1, p**hs.h2
-    first = series.Series.from_coeffs(p, 2, degree, {(1, 0): p, (0, q1): 1})
-    second = series.Series.from_coeffs(p, 2, degree, {(0, 1): p, (q2, 0): 1})
-    return series.SeriesPair(first, second)
-
-
 def component_copolygons(p: int, heights) -> tuple:
-    """The copolygons of the two components of `dynamical_system`.
-
-    Each component has two monomials: the linear one, with coefficient p
-    of valuation 1, and the Frobenius one, with coefficient 1.  So the
-    copolygons are those of (1, 0, 1), (0, q1, 0) and of (0, 1, 1),
-    (q2, 0, 0), q_i = p^h_i, built with no series arithmetic.
-    """
-    _check_prime(p)
-    hs = _as_heights(heights)
-    q1, q2 = p**hs.h1, p**hs.h2
-    return Copolygon([(1, 0, 1), (0, q1, 0)]), Copolygon([(0, 1, 1), (q2, 0, 0)])
+    """The copolygons of the two components of `padics.cross_frobenius`,
+    one functional (i, j, v_p(c)) per monomial, with no series arithmetic."""
+    return tuple(Copolygon([(*e, int_valuation(c, p)) for e, c in comp.items()])
+                 for comp in cross_frobenius(p, heights))
 
 
 def hypothesis_status(p: int, heights) -> str:
@@ -116,17 +90,21 @@ def torsion_valuations(p: int, heights, n: int) -> ValuationProfile:
         Fraction(p**hs.h1 + 1, p**(h * m - hs.h2) * base))
 
 
-def _minplus_step(comp1, comp2, q1: int, q2: int, profile: ValuationProfile) -> ValuationProfile:
+def _minplus_step(comp1, comp2, profile: ValuationProfile) -> ValuationProfile:
     """One inversion of the system: the valuations one torsion level up.
 
-    The Frobenius branches force the new valuations and hit the old ones
-    exactly, so the step stands only if each is the sole minimizer of its
-    component copolygon there.  Beside another minimizer it ties, and
-    outside the minimizers the linear branch undercuts it: both raise
-    AmbiguousBranchError.
+    Each component's Frobenius branch is its valuation-0 functional, and
+    the candidate is where the two branches take the old valuations.  The
+    step stands only if each is the sole minimizer of its copolygon there.
+    Beside another minimizer it ties, and outside the minimizers the linear
+    branch undercuts it: both raise AmbiguousBranchError.
     """
-    candidate = (profile.v_eta / q2, profile.v_xi / q1)
-    for poly, frob in ((comp1, (0, q1, Fraction(0))), (comp2, (q2, 0, Fraction(0)))):
+    frobs = [next(f for f in poly.functionals if not f[2]) for poly in (comp1, comp2)]
+    (i1, j1, _), (i2, j2, _) = frobs
+    det = i1 * j2 - j1 * i2
+    candidate = ((profile.v_xi * j2 - j1 * profile.v_eta) / det,
+                 (i1 * profile.v_eta - profile.v_xi * i2) / det)
+    for poly, frob in zip((comp1, comp2), frobs):
         tied = poly.argmin(candidate)
         if frob not in tied:
             raise AmbiguousBranchError(
@@ -139,7 +117,6 @@ def _minplus_step(comp1, comp2, q1: int, q2: int, profile: ValuationProfile) -> 
 
 def _minplus_levels(p: int, hs):
     """The min-plus valuations of p^n-torsion for n = 1, 2, ..., without end."""
-    q1, q2 = p**hs.h1, p**hs.h2
     comp1, comp2 = component_copolygons(p, hs)
     crossings = [pt for pt in intersect_tie_loci(comp1, comp2) if pt[0] > 0 and pt[1] > 0]
     if len(crossings) != 1:
@@ -147,12 +124,12 @@ def _minplus_levels(p: int, hs):
     profile = ValuationProfile(*crossings[0])
     while True:
         yield profile
-        profile = _minplus_step(comp1, comp2, q1, q2, profile)
+        profile = _minplus_step(comp1, comp2, profile)
 
 
 def torsion_valuations_via_minplus(p: int, heights, n: int) -> ValuationProfile:
     """Valuations of p^n-torsion computed from the copolygon geometry: level
-    n of `_minplus_levels`, which builds no series and never loads `series`.
+    n of `_minplus_levels`, which builds no series.
     """
     _check_prime(p)
     hs = _as_heights(heights)

@@ -16,7 +16,7 @@ from lubintate2d.copolygon import (
     intersect_tie_loci,
     lower_bound_check,
 )
-from lubintate2d.fixtures import worked_copolygon_series
+from lubintate2d.fixtures import dynamical_system, worked_copolygon_series
 from lubintate2d.lubintate import (
     build_group,
     build_logarithm,
@@ -32,7 +32,6 @@ from lubintate2d.padics import Padic, UnramifiedRing, teichmuller
 from lubintate2d.series import Series, SeriesPair, compose, invert_pair
 from lubintate2d.torsion import (
     count_p_torsion,
-    dynamical_system,
     gcd_lemma,
     ramification_report,
     torsion_valuations,

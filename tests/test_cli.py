@@ -327,8 +327,7 @@ RATIONAL = {"fractions", "decimal"}
      {"copolygon", "torsion"}, RATIONAL),
     (("copolygon", "--support", "SUPPORT", "--json"), 0, {"copolygon"}, {*RATIONAL, "json"}),
     (("copolygon", "--support", "SUPPORT", "--svg", "SVG"), 0, {"copolygon"}, RATIONAL),
-    (("copolygon", "--fixture", "dyn23"), 0, {"copolygon", "fixtures", "torsion", *SERIES},
-     RATIONAL),
+    (("copolygon", "--fixture", "dyn23"), 0, {"copolygon", "fixtures", *SERIES}, RATIONAL),
 ], ids=["mult", "log", "verify-mult45", "torsion", "torsion-n", "torsion-minplus",
         "torsion-sweep", "torsion-ramification-csv", "copolygon-support",
         "copolygon-support-svg", "copolygon-fixture-dyn23"])

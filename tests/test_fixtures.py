@@ -2,6 +2,7 @@ import pytest
 
 from lubintate2d.fixtures import (
     FIXTURE_NAMES,
+    dynamical_system,
     frobenius_profile,
     load_fixture,
     stored_mult45,
@@ -9,7 +10,6 @@ from lubintate2d.fixtures import (
 )
 from lubintate2d.lubintate import congruence_report
 from lubintate2d.series import Series, SeriesPair
-from lubintate2d.torsion import dynamical_system
 
 
 def test_worked_copolygon_series():

@@ -33,6 +33,19 @@ def test_constructor_drops_zeros_and_validates():
         Series(2, 2, 3, {(1, 0): Padic.one(2)})
 
 
+def test_an_int_is_known_modulo_p_prec_and_a_fraction_to_relative_prec():
+    """An int n enters known modulo p^prec, so v_p(n) digits come off its
+    relative precision; a Fraction keeps relative precision prec.  The int
+    rule sets the caps of [p] and [p^2]."""
+    n = Padic.from_int(2, 4, 10)
+    q = Padic.from_fraction(2, Fraction(4), 10)
+    assert (n.val, n.unit, n.prec) == (2, 1, 8)
+    assert (q.val, q.unit, q.prec) == (2, 1, 10)
+    assert Padic(2, 0, 4, 10).prec == 8  # the constructor keeps val + prec
+    assert Series.from_coeffs(2, 1, 3, {(1,): 4}, prec=10).terms == {(1,): (2, 1, 10)}
+    assert Series.from_coeffs(2, 1, 3, {(1,): Fraction(4)}, prec=10).terms == {(1,): (2, 1, 12)}
+
+
 def test_add_mul_truncates():
     x1 = Series.variable(2, 2, 2, 0)
     x2 = Series.variable(2, 2, 2, 1)

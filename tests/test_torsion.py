@@ -7,15 +7,15 @@ import pytest
 
 from lubintate2d import torsion
 from lubintate2d.copolygon import Copolygon
+from lubintate2d.fixtures import dynamical_system
 from lubintate2d.lubintate import congruence_report
-from lubintate2d.padics import Padic
+from lubintate2d.padics import Padic, _check_reach
 from lubintate2d.series import Series, compose, invert_pair
 from lubintate2d.torsion import (
     AmbiguousBranchError,
     ValuationProfile,
     component_copolygons,
     count_p_torsion,
-    dynamical_system,
     gcd_lemma,
     gcd_lemma_raw,
     hypothesis_status,
@@ -41,9 +41,9 @@ def test_dynamical_system_shape():
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_component_copolygons_are_those_of_the_system(p):
-    """The min-plus valuations read the copolygons off the system's four
-    monomials; they are the copolygons of its components as series, over
-    every prime and coprime pair of heights at most 6."""
+    """The min-plus walk reads its copolygons off `padics.cross_frobenius`
+    with no series; they are the copolygons of `fixtures.dynamical_system`,
+    the same table as series, over every coprime pair of heights at most 6."""
     for h1 in range(1, 7):
         for h2 in range(1, 7):
             if gcd(h1, h2) != 1:
@@ -53,10 +53,16 @@ def test_component_copolygons_are_those_of_the_system(p):
 
 
 def test_dynamical_system_satisfies_p_congruences():
-    for p, hs in ((2, (2, 3)), (3, (1, 2))):
-        d = dynamical_system(p, hs, p**max(hs))
-        report = congruence_report(d, hs)
-        assert report.ok, [str(v) for v in report.violations]
+    """Over the benchmark's `small` grid, p in {2, 3, 5, 7} and coprime
+    heights at most 6, the system passes `congruence_report` at
+    D = max(p^h1, p^h2); one degree less, `_check_reach` refuses it."""
+    for p in (2, 3, 5, 7):
+        for hs in ((h1, h2) for h1 in range(1, 7) for h2 in range(1, 7) if gcd(h1, h2) == 1):
+            degree = p**max(hs)
+            report = congruence_report(dynamical_system(p, hs, degree), hs)
+            assert report.ok, (p, hs, [str(v) for v in report.violations])
+            with pytest.raises(ValueError, match=f"monomial: need at least {degree}$"):
+                _check_reach(p, hs, degree - 1)
 
 
 def test_hypothesis_status():
@@ -104,7 +110,7 @@ def test_scaling_identity():
 
 def test_minplus_step_from_level_one():
     start = ValuationProfile(Fraction(5, 31), Fraction(9, 31))
-    step = torsion._minplus_step(*component_copolygons(2, (2, 3)), 4, 8, start)
+    step = torsion._minplus_step(*component_copolygons(2, (2, 3)), start)
     assert step == torsion_valuations(2, (2, 3), 2)
 
 
@@ -114,7 +120,7 @@ def test_minplus_ambiguous_branch():
     start = ValuationProfile(Fraction(2), Fraction(9))
     with pytest.raises(AmbiguousBranchError, match=re.escape(
             "linear and Frobenius branches tie at (Fraction(1, 1), Fraction(2, 3))")):
-        torsion._minplus_step(*component_copolygons(3, (1, 2)), 3, 9, start)
+        torsion._minplus_step(*component_copolygons(3, (1, 2)), start)
 
 
 def test_minplus_undercut_branch():
@@ -123,7 +129,7 @@ def test_minplus_undercut_branch():
     start = ValuationProfile(Fraction(3), Fraction(9))
     with pytest.raises(AmbiguousBranchError, match=re.escape(
             "linear branch undercuts the Frobenius branch at (Fraction(1, 1), Fraction(1, 1))")):
-        torsion._minplus_step(*component_copolygons(3, (1, 2)), 3, 9, start)
+        torsion._minplus_step(*component_copolygons(3, (1, 2)), start)
 
 
 def test_profile_report_rows():
