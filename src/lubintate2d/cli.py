@@ -8,8 +8,9 @@ Subcommands
     torsion    torsion-point valuations, sweeps and ramification data
     verify     run the verification battery on parameters or a fixture
 
-Exit codes: 0 success, 1 a verification failed, 2 bad usage or inputs,
-3 the p-adic precision ran out (a `PrecisionError`: "precision").
+Exit codes: 0 success, 1 a verification or self-check failed (any other
+`ArithmeticError`, such as `torsion.AmbiguousBranchError`), 2 bad usage or
+inputs, 3 the p-adic precision ran out (a `PrecisionError`: "precision").
 Every failure, argparse's own included, prints a single JSON line
 {"error": ..., "detail": ...} on stderr, written by `main`.  Counts
 (-N, LT2D_PRECISION, -D, -n, --sweep, --assoc-degree, --unramified-degree)
@@ -350,7 +351,10 @@ def main(argv=None) -> int:
     except padics.PrecisionError as exc:
         _fail("precision", str(exc))
         return 3
-    except (UsageError, ValueError, ArithmeticError, OSError) as exc:
+    except ArithmeticError as exc:  # a self-check of the paper's claims failed
+        _fail("verification", str(exc))
+        return 1
+    except (UsageError, ValueError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is None:
             raise  # not a bad path, e.g. a closed stdout
         _fail("usage", str(exc))

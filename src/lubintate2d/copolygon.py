@@ -263,24 +263,19 @@ def lower_bound_check(s: series.Series, point) -> bool:
 
 
 def support_text(s: series.Series) -> str:
-    """Serialize a series support with coefficient valuations.
-
-    Header line "p D", then one "i j num/den" line per monomial in graded
-    lexicographic order.
+    """The support file of a series: header line "p D", then one
+    "i j num/den" line per functional of `Copolygon.from_series(s)`, in
+    its graded-lex order, so a series it refuses is refused here too.
     """
-    if s.nvars != 2:
-        raise ValueError("expected a two-variable series")
     lines = [f"{s.p} {s.degree}"]
-    for e in s.support():
-        lines.append(f"{e[0]} {e[1]} {fraction_str(s.coefficient(e).valuation)}")
+    lines += [f"{i} {j} {fraction_str(v)}" for i, j, v in Copolygon.from_series(s).functionals]
     return "\n".join(lines) + "\n"
 
 
 def parse_support_text(text: str):
-    """Inverse of support_text: returns (p, degree, Copolygon).
-
-    p must be prime, and no monomial may exceed the truncation degree or
-    appear on two lines.
+    """Inverse of support_text: (s.p, s.degree, Copolygon.from_series(s))
+    back from its text.  p must be prime, and no monomial may exceed the
+    truncation degree or appear on two lines.
     """
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]

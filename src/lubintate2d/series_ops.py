@@ -148,8 +148,6 @@ def _substitute_each(outers: Sequence[Series], inner: Sequence[Series]) -> list:
             rest -= own
             pw = _triple_power(pk, bases[i], mds[i], k, deg - (tot - own), top, caches[i])
             prod = pw if prod is None else _mul_triples(pk, prod, pw, deg - rest, top)
-            if not prod:
-                break
         for o, acc in zip(outers, accs):
             c = o.terms.get(e)
             if c is not None:

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from lubintate2d import cli, lubintate
 from lubintate2d.copolygon import Copolygon, emit_svg
 from lubintate2d.fixtures import FIXTURE_NAMES, worked_copolygon_series
 from lubintate2d.series import dump_sections, parse_sections
-from lubintate2d.torsion import ramification_csv
+from lubintate2d.torsion import ValuationProfile, ramification_csv
 
 
 def run(capsys, *argv):
@@ -588,3 +589,24 @@ def test_copolygon_text_reads_vertices_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "copolygon", "--fixture", "ex1")
     assert code == 0 and "vertex: 5/11 4/11 value 20/11" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, target, fake, detail", [
+    (("torsion", "-p", "2", "--h1", "2", "--h2", "3", "-n", "2", "--method", "minplus"),
+     "torsion.Copolygon.argmin", lambda poly, xi: list(poly.functionals),
+     "linear and Frobenius branches tie at (Fraction(9, 248), Fraction(5, 124))"),
+    (("torsion", "-p", "2", "--h1", "2", "--h2", "3", "--method", "minplus"),
+     "torsion.intersect_tie_loci", lambda first, second: [],
+     "expected one positive tie crossing, found 0"),
+    (("torsion", *RAMIFIED, "--ramification"), "torsion.gcd_lemma", lambda p, s, t: 2,
+     "halved gcd witnesses failed to be 1"),
+    (("torsion", *RAMIFIED, "--ramification"), "torsion.torsion_valuations",
+     lambda p, heights, n: ValuationProfile(Fraction(1, 2), Fraction(1, 2)),
+     "reduced denominators disagree with the degree"),
+], ids=["ambiguous-branch", "tie-crossings", "gcd-witnesses", "denominators"])
+def test_a_failed_torsion_self_check_exits_1_as_a_verification_failure(
+        capsys, monkeypatch, argv, target, fake, detail):
+    monkeypatch.setattr(f"lubintate2d.{target}", fake)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "verification", "detail": detail}

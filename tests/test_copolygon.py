@@ -15,6 +15,7 @@ from lubintate2d.copolygon import (
     Copolygon,
     TieSegment,
     _cells,
+    _segment_in_box,
     emit_svg,
     fraction_str,
     intersect_tie_loci,
@@ -621,3 +622,95 @@ def test_collinear_tie_keeps_the_edge_between_outer_cells():
                     (0, 1, 0), (1, 1, 0), (0, 2, 0)])
     assert any(seg.contains((0, 1)) and seg.contains((0, 5))
                for seg in cp.tie_segments())
+
+
+# -- support files are the text of `Copolygon.from_series` -------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_p_series(p, heights, degree):
+    """[p]_F = L^{-1}(p L(X)), built as `bench/make_supports.py` builds it."""
+    log = build_logarithm(p, heights, degree)
+    return compose(invert_pair(log), log.scale(p))
+
+
+def _reference_support_text(s):
+    """The support file read straight off the coefficients, in grlex order."""
+    lines = [f"{s.p} {s.degree}"]
+    lines += [f"{e[0]} {e[1]} {fraction_str(s.coefficient(e).valuation)}" for e in s.support()]
+    return "\n".join(lines) + "\n"
+
+
+def _support_series(rng):
+    """A nonzero two-variable series: valuations -3..5, precisions 1, 2 or 64."""
+    p = rng.choice((2, 3, 5, 7))
+    degree = rng.randrange(0, 12)
+    coeffs = {}
+    while not coeffs or rng.random() < 0.7:
+        i = rng.randrange(degree + 1)
+        coeffs[(i, rng.randrange(degree - i + 1))] = Padic(
+            p, rng.randrange(-3, 6), rng.randrange(1, 10**6) * p + rng.randrange(1, p),
+            rng.choice((1, 2, 64)))
+    return Series.from_coeffs(p, 2, degree, coeffs)
+
+
+@BENCHMARK_SUPPORTS
+def test_a_benchmark_support_file_is_its_copolygons_text(p, heights, degree):
+    for comp in _benchmark_p_series(p, heights, degree):
+        text = support_text(comp)
+        assert text == _reference_support_text(comp)
+        assert parse_support_text(text) == (p, degree, Copolygon.from_series(comp))
+
+
+def test_support_text_round_trips_through_from_series():
+    rng = random.Random(29113)
+    for _ in range(300):
+        s = _support_series(rng)
+        text = support_text(s)
+        assert text == _reference_support_text(s)  # no byte moves
+        assert parse_support_text(text) == (s.p, s.degree, Copolygon.from_series(s))
+
+
+def test_support_text_refuses_what_the_reader_refuses():
+    with pytest.raises(ValueError, match="zero series"):
+        support_text(Series.zero(2, 2, 9))
+    with pytest.raises(ValueError):
+        parse_support_text(_reference_support_text(Series.zero(2, 2, 9)))  # header only
+    with pytest.raises(ValueError, match="two-variable"):
+        support_text(Series.variable(2, 3, 9, 0))
+
+
+# -- copolygon branches that no fixture reaches ------------------------------
+
+
+def test_a_vertex_on_the_other_tie_locus_is_a_crossing():
+    # a's only vertex is (0, 0), and none of its own tie segments passes
+    # through it; b ties on the line xi1 = 0, so the point comes from the
+    # vertex loop, whatever the argument order
+    a = Copolygon([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 0)])
+    b = Copolygon([(0, 0, 0), (1, 0, 0)])
+    assert [v[:2] for v in a.vertices()] == [(0, 0)]
+    assert intersect_tie_loci(a, b) == [(0, 0)]
+    assert intersect_tie_loci(b, a) == [(0, 0)]
+
+
+def test_an_axis_parallel_segment_outside_the_window_is_not_drawn():
+    cp = Copolygon([(0, 0, 3), (0, 1, 0)])  # ties on xi2 = 3, above the window
+    seg, = cp.tie_segments()
+    assert _segment_in_box(seg) is None
+    assert emit_svg(cp).count("<line") == 2  # the two axes only
+
+
+def test_an_axis_parallel_segment_inside_the_window_spans_it():
+    seg, = Copolygon([(0, 0, 1), (0, 1, 0)]).tie_segments()  # xi2 = 1
+    assert _segment_in_box(seg) == ((2, 1), (Fraction(-1, 2), 1))
+
+
+def test_rays_that_miss_the_window_are_not_drawn():
+    cp = Copolygon([(0, 0, 0), (1, 0, 0), (0, 1, 5)])
+    ends = {seg.line[:2]: _segment_in_box(seg) for seg in cp.tie_segments()}
+    assert ends == {
+        (0, -1): None,  # xi2 = -5
+        (-1, 1): None,  # xi2 = xi1 - 5
+        (-1, 0): ((0, Fraction(-1, 2)), (0, 2)),  # xi1 = 0
+    }

@@ -15,7 +15,8 @@ from lubintate2d.series import (
     invert_pair,
     parse_sections,
 )
-from lubintate2d.series_ops import _ONE, _accumulate, _pack, _settle, _unpack
+from lubintate2d.series_ops import (_ONE, _accumulate, _mul_triples, _pack, _settle,
+                                     _triple_power, _unpack)
 
 
 def test_constructor_drops_zeros_and_validates():
@@ -749,3 +750,33 @@ def test_packed_keys_round_trip():
             for e2 in exps:
                 if sum(e1) + sum(e2) <= degree:  # the key of a product term
                     assert key[e1] + key[e2] == key[tuple(map(sum, zip(e1, e2)))]
+
+
+def test_products_whose_lowest_degrees_fit_the_bound_are_never_empty():
+    """The partial products of `_substitute_each` cannot vanish.  With a
+    bound at least the factors' lowest degrees summed, the product of their
+    grlex-greatest lowest-degree terms is the only pair on its monomial: a
+    product of units, coprime to p, that no sum can cancel.  So `_mul_triples`
+    and `_triple_power` of nonempty dicts are nonempty, however low the
+    precision and however much the other sums cancel."""
+    rng = random.Random(1729)
+    cancelled = 0  # products with a sum that cancelled to an exact zero
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        nvars, degree = rng.randrange(1, 4), rng.randrange(1, 10)
+        pk, radix = _powers(p), degree + 1
+        top = radix**nvars
+        a, b = (_cancelling_series(rng, p, nvars, degree) for _ in range(2))
+        if a.is_zero or b.is_zero:
+            continue
+        pa, pb = _pack(a.terms, radix), _pack(b.terms, radix)
+        low = a.min_total_degree() + b.min_total_degree()
+        if low <= degree:
+            bound = rng.randrange(low, degree + 1)
+            assert _mul_triples(pk, pa, pb, bound, top)
+            cancelled += None in _accumulate(pk, {}, pa, pb, bound, top).values()
+        md, cache = a.min_total_degree(), {}
+        if md:
+            for k in rng.sample(range(1, degree // md + 1), min(3, degree // md)):
+                assert _triple_power(pk, pa, md, k, rng.randrange(k * md, degree + 1), top, cache)
+    assert cancelled >= 100
