@@ -17,10 +17,11 @@ Every failure, argparse's own included, prints a single JSON line
 must be integers at least 1; a flag the chosen mode never reads is bad
 usage, -N too outside log, group, mult and verify on parameters,
 --unramified-degree must equal h1 + h2, and verify's -D must keep both
-Frobenius monomials.  Every
-report leaves through `_write_text`, to --out if given, else to stdout;
-JSON through `_emit_json`, which prints a rational as num/den.  Outputs
-are deterministic byte-for-byte for fixed inputs.
+Frobenius monomials.  -N reaches only the builders; a report reads its
+digits off what was built.  Every report leaves through `_write_text`, to
+--out if given, else to stdout; JSON through `_emit_json`, which prints a
+rational as num/den.  Outputs are deterministic byte-for-byte for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -98,13 +99,6 @@ def _emit_json(args, payload) -> None:
     _write_text(args, json.dumps(payload, sort_keys=True, default=padics.fraction_str) + "\n")
 
 
-def _write_pair(args, name: str, pair, **extra) -> None:
-    """Write the container of `pair` under the heights and N, which
-    `extra` extends."""
-    header = {"h1": args.h1, "h2": args.h2, "N": args.precision, **extra}
-    _write_text(args, series.dump_sections(header, {name: pair}))
-
-
 def _add_params(sub, required=True, degree=True):
     sub.add_argument("-p", type=int, required=required, help="prime")
     sub.add_argument("--h1", type=int, required=required, help="first height")
@@ -126,7 +120,7 @@ def cmd_log(args) -> int:
     if not report.ok:
         where = [(v.component, v.exponents) for v in report.violations[:3]]
         raise VerificationError(f"logarithm functional equation fails at {where}")
-    _write_pair(args, "logarithm", log)
+    _write_text(args, lubintate.pairs_to_text((args.h1, args.h2), log, {"logarithm": log}))
     return 0
 
 
@@ -145,7 +139,8 @@ def cmd_mult(args) -> int:
     mv = m.min_valuation()
     if mv is not None and mv < 0:
         raise VerificationError(f"[{args.a}] has a negative-valuation coefficient")
-    _write_pair(args, "mult", m, a=args.a)
+    _write_text(args, lubintate.pairs_to_text(group.heights, group.logarithm, {"mult": m},
+                                              a=args.a))
     return 0
 
 
@@ -260,7 +255,7 @@ def cmd_verify(args) -> int:
     checks["height"] = height
     checks["height_ok"] = height == args.h1 + args.h2
     if args.unramified_degree is not None:
-        ring = padics.UnramifiedRing(args.p, args.unramified_degree, prec=args.precision)
+        ring = padics.UnramifiedRing(args.p, args.unramified_degree, prec=group.prec)
         gamma = padics.teichmuller(ring, ring.generator())
         checks["gamma_endomorphism"] = lubintate.gamma_endomorphism(gamma, group).ok
     ok = all(v is True for k, v in checks.items() if k != "height")

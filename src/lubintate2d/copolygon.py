@@ -420,27 +420,19 @@ def emit_svg(poly: Copolygon) -> str:
 
 
 def _segment_in_box(seg: TieSegment):
-    """Clip a tie segment to the window; returns two endpoints or None."""
-    base, direction = seg.base, seg.direction
+    """Clip a tie segment to the window per axis; returns two endpoints or
+    None.  An axis with d != 0 bounds t by (LO - b)/d and (HI - b)/d; one
+    with d = 0 keeps the segment only when LO <= b <= HI.  A tie line's
+    direction is nonzero, so some axis sets both ends."""
     lo, hi = seg.t_lo, seg.t_hi
-    # window edge constraints, each affine in t
-    for coeff, bound, keep_ge in ((direction[0], _LO - base[0], True),
-                                  (direction[0], _HI - base[0], False),
-                                  (direction[1], _LO - base[1], True),
-                                  (direction[1], _HI - base[1], False)):
-        if coeff == 0:
-            inside = bound <= 0 if keep_ge else bound >= 0
-            if not inside:
+    for b, d in zip(seg.base, seg.direction):
+        if not d:
+            if not _LO <= b <= _HI:
                 return None
             continue
-        t = Fraction(bound, coeff)
-        wants_ge = keep_ge == (coeff > 0)
-        if wants_ge:
-            if lo is None or t > lo:
-                lo = t
-        else:
-            if hi is None or t < hi:
-                hi = t
-    if lo is None or hi is None or lo > hi:
+        first, last = sorted((Fraction(_LO - b, d), Fraction(_HI - b, d)))
+        lo = first if lo is None else max(lo, first)
+        hi = last if hi is None else min(hi, last)
+    if lo > hi:
         return None
     return seg.point_at(lo), seg.point_at(hi)

@@ -31,14 +31,6 @@ from .series import (SeriesPair, compose, dump_sections, grlex, invert_pair, lin
                      parse_sections)
 
 
-def _check_params(p: int, degree: int, prec: int):
-    _check_prime(p)
-    if degree < 1:
-        raise ValueError("truncation degree must be at least 1")
-    if prec < 1:
-        raise PrecisionError("relative precision must be at least 1")
-
-
 def _recursion_rhs(log: SeriesPair, heights: HeightPair, prec: int) -> SeriesPair:
     """X + p^{-1} (L2(X^{p^h1}), L1(X^{p^h2})) at relative precision `prec`:
     the right-hand side of the twisted functional equations."""
@@ -51,8 +43,10 @@ def build_logarithm(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION)
     """The logarithm pair truncated at total degree `degree`: the fixed point
     of the twisted functional equations, iterated from X one level a step."""
     heights = _as_heights(heights)
-    _check_params(p, degree, prec)
-    log = SeriesPair.identity(p, degree, prec)
+    _check_prime(p)
+    if degree < 1:
+        raise ValueError("truncation degree must be at least 1")
+    log = SeriesPair.identity(p, degree, prec)  # `Padic` refuses prec < 1
     while (nxt := _recursion_rhs(log, heights, prec)) != log:
         log = nxt
     return log
@@ -368,10 +362,18 @@ def group_axioms_report(group: LubinTateGroup, assoc_degree: int = 8) -> Report:
 _GROUP_PAIRS = ("logarithm", "exponential", "group_law")
 
 
+def pairs_to_text(heights, logarithm: SeriesPair, pairs: dict, **extra) -> str:
+    """The one container writer: {name: SeriesPair} under the heights, the
+    N read off the logarithm they were built from, and `extra`."""
+    hs = _as_heights(heights)
+    header = {"h1": hs.h1, "h2": hs.h2, "N": _widest_precision(logarithm), **extra}
+    return dump_sections(header, pairs)
+
+
 def group_to_text(group: LubinTateGroup) -> str:
-    """The group's three pairs in one container, under its heights and N."""
-    header = {"h1": group.heights.h1, "h2": group.heights.h2, "N": group.prec}
-    return dump_sections(header, {name: getattr(group, name) for name in _GROUP_PAIRS})
+    """The group's three pairs in one container."""
+    return pairs_to_text(group.heights, group.logarithm,
+                         {name: getattr(group, name) for name in _GROUP_PAIRS})
 
 
 def group_from_text(text: str) -> LubinTateGroup:

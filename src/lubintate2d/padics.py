@@ -7,7 +7,8 @@ A nonzero value is p**val * unit, the unit coprime to p and known modulo
 p**prec; `series` keeps it as (val, unit, cap) with cap = val + prec.
 Valuations are exact integers, negative allowed; exact zero is a separate
 sentinel.  Addition recomputes the valuation by carrying, so cancellation
-surfaces as a loss of recorded precision instead of a silently wrong digit.
+surfaces as a loss of recorded precision instead of a silently wrong digit;
+two values are equal when their difference keeps none.
 """
 
 from __future__ import annotations
@@ -211,12 +212,13 @@ class Padic(_Record):
     replaces the one of `_Record`.  Nonzero values are canonical: ``unit``
     is coprime to p and reduced to the range [1, p**prec); a factor p**k of
     the given unit moves into ``val`` and off ``prec``, keeping val + prec.
-    The exact zero has ``unit == 0`` and no valuation.  Two values over one
-    prime compare equal when their valuations match and their units agree
-    modulo p to the smaller of the two precisions; values over two primes
-    differ.  ``+`` and ``*`` take only a `Padic` over the same prime; they
-    are the scalar reference the tests check the series kernels against,
-    and no library code calls them.
+    The exact zero has ``unit == 0`` and no valuation; a relative precision
+    below 1 is a `PrecisionError`.  Two values over one prime compare equal
+    when no digit of self + (-other) survives the sum rule, the one rule
+    `Series.__eq__` applies too; values over two primes differ.  ``+`` and
+    ``*`` take only a `Padic` over the same prime; they are the scalar
+    reference the tests check the series kernels against, and no library
+    code calls them.
     """
 
     _fields = ("p", "val", "unit", "prec")
@@ -318,12 +320,9 @@ class Padic(_Record):
             return NotImplemented
         if other.p != self.p:
             return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.val != other.val:
-            return False
-        m = min(self.prec, other.prec)
-        return (self.unit - other.unit) % self.p**m == 0
+        pk = _powers(self.p)
+        return not _raw_add(pk, (self.val, self.unit, self.val + self.prec),
+                            (other.val, -other.unit % pk[other.prec], other.val + other.prec))[1]
 
     __hash__ = None
 

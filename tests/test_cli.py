@@ -157,13 +157,19 @@ def test_group_stdout_parses(capsys):
     ("log", "-p", "2", "--h1", "2", "--h2", "3", "-D", "12"),
     ("mult", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9", "-a", "3"),
     ("group", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9"),
-], ids=["log", "mult", "group"])
+    *[("-N", n, *argv) for n in ("5", "100") for argv in (
+        ("log", "-p", "2", "--h1", "2", "--h2", "3", "-D", "12"),
+        ("mult", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9", "-a", "3"),
+        ("group", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9"))],
+], ids=["log", "mult", "group",
+        *[f"{command}-N{n}" for n in (5, 100) for command in ("log", "mult", "group")]])
 def test_container_parses_and_dumps_back_byte_for_byte(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     header, pairs = parse_sections(out)
     if argv[0] == "mult":
         assert header["a"] == 3
+    assert header["N"] == (int(argv[1]) if argv[0] == "-N" else 64)  # N is what was built at
     assert dump_sections(header, pairs) == out
 
 
@@ -603,10 +609,34 @@ def test_copolygon_text_reads_vertices_once(capsys, monkeypatch):
     (("torsion", *RAMIFIED, "--ramification"), "torsion.torsion_valuations",
      lambda p, heights, n: ValuationProfile(Fraction(1, 2), Fraction(1, 2)),
      "reduced denominators disagree with the degree"),
-], ids=["ambiguous-branch", "tie-crossings", "gcd-witnesses", "denominators"])
+    (("torsion", "-p", "2", "--h1", "2", "--h2", "3", "-n", "2"), "torsion.torsion_valuations",
+     lambda p, heights, n: ValuationProfile(Fraction(1, 2), Fraction(1, 2)),
+     "methods disagree at n=2: (1/2, 1/2) vs (9/248, 5/124)"),
+    (("torsion", "-p", "2", "--h1", "2", "--h2", "3", "--sweep", "2"),
+     "torsion.torsion_valuations",
+     lambda p, heights, n: ValuationProfile(Fraction(1, 2), Fraction(1, 2)),
+     "closed form and min-plus disagree"),
+], ids=["ambiguous-branch", "tie-crossings", "gcd-witnesses", "denominators",
+        "methods-disagree", "sweep-disagrees"])
 def test_a_failed_torsion_self_check_exits_1_as_a_verification_failure(
         capsys, monkeypatch, argv, target, fake, detail):
     monkeypatch.setattr(f"lubintate2d.{target}", fake)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "verification", "detail": detail}
+
+
+@pytest.mark.parametrize("argv, target, fake, detail", [
+    (("log", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9"), "recursion_defects",
+     lambda log, heights: lubintate.Report((lubintate.Violation(1, (0, 4), "recursion"),)),
+     "logarithm functional equation fails at [(1, (0, 4))]"),
+    (("mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9", "-a", "3"), "multiplication",
+     lambda a, group: group.logarithm,  # x1 + x2^4 / 2: a coefficient of valuation -1
+     "[3] has a negative-valuation coefficient"),
+], ids=["log-recursion", "mult-valuation"])
+def test_a_failed_log_or_mult_check_exits_1_as_a_verification_failure(
+        capsys, monkeypatch, argv, target, fake, detail):
+    monkeypatch.setattr(lubintate, target, fake)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err.count("\n") == 1
     assert json.loads(err) == {"error": "verification", "detail": detail}

@@ -129,6 +129,40 @@ def test_add_and_the_raw_sum_rule_agree():
     assert cancelled >= 100
 
 
+def _reference_eq(a: Padic, b: Padic) -> bool:
+    """Scalar equality as it was stated before it became the sum rule:
+    zero equals only zero; otherwise the valuations match and the units
+    agree modulo p^min(prec)."""
+    if a.p != b.p:
+        return False
+    if a.is_zero or b.is_zero:
+        return a.is_zero and b.is_zero
+    return a.val == b.val and (a.unit - b.unit) % a.p ** min(a.prec, b.prec) == 0
+
+
+def test_eq_and_the_reference_rule_agree():
+    rng = random.Random(3041)
+    equal = 0
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        val = rng.randrange(-3, 4)
+        unit = rng.choice((0, 1, -1, p - 1, p + 1, 1 + p ** rng.randrange(1, 65),
+                           rng.randrange(1, 10**9)))
+        a = Padic(p, val, unit, rng.randrange(1, 65))
+        # b: a near copy of a, or an independent draw
+        if rng.random() < 0.5:
+            k = rng.randrange(1, 65)
+            b = Padic(p, val + rng.choice((0, 0, 0, 1, -1)),
+                      unit + rng.choice((0, p**k, -p**k)), rng.randrange(1, 65))
+        else:
+            b = Padic(p, rng.randrange(-3, 4),
+                      rng.choice((0, 1, -1, p - 1, p + 1, rng.randrange(1, 10**9))),
+                      rng.randrange(1, 65))
+        assert (a == b) == _reference_eq(a, b) == (b == a), (a, b)
+        equal += a == b
+    assert equal >= 100
+
+
 def test_mul_valuation_additivity_random():
     rng = random.Random(402)
     for p in (2, 3, 5):
