@@ -9,25 +9,23 @@ Subcommands
     verify     run the verification battery on parameters or a fixture
 
 Exit codes: 0 success, 1 a verification or self-check failed (any other
-`ArithmeticError`, such as `torsion.AmbiguousBranchError`), 2 bad usage or
-inputs, 3 the p-adic precision ran out (a `PrecisionError`: "precision").
-Every failure, argparse's own included, prints a single JSON line
-{"error": ..., "detail": ...} on stderr, written by `main`.  Counts
-(-N, LT2D_PRECISION, -D, -n, --sweep, --assoc-degree, --unramified-degree)
-must be integers at least 1; a flag the chosen mode never reads is bad
-usage, -N too outside log, group, mult and verify on parameters,
---unramified-degree must equal h1 + h2, and verify's -D must keep both
-Frobenius monomials.  -N reaches only the builders; a report reads its
-digits off what was built.  Every report leaves through `_write_text`, to
---out if given, else to stdout; JSON through `_emit_json`, which prints a
-rational as num/den.  Outputs are deterministic byte-for-byte for fixed
-inputs.
+`ArithmeticError`: a `VerificationError`, `torsion.AmbiguousBranchError`),
+2 bad usage or inputs, 3 the p-adic precision ran out (a `PrecisionError`:
+"precision").  Every failure, argparse's own included, prints a single JSON
+line {"error": ..., "detail": ...} on stderr, written by `main`.  Counts
+(-N, -D, -n, --sweep, --assoc-degree, --unramified-degree) must be integers
+at least 1; a flag the chosen mode never reads is bad usage, -N too outside
+log, group, mult and verify on parameters, --unramified-degree must equal
+h1 + h2, and verify's -D must keep both Frobenius monomials.  N is -N, else
+64; it reaches only the builders, and a report reads its digits off what
+was built.  Every report leaves through `_write_text`, to --out if given,
+else to stdout; JSON through `_emit_json`, which prints a rational as
+num/den.  Outputs are deterministic byte-for-byte for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 # Modules, not names: all but padics load on first use (see the package
@@ -40,7 +38,7 @@ class UsageError(Exception):
     pass
 
 
-class VerificationError(Exception):
+class VerificationError(ArithmeticError):
     pass
 
 
@@ -59,20 +57,19 @@ def _fail(code: str, detail) -> None:
                                 sort_keys=True) + "\n")
 
 
-def _at_least_one(name: str, raw: str) -> int:
-    """`raw` read as an integer at least 1; errors name the flag or variable."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{name} must be at least 1")
-    return value
-
-
 def _add_count(sub, *flags, **kwargs):
-    """Declare an integer flag that must be at least 1."""
-    sub.add_argument(*flags, type=lambda raw: _at_least_one(flags[0], raw), **kwargs)
+    """Declare an integer flag that must be at least 1; errors name the flag."""
+
+    def count(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"{flags[0]} must be an integer, got {raw!r}")
+        if value < 1:
+            raise UsageError(f"{flags[0]} must be at least 1")
+        return value
+
+    sub.add_argument(*flags, type=count, **kwargs)
 
 
 def _refuse(args, mode: str, **flags) -> None:
@@ -253,7 +250,7 @@ def cmd_verify(args) -> int:
     checks["p_congruences"] = lubintate.verify_p_congruences(group).ok
     height = lubintate.height_of(group)
     checks["height"] = height
-    checks["height_ok"] = height == args.h1 + args.h2
+    checks["height_ok"] = height == h
     if args.unramified_degree is not None:
         ring = padics.UnramifiedRing(args.p, args.unramified_degree, prec=group.prec)
         gamma = padics.teichmuller(ring, ring.generator())
@@ -270,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="two-dimensional Lubin-Tate formal groups, Newton "
                     "copolygons and torsion-point valuations")
     _add_count(parser, "-N", "--precision", dest="typed_precision",
-               help="p-adic working precision (default: LT2D_PRECISION or 64)")
+               help="p-adic working precision (default 64)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("log", help="build and verify a logarithm pair")
@@ -333,21 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.precision = args.typed_precision
-        if args.precision is None:
-            env = os.environ.get("LT2D_PRECISION")
-            args.precision = (padics.DEFAULT_PRECISION if env is None
-                              else _at_least_one("LT2D_PRECISION", env))
+        args.precision = args.typed_precision or padics.DEFAULT_PRECISION
         return args.func(args)
-    except VerificationError as exc:
-        detail = exc.args[0] if exc.args else str(exc)
-        _fail("verification", detail)
-        return 1
     except padics.PrecisionError as exc:
         _fail("precision", str(exc))
         return 3
     except ArithmeticError as exc:  # a self-check of the paper's claims failed
-        _fail("verification", str(exc))
+        # args[0] keeps `group`'s list of violations a JSON list
+        _fail("verification", exc.args[0] if exc.args else str(exc))
         return 1
     except (UsageError, ValueError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is None:

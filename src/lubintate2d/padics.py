@@ -92,6 +92,12 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _check_precision(prec: int) -> None:
+    """The one floor on a relative precision, for scalars and rings alike."""
+    if prec < 1:
+        raise PrecisionError("relative precision must be at least 1")
+
+
 def cross_frobenius(p: int, heights) -> tuple:
     """[p]_F's lowest-order system (p*x1 + x2^(p^h1), p*x2 + x1^(p^h2)): one
     {exponents: int coefficient} dict per component, the linear monomial,
@@ -113,7 +119,7 @@ class HeightPair(_Record):
     _fields = ("h1", "h2")
 
     def _check(self):
-        if not (isinstance(self.h1, int) and isinstance(self.h2, int)):
+        if not (type(self.h1) is int and type(self.h2) is int):
             raise ValueError("heights must be integers")
         if self.h1 < 1 or self.h2 < 1:
             raise ValueError("heights must be positive")
@@ -224,8 +230,7 @@ class Padic(_Record):
     _fields = ("p", "val", "unit", "prec")
 
     def __init__(self, p: int, val: int, unit: int, prec: int = DEFAULT_PRECISION):
-        if prec < 1:
-            raise PrecisionError("relative precision must be at least 1")
+        _check_precision(prec)
         if unit == 0:
             val = 0
         else:
@@ -454,8 +459,7 @@ class UnramifiedRing(_Record):
         _check_prime(self.p)
         if self.degree < 1:
             raise ValueError("degree must be positive")
-        if self.prec < 1:
-            raise ValueError("precision must be positive")
+        _check_precision(self.prec)
 
     @cached_property
     def pk(self) -> int:

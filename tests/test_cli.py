@@ -173,9 +173,8 @@ def test_container_parses_and_dumps_back_byte_for_byte(capsys, argv):
     assert dump_sections(header, pairs) == out
 
 
-def test_mult_with_env_precision(monkeypatch, capsys):
-    monkeypatch.setenv("LT2D_PRECISION", "8")
-    code, out, _ = run(capsys, "mult", "-p", "3", "--h1", "1", "--h2", "2",
+def test_mult_with_env_precision(capsys):
+    code, out, _ = run(capsys, "-N", "8", "mult", "-p", "3", "--h1", "1", "--h2", "2",
                        "-D", "9", "-a", "3")
     assert code == 0
     header, pairs = parse_sections(out)
@@ -185,11 +184,17 @@ def test_mult_with_env_precision(monkeypatch, capsys):
     assert pairs["mult"].first.support() == [(1, 0), (0, 3)]
 
 
-def test_env_precision_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("LT2D_PRECISION", "abc")
-    code, _, err = run(capsys, "torsion", "-p", "2", "--h1", "2", "--h2", "3")
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
+def test_the_environment_sets_no_precision(monkeypatch, capsys):
+    """`-N` is the only source of N: LT2D_PRECISION, valid or not, moves no
+    exit code or output byte."""
+    commands = [("mult", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9", "-a", "3"),
+                ("torsion", "-p", "2", "--h1", "2", "--h2", "3")]
+    monkeypatch.delenv("LT2D_PRECISION", raising=False)
+    unset = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in unset] == [0, 0]
+    for value in ("8", "abc"):
+        monkeypatch.setenv("LT2D_PRECISION", value)
+        assert [run(capsys, *argv) for argv in commands] == unset, value
 
 
 def test_precision_flag_overrides_env(monkeypatch, capsys):

@@ -68,6 +68,19 @@ def test_cross_profile_on_real_multiplication():
     assert profile["exponents"] == [4, 8]
 
 
+def test_a_component_with_two_monomials_mod_p_has_no_frobenius_monomial():
+    # 2*x1 + x2^4 + x1^3 and 2*x2 + x1^4 + x2^3 each keep two monomials mod 2
+    pair = SeriesPair(Series.from_coeffs(2, 2, 9, {(1, 0): 2, (0, 4): 1, (3, 0): 1}),
+                      Series.from_coeffs(2, 2, 9, {(0, 1): 2, (4, 0): 1, (0, 3): 1}))
+    assert frobenius_profile(pair) == {
+        "linear_ok": True,
+        "first": None,
+        "second": None,
+        "cross": False,
+        "exponents": [],
+    }
+
+
 def test_load_fixture_registry():
     assert FIXTURE_NAMES == ("ex1", "dyn23", "dyn312", "mult45")
     ex1 = load_fixture("ex1")

@@ -326,6 +326,22 @@ def test_gamma_endomorphism_rejections():
         gamma_endomorphism(UnramifiedRing(2, 4, prec=16).one(), group)
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: multiplication(Padic.one(3), g23()), "prime mismatch",
+                 id="multiplier-over-another-prime"),
+    pytest.param(lambda: congruence_report(SeriesPair.zero(2, 4, 9), (2, 3)),
+                 "expected a two-variable pair", id="congruences-of-four-variables"),
+    pytest.param(lambda: is_endomorphism(SeriesPair.identity(2, 8), g23()),
+                 "endomorphism candidate must match the group's shape", id="endomorphism-shape"),
+    pytest.param(lambda: gamma_endomorphism(UnramifiedRing(3, 5, prec=4).one(), g23()),
+                 "prime mismatch between gamma and the group", id="gamma-over-another-prime"),
+])
+def test_input_guards(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is ValueError and str(caught.value) == message
+
+
 def test_gamma_endomorphism_flags_foreign_monomials():
     group = g23()
     ring = UnramifiedRing(2, 5, prec=16)

@@ -5,6 +5,7 @@ import pytest
 
 from lubintate2d.padics import (
     DEFAULT_PRECISION,
+    HeightPair,
     Padic,
     PrecisionError,
     UnramifiedRing,
@@ -354,6 +355,42 @@ def test_precision_floor():
     with pytest.raises(PrecisionError):
         Padic(2, 0, 1, 0)
     assert Padic.one(2, 1).prec == 1
+
+
+def test_scalars_and_rings_share_one_precision_floor():
+    with pytest.raises(PrecisionError) as scalar:
+        Padic(2, 0, 1, 0)
+    with pytest.raises(PrecisionError) as ring:
+        UnramifiedRing(2, 5, prec=0)
+    assert str(ring.value) == str(scalar.value) == "relative precision must be at least 1"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: UnramifiedRing(2, 0), ValueError, "degree must be positive",
+                 id="ring-degree-0"),
+    pytest.param(lambda: UnramifiedRing(2, 2, prec=4).element([1, 0, 1]), ValueError,
+                 "too many coefficients", id="element-too-long"),
+    pytest.param(lambda: UnramifiedRing(2, 1).generator(), ValueError,
+                 "generator needs degree >= 2; use element", id="generator-degree-1"),
+    pytest.param(lambda: UnramifiedRing(2, 2, prec=4).one() * UnramifiedRing(2, 2, prec=5).one(),
+                 ValueError, "elements of different rings", id="product-of-two-rings"),
+    pytest.param(lambda: UnramifiedRing(2, 2, prec=4).generator() ** -1, ValueError,
+                 "negative powers not supported in the integer ring", id="negative-power"),
+    pytest.param(lambda: is_irreducible_mod_p((1, 1, 2), 3), ValueError,
+                 "expected a monic polynomial of positive degree", id="not-monic"),
+    pytest.param(lambda: HeightPair(h1=2), TypeError,
+                 "HeightPair needs all of the fields ('h1', 'h2')", id="missing-field"),
+    pytest.param(lambda: HeightPair(True, 2), ValueError, "heights must be integers",
+                 id="bool-first-height"),
+    pytest.param(lambda: HeightPair(2, False), ValueError, "heights must be integers",
+                 id="bool-second-height"),
+    pytest.param(lambda: HeightPair(2.0, 3), ValueError, "heights must be integers",
+                 id="float-height"),
+])
+def test_input_guards(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def _records():

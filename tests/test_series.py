@@ -253,6 +253,43 @@ def test_pair_shape_checks():
         SeriesPair(Series.variable(2, 2, 5, 0), Series.variable(3, 2, 5, 1))
 
 
+def _x(nvars=2, degree=5, index=0):
+    return Series.variable(2, nvars, degree, index)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: Series(2, 0, 3), ValueError, "need at least one variable",
+                 id="no-variable"),
+    pytest.param(lambda: Series(2, 2, -1), ValueError, "truncation degree must be nonnegative",
+                 id="negative-degree"),
+    pytest.param(lambda: _x() + 1, TypeError, "expected a Series", id="add-a-non-series"),
+    pytest.param(lambda: _x() + _x(degree=6), ValueError,
+                 "series shape mismatch (prime, variables, degree)", id="add-another-shape"),
+    pytest.param(lambda: _x().truncate(6), ValueError, "cannot extend a truncated series",
+                 id="truncate-upward"),
+    pytest.param(lambda: _x().raise_vars(0), ValueError, "exponent must be positive",
+                 id="raise-vars-0"),
+    pytest.param(lambda: _x().embed(4, (1, 1)), ValueError,
+                 "positions must list a distinct slot per variable", id="embed-repeated"),
+    pytest.param(lambda: _x().embed(4, (0, 4)), ValueError, "position out of range",
+                 id="embed-out-of-range"),
+    pytest.param(lambda: _x().eliminate_zeros((0, 1)), ValueError,
+                 "cannot drop every variable", id="eliminate-every-variable"),
+    pytest.param(lambda: compose(SeriesPair.identity(2, 5), [_x()]), ValueError,
+                 "need 2 inner series, got 1", id="compose-too-few"),
+    pytest.param(lambda: compose(SeriesPair.identity(2, 5), [_x(), _x(degree=6, index=1)]),
+                 ValueError, "inner series shape mismatch", id="compose-another-shape"),
+    pytest.param(lambda: invert_pair(SeriesPair(_x(3), _x(3, index=1))), ValueError,
+                 "inversion needs a two-variable pair", id="invert-three-variables"),
+    pytest.param(lambda: evaluate_series(_x(3), (Padic.one(2), Padic.one(2))), ValueError,
+                 "expected a two-variable series", id="evaluate-three-variables"),
+])
+def test_input_guards(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_text_lines_format_and_order():
     s = Series.from_coeffs(2, 2, 9, {(1, 0): 1, (0, 4): Fraction(1, 2), (8, 0): 0})
     text = dump_sections({"N": 64}, {"s": SeriesPair(s, Series.zero(2, 2, 9))})

@@ -90,6 +90,16 @@ def test_torsion_valuations_validation():
         torsion_valuations(6, (2, 3), 1)
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: torsion_valuations_via_minplus(2, (2, 3), 0),
+                 "torsion level n must be at least 1", id="minplus-level-0"),
+])
+def test_input_guards(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is ValueError and str(caught.value) == message
+
+
 def test_minplus_matches_closed_form():
     for p, hs in SWEEP_PARAMS:
         for n in range(1, 7):
