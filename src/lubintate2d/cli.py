@@ -13,14 +13,15 @@ Exit codes: 0 success, 1 a verification or self-check failed (any other
 2 bad usage or inputs, 3 the p-adic precision ran out (a `PrecisionError`:
 "precision").  Every failure, argparse's own included, prints a single JSON
 line {"error": ..., "detail": ...} on stderr, written by `main`.  Counts
-(-N, -D, -n, --sweep, --assoc-degree, --unramified-degree) must be integers
-at least 1; a flag the chosen mode never reads is bad usage, -N too outside
-log, group, mult and verify on parameters, --unramified-degree must equal
-h1 + h2, and verify's -D must keep both Frobenius monomials.  N is -N, else
-64; it reaches only the builders, and a report reads its digits off what
-was built.  Every report leaves through `_write_text`, to --out if given,
-else to stdout; JSON through `_emit_json`, which prints a rational as
-num/den.  Outputs are deterministic byte-for-byte for fixed inputs.
+(-N, -D, -n, --sweep, --unramified-degree) must be integers at least 1; a
+flag the chosen mode never reads is bad usage, -N too outside log, group,
+mult and verify on parameters, --unramified-degree must equal h1 + h2,
+and verify's -D must keep both Frobenius monomials.  A copolygon fixture
+comes at its own degree (`fixtures.load_fixture`).  N is -N, else 64; it
+reaches only the builders, and a report reads its digits off what was
+built.  Every report leaves through `_write_text`, to --out if given, else
+to stdout; JSON through `_emit_json`, which prints a rational as num/den.
+Outputs are deterministic byte-for-byte for fixed inputs.
 """
 
 from __future__ import annotations
@@ -105,12 +106,6 @@ def _add_params(sub, required=True, degree=True):
                    help="total-degree truncation")
 
 
-def _axioms(args, group):
-    """The axiom report at --assoc-degree, else at the library's default."""
-    given = {} if args.assoc_degree is None else {"assoc_degree": args.assoc_degree}
-    return lubintate.group_axioms_report(group, **given)
-
-
 def cmd_log(args) -> int:
     log = lubintate.build_logarithm(args.p, (args.h1, args.h2), args.degree, args.precision)
     report = lubintate.recursion_defects(log, (args.h1, args.h2))
@@ -123,7 +118,7 @@ def cmd_log(args) -> int:
 
 def cmd_group(args) -> int:
     group = lubintate.build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
-    report = _axioms(args, group)
+    report = lubintate.group_axioms_report(group)
     if not report.ok:
         raise VerificationError([str(v) for v in report.violations])
     _write_text(args, lubintate.group_to_text(group))
@@ -143,10 +138,10 @@ def cmd_mult(args) -> int:
 
 def _copolygon_from_args(args) -> tuple:
     if args.support is not None:
-        _refuse(args, "--support", degree="-D", component="--component")
+        _refuse(args, "--support", component="--component")
         with open(args.support) as f:
             return copolygon.parse_support_text(f.read())
-    data = fixtures.load_fixture(args.fixture, args.degree)
+    data = fixtures.load_fixture(args.fixture)
     if isinstance(data, series.SeriesPair):
         comp = data.second if args.component == 2 else data.first
     else:
@@ -222,7 +217,7 @@ def cmd_verify(args) -> int:
     params = {"p": "-p", "h1": "--h1", "h2": "--h2", "degree": "-D"}
     if args.fixture:
         _refuse(args, "--fixture", **params, typed_precision="-N",
-                assoc_degree="--assoc-degree", unramified_degree="--unramified-degree")
+                unramified_degree="--unramified-degree")
         header, pair = fixtures.stored_mult45()
         profile = fixtures.frobenius_profile(pair)
         report = lubintate.congruence_report(pair, (header["h1"], header["h2"]))
@@ -246,7 +241,7 @@ def cmd_verify(args) -> int:
     checks = {}
     group = lubintate.build_group(args.p, (args.h1, args.h2), args.degree, args.precision)
     checks["logarithm_recursion"] = lubintate.recursion_defects(group.logarithm, group.heights).ok
-    checks["group_axioms"] = _axioms(args, group).ok
+    checks["group_axioms"] = lubintate.group_axioms_report(group).ok
     checks["p_congruences"] = lubintate.verify_p_congruences(group).ok
     height = lubintate.height_of(group)
     checks["height"] = height
@@ -277,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("group", help="build a formal group and check axioms")
     _add_params(s)
-    _add_count(s, "--assoc-degree",
-               help="degree for the associativity check (default min(8, D))")
     s.add_argument("--out", help="write the report to a file")
     s.set_defaults(func=cmd_group)
 
@@ -297,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                                           "then i j num/den lines)")
     s.add_argument("--component", type=int, choices=(1, 2),
                    help="component when the fixture is a pair (default 1)")
-    _add_count(s, "-D", "--degree", help="truncation degree for series fixtures")
     s.add_argument("--json", action="store_true", help="machine-readable output")
     s.add_argument("--svg", help="write a picture to this file")
     s.add_argument("--out", help="write the report to a file")
@@ -319,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fixture", choices=("mult45",),
                    help="verify the stored fixture instead")
     _add_params(s, required=False)
-    _add_count(s, "--assoc-degree")
     _add_count(s, "--unramified-degree",
                help="also check the Teichmueller endomorphism over the "
                     "unramified extension of this degree")

@@ -76,19 +76,17 @@ def frobenius_profile(pair: SeriesPair) -> dict:
 FIXTURE_NAMES = ("ex1", "dyn23", "dyn312", "mult45")
 
 
-def load_fixture(name: str, degree: int = None):
-    """Fixture registry for the command line.
+def load_fixture(name: str):
+    """Fixture registry for the command line, each at its one degree.
 
-    ex1    -> the worked copolygon series (default degree 9)
-    dyn23  -> dynamical system at p = 2, heights (2, 3) (default degree 9)
-    dyn312 -> dynamical system at p = 3, heights (1, 2) (default degree 9)
-    mult45 -> the stored height-(4, 5) sample (fixed degree 32)
+    ex1    -> the worked copolygon series, degree 9
+    dyn23  -> dynamical system at p = 2, heights (2, 3), degree 9
+    dyn312 -> dynamical system at p = 3, heights (1, 2), degree 9
+    mult45 -> the stored height-(4, 5) sample, at its header's D = 32
     """
     if name == "mult45":
-        if degree is not None and degree != 32:
-            raise ValueError("the stored sample has fixed degree 32")
         return stored_mult45()[1]
-    degree = 9 if degree is None else degree
+    degree = 9
     if name == "ex1":
         return worked_copolygon_series(degree)
     if name == "dyn23":

@@ -71,7 +71,7 @@ def test_criterion_02_group_axioms():
     def body():
         for p, heights in FIXTURES:
             group = build_group(p, heights, 8)
-            report = group_axioms_report(group, assoc_degree=8)
+            report = group_axioms_report(group)
             assert report.ok, [str(v) for v in report.violations]
 
     criterion(2, "group axioms with full associativity at D=8", 60.0, body)

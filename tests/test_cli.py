@@ -110,6 +110,12 @@ def test_copolygon_component_selection(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_copolygon_reads_the_stored_sample_at_its_degree(capsys):
+    code, out, _ = run(capsys, "copolygon", "--fixture", "mult45", "--component", "2",
+                       "--json")
+    assert code == 0 and json.loads(out)["degree"] == 32
+
+
 def test_copolygon_support_file(tmp_path, capsys):
     path = tmp_path / "ex1.support"
     path.write_text("2 9\n1 1 1/1\n4 0 0/1\n0 5 0/1\n")
@@ -464,14 +470,13 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
     (("group", "--h1", "2", "--h2", "3", "-D", "4"), "-p"),
     (("frob",), "frob"),
     (("-N", "x", "log", *PARAMS, "-D", "4"), "-N"),
-    (("group", *PARAMS, "-D", "6", "--assoc-degree", "0"),
-     "--assoc-degree must be at least 1"),
-    (("group", *PARAMS, "-D", "6", "--assoc-degree", "-1"),
-     "--assoc-degree must be at least 1"),
+    # a flag no mode reads is argparse's "unrecognized arguments", naming it
+    (("group", *PARAMS, "-D", "6", "--assoc-degree", "8"), "--assoc-degree"),
+    (("verify", *PARAMS, "-D", "9", "--assoc-degree", "8"), "--assoc-degree"),
     (("torsion", *PARAMS, "--sweep", "0"), "--sweep must be at least 1"),
     (("torsion", *PARAMS, "--sweep", "-2"), "--sweep must be at least 1"),
     (("torsion", *PARAMS, "-n", "0"), "-n must be at least 1"),
-    (("copolygon", "--fixture", "ex1", "-D", "0"), "-D must be at least 1"),
+    (("copolygon", "--fixture", "dyn23", "-D", "9"), "-D"),
     (("verify", *PARAMS, "-D", "9", "--unramified-degree", "0"),
      "--unramified-degree must be at least 1"),
     (("log", *PARAMS, "-D", "4", "--out", UNOPENABLE), UNOPENABLE),

@@ -92,22 +92,11 @@ def test_load_fixture_registry():
     assert dyn23.second.support() == [(0, 1), (8, 0)]
     dyn312 = load_fixture("dyn312")
     assert dyn312.first.support() == [(1, 0), (0, 3)]
-    deeper = load_fixture("dyn23", degree=16)
-    assert deeper.first.degree == 16
     stored = load_fixture("mult45")
     assert stored.first.support() == stored_mult45()[1].first.support()
+    assert [ex1.degree, dyn23.degree, dyn312.degree, stored.degree] == [9, 9, 9, 32]
 
 
 def test_load_fixture_errors():
     with pytest.raises(ValueError, match="unknown fixture"):
         load_fixture("nope")
-    with pytest.raises(ValueError, match="fixed degree 32"):
-        load_fixture("mult45", degree=16)
-
-
-def test_load_fixture_degree_zero_is_not_the_default():
-    # only a missing degree means 9; D = 0 is passed on as given
-    with pytest.raises(ValueError, match="drops a Frobenius monomial"):
-        load_fixture("dyn23", 0)
-    ex1 = load_fixture("ex1", 0)
-    assert ex1.degree == 0 and ex1.terms == {}

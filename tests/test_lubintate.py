@@ -158,7 +158,7 @@ def test_group_law_frozen_3_12():
 
 def test_group_axioms_both_fixtures():
     for group in (build_group(2, (2, 3), 8), build_group(3, (1, 2), 8)):
-        report = group_axioms_report(group, assoc_degree=8)
+        report = group_axioms_report(group)
         assert report.ok, [str(v) for v in report.violations]
 
 
@@ -446,14 +446,14 @@ def test_law_shape_is_found_once_per_group(monkeypatch):
 
     monkeypatch.setattr(Series, "eliminate_zeros", spy)
     group = build_group(2, (2, 3), 6)
-    assert group_axioms_report(group, assoc_degree=4).ok
+    assert group_axioms_report(group).ok
     law = group.group_law
     want = [(law.first, (2, 3)), (law.second, (2, 3)), (law.first, (0, 1)), (law.second, (0, 1))]
     assert len(calls) == 4
     assert all(s is w and zeros == z for (s, zeros), (w, z) in zip(calls, want))
     # a law passed in is checked the same way, once per report
     given = LubinTateGroup(group.heights, group.logarithm, group.exponential, law)
-    assert group_axioms_report(given, assoc_degree=4).ok
+    assert group_axioms_report(given).ok
     assert len(calls) == 8
     assert all(s is w and zeros == z for (s, zeros), (w, z) in zip(calls[4:], want))
 
@@ -465,7 +465,7 @@ def test_spiked_exponential_is_one_integral_finding():
     fake = LubinTateGroup(group.heights, group.logarithm,
                           SeriesPair(exp.first + spike, exp.second))
     assert fake.group_law.min_valuation() < 0  # reading the law does not raise
-    report = group_axioms_report(fake, assoc_degree=4)
+    report = group_axioms_report(fake)
     assert "integral" in [v.check for v in report.violations]
 
 
@@ -543,7 +543,7 @@ def test_axioms_report_checks_both_identity_laws():
     y1_squared = Series.from_coeffs(2, 4, 6, {(0, 0, 2, 0): Padic.one(2)})
     bad = SeriesPair(law.first + y1_squared, law.second)
     fake = LubinTateGroup(group.heights, group.logarithm, group.exponential, bad)
-    report = group_axioms_report(fake, assoc_degree=4)
+    report = group_axioms_report(fake)
     assert not any(v.check == "integral" for v in report.violations)
     assert [str(v) for v in report.violations if v.check == "identity"] == [
         "[identity] component 0: F(0, Y) != Y"]
@@ -558,23 +558,16 @@ def test_axioms_report_flags_a_p_map_whose_linear_part_is_not_p():
         "identity", "identity", "associative", "additive", "p-differential"]
 
 
-@pytest.mark.parametrize("assoc_degree", [0, -2])
-def test_axioms_report_rejects_assoc_degree_below_one(assoc_degree):
-    with pytest.raises(ValueError, match="assoc_degree must be at least 1"):
-        group_axioms_report(g23(6), assoc_degree=assoc_degree)
-
-
-def test_axioms_report_checks_associativity_at_its_degree():
-    # a symmetric degree-9 term stays commutative and breaks additivity;
-    # associativity sees it only when checked through degree 9
+def test_additivity_catches_a_bump_past_the_associativity_degree():
+    # a symmetric degree-9 term stays commutative and passes the
+    # associativity check, which stops at degree 8; additivity, checked
+    # through D, flags it, which is why stopping at 8 loses nothing
     group = g23()
     bump = Series.from_coeffs(2, 4, 9, {(4, 0, 5, 0): 1, (5, 0, 4, 0): 1})
     fake = LubinTateGroup(group.heights, group.logarithm, group.exponential,
                           SeriesPair(group.group_law.first + bump, group.group_law.second))
     checks = [v.check for v in group_axioms_report(fake).violations]
     assert "additive" in checks and "associative" not in checks
-    assert "[associative] component 0: fails at degree 9" in [
-        str(v) for v in group_axioms_report(fake, assoc_degree=9).violations]
 
 
 def test_every_checker_returns_a_report():
@@ -598,8 +591,7 @@ def test_every_checker_returns_a_report():
                        Series.from_coeffs(2, 2, 9, {(0, 1): 2, (0, 8): 1}))
     cases = [
         (recursion_defects(log, (2, 3)), recursion_defects(bad_log, (2, 3))),
-        (group_axioms_report(group, assoc_degree=4),
-         group_axioms_report(with_law, assoc_degree=4)),
+        (group_axioms_report(group), group_axioms_report(with_law)),
         (congruence_report(m, (2, 3)), congruence_report(bad_m, (2, 3))),
         (verify_p_congruences(group), verify_p_congruences(with_m)),
         (is_endomorphism(m, group), is_endomorphism(shift, group)),

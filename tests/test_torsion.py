@@ -33,7 +33,7 @@ def test_dynamical_system_shape():
     d = dynamical_system(2, (2, 3), 9)
     assert d.first == Series.from_coeffs(2, 2, 9, {(1, 0): 2, (0, 4): 1})
     assert d.second == Series.from_coeffs(2, 2, 9, {(0, 1): 2, (8, 0): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="7 drops a Frobenius monomial: need at least 8"):
         dynamical_system(2, (2, 3), 7)
     with pytest.raises(ValueError):
         dynamical_system(4, (2, 3), 16)
