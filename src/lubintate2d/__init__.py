@@ -18,14 +18,15 @@ import sys
 # six are put in sys.modules and on the package by
 # `importlib.util.LazyLoader`, which compiles and runs a module on its
 # first attribute access, so a command pays only for those it reads:
-# `torsion` and `copolygon --support` never compile `series`.  `series`
-# is two modules for the same reason: `Series` in `series` (11.9 KB), and
-# the kernels, pairs and container in `series_ops` (15.7 KB), which
-# `series` imports and re-exports.  Loaded lazily as one 26 KB module it
-# raised the peak of `mult`, `log` and `group` by 0.85 MiB.  Split, they
-# peak up to 0.19 MiB below importing it here, `copolygon --fixture`
-# within 0.07 MiB of that, and the commands that never load it 0.16-0.32
-# MiB below (CPython 3.11, x86-64 Linux, ru_maxrss medians of 9-25 runs).
+# `torsion`, `copolygon --support` and every fixture but `mult45` never
+# compile `series`.  `series` is two modules for the same reason: `Series`
+# in `series` (11.9 KB), and the kernels, pairs and container in
+# `series_ops` (15.7 KB), which `series` imports and re-exports.  Loaded
+# lazily as one 26 KB module it raised the peak of `mult`, `log` and
+# `group` by 0.85 MiB.  Split, they peak up to 0.19 MiB below importing
+# it here, `copolygon --fixture` within 0.07 MiB of that, and the
+# commands that never load it 0.16-0.32 MiB below (CPython 3.11, x86-64
+# Linux, ru_maxrss medians of 9-25 runs).
 # `torsion` imports `copolygon` before `fractions`, so that the larger
 # module compiles first.
 from . import padics  # noqa: F401

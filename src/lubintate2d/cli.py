@@ -17,7 +17,8 @@ line {"error": ..., "detail": ...} on stderr, written by `main`.  Counts
 flag the chosen mode never reads is bad usage, -N too outside log, group,
 mult and verify on parameters, --unramified-degree must equal h1 + h2,
 and verify's -D must keep both Frobenius monomials.  A copolygon fixture
-comes at its own degree (`fixtures.load_fixture`).  N is -N, else 64; it
+is its copolygons, one per component, at its own degree
+(`fixtures.load_fixture`).  N is -N, else 64; it
 reaches only the builders, and a report reads its digits off what was
 built.  Every report leaves through `_write_text`, to --out if given, else
 to stdout; JSON through `_emit_json`, which prints a rational as num/den.
@@ -32,7 +33,7 @@ import sys
 # Modules, not names: all but padics load on first use (see the package
 # root), so each subcommand runs only the modules it reads.  `json` too is
 # imported where a report is written as JSON, not here.
-from . import copolygon, fixtures, lubintate, padics, series, torsion
+from . import copolygon, fixtures, lubintate, padics, torsion
 
 
 class UsageError(Exception):
@@ -141,14 +142,11 @@ def _copolygon_from_args(args) -> tuple:
         _refuse(args, "--support", component="--component")
         with open(args.support) as f:
             return copolygon.parse_support_text(f.read())
-    data = fixtures.load_fixture(args.fixture)
-    if isinstance(data, series.SeriesPair):
-        comp = data.second if args.component == 2 else data.first
-    else:
-        if args.component == 2:
-            raise UsageError(f"fixture {args.fixture} has a single component")
-        comp = data
-    return comp.p, comp.degree, copolygon.Copolygon.from_series(comp)
+    p, degree, polys = fixtures.load_fixture(args.fixture)
+    index = (args.component or 1) - 1
+    if index >= len(polys):
+        raise UsageError(f"fixture {args.fixture} has a single component")
+    return p, degree, polys[index]
 
 
 def cmd_copolygon(args) -> int:

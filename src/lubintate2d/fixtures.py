@@ -2,35 +2,21 @@
 
 Three kinds of fixture live here: the running two-variable copolygon
 example 2*x1*x2 + x1^4 + x2^5 over Z_2, the cross-Frobenius systems of
-`padics.cross_frobenius` as series, and a stored degree-32 sample of a
-multiplication-by-2 endomorphism for heights (4, 5).  The stored sample
-is kept with its known defect: its mod-2 reduction is the diagonal
-Frobenius pair (x1^32, x2^16) rather than the crossed pair required of a
-multiplication-by-p map, which makes it a useful negative control for
-the congruence checks.
+`padics.cross_frobenius`, both held as their copolygons, and a stored
+degree-32 sample of a multiplication-by-2 endomorphism for heights
+(4, 5).  The stored sample is kept with its known defect: its mod-2
+reduction is the diagonal Frobenius pair (x1^32, x2^16) rather than the
+crossed pair required of a multiplication-by-p map, which makes it a
+useful negative control for the congruence checks.
 """
 
 from __future__ import annotations
 
 import os
 
-from .padics import _check_reach, cross_frobenius
-from .series import Series, SeriesPair, linear_defects, parse_sections
-
-
-def worked_copolygon_series(degree: int = 9) -> Series:
-    """2*x1*x2 + x1^4 + x2^5 over Z_2, whose copolygon has one vertex."""
-    terms = {(1, 1): 2, (4, 0): 1, (0, 5): 1}
-    kept = {e: c for e, c in terms.items() if sum(e) <= degree}
-    return Series.from_coeffs(2, 2, degree, kept)
-
-
-def dynamical_system(p: int, heights, degree: int) -> SeriesPair:
-    """`padics.cross_frobenius` as truncated series, at a degree that keeps
-    its Frobenius monomials (`padics._check_reach`)."""
-    _check_reach(p, heights, degree)
-    return SeriesPair(*(Series.from_coeffs(p, 2, degree, comp)
-                        for comp in cross_frobenius(p, heights)))
+# Modules, not names, as in `cli`: a fixture runs only the modules it
+# reads, so `ex1` and the dyn systems never compile `series`.
+from . import copolygon, series, torsion
 
 
 def stored_mult45():
@@ -40,11 +26,11 @@ def stored_mult45():
     """
     with open(os.path.join(os.path.dirname(__file__), "data", "mult45.txt"), encoding="utf-8") as f:
         text = f.read()
-    header, pairs = parse_sections(text)
+    header, pairs = series.parse_sections(text)
     return header, pairs["mult"]
 
 
-def frobenius_profile(pair: SeriesPair) -> dict:
+def frobenius_profile(pair: series.SeriesPair) -> dict:
     """What a multiplication-by-p candidate actually looks like mod p.
 
     Reports whether the linear part is exactly (p*x1, p*x2), the single
@@ -65,7 +51,7 @@ def frobenius_profile(pair: SeriesPair) -> dict:
              and monomials[0][0] == 0 and monomials[1][1] == 0)
     exponents = sorted(sum(e) for e in monomials if e is not None)
     return {
-        "linear_ok": not linear_defects(pair, 1),
+        "linear_ok": not series.linear_defects(pair, 1),
         "first": monomials[0],
         "second": monomials[1],
         "cross": cross,
@@ -76,21 +62,25 @@ def frobenius_profile(pair: SeriesPair) -> dict:
 FIXTURE_NAMES = ("ex1", "dyn23", "dyn312", "mult45")
 
 
-def load_fixture(name: str):
-    """Fixture registry for the command line, each at its one degree.
+def load_fixture(name: str) -> tuple:
+    """Fixture registry for the command line: (p, degree, copolygons),
+    one copolygon per component.
 
-    ex1    -> the worked copolygon series, degree 9
-    dyn23  -> dynamical system at p = 2, heights (2, 3), degree 9
-    dyn312 -> dynamical system at p = 3, heights (1, 2), degree 9
+    ex1    -> the functionals of 2*x1*x2 + x1^4 + x2^5 over Z_2, degree 9
+    dyn23  -> `torsion.component_copolygons(2, (2, 3))`, degree 9
+    dyn312 -> `torsion.component_copolygons(3, (1, 2))`, degree 9
     mult45 -> the stored height-(4, 5) sample, at its header's D = 32
+
+    Degree 9 keeps every monomial of ex1 and the Frobenius monomials of
+    both dyn systems (`padics._check_reach`).
     """
     if name == "mult45":
-        return stored_mult45()[1]
-    degree = 9
+        pair = stored_mult45()[1]
+        return pair.p, pair.degree, tuple(map(copolygon.Copolygon.from_series, pair))
     if name == "ex1":
-        return worked_copolygon_series(degree)
+        return 2, 9, (copolygon.Copolygon([(1, 1, 1), (4, 0, 0), (0, 5, 0)]),)
     if name == "dyn23":
-        return dynamical_system(2, (2, 3), degree)
+        return 2, 9, torsion.component_copolygons(2, (2, 3))
     if name == "dyn312":
-        return dynamical_system(3, (1, 2), degree)
+        return 3, 9, torsion.component_copolygons(3, (1, 2))
     raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")

@@ -16,7 +16,6 @@ from lubintate2d.copolygon import (
     intersect_tie_loci,
     lower_bound_check,
 )
-from lubintate2d.fixtures import dynamical_system, worked_copolygon_series
 from lubintate2d.lubintate import (
     build_group,
     build_logarithm,
@@ -28,7 +27,7 @@ from lubintate2d.lubintate import (
     recursion_defects,
     verify_p_congruences,
 )
-from lubintate2d.padics import Padic, UnramifiedRing, teichmuller
+from lubintate2d.padics import Padic, UnramifiedRing, cross_frobenius, teichmuller
 from lubintate2d.series import Series, SeriesPair, compose, invert_pair
 from lubintate2d.torsion import (
     count_p_torsion,
@@ -119,7 +118,8 @@ def test_criterion_05_non_endomorphism_counterexample():
 
 def test_criterion_06_copolygon_vertex_and_svg():
     def body():
-        poly = Copolygon.from_series(worked_copolygon_series())
+        ex1 = Series.from_coeffs(2, 2, 9, {(1, 1): 2, (4, 0): 1, (0, 5): 1})
+        poly = Copolygon.from_series(ex1)
         assert poly.vertices() == [(Fraction(5, 11), Fraction(4, 11),
                                     Fraction(20, 11))]
         assert emit_svg(poly).encode("utf-8") == GOLDEN.read_bytes()
@@ -129,9 +129,8 @@ def test_criterion_06_copolygon_vertex_and_svg():
 
 def test_criterion_07_level_one_intersection_and_count():
     def body():
-        dyn = dynamical_system(2, (2, 3), 9)
-        first = Copolygon.from_series(dyn.first)
-        second = Copolygon.from_series(dyn.second)
+        first, second = (Copolygon.from_series(Series.from_coeffs(2, 2, 9, c))
+                         for c in cross_frobenius(2, (2, 3)))
         points = intersect_tie_loci(first, second)
         assert points == [(Fraction(5, 31), Fraction(9, 31))]
         assert count_p_torsion(2, (2, 3)) == 32

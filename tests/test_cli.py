@@ -9,7 +9,7 @@ import pytest
 
 from lubintate2d import cli, lubintate
 from lubintate2d.copolygon import Copolygon, emit_svg
-from lubintate2d.fixtures import FIXTURE_NAMES, worked_copolygon_series
+from lubintate2d.fixtures import FIXTURE_NAMES, load_fixture
 from lubintate2d.series import dump_sections, parse_sections
 from lubintate2d.torsion import ValuationProfile, ramification_csv
 
@@ -133,7 +133,7 @@ def test_copolygon_svg_matches_library(tmp_path, capsys):
     target = tmp_path / "pic.svg"
     code, _, _ = run(capsys, "copolygon", "--fixture", "ex1", "--svg", str(target))
     assert code == 0
-    expected = emit_svg(Copolygon.from_series(worked_copolygon_series())).encode("utf-8")
+    expected = emit_svg(load_fixture("ex1")[2][0]).encode("utf-8")
     assert target.read_bytes() == expected
 
 
@@ -345,10 +345,14 @@ RATIONAL = {"fractions", "decimal"}
      {"copolygon", "torsion"}, RATIONAL),
     (("copolygon", "--support", "SUPPORT", "--json"), 0, {"copolygon"}, {*RATIONAL, "json"}),
     (("copolygon", "--support", "SUPPORT", "--svg", "SVG"), 0, {"copolygon"}, RATIONAL),
-    (("copolygon", "--fixture", "dyn23"), 0, {"copolygon", "fixtures", *SERIES}, RATIONAL),
+    (("copolygon", "--fixture", "dyn23"), 0, {"copolygon", "fixtures", "torsion"}, RATIONAL),
+    (("copolygon", "--fixture", "ex1"), 0, {"copolygon", "fixtures"}, RATIONAL),
+    (("copolygon", "--fixture", "mult45", "--component", "2", "--json"), 0,
+     {"copolygon", "fixtures", *SERIES}, {*RATIONAL, "json"}),
 ], ids=["mult", "log", "verify-mult45", "torsion", "torsion-n", "torsion-minplus",
         "torsion-sweep", "torsion-ramification-csv", "copolygon-support",
-        "copolygon-support-svg", "copolygon-fixture-dyn23"])
+        "copolygon-support-svg", "copolygon-fixture-dyn23", "copolygon-fixture-ex1",
+        "copolygon-fixture-mult45"])
 def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, code, runs, stdlib):
     """`series` compiles only where a series is built, and `json` only where
     JSON is written or a series container is read."""

@@ -1,26 +1,15 @@
 import pytest
 
-from lubintate2d.fixtures import (
-    FIXTURE_NAMES,
-    dynamical_system,
-    frobenius_profile,
-    load_fixture,
-    stored_mult45,
-    worked_copolygon_series,
-)
+from lubintate2d.copolygon import Copolygon
+from lubintate2d.fixtures import FIXTURE_NAMES, frobenius_profile, load_fixture, stored_mult45
 from lubintate2d.lubintate import congruence_report
+from lubintate2d.padics import _check_reach, cross_frobenius
 from lubintate2d.series import Series, SeriesPair
 
 
-def test_worked_copolygon_series():
-    s = worked_copolygon_series()
-    assert s.p == 2
-    assert s.degree == 9
-    assert s.support() == [(1, 1), (4, 0), (0, 5)]
-    assert s.coefficient((1, 1)).to_fraction() == 2
-    assert s.coefficient((4, 0)).to_fraction() == 1
-    shallow = worked_copolygon_series(degree=4)
-    assert shallow.support() == [(1, 1), (4, 0)]
+def _system(p, heights, degree=9):
+    """`padics.cross_frobenius` as truncated series."""
+    return SeriesPair(*(Series.from_coeffs(p, 2, degree, c) for c in cross_frobenius(p, heights)))
 
 
 def test_stored_sample_header_and_terms():
@@ -59,8 +48,7 @@ def test_stored_sample_fails_cross_congruence():
 
 
 def test_cross_profile_on_real_multiplication():
-    dyn = dynamical_system(2, (2, 3), 9)
-    profile = frobenius_profile(dyn)
+    profile = frobenius_profile(_system(2, (2, 3)))
     assert profile["linear_ok"]
     assert profile["cross"]
     assert profile["first"] == (0, 4)
@@ -83,18 +71,24 @@ def test_a_component_with_two_monomials_mod_p_has_no_frobenius_monomial():
 
 def test_load_fixture_registry():
     assert FIXTURE_NAMES == ("ex1", "dyn23", "dyn312", "mult45")
-    ex1 = load_fixture("ex1")
-    assert isinstance(ex1, Series)
-    assert ex1.support() == [(1, 1), (4, 0), (0, 5)]
-    dyn23 = load_fixture("dyn23")
-    assert isinstance(dyn23, SeriesPair)
-    assert dyn23.first.support() == [(1, 0), (0, 4)]
-    assert dyn23.second.support() == [(0, 1), (8, 0)]
-    dyn312 = load_fixture("dyn312")
-    assert dyn312.first.support() == [(1, 0), (0, 3)]
-    stored = load_fixture("mult45")
-    assert stored.first.support() == stored_mult45()[1].first.support()
-    assert [ex1.degree, dyn23.degree, dyn312.degree, stored.degree] == [9, 9, 9, 32]
+    ex1, dyn23, dyn312, stored = map(load_fixture, FIXTURE_NAMES)
+    assert ex1 == (2, 9, (Copolygon([(1, 1, 1), (4, 0, 0), (0, 5, 0)]),))
+    assert dyn23 == (2, 9, (Copolygon([(1, 0, 1), (0, 4, 0)]),
+                            Copolygon([(0, 1, 1), (8, 0, 0)])))
+    assert dyn312 == (3, 9, (Copolygon([(1, 0, 1), (0, 3, 0)]),
+                             Copolygon([(0, 1, 1), (9, 0, 0)])))
+    assert stored == (2, 32, tuple(map(Copolygon.from_series, stored_mult45()[1])))
+
+
+def test_fixtures_are_the_copolygons_of_their_series():
+    """Each fixture read without series is the copolygon of its series
+    form at degree 9: 2*x1*x2 + x1^4 + x2^5 over Z_2, and the
+    cross-Frobenius systems, whose Frobenius monomials degree 9 keeps."""
+    ex1 = Series.from_coeffs(2, 2, 9, {(1, 1): 2, (4, 0): 1, (0, 5): 1})
+    assert load_fixture("ex1")[2] == (Copolygon.from_series(ex1),)
+    for name, p, hs in (("dyn23", 2, (2, 3)), ("dyn312", 3, (1, 2))):
+        _check_reach(p, hs, 9)
+        assert load_fixture(name)[2] == tuple(map(Copolygon.from_series, _system(p, hs)))
 
 
 def test_load_fixture_errors():

@@ -7,10 +7,9 @@ import pytest
 
 from lubintate2d import torsion
 from lubintate2d.copolygon import Copolygon
-from lubintate2d.fixtures import dynamical_system
 from lubintate2d.lubintate import congruence_report
-from lubintate2d.padics import Padic, _check_reach
-from lubintate2d.series import Series, compose, invert_pair
+from lubintate2d.padics import Padic, _check_reach, cross_frobenius
+from lubintate2d.series import Series, SeriesPair, compose, invert_pair
 from lubintate2d.torsion import (
     AmbiguousBranchError,
     ValuationProfile,
@@ -29,26 +28,29 @@ from lubintate2d.torsion import (
 SWEEP_PARAMS = [(3, (2, 3)), (5, (2, 3)), (7, (3, 4)), (2, (2, 3))]
 
 
+def _system(p, heights, degree):
+    """`padics.cross_frobenius` as truncated series."""
+    return SeriesPair(*(Series.from_coeffs(p, 2, degree, c) for c in cross_frobenius(p, heights)))
+
+
 def test_dynamical_system_shape():
-    d = dynamical_system(2, (2, 3), 9)
-    assert d.first == Series.from_coeffs(2, 2, 9, {(1, 0): 2, (0, 4): 1})
-    assert d.second == Series.from_coeffs(2, 2, 9, {(0, 1): 2, (8, 0): 1})
+    assert cross_frobenius(2, (2, 3)) == ({(1, 0): 2, (0, 4): 1}, {(0, 1): 2, (8, 0): 1})
     with pytest.raises(ValueError, match="7 drops a Frobenius monomial: need at least 8"):
-        dynamical_system(2, (2, 3), 7)
+        _check_reach(2, (2, 3), 7)
     with pytest.raises(ValueError):
-        dynamical_system(4, (2, 3), 16)
+        _check_reach(4, (2, 3), 16)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_component_copolygons_are_those_of_the_system(p):
     """The min-plus walk reads its copolygons off `padics.cross_frobenius`
-    with no series; they are the copolygons of `fixtures.dynamical_system`,
-    the same table as series, over every coprime pair of heights at most 6."""
+    with no series; they are the copolygons of the system as series, over
+    every coprime pair of heights at most 6."""
     for h1 in range(1, 7):
         for h2 in range(1, 7):
             if gcd(h1, h2) != 1:
                 continue
-            system = dynamical_system(p, (h1, h2), p**max(h1, h2))
+            system = _system(p, (h1, h2), p**max(h1, h2))
             assert component_copolygons(p, (h1, h2)) == tuple(map(Copolygon.from_series, system))
 
 
@@ -59,7 +61,7 @@ def test_dynamical_system_satisfies_p_congruences():
     for p in (2, 3, 5, 7):
         for hs in ((h1, h2) for h1 in range(1, 7) for h2 in range(1, 7) if gcd(h1, h2) == 1):
             degree = p**max(hs)
-            report = congruence_report(dynamical_system(p, hs, degree), hs)
+            report = congruence_report(_system(p, hs, degree), hs)
             assert report.ok, (p, hs, [str(v) for v in report.violations])
             with pytest.raises(ValueError, match=f"monomial: need at least {degree}$"):
                 _check_reach(p, hs, degree - 1)
@@ -217,7 +219,7 @@ def test_the_cross_frobenius_limit_law_is_not_integral():
     but the law L^{-1}(L(X) + L(Y)) of their limit has a coefficient of
     valuation -1: D is not [p] of an integral group (p = 2, heights (1, 2))."""
     p, degree = 2, 12
-    system = dynamical_system(p, (1, 2), degree)
+    system = _system(p, (1, 2), degree)
     iterate, previous = system, None
     for n in range(2, 40):
         previous, iterate = iterate, compose(system, iterate)
