@@ -5,9 +5,9 @@ example 2*x1*x2 + x1^4 + x2^5 over Z_2, the cross-Frobenius systems of
 `padics.cross_frobenius`, both held as their copolygons, and a stored
 degree-32 sample of a multiplication-by-2 endomorphism for heights
 (4, 5).  The stored sample is kept with its known defect: its mod-2
-reduction is the diagonal Frobenius pair (x1^32, x2^16) rather than the
-crossed pair required of a multiplication-by-p map, which makes it a
-useful negative control for the congruence checks.
+reduction (x1^32, x2^16) has each component a power of its own variable,
+where the table of `padics.cross_frobenius` reads the other one, which
+makes it a useful negative control for the congruence checks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 
 # Modules, not names, as in `cli`: a fixture runs only the modules it
 # reads, so `ex1` and the dyn systems never compile `series`.
-from . import copolygon, series, torsion
+from . import copolygon, padics, series, torsion
 
 
 def stored_mult45():
@@ -30,14 +30,14 @@ def stored_mult45():
     return header, pairs["mult"]
 
 
-def frobenius_profile(pair: series.SeriesPair) -> dict:
+def frobenius_profile(pair: series.SeriesPair, heights) -> dict:
     """What a multiplication-by-p candidate actually looks like mod p.
 
-    Reports whether the linear part is exactly (p*x1, p*x2), the single
-    mod-p monomial of each component (None when the reduction is not a
-    single monic monomial), the sorted total degrees of those monomials,
-    and whether the orientation is the crossed one (first component a
-    power of x2, second a power of x1).
+    Reports the single mod-p monomial of each component (None when the
+    reduction is not a single monic monomial), the sorted total degrees of
+    those monomials, and whether the orientation is crossed: each is a
+    power of the variable of its component's Frobenius monomial in
+    `padics.cross_frobenius`.
     """
     monomials = []
     for comp in pair:
@@ -47,11 +47,10 @@ def frobenius_profile(pair: series.SeriesPair) -> dict:
             monomials.append(e if u == 1 and sum(e) > 1 else None)
         else:
             monomials.append(None)
-    cross = (monomials[0] is not None and monomials[1] is not None
-             and monomials[0][0] == 0 and monomials[1][1] == 0)
+    cross = all(e is not None and [*map(bool, e)] == [*map(bool, frob)]
+                for e, (_, frob) in zip(monomials, padics.cross_frobenius(pair.p, heights)))
     exponents = sorted(sum(e) for e in monomials if e is not None)
     return {
-        "linear_ok": not series.linear_defects(pair, 1),
         "first": monomials[0],
         "second": monomials[1],
         "cross": cross,

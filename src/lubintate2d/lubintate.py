@@ -1,20 +1,11 @@
 """Two-dimensional Lubin-Tate formal groups over Z_p.
 
-A coprime pair of heights (h1, h2) determines a logarithm pair L whose
-coefficients live in Q_p: with h = h1 + h2 and q = p^h,
-
-    L1 = x1 + sum_{k>=1} p^{-2k} x1^{q^k} + sum_{k>=0} p^{-(2k+1)} x2^{p^{h1} q^k}
-    L2 = x2 + sum_{k>=1} p^{-2k} x2^{q^k} + sum_{k>=0} p^{-(2k+1)} x1^{p^{h2} q^k}
-
-L solves the twisted functional equations
-
-    L1 = x1 + p^{-1} L2(x1^{p^{h1}}, x2^{p^{h1}})
-    L2 = x2 + p^{-1} L1(x1^{p^{h2}}, x2^{p^{h2}})
-
-and F = L^{-1}(L(X) + L(Y)) is then a formal group law with integral
-coefficients whose multiplication-by-p reduces mod p to the cross
-Frobenius pair (x2^{p^{h1}}, x1^{p^{h2}}), giving height h1 + h2.
-`build_logarithm` finds L as the fixed point of those equations.
+A coprime pair of heights (h1, h2) determines a logarithm pair L with
+coefficients in Q_p, the fixed point of the functional equation that
+`padics.cross_frobenius` states; `build_logarithm` iterates it from X.
+F = L^{-1}(L(X) + L(Y)) is then a formal group law with integral
+coefficients whose multiplication-by-p reduces mod p to that table's
+Frobenius monomials, giving height h1 + h2.
 
 Everything here is exact at the chosen truncation degree.  Every verifier
 returns a `Report`: its violations in the checker's order, each naming the
@@ -32,10 +23,12 @@ from .series import (SeriesPair, compose, dump_sections, grlex, invert_pair, lin
 
 
 def _recursion_rhs(log: SeriesPair, heights: HeightPair, prec: int) -> SeriesPair:
-    """X + p^{-1} (L2(X^{p^h1}), L1(X^{p^h2})) at relative precision `prec`:
-    the right-hand side of the twisted functional equations."""
+    """X + p^{-1} M(Delta)L at relative precision `prec`: the right-hand side
+    of the functional equation, each component's Frobenius monomial read
+    off `cross_frobenius`."""
     p = log.p
-    twisted = SeriesPair(log.second.raise_vars(p**heights.h1), log.first.raise_vars(p**heights.h2))
+    twisted = SeriesPair(*(log.first.raise_vars(i) if i else log.second.raise_vars(j)
+                           for _, (i, j) in cross_frobenius(p, heights)))
     return SeriesPair.identity(p, log.degree, prec) + twisted.scale(Padic(p, -1, 1, prec))
 
 
@@ -95,7 +88,7 @@ def recursion_defects(log: SeriesPair, heights) -> Report:
     Checked coefficientwise through the truncation degree, at the widest
     precision among the logarithm's coefficients, so that p^{-1} and the
     identity cap no digit the logarithm carries.  Raising the variables to
-    the p^{h_i} power maps degree d to degree d * p^{h_i}, so the truncated
+    a Frobenius exponent q maps degree d to degree d * q, so the truncated
     right-hand side is complete through the shared degree.
     """
     rhs = _recursion_rhs(log, _as_heights(heights), _widest_precision(log))
@@ -192,9 +185,9 @@ def congruence_report(f: SeriesPair, heights) -> Report:
 
     Term by term through the pair's truncation degree:
       - integral coefficients, zero constant term;
-      - linear part exactly (p x1, p x2);
-      - reduction mod p equal to that of `cross_frobenius`, monomials
-        beyond the truncation excused.
+      - linear part exactly (p x1, p x2), `series.linear_defects(f, 1)`;
+      - reduction mod p equal to M(Delta)X of `cross_frobenius`,
+        monomials beyond the truncation excused.
     """
     p = f.p
     if f.nvars != 2:
@@ -250,13 +243,14 @@ def is_endomorphism(f: SeriesPair, group: LubinTateGroup) -> Report:
 
 
 def gamma_endomorphism(gamma: UnramifiedElement, group: LubinTateGroup) -> Report:
-    """Verify L(gamma x1, gamma^{p^{h2}} x2) = diag(gamma, gamma^{p^{h2}}) L(X),
-    the diagonal endomorphism of a Teichmuller unit gamma of the
-    degree-(h1+h2) unramified extension.
+    """Verify L(gamma x1, gamma^q2 x2) = diag(gamma, gamma^q2) L(X), the
+    diagonal endomorphism of a Teichmuller unit gamma of the degree-(h1+h2)
+    unramified extension; x1^q2 is component 2's Frobenius monomial in
+    `cross_frobenius`, so the diagonal commutes with M(Delta).
 
     The check is coefficientwise over the logarithm's support: the monomial
-    x1^i x2^j picks up gamma^(i + j p^{h2}), which must equal gamma on the
-    first component and gamma^{p^{h2}} on the second.  All root-of-unity
+    x1^i x2^j picks up gamma^(i + j q2), which must equal gamma on the
+    first component and gamma^q2 on the second.  All root-of-unity
     arithmetic happens in the unramified ring at its own precision.
     """
     ring = gamma.ring
@@ -270,7 +264,7 @@ def gamma_endomorphism(gamma: UnramifiedElement, group: LubinTateGroup) -> Repor
     order = ring.p**ring.degree - 1
     if gamma**order != ring.one():
         raise ValueError("gamma must be a (p^h - 1)-th root of unity (Teichmuller unit)")
-    q2 = group.p**heights.h2
+    _, (q2, _) = cross_frobenius(group.p, heights)[1]
     twist = gamma**q2
     out = []
     for idx, comp, target in ((1, group.logarithm.first, gamma),
@@ -286,10 +280,11 @@ def gamma_endomorphism(gamma: UnramifiedElement, group: LubinTateGroup) -> Repor
 def height_of(group: LubinTateGroup):
     """Height read off from [p]_F mod p.
 
-    Returns h1 + h2 when the reduction is exactly the cross Frobenius pair
-    (x2^{p^{h1}}, x1^{p^{h2}}); any other shape gets the diagnostic string
-    "not monomial-Frobenius" rather than a guess.  A truncation too short to
-    keep both Frobenius monomials raises (`padics._check_reach`).
+    Returns h1 + h2 when `congruence_report` finds the reduction integral
+    and equal to M(Delta)X of `cross_frobenius`; any other shape gets the
+    diagnostic string "not monomial-Frobenius" rather than a guess.  A
+    truncation too short to keep both Frobenius monomials raises
+    (`padics._check_reach`).
     """
     _check_reach(group.p, group.heights, group.degree)
     if any(v.check in ("integral", "frobenius") for v in group.p_congruences.violations):

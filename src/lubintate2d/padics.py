@@ -99,9 +99,11 @@ def _check_precision(prec: int) -> None:
 
 
 def cross_frobenius(p: int, heights) -> tuple:
-    """[p]_F's lowest-order system (p*x1 + x2^(p^h1), p*x2 + x1^(p^h2)): one
-    {exponents: int coefficient} dict per component, the linear monomial,
-    then the Frobenius one."""
+    """The group's functional equation, stated once: the table p*X + M(Delta)X
+    = (p*x1 + x2^(p^h1), p*x2 + x1^(p^h2)), one {exponents: int coefficient}
+    dict per component, the linear monomial, then the Frobenius one.  If
+    component i's Frobenius monomial is x_j^q, then L_i = x_i + p^-1 L_j(X^q)
+    and [p]_F,i = x_j^q mod p (Honda 1970; Hazewinkel 1978, sections 20-21)."""
     _check_prime(p)
     hs = _as_heights(heights)
     return {(1, 0): p, (0, p**hs.h1): 1}, {(0, 1): p, (p**hs.h2, 0): 1}

@@ -1,14 +1,14 @@
 """Torsion-point valuations of the cross-Frobenius dynamical systems.
 
-For coprime heights (h1, h2) the system D = (p*x1 + x2^(p^h1),
-p*x2 + x1^(p^h2)) of `padics.cross_frobenius` approximates [p]_F, F the
-associated two-dimensional formal group, to lowest order.  The valuations
-of its p^n-torsion points obey closed formulae.  This module computes
-them from the formulae, and from first principles by one walk up the
-torsion levels (`_minplus_levels`): level 1 crosses the tie loci of the
-two component copolygons, read off the system with no series, and each
-further level inverts it once (`_minplus_step`).  It also derives the
-ramification degree they force when p is odd and h = h1 + h2 is odd.
+For coprime heights (h1, h2) the system D of `padics.cross_frobenius`
+approximates [p]_F, F the associated two-dimensional formal group, to
+lowest order.  The valuations of its p^n-torsion points obey the paper's
+closed formulae.  This module computes them from the formulae, and from
+first principles by one walk up the torsion levels (`_minplus_levels`):
+level 1 crosses the tie loci of the two component copolygons, read off
+the system with no series, and each further level inverts it once
+(`_minplus_step`).  It also derives the ramification degree they force
+when p is odd and h = h1 + h2 is odd.
 
 It is not [p]_F itself: the law of its limit logarithm, lim p^{-n}
 times the n-th iterate of D, is not integral
@@ -66,9 +66,9 @@ class ValuationProfile(_Record):
 
 
 def torsion_valuations(p: int, heights, n: int) -> ValuationProfile:
-    """Closed-form valuations of a nontrivial p^n-torsion point.
-
-    With h = h1 + h2:
+    """The paper's closed-form valuations of a nontrivial p^n-torsion point,
+    in h1 and h2 on purpose: the oracle, independent of `cross_frobenius`,
+    that acceptance criterion 08 holds the min-plus walk to.  With h = h1 + h2:
       n = 2m+1:  v(xi) = (p^h1 + 1) / (p^(h m) (p^h - 1)),
                  v(eta) = (p^h2 + 1) / (p^(h m) (p^h - 1));
       n = 2m:    v(xi) = (p^h2 + 1) / (p^(h m - h1) (p^h - 1)),
@@ -157,7 +157,8 @@ def profile_report(p: int, heights, n_max: int) -> list:
 
 
 def count_p_torsion(p: int, heights) -> int:
-    """Number of p-torsion points including the origin: p^(h1+h2)."""
+    """Number of p-torsion points including the origin: p^(h1+h2), the
+    paper's closed form."""
     _check_prime(p)
     hs = _as_heights(heights)
     return p**hs.total
@@ -200,7 +201,8 @@ class RamificationReport(_Record):
 
 
 def ramification_report(p: int, heights) -> RamificationReport:
-    """Ramification degree (p^h - 1)/2 for odd p, odd h, heights >= 2."""
+    """The paper's closed-form ramification degree (p^h - 1)/2 for odd p,
+    odd h and heights >= 2."""
     _check_prime(p)
     hs = _as_heights(heights)
     if p == 2:

@@ -73,7 +73,11 @@ def test_logarithm_support_3_12_deep():
 
 
 def _closed_form_logarithm(p, heights, degree, prec):
-    """The closed form of the logarithm pair in the `lubintate` module notes."""
+    """The closed form of the logarithm pair: with h = h1 + h2 and q = p^h,
+
+        L1 = x1 + sum_{k>=1} p^{-2k} x1^{q^k} + sum_{k>=0} p^{-(2k+1)} x2^{p^{h1} q^k}
+        L2 = x2 + sum_{k>=1} p^{-2k} x2^{q^k} + sum_{k>=0} p^{-(2k+1)} x1^{p^{h2} q^k}
+    """
     h1, h2 = heights
     h = h1 + h2
     coeffs1 = {(1, 0): 1}
@@ -110,6 +114,30 @@ def test_recursion_identity_exact():
     for p, hs in ((2, (2, 3)), (3, (1, 2))):
         log = build_logarithm(p, hs, 40)
         assert recursion_defects(log, hs).ok
+
+
+@pytest.mark.parametrize("p, hs, degree", [(2, (2, 3), 24), (3, (1, 2), 27)])
+def test_every_reader_follows_the_one_table(monkeypatch, p, hs, degree):
+    """Swap `cross_frobenius` for the diagonal table (p*x1 + x1^q1,
+    p*x2 + x2^q2): the logarithm becomes two one-dimensional Honda
+    logarithms sum_k p^-k x_i^(q_i^k), and the recursion check and the
+    congruences of [p]_F follow the table, which the true logarithm fails."""
+    true_log = build_logarithm(p, hs, degree)
+    q1, q2 = p ** hs[0], p ** hs[1]
+    table = {(1, 0): p, (q1, 0): 1}, {(0, 1): p, (0, q2): 1}
+    monkeypatch.setattr("lubintate2d.lubintate.cross_frobenius", lambda *_: table)
+    honda = []
+    for var, q in (((1, 0), q1), ((0, 1), q2)):
+        coeffs, k = {}, 0
+        while q**k <= degree:
+            coeffs[(var[0] * q**k, var[1] * q**k)] = Fraction(1, p**k)
+            k += 1
+        honda.append(Series.from_coeffs(p, 2, degree, coeffs))
+    log = build_logarithm(p, hs, degree)
+    assert [s.terms for s in log] == [s.terms for s in honda]
+    assert recursion_defects(log, hs).ok
+    assert not recursion_defects(true_log, hs).ok
+    assert congruence_report(build_group(p, hs, degree).p_multiplication, hs).ok
 
 
 def test_recursion_detects_corruption():
