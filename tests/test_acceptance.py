@@ -27,7 +27,7 @@ from lubintate2d.lubintate import (
     recursion_defects,
     verify_p_congruences,
 )
-from lubintate2d.padics import Padic, UnramifiedRing, cross_frobenius, teichmuller
+from lubintate2d.padics import Padic, cross_frobenius
 from lubintate2d.series import Series, SeriesPair, compose, invert_pair
 from lubintate2d.torsion import (
     count_p_torsion,
@@ -191,15 +191,13 @@ def test_criterion_11_cauchy_gaps():
 
 def test_criterion_12_gamma_endomorphism():
     def body():
-        # the residue field F_32 has multiplicative order 31, prime, so the
-        # class of x is a generator
-        ring = UnramifiedRing(2, 5, prec=16)
-        gamma = teichmuller(ring, ring.generator())
+        # every T_gamma, gamma in mu_31, commutes with the logarithm: the
+        # weights i + 8j are 1 modulo 31 on L1 and 8 on L2
         group = build_group(2, (2, 3), 9, prec=16)
-        result = gamma_endomorphism(gamma, group)
+        result = gamma_endomorphism(group.logarithm, group.heights)
         assert result.ok, [str(v) for v in result.violations]
 
-    criterion(12, "Teichmuller unit acts through the logarithm", 10.0, body)
+    criterion(12, "mu_31 acts through the logarithm by T_gamma weights", 10.0, body)
 
 
 def _random_copolygon(rng):

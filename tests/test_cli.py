@@ -221,10 +221,15 @@ def test_verify_parameters_ok(capsys):
 
 
 def test_verify_with_unramified_check(capsys):
-    code, out, _ = run(capsys, "-N", "16", "verify", "-p", "2", "--h1", "2",
-                       "--h2", "3", "-D", "9", "--unramified-degree", "5")
-    assert code == 0
-    assert json.loads(out)["gamma_endomorphism"] is True
+    # at p = 5, h = 3 the Teichmuller lift of x in F_125 = F_5[x]/(x^3 + x + 1)
+    # has order 62 of 124, so no one-unit check stands in for mu_124
+    for argv in (("-N", "16", "verify", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9",
+                  "--unramified-degree", "5"),
+                 ("verify", "-p", "5", "--h1", "1", "--h2", "2", "-D", "25",
+                  "--unramified-degree", "3")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["gamma_endomorphism"] is True
 
 
 @pytest.mark.parametrize("degree", ["1", "3"])

@@ -5,11 +5,12 @@ from math import gcd
 
 import pytest
 
-from lubintate2d.padics import Padic, PrecisionError, UnramifiedRing, teichmuller
+from lubintate2d.padics import Padic, PrecisionError
 from lubintate2d.series import Series, SeriesPair, compose, dump_sections, invert_pair
 from lubintate2d.lubintate import (
     HeightPair,
     LubinTateGroup,
+    Violation,
     build_group,
     build_logarithm,
     cauchy_gap,
@@ -24,6 +25,7 @@ from lubintate2d.lubintate import (
     recursion_defects,
     verify_p_congruences,
 )
+from unramified import UnramifiedRing, primitive_unit, ring_gamma_defects, teichmuller, unit_order
 
 
 @lru_cache(maxsize=None)
@@ -335,23 +337,16 @@ def test_frobenius_p_shift_is_not_an_endomorphism():
 
 
 def test_gamma_endomorphism_trivial_and_full():
-    group = g23()
-    ring = UnramifiedRing(2, 5, prec=16)
-    assert gamma_endomorphism(ring.one(), group).ok
-    gamma = teichmuller(ring, ring.generator())
-    res = gamma_endomorphism(gamma, group)
+    """The weights hold on the true logarithm, and the ring oracle finds no
+    defect at gamma = 1 nor at the generator, of full order 31 in F_32^*."""
+    log = g23().logarithm
+    res = gamma_endomorphism(log, (2, 3))
     assert res.ok, [str(v) for v in res.violations]
-
-
-def test_gamma_endomorphism_rejections():
-    group = g23()
     ring = UnramifiedRing(2, 5, prec=16)
-    with pytest.raises(ValueError):
-        gamma_endomorphism(ring.element([3]), group)  # 1 + p
-    with pytest.raises(ValueError):
-        gamma_endomorphism(ring.element([]), group)
-    with pytest.raises(ValueError):
-        gamma_endomorphism(UnramifiedRing(2, 4, prec=16).one(), group)
+    gamma = teichmuller(ring, ring.generator())
+    assert unit_order(gamma) == 31
+    assert ring_gamma_defects(ring.one(), log, (2, 3)) == []
+    assert ring_gamma_defects(gamma, log, (2, 3)) == []
 
 
 @pytest.mark.parametrize("build, message", [
@@ -361,8 +356,6 @@ def test_gamma_endomorphism_rejections():
                  "expected a two-variable pair", id="congruences-of-four-variables"),
     pytest.param(lambda: is_endomorphism(SeriesPair.identity(2, 8), g23()),
                  "endomorphism candidate must match the group's shape", id="endomorphism-shape"),
-    pytest.param(lambda: gamma_endomorphism(UnramifiedRing(3, 5, prec=4).one(), g23()),
-                 "prime mismatch between gamma and the group", id="gamma-over-another-prime"),
 ])
 def test_input_guards(build, message):
     with pytest.raises(ValueError) as caught:
@@ -371,15 +364,45 @@ def test_input_guards(build, message):
 
 
 def test_gamma_endomorphism_flags_foreign_monomials():
-    group = g23()
-    ring = UnramifiedRing(2, 5, prec=16)
-    gamma = teichmuller(ring, ring.generator())
-    log = group.logarithm
+    log = g23().logarithm
     spiked = SeriesPair(log.first + Series.from_coeffs(2, 2, 9, {(1, 1): 1}), log.second)
-    fake = LubinTateGroup(group.heights, spiked, group.exponential, group.group_law)
-    res = gamma_endomorphism(gamma, fake)
-    assert not res.ok
-    assert res.violations[0].exponents == (1, 1)
+    res = gamma_endomorphism(spiked, (2, 3))
+    assert res.violations == (Violation(1, (1, 1), "gamma", "weight 9 is not 1 modulo 31"),)
+    ring = UnramifiedRing(2, 5, prec=16)
+    assert ring_gamma_defects(primitive_unit(ring), spiked, (2, 3)) == [(1, (1, 1))]
+
+
+def test_gamma_endomorphism_flags_a_weight_right_modulo_a_smaller_order():
+    """At p = 5, (1, 2) the generator of the degree-3 ring lifts to a root
+    of unity of order 62, not 124, so the ring at that one unit sees the
+    weights only modulo 62: x1^13 x2^2 in L1, of weight 13 + 2 * 25 = 63 =
+    1 + 62, passes there.  The weights modulo 124 flag it, as does the
+    ring at a primitive unit."""
+    log = build_logarithm(5, (1, 2), 16)
+    spiked = SeriesPair(log.first + Series.from_coeffs(5, 2, 16, {(13, 2): 1}), log.second)
+    res = gamma_endomorphism(spiked, (1, 2))
+    assert [(v.component, v.exponents) for v in res.violations] == [(1, (13, 2))]
+    ring = UnramifiedRing(5, 3, prec=8)
+    generator = teichmuller(ring, ring.generator())
+    assert unit_order(generator) == 62
+    assert ring_gamma_defects(generator, spiked, (1, 2)) == []
+    primitive = teichmuller(ring, (0, 0, 2))
+    assert unit_order(primitive) == 124
+    assert ring_gamma_defects(primitive, spiked, (1, 2)) == [(1, (13, 2))]
+
+
+def test_gamma_weights_agree_with_the_ring_oracle_on_every_small_height_pair():
+    """p in {2, 3, 5, 7}, coprime h1, h2 <= 4, D = min(2 max(q1, q2), 130):
+    the weights hold on each true logarithm, and the ring at a primitive
+    unit finds no defect either."""
+    cases = [(p, (h1, h2)) for p in (2, 3, 5, 7) for h1 in range(1, 5) for h2 in range(1, 5)
+             if gcd(h1, h2) == 1]
+    assert len(cases) == 44
+    for p, hs in cases:
+        log = build_logarithm(p, hs, min(2 * p ** max(hs), 130))
+        assert gamma_endomorphism(log, hs).ok, (p, hs)
+        gamma = primitive_unit(UnramifiedRing(p, sum(hs), prec=4))
+        assert ring_gamma_defects(gamma, log, hs) == [], (p, hs)
 
 
 def test_height_of():
@@ -609,12 +632,9 @@ def test_every_checker_returns_a_report():
     bad_log = SeriesPair(log.first + Series.from_coeffs(2, 2, 9, {(1, 1): 1}), log.second)
     bad_m = SeriesPair(m.first + Series.from_coeffs(2, 2, 9, {(0, 4): 1}), m.second)
     bad_law = SeriesPair(law.first + Series.from_coeffs(2, 4, 9, {(0, 0, 2, 0): 1}), law.second)
-    with_log = LubinTateGroup(group.heights, bad_log, group.exponential, law)
     with_law = LubinTateGroup(group.heights, log, group.exponential, bad_law)
     with_m = LubinTateGroup(group.heights, log, group.exponential, law)
     vars(with_m)["p_multiplication"] = bad_m
-    ring = UnramifiedRing(2, 5, prec=16)
-    gamma = teichmuller(ring, ring.generator())
     shift = SeriesPair(Series.from_coeffs(2, 2, 9, {(1, 0): 2, (4, 0): 1}),
                        Series.from_coeffs(2, 2, 9, {(0, 1): 2, (0, 8): 1}))
     cases = [
@@ -623,7 +643,7 @@ def test_every_checker_returns_a_report():
         (congruence_report(m, (2, 3)), congruence_report(bad_m, (2, 3))),
         (verify_p_congruences(group), verify_p_congruences(with_m)),
         (is_endomorphism(m, group), is_endomorphism(shift, group)),
-        (gamma_endomorphism(gamma, group), gamma_endomorphism(gamma, with_log)),
+        (gamma_endomorphism(log, (2, 3)), gamma_endomorphism(bad_log, (2, 3))),
     ]
     for passing, failing in cases:
         assert type(passing) is type(failing) is lubintate.Report

@@ -8,15 +8,17 @@ from lubintate2d.padics import (
     HeightPair,
     Padic,
     PrecisionError,
+    _powers,
+    _raw_add,
+    int_valuation,
+    is_prime,
+)
+from unramified import (
     UnramifiedRing,
     _poly_mod,
     _poly_mulmod,
     _poly_powmod,
-    _powers,
-    _raw_add,
-    int_valuation,
     is_irreducible_mod_p,
-    is_prime,
     minimal_irreducible,
     teichmuller,
 )
@@ -179,6 +181,11 @@ def test_mul_valuation_additivity_random():
             if not s.is_zero:
                 assert s.valuation >= min(a.valuation, b.valuation)
             assert (a * b).to_fraction() == m * n or abs(m * n) > p**40
+
+
+# The unramified ring of `unramified`, the tests' oracle for
+# `lubintate.gamma_endomorphism`, checked in turn: its moduli, its
+# arithmetic and its Teichmuller lifts.
 
 
 def test_minimal_irreducible_frozen():
@@ -396,19 +403,14 @@ def test_input_guards(build, error, message):
 def _records():
     from lubintate2d.copolygon import Copolygon, TieSegment
     from lubintate2d.lubintate import HeightPair, LubinTateGroup, Report, Violation, build_group
-    from lubintate2d.padics import UnramifiedElement
     from lubintate2d.series import Series, SeriesPair
     from lubintate2d.torsion import RamificationReport, ValuationProfile
 
     s = Series.from_coeffs(2, 2, 3, {(1, 0): 1})
     group = build_group(2, (1, 2), 3)
-    ring = UnramifiedRing(2, 2, prec=4)
-    # (class, constructor arguments, repr: the dataclass form for the first ten)
+    # (class, constructor arguments, repr: the dataclass form)
     return {cls.__name__: (cls, args, text) for cls, args, text in [
         (HeightPair, (2, 3), "HeightPair(h1=2, h2=3)"),
-        (UnramifiedRing, (2, 5, 16), "UnramifiedRing(p=2, degree=5, prec=16)"),
-        (UnramifiedElement, (ring, (1, 3)),
-         "UnramifiedElement(ring=UnramifiedRing(p=2, degree=2, prec=4), coeffs=(1, 3))"),
         (Copolygon, (((1, 0, 3), (0, 1, Fraction(1, 2)), (1, 0, 0)),),
          "Copolygon(functionals=((0, 1, Fraction(1, 2)), (1, 0, Fraction(0, 1))))"),
         (Violation, (1, (2, 3), "recursion"),
@@ -436,7 +438,7 @@ def _records():
 @pytest.mark.parametrize("name", [
     "HeightPair", "Violation", "Report", "LubinTateGroup", "SeriesPair", "TieSegment",
     "ValuationProfile", "RamificationReport",
-    "Copolygon", "UnramifiedRing", "UnramifiedElement"])
+    "Copolygon"])
 def test_records_are_frozen_values(name):
     cls, args, text = _records()[name]
     a, b = cls(*args), cls(*args)
@@ -464,10 +466,6 @@ def test_records_are_frozen_values(name):
     if name == "HeightPair":
         with pytest.raises(ValueError):
             cls(2, 4)
-    if name == "UnramifiedRing":
-        assert a.pk == 2**16 and list(vars(a)) == ["p", "degree", "prec", "pk"]
-        with pytest.raises(ValueError):
-            cls(4, 2)
 
 
 def test_one_frozen_value_idiom():
