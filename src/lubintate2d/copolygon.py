@@ -14,9 +14,9 @@ clipped in integers over L too.  Copolygon intersections are solved with
 2x2 rational linear algebra.  No floats.
 
 A series enters through its coefficients' valuations alone, read with
-`Series.coefficient`; the lower-bound certificate evaluates the series
-with `series.evaluate_series`, the one call that loads `series`, so a
-copolygon read from a support file never compiles it.
+`Series.coefficient`.  This module does not import `series`: its
+`Series` annotations are names alone, so a copolygon read from a support
+file never compiles it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from . import series
 from .padics import _check_prime, _Record, fraction_str, grlex
 
 
@@ -90,7 +89,7 @@ class Copolygon(_Record):
             (i, j, v) for (i, j), v in sorted(best.items(), key=lambda kv: grlex(kv[0])))
 
     @classmethod
-    def from_series(cls, s: series.Series) -> "Copolygon":
+    def from_series(cls, s: Series) -> "Copolygon":
         if s.nvars != 2:
             raise ValueError("copolygons are defined for two-variable series")
         if not s.terms:
@@ -238,31 +237,10 @@ def intersect_tie_loci(first: Copolygon, second: Copolygon) -> list:
     return sorted(points)
 
 
-# -- evaluation bounds ----------------------------------------------------
-
-
-def lower_bound_check(s: series.Series, point) -> bool:
-    """Certify v(f(alpha)) >= V_f(v(alpha1), v(alpha2)) at a concrete point.
-
-    Both coordinates must be nonzero so the coordinate valuations are
-    finite.  The bound is the least term valuation v + i*v(alpha1) +
-    j*v(alpha2).  A sum that cancels to zero is zero modulo the least
-    absolute precision of its terms, and each term's absolute precision is
-    its valuation plus at least one digit, so it exceeds the bound: a
-    cancelled sum passes.
-    """
-    a, b = point
-    if a.is_zero or b.is_zero:
-        raise ValueError("coordinates must be nonzero so valuations are finite")
-    bound = Copolygon.from_series(s).evaluate((a.valuation, b.valuation))
-    total = series.evaluate_series(s, point)
-    return total.is_zero or total.valuation >= bound
-
-
 # -- support files ---------------------------------------------------------
 
 
-def support_text(s: series.Series) -> str:
+def support_text(s: Series) -> str:
     """The support file of a series: header line "p D", then one
     "i j num/den" line per functional of `Copolygon.from_series(s)`, in
     its graded-lex order, so a series it refuses is refused here too.

@@ -227,21 +227,6 @@ def verify_p_congruences(group: LubinTateGroup) -> Report:
     return Report(tuple(out))
 
 
-def is_endomorphism(f: SeriesPair, group: LubinTateGroup) -> Report:
-    """Does f(F(X, Y)) equal F(f(X), f(Y)) through the group's degree?
-
-    One violation per differing monomial, sorted by (graded-lex order,
-    component), so the first names the earliest.
-    """
-    if f.nvars != 2 or f.degree != group.degree or f.p != group.p:
-        raise ValueError("endomorphism candidate must match the group's shape")
-    law = group.group_law
-    diffs = _differences(compose(f, law),
-                         compose(law, [*f.embed(4, (0, 1)), *f.embed(4, (2, 3))]))
-    return Report(tuple(Violation(idx, e, "endomorphism", "f(F(X,Y)) != F(f(X), f(Y))")
-                        for idx, e in sorted(diffs, key=lambda d: (grlex(d[1]), d[0]))))
-
-
 def gamma_endomorphism(log: SeriesPair, heights) -> Report:
     """A `gamma` violation per monomial of the logarithm pair on which some
     T_gamma = diag(gamma, gamma^q2) fails to commute with L, for gamma in
@@ -290,31 +275,6 @@ def height_of(group: LubinTateGroup):
     if any(v.check in ("integral", "frobenius") for v in group.p_congruences.violations):
         return "not monomial-Frobenius"
     return group.heights.total
-
-
-def cauchy_gap(group: LubinTateGroup, m: int, n: int):
-    """Valuation gap between renormalized iterates L_k = p^{-k} [p^k]_F.
-
-    Term valuation is coefficient valuation plus total degree.  Returns the
-    minimum over the surviving monomials of L_m - L_n, or None when the
-    difference vanishes identically at this truncation (the infinite
-    marker).  The gap is at least n + 1 whenever m > n.
-    """
-    if not (m >= n >= 1):
-        raise ValueError("need m >= n >= 1")
-    has_nonlinear = any(sum(e) > 1
-                        for comp in (group.logarithm.first, group.logarithm.second)
-                        for e in comp.terms)
-    if not has_nonlinear:
-        raise ValueError("truncation degree too small: the logarithm has no nonlinear term")
-    if m == n:
-        return None
-    lm = multiplication(group.p**m, group).scale(Padic(group.p, -m, 1, group.prec))
-    ln = multiplication(group.p**n, group).scale(Padic(group.p, -n, 1, group.prec))
-    diff = lm - ln
-    vals = [v for v in (diff.first.min_val_plus_degree(), diff.second.min_val_plus_degree())
-            if v is not None]
-    return min(vals) if vals else None
 
 
 _ASSOC_DEGREE = 8

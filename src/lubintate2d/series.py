@@ -12,18 +12,18 @@ module, with its second half `series_ops`, and `padics` know that.  Values
 enter only through `Series.from_coeffs`, which reads them through `Padic`,
 and leave only through `coefficient`, as a `Padic`; other modules read
 `terms` for its keys alone.  Every sum applies `padics._raw_add`, the sum
-rule of `Padic`, to these triples: sums and `evaluate_series` call it, and
-products, scalings and substitutions inline it.  None builds a `Padic`
-but the value `evaluate_series` returns.  Two series agree (`==`) when no
-term of their difference survives the sum rule, the rule by which the
-verifiers list where two series differ.
+rule of `Padic`, to these triples: sums call it, and products, scalings
+and substitutions inline it.  None builds a `Padic`.  Two series agree
+(`==`) when no term of their difference survives the sum rule, the rule
+by which the verifiers list where two series differ.
 
 This module holds `Series`.  The packed-key kernels from `_pack` to
 `_substitute_each`, `SeriesPair`, `compose`, `linear_defects`,
-`invert_pair`, `evaluate_series` and the text container live in
-`series_ops`, which this module imports last and re-exports name by name,
-so `series.compose` and `from .series import compose` still work.  The
-notes below describe both halves.
+`invert_pair` and the text container live in `series_ops`, which this
+module imports last and re-exports name by name, so `series.compose` and
+`from .series import compose` still work.  The notes below describe both
+halves.  Evaluation at a point is a test-side check
+(tests/paper_checks.py).
 
 A product (`_accumulate`) visits only the pairs of terms whose degrees fit
 the truncation: each distinct room left by a left term gets one row of the
@@ -138,12 +138,6 @@ class Series(_Record):
         if not self.terms:
             return None
         return min(v for v, _, _ in self.terms.values())
-
-    def min_val_plus_degree(self):
-        """min over terms of (coefficient valuation + total degree)."""
-        if not self.terms:
-            return None
-        return min(v + sum(e) for e, (v, _, _) in self.terms.items())
 
     def units_mod_p(self) -> dict:
         """Reduction modulo p: {exponents: unit % p} over valuation-0 terms.
@@ -271,5 +265,5 @@ class Series(_Record):
 # The second half, re-exported: `Series.__mul__` and `substitute` call its
 # kernels, and `series_ops` reads `Series` from here, so it comes last.
 from .series_ops import (_mul_triples, _pack, _substitute_each, _unpack,  # noqa: E402,F401
-                         SeriesPair, compose, dump_sections, evaluate_series, invert_pair,
+                         SeriesPair, compose, dump_sections, invert_pair,
                          linear_defects, parse_sections)

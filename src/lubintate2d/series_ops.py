@@ -1,5 +1,5 @@
-"""Packed-key products, compositions, pairs, inversion, evaluation and the
-text container: the second half of `series`.
+"""Packed-key products, compositions, pairs, inversion and the text
+container: the second half of `series`.
 
 This is not a second owner of coefficients: the module notes of `series`
 describe the products and compositions here, `series` re-exports every
@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from functools import reduce
 from math import inf
 
-from .padics import DEFAULT_PRECISION, Padic, PrecisionError, _powers, _raw_add, _Record, grlex, is_prime
+from .padics import DEFAULT_PRECISION, Padic, PrecisionError, _powers, _Record, grlex, is_prime
 
 
 def _pack(terms: dict, radix: int) -> dict:
@@ -261,32 +261,6 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
     if not (compose(g, f) - ident).is_zero:
         raise PrecisionError("inverse failed the two-sided check")
     return g
-
-
-def evaluate_series(s: Series, point) -> Padic:
-    """Value of a two-variable series at a pair of p-adic scalars.
-
-    Computed on the stored (val, unit, cap) triples: the term c a^i b^j has
-    valuation v + i va + j vb and unit u ua^i ub^j mod p^m, m the least of
-    the three relative precisions, the product rule of `_accumulate`.  The
-    terms are summed in grlex order by `padics._raw_add`, and one `Padic`
-    is built from the sum.  A zero coordinate needs no branch: its unit is
-    0, so pow(0, 0) = 1 and pow(0, k) = 0.
-    """
-    if s.nvars != 2:
-        raise ValueError("expected a two-variable series")
-    a, b = point
-    if a.p != s.p or b.p != s.p:
-        raise ValueError(f"prime mismatch: the series is over Z_{s.p}")
-    pk = _powers(s.p)
-    total = (0, 0, min(a.prec, b.prec))
-    for e in sorted(s.terms, key=grlex):
-        v, u, c = s.terms[e]
-        m = min(c - v, a.prec, b.prec)
-        unit = u * pow(a.unit, e[0], pk[m]) * pow(b.unit, e[1], pk[m]) % pk[m]
-        v += e[0] * a.val + e[1] * b.val
-        total = _raw_add(pk, total, (v, unit, v + m))
-    return Padic(s.p, total[0], total[1], total[2] - total[0])
 
 
 # -- the text container -----------------------------------------------------

@@ -153,17 +153,6 @@ def profile_report(p: int, heights, n_max: int) -> list:
     return rows
 
 
-# -- the p-torsion layer ----------------------------------------------------
-
-
-def count_p_torsion(p: int, heights) -> int:
-    """Number of p-torsion points including the origin: p^(h1+h2), the
-    paper's closed form."""
-    _check_prime(p)
-    hs = _as_heights(heights)
-    return p**hs.total
-
-
 # -- ramification -----------------------------------------------------------
 
 

@@ -14,15 +14,12 @@ from lubintate2d.copolygon import (
     Copolygon,
     emit_svg,
     intersect_tie_loci,
-    lower_bound_check,
 )
 from lubintate2d.lubintate import (
     build_group,
     build_logarithm,
-    cauchy_gap,
     gamma_endomorphism,
     group_axioms_report,
-    is_endomorphism,
     multiplication,
     recursion_defects,
     verify_p_congruences,
@@ -30,12 +27,12 @@ from lubintate2d.lubintate import (
 from lubintate2d.padics import Padic, cross_frobenius
 from lubintate2d.series import Series, SeriesPair, compose, invert_pair
 from lubintate2d.torsion import (
-    count_p_torsion,
     gcd_lemma,
     ramification_report,
     torsion_valuations,
     torsion_valuations_via_minplus,
 )
+from paper_checks import cauchy_gap, count_p_torsion, is_endomorphism, lower_bound_check
 
 FIXTURES = ((2, (2, 3)), (3, (1, 2)))
 GOLDEN = Path(__file__).parent / "data" / "ex1_golden.svg"

@@ -10,7 +10,7 @@ import pytest
 from lubintate2d.fixtures import FIXTURE_NAMES, load_fixture
 from lubintate2d.lubintate import build_logarithm
 from lubintate2d.padics import Padic
-from lubintate2d.series import Series, compose, evaluate_series, grlex, invert_pair
+from lubintate2d.series import Series, compose, grlex, invert_pair
 from lubintate2d.copolygon import (
     Copolygon,
     TieSegment,
@@ -19,11 +19,11 @@ from lubintate2d.copolygon import (
     emit_svg,
     fraction_str,
     intersect_tie_loci,
-    lower_bound_check,
     parse_fraction,
     parse_support_text,
     support_text,
 )
+from paper_checks import evaluate_series, lower_bound_check
 
 
 def ex1_series():
@@ -316,6 +316,25 @@ def test_evaluate_series_matches_the_padic_loop():
     for evaluate in (evaluate_series, _reference_evaluate):
         with pytest.raises(ValueError):
             evaluate(ex1_series(), three)  # a point over another prime
+
+
+def test_copolygon_does_not_depend_on_series():
+    """`copolygon` reads a series only through the object it is handed:
+    the module binds no `series`, and its source imports none, so the
+    library has no copolygon -> series edge to keep lazy."""
+    import ast
+    from pathlib import Path
+
+    from lubintate2d import copolygon
+
+    assert "series" not in vars(copolygon)
+    named = set()
+    for node in ast.walk(ast.parse(Path(copolygon.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."), (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            named.update(part for a in node.names for part in a.name.split("."))
+    assert not named & {"series", "series_ops"}
 
 
 def test_support_text_round_trip():

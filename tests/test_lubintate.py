@@ -13,18 +13,17 @@ from lubintate2d.lubintate import (
     Violation,
     build_group,
     build_logarithm,
-    cauchy_gap,
     congruence_report,
     gamma_endomorphism,
     group_axioms_report,
     group_from_text,
     group_to_text,
     height_of,
-    is_endomorphism,
     multiplication,
     recursion_defects,
     verify_p_congruences,
 )
+from paper_checks import cauchy_gap, is_endomorphism
 from unramified import UnramifiedRing, primitive_unit, ring_gamma_defects, teichmuller, unit_order
 
 

@@ -14,7 +14,6 @@ from lubintate2d.torsion import (
     AmbiguousBranchError,
     ValuationProfile,
     component_copolygons,
-    count_p_torsion,
     gcd_lemma,
     gcd_lemma_raw,
     hypothesis_status,
@@ -24,6 +23,7 @@ from lubintate2d.torsion import (
     torsion_valuations,
     torsion_valuations_via_minplus,
 )
+from paper_checks import count_p_torsion
 
 SWEEP_PARAMS = [(3, (2, 3)), (5, (2, 3)), (7, (3, 4)), (2, (2, 3))]
 
