@@ -5,7 +5,9 @@ coefficients in Q_p, the fixed point of the functional equation that
 `padics.cross_frobenius` states; `build_logarithm` iterates it from X.
 F = L^{-1}(L(X) + L(Y)) is then a formal group law with integral
 coefficients whose multiplication-by-p reduces mod p to that table's
-Frobenius monomials, giving height h1 + h2.
+Frobenius monomials, giving height h1 + h2.  So a group is its
+logarithm: `LubinTateGroup` holds the heights and L, and derives L^{-1},
+F and [p]_F from them.
 
 Everything here is exact at the chosen truncation degree.  Every verifier
 returns a `Report`: its violations in the checker's order, each naming the
@@ -18,8 +20,7 @@ from functools import cached_property
 
 from .padics import (DEFAULT_PRECISION, HeightPair, Padic, PrecisionError, _as_heights,
                      _check_prime, _check_reach, _Record, cross_frobenius)
-from .series import (SeriesPair, compose, dump_sections, grlex, invert_pair, linear_defects,
-                     parse_sections)
+from .series import SeriesPair, compose, dump_sections, grlex, invert_pair, linear_defects
 
 
 def _recursion_rhs(log: SeriesPair, heights: HeightPair, prec: int) -> SeriesPair:
@@ -97,29 +98,12 @@ def recursion_defects(log: SeriesPair, heights) -> Report:
 
 
 class LubinTateGroup(_Record):
-    """The logarithm and its inverse, two-variable pairs over the prime
-    `p`, truncation degree `degree` and precision `prec` that the group
-    reads off the logarithm.  The group law, [p]_F and its congruence
-    report are derived on first read and cached; a law passed in (four
-    variables: x1, x2, y1, y2) is not a field, is checked for that shape
-    and is otherwise taken as given."""
+    """A group fixed by its logarithm pair: the prime `p`, truncation degree
+    `degree` and precision `prec` are the logarithm's.  The exponential
+    L^{-1}, the group law, [p]_F and its congruence report are derived on
+    first read and cached."""
 
-    _fields = ("heights", "logarithm", "exponential")
-
-    def __init__(self, heights, logarithm, exponential, law=None):
-        super().__init__(heights, logarithm, exponential)
-        if law is not None:
-            shape = (law.p, law.nvars, law.degree) if isinstance(law, SeriesPair) else None
-            if shape != (self.p, 4, self.degree):
-                raise ValueError(f"group law must be a pair over p = {self.p} in 4 variables "
-                                 f"through degree {self.degree}, got (p, variables, degree) "
-                                 f"= {shape or type(law).__name__}")
-            self.__dict__["group_law"] = law
-
-    def _check(self):
-        log, exp = self.logarithm, self.exponential
-        if (exp.p, exp.nvars, exp.degree) != (log.p, log.nvars, log.degree):
-            raise ValueError("exponential and logarithm must share prime, variables, degree")
+    _fields = ("heights", "logarithm")
 
     @property
     def p(self) -> int:
@@ -134,8 +118,13 @@ class LubinTateGroup(_Record):
         return _widest_precision(self.logarithm)
 
     @cached_property
+    def exponential(self) -> SeriesPair:
+        """L^{-1}, a checked two-sided inverse (`series.invert_pair`)."""
+        return invert_pair(self.logarithm)
+
+    @cached_property
     def group_law(self) -> SeriesPair:
-        """F = L^{-1}(L(X) + L(Y)); `group_axioms_report` checks its shape."""
+        """F = L^{-1}(L(X) + L(Y)); `group_axioms_report` checks its axioms."""
         log = self.logarithm
         return compose(self.exponential, log.embed(4, (0, 1)) + log.embed(4, (2, 3)))
 
@@ -155,28 +144,20 @@ class LubinTateGroup(_Record):
 
 
 def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> LubinTateGroup:
-    """Construct the logarithm and the exponential (a checked two-sided
-    inverse); the group law waits for its first read."""
+    """The group of `build_logarithm`'s logarithm; its exponential and law
+    wait for their first read."""
     heights = _as_heights(heights)
-    log = build_logarithm(p, heights, degree, prec)
-    return LubinTateGroup(heights, log, invert_pair(log))
+    return LubinTateGroup(heights, build_logarithm(p, heights, degree, prec))
 
 
-def multiplication(a, group: LubinTateGroup) -> SeriesPair:
-    """[a]_F = L^{-1}(a L(X)) for an integral p-adic multiplier a; a nonzero
-    int multiplier that is 0 modulo p^prec is a `PrecisionError`."""
-    if isinstance(a, Padic):
-        if a.p != group.p:
-            raise ValueError("prime mismatch")
-        c = a
-    else:
-        c = Padic.from_int(group.p, a, group.prec)
-        if a and c.is_zero:
-            raise PrecisionError(f"multiplier {a} is 0 modulo {group.p}^{group.prec}")
-    if c.is_zero:
+def multiplication(a: int, group: LubinTateGroup) -> SeriesPair:
+    """[a]_F = L^{-1}(a L(X)) for an int a; a nonzero a that is 0 modulo
+    p^prec is a `PrecisionError`."""
+    if not a:
         return SeriesPair.zero(group.p, 2, group.degree)
-    if c.valuation < 0:
-        raise ValueError(f"multiplier must be integral, valuation {c.valuation} < 0")
+    c = Padic.from_int(group.p, a, group.prec)
+    if c.is_zero:
+        raise PrecisionError(f"multiplier {a} is 0 modulo {group.p}^{group.prec}")
     return compose(group.exponential, group.logarithm.scale(c))
 
 
@@ -335,17 +316,3 @@ def group_to_text(group: LubinTateGroup) -> str:
     return pairs_to_text(group.heights, group.logarithm,
                          {name: getattr(group, name) for name in _GROUP_PAIRS})
 
-
-def group_from_text(text: str) -> LubinTateGroup:
-    """The group `group_to_text` wrote.  Its logarithm must be the one the
-    header's p, h1 and h2 determine: the functional equations fix it."""
-    header, pairs = parse_sections(text)
-    missing = [name for name in _GROUP_PAIRS if name not in pairs]
-    if missing:
-        raise ValueError(f"group container lacks the {', '.join(missing)} pair")
-    heights = HeightPair(header.get("h1"), header.get("h2"))
-    log, exp, law = (pairs[name] for name in _GROUP_PAIRS)
-    if not recursion_defects(log, heights).ok:
-        raise ValueError(f"header p = {log.p}, h1 = {heights.h1}, h2 = {heights.h2} "
-                         "disagrees with the logarithm read")
-    return LubinTateGroup(heights, log, exp, law)

@@ -385,13 +385,18 @@ def test_module_entry_point():
 
 
 def test_verify_builds_p_multiplication_once(capsys, monkeypatch):
+    """`verify` and `group` each invert the logarithm once, for the law, and
+    build [p]_F once, off that inverse."""
     calls = []
-    real = lubintate.multiplication
+    real_mult, real_invert = lubintate.multiplication, lubintate.invert_pair
     monkeypatch.setattr(lubintate, "multiplication",
-                        lambda a, g: calls.append(a) or real(a, g))
-    code, out, _ = run(capsys, "verify", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9")
-    assert code == 0 and json.loads(out)["ok"] is True
-    assert calls == [2]
+                        lambda a, g: calls.append(a) or real_mult(a, g))
+    monkeypatch.setattr(lubintate, "invert_pair",
+                        lambda f: calls.append("invert_pair") or real_invert(f))
+    for command in ("verify", "group"):
+        calls.clear()
+        code, _, _ = run(capsys, command, "-p", "2", "--h1", "2", "--h2", "3", "-D", "9")
+        assert code == 0 and calls == ["invert_pair", 2], command
 
 
 def test_copolygon_svg_computes_tie_loci_once(capsys, monkeypatch, tmp_path):

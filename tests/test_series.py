@@ -356,9 +356,13 @@ PAIR = "[f.1 v=2 D=4]\n1 0 : 0 1\n[f.2 v=2 D=4]\n0 1 : 0 1\n"
     ('{"p": 2, "D": 4}\n' + PAIR.replace("1 0 : 0 1", "1 0 0 1"), "term line '1 0 0 1'"),
     ('{"p": 2, "D": 4}\n' + PAIR.replace("1 0 : 0 1", "1 0 : 0 1\n1 0 : 3 5"),
      r"section f\.1 repeats the monomial \(1, 0\)"),
+    ('{"p": 2, "D": 4}\n' + PAIR.replace("[f.2", '{"p": 3, "D": 4}\n[f.2'), "one header line"),
+    ('{"p": 2, "D": 5}\n' + PAIR, r"section f\.1 has D=4, header D=5"),
+    ('{"p": 2, "D": 4}\n' + PAIR.split("[f.2")[0], r"section f\.2 is missing"),
 ], ids=["no-header", "no-p", "composite-p", "no-D", "repeated-section",
         "unsuffixed", "stray-term", "text-N", "section-without-D", "bad-v",
-        "field-without-equals", "term-without-colon", "repeated-monomial"])
+        "field-without-equals", "term-without-colon", "repeated-monomial",
+        "second-header", "section-degree", "missing-section"])
 def test_parse_refuses_a_container_that_disagrees_with_itself(text, detail):
     with pytest.raises(ValueError, match=detail):
         parse_sections(text)
@@ -755,7 +759,7 @@ def test_compose_builds_one_series_per_component(monkeypatch):
     from lubintate2d.lubintate import build_group
 
     group = build_group(3, (1, 2), 12)
-    log = group.logarithm
+    log, exp = group.logarithm, group.exponential
     summed = log.embed(4, (0, 1)) + log.embed(4, (2, 3))
     counts = {Series: 0, Padic: 0}
     for cls in counts:
@@ -763,7 +767,7 @@ def test_compose_builds_one_series_per_component(monkeypatch):
             counts[cls] += 1
             __init__(self, *args)
         monkeypatch.setattr(cls, "__init__", counted)
-    law = compose(group.exponential, summed)
+    law = compose(exp, summed)
     monkeypatch.undo()
     assert law == group.group_law
     assert counts[Series] == 2
