@@ -99,11 +99,15 @@ def recursion_defects(log: SeriesPair, heights) -> Report:
 
 class LubinTateGroup(_Record):
     """A group fixed by its logarithm pair: the prime `p`, truncation degree
-    `degree` and precision `prec` are the logarithm's.  The exponential
-    L^{-1}, the group law, [p]_F and its congruence report are derived on
-    first read and cached."""
+    `degree` and precision `prec` are the logarithm's, and the heights,
+    given as a pair, are kept as a `HeightPair`.  The exponential L^{-1},
+    L(X) + L(Y), the group law, [p]_F and its congruence report are derived
+    on first read and cached."""
 
     _fields = ("heights", "logarithm")
+
+    def _check(self):
+        self.__dict__["heights"] = _as_heights(self.heights)
 
     @property
     def p(self) -> int:
@@ -123,10 +127,16 @@ class LubinTateGroup(_Record):
         return invert_pair(self.logarithm)
 
     @cached_property
+    def log_sum(self) -> SeriesPair:
+        """L(X) + L(Y) in four variables: the law's argument, and what
+        `group_axioms_report`'s additivity check compares L(F) against."""
+        log = self.logarithm
+        return log.embed(4, (0, 1)) + log.embed(4, (2, 3))
+
+    @cached_property
     def group_law(self) -> SeriesPair:
         """F = L^{-1}(L(X) + L(Y)); `group_axioms_report` checks its axioms."""
-        log = self.logarithm
-        return compose(self.exponential, log.embed(4, (0, 1)) + log.embed(4, (2, 3)))
+        return compose(self.exponential, self.log_sum)
 
     @cached_property
     def p_multiplication(self) -> SeriesPair:
@@ -146,7 +156,6 @@ class LubinTateGroup(_Record):
 def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> LubinTateGroup:
     """The group of `build_logarithm`'s logarithm; its exponential and law
     wait for their first read."""
-    heights = _as_heights(heights)
     return LubinTateGroup(heights, build_logarithm(p, heights, degree, prec))
 
 
@@ -286,8 +295,7 @@ def group_axioms_report(group: LubinTateGroup) -> Report:
             != compose(fa, [*xs.embed(6, (0, 1)), *fa.embed(6, (2, 3, 4, 5))])):
         out.append(Violation(0, None, "associative", f"fails at degree {da}"))
 
-    rhs_add = group.logarithm.embed(4, (0, 1)) + group.logarithm.embed(4, (2, 3))
-    if compose(group.logarithm, law) != rhs_add:
+    if compose(group.logarithm, law) != group.log_sum:
         out.append(Violation(0, None, "additive", "L(F(X,Y)) != L(X) + L(Y)"))
 
     mv = law.min_valuation()

@@ -1,4 +1,6 @@
+import ast
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +14,10 @@ from lubintate2d.copolygon import Copolygon, emit_svg
 from lubintate2d.fixtures import FIXTURE_NAMES, load_fixture
 from lubintate2d.series import dump_sections, parse_sections
 from lubintate2d.torsion import ValuationProfile, ramification_csv
+
+
+EX1_SUPPORT = "2 9\n1 1 1\n4 0 0\n0 5 0\n"
+SRC = str(Path(cli.__file__).resolve().parents[1])  # the package's parent, for child processes
 
 
 def run(capsys, *argv):
@@ -135,6 +141,23 @@ def test_copolygon_svg_matches_library(tmp_path, capsys):
     assert code == 0
     expected = emit_svg(load_fixture("ex1")[2][0]).encode("utf-8")
     assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("fixture, text", [
+    (("--fixture", "ex1"), EX1_SUPPORT),
+    (("--fixture", "dyn312", "--component", "2"), "3 9\n0 1 1\n9 0 0\n"),
+], ids=["ex1", "dyn312-2"])
+def test_a_support_file_reproduces_its_fixture(tmp_path, capsys, fixture, text):
+    """The text report, the JSON and the picture, which for ex1 is the golden one."""
+    support = tmp_path / "fixture.support"
+    support.write_text(text)
+    svg = tmp_path / "out.svg"
+    outputs = [[*(run(capsys, "copolygon", *source, *flags) for flags in ((), ("--json",))),
+                run(capsys, "copolygon", *source, "--svg", str(svg)), svg.read_bytes()]
+               for source in (("--support", str(support)), fixture)]
+    assert outputs[0] == outputs[1]
+    if fixture == ("--fixture", "ex1"):
+        assert outputs[0][-1] == (Path(__file__).parent / "data" / "ex1_golden.svg").read_bytes()
 
 
 def test_log_roundtrip(tmp_path, capsys):
@@ -305,10 +328,9 @@ def _load_probe(*argv, code=0):
     """The library modules whose code ran and every module loaded, when a
     child imports the CLI and runs `main(argv)`, which must return `code`,
     if argv is given."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", _LOAD_PROBE, src, *argv],
+    proc = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", _LOAD_PROBE, SRC, *argv],
                           capture_output=True, text=True, check=True)
-    returned, ran, loaded = proc.stderr.splitlines()
+    *_, returned, ran, loaded = proc.stderr.splitlines()
     assert returned == str(code)
     ours = {name.removeprefix("lubintate2d.") for name in ran.split()
             if name.startswith("lubintate2d.")}
@@ -354,19 +376,53 @@ RATIONAL = {"fractions", "decimal"}
     (("copolygon", "--fixture", "ex1"), 0, {"copolygon", "fixtures"}, RATIONAL),
     (("copolygon", "--fixture", "mult45", "--component", "2", "--json"), 0,
      {"copolygon", "fixtures", *SERIES}, {*RATIONAL, "json"}),
+    (("copolygon", "--fixture", "dyn312", "--json"), 0, {"copolygon", "fixtures", "torsion"},
+     {*RATIONAL, "json"}),
+    (("group", *PARAMS, "-D", "9"), 0, {"lubintate", *SERIES}, {"json"}),
+    (("verify", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9"), 0, {"lubintate", *SERIES},
+     {"json"}),
+    (("verify", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9", "--unramified-degree", "3"),
+     0, {"lubintate", *SERIES}, {"json"}),
+    (("-N", "2", "group", *PARAMS, "-D", "16"), 1, {"lubintate", *SERIES}, {"json"}),
+    (("-N", "4", "mult", *PARAMS, "-D", "16", "-a", "2"), 3, {"lubintate", *SERIES},
+     {"json"}),
+    (("verify", *PARAMS, "-D", "6"), 2, set(), {"json"}),
 ], ids=["mult", "log", "verify-mult45", "torsion", "torsion-n", "torsion-minplus",
         "torsion-sweep", "torsion-ramification-csv", "copolygon-support",
         "copolygon-support-svg", "copolygon-fixture-dyn23", "copolygon-fixture-ex1",
-        "copolygon-fixture-mult45"])
+        "copolygon-fixture-mult45", "copolygon-fixture-dyn312", "group", "verify",
+        "verify-unramified-degree", "group-failed-axiom", "mult-lost-precision",
+        "verify-short-degree"])
 def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, code, runs, stdlib):
     """`series` compiles only where a series is built, and `json` only where
-    JSON is written or a series container is read."""
+    JSON is written or a series container is read.  Each command runs on
+    the standard library alone, `-S` keeping site-packages off the path,
+    and returns its exit code: 1 a failed axiom, 2 bad usage, 3 lost
+    precision."""
     support = tmp_path / "support.txt"
-    support.write_text("2 9\n1 1 1\n4 0 0\n0 5 0\n")
+    support.write_text(EX1_SUPPORT)
     files = {"SUPPORT": str(support), "SVG": str(tmp_path / "out.svg")}
     ran, loaded = _load_probe(*(files.get(a, a) for a in argv), code=code)
     assert ran == {"cli", "padics", *runs}
     assert loaded & {*RATIONAL, "json"} == stdlib
+
+
+def test_the_library_imports_no_test_helper():
+    """No module of the package imports `paper_checks` or `unramified`:
+    pytest puts tests/ on sys.path, so such an import would pass here and
+    break the installed `lt2d`."""
+    bad = []
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            bad += [f"{path.name}:{node.lineno}: {name}" for name in names
+                    if name.split(".")[0] in ("paper_checks", "unramified")]
+    assert bad == []
 
 
 def test_copolygon_offers_every_fixture(capsys):
@@ -384,6 +440,36 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["cross"] is False
 
 
+# Commands whose output would follow the order of a set or dict of
+# strings, if any did (the `mult` at N = 3 has sums that cancel), with
+# their exit codes: `python -I` ignores PYTHONHASHSEED, so they run under
+# plain `python -B`.
+_SEEDED = [
+    (0, "group", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9"),
+    (0, "copolygon", "--fixture", "dyn312", "--json", "--svg", "dyn312.svg"),
+    (0, "torsion", "-p", "3", "--h1", "2", "--h2", "3", "--sweep", "6"),
+    (0, "torsion", "-p", "7", "--h1", "5", "--h2", "6", "-n", "6", "--method", "minplus"),
+    (0, "copolygon", "--support", "ex1.support", "--json"),
+    (0, "-N", "3", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "16", "-a", "2"),
+    (1, "verify", "--fixture", "mult45"),  # the stored sample is a negative control
+]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    outputs = {}
+    for seed in ("0", "1"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        (cwd / "ex1.support").write_text(EX1_SUPPORT)
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+        runs = [subprocess.run([sys.executable, "-B", "-m", "lubintate2d.cli", *argv],
+                               cwd=cwd, env=env, capture_output=True)
+                for _, *argv in _SEEDED]
+        assert [proc.returncode for proc in runs] == [code for code, *_ in _SEEDED], seed
+        outputs[seed] = [proc.stdout for proc in runs], (cwd / "dyn312.svg").read_bytes()
+    assert outputs["0"] == outputs["1"]
+
+
 def test_verify_builds_p_multiplication_once(capsys, monkeypatch):
     """`verify` and `group` each invert the logarithm once, for the law, and
     build [p]_F once, off that inverse."""
@@ -397,6 +483,18 @@ def test_verify_builds_p_multiplication_once(capsys, monkeypatch):
         calls.clear()
         code, _, _ = run(capsys, command, "-p", "2", "--h1", "2", "--h2", "3", "-D", "9")
         assert code == 0 and calls == ["invert_pair", 2], command
+
+
+def test_group_and_verify_build_one_log_sum(capsys, monkeypatch):
+    """The law and the additivity check read the one L(X) + L(Y)."""
+    prop = lubintate.LubinTateGroup.__dict__["log_sum"]
+    calls = []
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda group: calls.append(group) or real(group))
+    for command in ("group", "verify"):
+        calls.clear()
+        code, _, _ = run(capsys, command, "-p", "3", "--h1", "1", "--h2", "2", "-D", "9")
+        assert code == 0 and len(calls) == 1, command
 
 
 def test_copolygon_svg_computes_tie_loci_once(capsys, monkeypatch, tmp_path):

@@ -417,6 +417,14 @@ def test_height_of():
     assert height_of(g312()) == 3
 
 
+def test_a_group_built_from_a_pair_of_heights_keeps_a_height_pair():
+    group = LubinTateGroup((2, 3), build_logarithm(2, (2, 3), 9))
+    assert type(group.heights) is HeightPair and group == g23()
+    assert height_of(group) == 5
+    with pytest.raises(ValueError, match="heights must be coprime"):
+        LubinTateGroup((2, 4), group.logarithm)
+
+
 def test_height_of_refuses_a_truncation_short_of_a_frobenius_monomial():
     with pytest.raises(ValueError, match="truncation degree 6 drops a Frobenius monomial: "
                                          "need at least 8"):
