@@ -3,9 +3,11 @@
 Subcommands
     log        build a logarithm pair and verify its functional equation
     group      build a formal group (logarithm, exponential, group law)
-    mult       build a multiplication endomorphism [a]
+    mult       build a multiplication endomorphism [a], checked integral and
+               against L([a]X) = a L(X) before it is printed
     copolygon  vertices, tie loci and pictures of Newton copolygons
-    torsion    torsion-point valuations, sweeps and ramification data
+    torsion    torsion-point valuations (--method minplus, or both: the
+               closed form checked against it), sweeps and ramification data
     verify     run the verification battery on parameters or a fixture
 
 Exit codes: 0 success, 1 a verification or self-check failed (any other
@@ -132,6 +134,11 @@ def cmd_mult(args) -> int:
     mv = m.min_valuation()
     if mv is not None and mv < 0:
         raise VerificationError(f"[{args.a}] has a negative-valuation coefficient")
+    if args.a:  # [0] is the zero pair, built with no scalar
+        c = padics.Padic.from_int(group.p, args.a, group.prec)  # `multiplication`'s own
+        if bad := lubintate.linearity_defects(group, m, c):
+            raise padics.PrecisionError(f"L([{args.a}] X) != {args.a} L(X) at {bad[:3]}: "
+                                        f"N = {group.prec} is too few digits for [{args.a}]")
     _write_text(args, lubintate.pairs_to_text(group.heights, group.logarithm, {"mult": m},
                                               a=args.a))
     return 0
@@ -195,16 +202,9 @@ def cmd_torsion(args) -> int:
         _emit_json(args, rows)
         return 0
     n, method = args.n or 1, args.method or "both"
-    if method == "closed":
-        profile = torsion.torsion_valuations(p, heights, n)
-    elif method == "minplus":
-        profile = torsion.torsion_valuations_via_minplus(p, heights, n)
-    else:
-        profile = torsion.torsion_valuations(p, heights, n)
-        other = torsion.torsion_valuations_via_minplus(p, heights, n)
-        if profile != other:
-            raise VerificationError(
-                f"methods disagree at n={n}: {profile} vs {other}")
+    profile = torsion.torsion_valuations_via_minplus(p, heights, n)
+    if method == "both" and (closed := torsion.torsion_valuations(p, heights, n)) != profile:
+        raise VerificationError(f"methods disagree at n={n}: {closed} vs {profile}")
     _emit_json(args, {"p": p, "h1": args.h1, "h2": args.h2, "n": n, **vars(profile),
                       "method": method,
                       "hypothesis_status": torsion.hypothesis_status(p, heights)})
@@ -296,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("torsion", help="torsion valuations and ramification")
     _add_params(s, degree=False)
     _add_count(s, "-n", help="torsion level (default 1)")
-    s.add_argument("--method", choices=("closed", "minplus", "both"),
-                   help="valuation method (default both, which checks they agree)")
+    s.add_argument("--method", choices=("minplus", "both"),
+                   help="valuation method: minplus, or both (the default), which "
+                        "checks the closed form against it")
     _add_count(s, "--sweep", help="report levels 1..N with both methods")
     s.add_argument("--ramification", action="store_true",
                    help="report the ramification degree instead")

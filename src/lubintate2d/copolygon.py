@@ -46,7 +46,6 @@ class TieSegment(_Record):
     """
 
     _fields = ("first", "second", "line", "base", "direction", "t_lo", "t_hi")
-    _defaults = (None, None)
 
     def point_at(self, t) -> tuple:
         t = Fraction(t)

@@ -51,7 +51,6 @@ class Violation(_Record):
     at None."""
 
     _fields = ("component", "exponents", "check", "detail")
-    _defaults = ("",)
 
     def __str__(self):
         where = f" at {self.exponents}" if self.exponents is not None else ""
@@ -63,7 +62,6 @@ class Report(_Record):
     """A checker's verdict: its violations, in the order it found them."""
 
     _fields = ("violations",)
-    _defaults = ((),)
 
     @property
     def ok(self) -> bool:
@@ -207,13 +205,19 @@ def congruence_report(f: SeriesPair, heights) -> Report:
     return Report(tuple(out))
 
 
+def linearity_defects(group: LubinTateGroup, m: SeriesPair, c: Padic) -> list:
+    """(component, exponents) where L(m(X)) and c L(X) differ: the one check
+    of L([a]_F X) = a L(X), c the scalar a.  `verify_p_congruences` reads
+    it for [p]_F and `lt2d mult` for the [a]_F it prints."""
+    return _differences(compose(group.logarithm, m), group.logarithm.scale(c))
+
+
 def verify_p_congruences(group: LubinTateGroup) -> Report:
     """Congruence checks on [p]_F plus exact linearity L([p]_F X) = p L(X)."""
-    m = group.p_multiplication
     out = list(group.p_congruences.violations)
-    p_log = group.logarithm.scale(Padic(group.p, 1, 1, group.prec))
     out.extend(Violation(idx, e, "linearity", "L([p] X) != p L(X)")
-               for idx, e in _differences(compose(group.logarithm, m), p_log))
+               for idx, e in linearity_defects(group, group.p_multiplication,
+                                               Padic(group.p, 1, 1, group.prec)))
     return Report(tuple(out))
 
 

@@ -25,27 +25,20 @@ class PrecisionError(ArithmeticError):
 class _Record:
     """A frozen value with named fields: equality, hash and repr over them.
 
-    A subclass names its fields in `_fields`, in constructor order, the
-    defaults of its last fields in `_defaults`, and may validate or
-    normalise a new instance in `_check`.  The fields fill the instance
-    `__dict__` in field order, beside anything a `cached_property` stores
-    there later.  Assigning or deleting an attribute raises AttributeError.
+    A subclass names its fields in `_fields`, in constructor order, and may
+    validate or normalise a new instance in `_check`.  An instance is built
+    from every field, passed in that order; any other call is a TypeError.
+    The fields fill the instance `__dict__` in field order, beside anything
+    a `cached_property` stores there later.  Assigning or deleting an
+    attribute raises AttributeError.
     """
 
     _fields = ()
-    _defaults = ()
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):  # else all fields are given in order
-            if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
-                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-            values = dict(zip(fields[len(fields) - len(self._defaults):], self._defaults))
-            values.update(zip(fields, args), **kwargs)
-            if len(values) < len(fields):
-                raise TypeError(f"{type(self).__name__} needs all of the fields {fields}")
-            args = [values[name] for name in fields]
-        self.__dict__.update(zip(fields, args))
+        if kwargs or len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}, in order")
+        self.__dict__.update(zip(self._fields, args))
         self._check()
 
     def _check(self):
@@ -254,10 +247,6 @@ class Padic(_Record):
     @classmethod
     def zero(cls, p: int, prec: int = DEFAULT_PRECISION) -> "Padic":
         return cls(p, 0, 0, prec)
-
-    @classmethod
-    def one(cls, p: int, prec: int = DEFAULT_PRECISION) -> "Padic":
-        return cls(p, 0, 1, prec)
 
     @classmethod
     def from_int(cls, p: int, n: int, prec: int = DEFAULT_PRECISION) -> "Padic":

@@ -64,7 +64,6 @@ from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add, _Record, grlex
 
 class Series(_Record):
     _fields = ("p", "nvars", "degree", "terms")
-    _defaults = (None,)
 
     def _check(self):
         nvars, degree = self.nvars, self.degree
@@ -73,7 +72,7 @@ class Series(_Record):
         if degree < 0:
             raise ValueError("truncation degree must be nonnegative")
         clean = {}
-        for e, c in (self.terms or {}).items():
+        for e, c in self.terms.items():
             e = tuple(e)
             if len(e) != nvars or min(e) < 0:
                 raise ValueError(f"bad exponent tuple {e} for {nvars} variables")

@@ -209,9 +209,7 @@ def ramification_report(p: int, heights) -> RamificationReport:
         raise ArithmeticError("halved gcd witnesses failed to be 1")
     if level1.v_xi.denominator != degree or level1.v_eta.denominator != degree:
         raise ArithmeticError("reduced denominators disagree with the degree")
-    return RamificationReport(p=p, h1=hs.h1, h2=hs.h2, degree=degree,
-                              v_xi=level1.v_xi, v_eta=level1.v_eta,
-                              witness_h1=w1, witness_h2=w2)
+    return RamificationReport(p, hs.h1, hs.h2, degree, level1.v_xi, level1.v_eta, w1, w2)
 
 
 def ramification_csv(params) -> str:

@@ -36,7 +36,7 @@ def test_torsion_json_frozen(capsys):
 
 def test_torsion_single_methods_agree(capsys):
     results = {}
-    for method in ("closed", "minplus"):
+    for method in ("minplus", "both"):
         code, out, _ = run(capsys, "torsion", "-p", "3", "--h1", "2", "--h2", "3",
                            "-n", "2", "--method", method)
         assert code == 0
@@ -46,7 +46,7 @@ def test_torsion_single_methods_agree(capsys):
         results[method] = (payload["v_xi"], payload["v_eta"])
     # n = 2m with m = 1: (p^h2 + 1)/(p^(h(m)-h1) (p^h - 1)) = 28/6534 and
     # (p^h1 + 1)/(p^(h(m)-h2) (p^h - 1)) = 10/2178, reduced
-    assert results["closed"] == results["minplus"] == ("14/3267", "5/1089")
+    assert results["minplus"] == results["both"] == ("14/3267", "5/1089")
 
 
 def test_torsion_sweep(capsys):
@@ -450,7 +450,7 @@ _SEEDED = [
     (0, "torsion", "-p", "3", "--h1", "2", "--h2", "3", "--sweep", "6"),
     (0, "torsion", "-p", "7", "--h1", "5", "--h2", "6", "-n", "6", "--method", "minplus"),
     (0, "copolygon", "--support", "ex1.support", "--json"),
-    (0, "-N", "3", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "16", "-a", "2"),
+    (0, "-N", "2", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "16", "-a", "2"),
     (1, "verify", "--fixture", "mult45"),  # the stored sample is a negative control
 ]
 
@@ -529,7 +529,10 @@ def test_low_precision_verify_still_fails_on_the_law(capsys):
      "multiplier 2 is 0 modulo 2^1"),
     (("-N", "1", "group", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9"),
      "[p]_F needs N at least 2: p = 3 is 0 modulo 3^1"),
-], ids=["inverse", "zero-multiplier", "zero-[p]"])
+    # an integral [a] that fails L([a]X) = a L(X) at its own N
+    (("-N", "3", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "16", "-a", "2"),
+     "L([2] X) != 2 L(X) at [(1, (8, 3)), (2, (6, 8))]: N = 3 is too few digits for [2]"),
+], ids=["inverse", "zero-multiplier", "zero-[p]", "linearity"])
 def test_lost_precision_exits_3_as_a_precision_error(capsys, monkeypatch, argv, detail):
     monkeypatch.delenv("LT2D_PRECISION", raising=False)
     code, out, err = run(capsys, *argv)
@@ -555,10 +558,11 @@ def test_verify_refuses_a_degree_that_cannot_show_the_height(capsys, monkeypatch
 
 def test_low_precision_mult_skips_the_law(capsys):
     # mult never reads the group law, so a law that would carry a
-    # denominator at N = 2 no longer stops it; [a] itself is integral.
+    # denominator at N = 2 no longer stops it; [2] itself is integral.
+    # ([3] over p = 3 fails L([3]X) = 3 L(X) at N = 2, so it exits 3.)
     for p, h1, h2 in (("2", "2", "3"), ("3", "1", "2")):
         code, out, err = run(capsys, "-N", "2", "mult", "-p", p, "--h1", h1,
-                             "--h2", h2, "-D", "16", "-a", p)
+                             "--h2", h2, "-D", "16", "-a", "2")
         assert code == 0 and err == ""
         _, pairs = parse_sections(out)
         assert all(v >= 0 for s in pairs["mult"] for v, _, _ in s.terms.values())
@@ -605,7 +609,7 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
     (("verify", "--fixture", "mult45", "--unramified-degree", "2"),
      "--unramified-degree"),
     (("torsion", *RAMIFIED, "--ramification", "-n", "2"), "-n"),
-    (("torsion", *RAMIFIED, "--ramification", "--method", "closed"), "--method"),
+    (("torsion", *RAMIFIED, "--ramification", "--method", "minplus"), "--method"),
     (("torsion", *RAMIFIED, "--ramification", "--sweep", "3"), "--sweep"),
     (("torsion", *PARAMS, "--sweep", "3", "-n", "2"), "-n"),
     (("torsion", *PARAMS, "--sweep", "3", "--method", "minplus"), "--method"),
@@ -613,6 +617,8 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
     (("-N", "3", "torsion", *PARAMS), "-N"),
     (("-N", "5", "copolygon", "--fixture", "ex1"), "-N"),
     (("-N", "1", "verify", "--fixture", "mult45"), "-N"),
+    # the closed form alone is no method: `both` checks it against the min-plus walk
+    (("torsion", *PARAMS, "--method", "closed"), "--method"),
 ])
 def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -750,7 +756,7 @@ def test_a_failed_torsion_self_check_exits_1_as_a_verification_failure(
 
 @pytest.mark.parametrize("argv, target, fake, detail", [
     (("log", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9"), "recursion_defects",
-     lambda log, heights: lubintate.Report((lubintate.Violation(1, (0, 4), "recursion"),)),
+     lambda log, heights: lubintate.Report((lubintate.Violation(1, (0, 4), "recursion", ""),)),
      "logarithm functional equation fails at [(1, (0, 4))]"),
     (("mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9", "-a", "3"), "multiplication",
      lambda a, group: group.logarithm,  # x1 + x2^4 / 2: a coefficient of valuation -1

@@ -257,8 +257,8 @@ def _reference_evaluate(s, point):
     """The scalar oracle for evaluate_series: powers, products and the grlex
     sum all taken with `Padic` arithmetic."""
     a, b = point
-    powers_a = {0: Padic.one(s.p, a.prec)}
-    powers_b = {0: Padic.one(s.p, b.prec)}
+    powers_a = {0: Padic(s.p, 0, 1, a.prec)}
+    powers_b = {0: Padic(s.p, 0, 1, b.prec)}
 
     def power(x, e, cache):
         if e not in cache:

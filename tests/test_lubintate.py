@@ -63,7 +63,7 @@ def test_logarithm_support_2_23_deep():
     log = build_logarithm(2, (2, 3), 40)
     l1, l2 = log.first, log.second
     assert l1.support() == [(1, 0), (0, 4), (32, 0)]
-    assert l1.coefficient((1, 0)) == Padic.one(2)
+    assert l1.coefficient((1, 0)) == Padic(2, 0, 1)
     assert l1.coefficient((0, 4)) == Padic(2, -1, 1)
     assert l1.coefficient((32, 0)) == Padic(2, -2, 1)
     assert l2.support() == [(0, 1), (8, 0), (0, 32)]
@@ -351,7 +351,7 @@ def test_gamma_endomorphism_trivial_and_full():
     log = g23().logarithm
     res = gamma_endomorphism(log, (2, 3))
     assert res.ok, [str(v) for v in res.violations]
-    ring = UnramifiedRing(2, 5, prec=16)
+    ring = UnramifiedRing(2, 5, 16)
     gamma = teichmuller(ring, ring.generator())
     assert unit_order(gamma) == 31
     assert ring_gamma_defects(ring.one(), log, (2, 3)) == []
@@ -375,7 +375,7 @@ def test_gamma_endomorphism_flags_foreign_monomials():
     spiked = SeriesPair(log.first + Series.from_coeffs(2, 2, 9, {(1, 1): 1}), log.second)
     res = gamma_endomorphism(spiked, (2, 3))
     assert res.violations == (Violation(1, (1, 1), "gamma", "weight 9 is not 1 modulo 31"),)
-    ring = UnramifiedRing(2, 5, prec=16)
+    ring = UnramifiedRing(2, 5, 16)
     assert ring_gamma_defects(primitive_unit(ring), spiked, (2, 3)) == [(1, (1, 1))]
 
 
@@ -389,7 +389,7 @@ def test_gamma_endomorphism_flags_a_weight_right_modulo_a_smaller_order():
     spiked = SeriesPair(log.first + Series.from_coeffs(5, 2, 16, {(13, 2): 1}), log.second)
     res = gamma_endomorphism(spiked, (1, 2))
     assert [(v.component, v.exponents) for v in res.violations] == [(1, (13, 2))]
-    ring = UnramifiedRing(5, 3, prec=8)
+    ring = UnramifiedRing(5, 3, 8)
     generator = teichmuller(ring, ring.generator())
     assert unit_order(generator) == 62
     assert ring_gamma_defects(generator, spiked, (1, 2)) == []
@@ -408,7 +408,7 @@ def test_gamma_weights_agree_with_the_ring_oracle_on_every_small_height_pair():
     for p, hs in cases:
         log = build_logarithm(p, hs, min(2 * p ** max(hs), 130))
         assert gamma_endomorphism(log, hs).ok, (p, hs)
-        gamma = primitive_unit(UnramifiedRing(p, sum(hs), prec=4))
+        gamma = primitive_unit(UnramifiedRing(p, sum(hs), 4))
         assert ring_gamma_defects(gamma, log, hs) == [], (p, hs)
 
 
@@ -559,7 +559,7 @@ def test_axioms_report_checks_both_identity_laws():
     # a y1^2 term leaves F(X, 0) = X alone and breaks F(0, Y) = Y
     group = g23(6)
     law = group.group_law
-    y1_squared = Series.from_coeffs(2, 4, 6, {(0, 0, 2, 0): Padic.one(2)})
+    y1_squared = Series.from_coeffs(2, 4, 6, {(0, 0, 2, 0): Padic(2, 0, 1)})
     bad = SeriesPair(law.first + y1_squared, law.second)
     report = group_axioms_report(with_derived(group, group_law=bad))
     assert not any(v.check == "integral" for v in report.violations)

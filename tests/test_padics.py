@@ -92,13 +92,13 @@ def test_eq_uses_min_shared_precision():
 
 def test_division_errors():
     with pytest.raises(ValueError):
-        Padic.one(2) * Padic.one(3)
+        Padic(2, 0, 1) * Padic(3, 0, 1)
 
 
 def test_values_over_two_primes_are_unequal():
     """Equality answers across primes, as `Series` and `_Record` values do;
     only the arithmetic refuses to mix them."""
-    two, three = Padic.one(2), Padic.one(3)
+    two, three = Padic(2, 0, 1), Padic(3, 0, 1)
     assert two != three and not two == three
     assert two not in [three]
     assert Padic.zero(2) != Padic.zero(3)
@@ -177,12 +177,16 @@ def test_mul_valuation_additivity_random():
 def test_precision_floor():
     with pytest.raises(PrecisionError):
         Padic(2, 0, 1, 0)
-    assert Padic.one(2, 1).prec == 1
+    assert Padic(2, 0, 1, 1).prec == 1
 
 
 @pytest.mark.parametrize("build, error, message", [
-    pytest.param(lambda: HeightPair(h1=2), TypeError,
-                 "HeightPair needs all of the fields ('h1', 'h2')", id="missing-field"),
+    pytest.param(lambda: HeightPair(2), TypeError,
+                 "HeightPair takes the fields ('h1', 'h2'), in order", id="missing-field"),
+    pytest.param(lambda: HeightPair(2, h2=3), TypeError,
+                 "HeightPair takes the fields ('h1', 'h2'), in order", id="keyword-field"),
+    pytest.param(lambda: HeightPair(2, 3, 5), TypeError,
+                 "HeightPair takes the fields ('h1', 'h2'), in order", id="extra-field"),
     pytest.param(lambda: HeightPair(True, 2), ValueError, "heights must be integers",
                  id="bool-first-height"),
     pytest.param(lambda: HeightPair(2, False), ValueError, "heights must be integers",
@@ -209,16 +213,17 @@ def _records():
         (HeightPair, (2, 3), "HeightPair(h1=2, h2=3)"),
         (Copolygon, (((1, 0, 3), (0, 1, Fraction(1, 2)), (1, 0, 0)),),
          "Copolygon(functionals=((0, 1, Fraction(1, 2)), (1, 0, Fraction(0, 1))))"),
-        (Violation, (1, (2, 3), "recursion"),
+        (Violation, (1, (2, 3), "recursion", ""),
          "Violation(component=1, exponents=(2, 3), check='recursion', detail='')"),
-        (Report, (), "Report(violations=())"),
+        (Report, ((),), "Report(violations=())"),
         (LubinTateGroup, (HeightPair(1, 2), group.logarithm),
          "LubinTateGroup(heights=HeightPair(h1=1, h2=2), "
          "logarithm=SeriesPair(first=Series(p=2, vars=2, D=3, 2 terms), "
          "second=Series(p=2, vars=2, D=3, 1 terms)))"),
         (SeriesPair, (s, s), "SeriesPair(first=Series(p=2, vars=2, D=3, 1 terms), "
          "second=Series(p=2, vars=2, D=3, 1 terms))"),
-        (TieSegment, ((1, 0), (0, 1), (1, -1, 0), (Fraction(0), Fraction(0)), (1, 1)),
+        (TieSegment, ((1, 0), (0, 1), (1, -1, 0), (Fraction(0), Fraction(0)), (1, 1),
+                      None, None),
          "TieSegment(first=(1, 0), second=(0, 1), line=(1, -1, 0), "
          "base=(Fraction(0, 1), Fraction(0, 1)), direction=(1, 1), t_lo=None, t_hi=None)"),
         (ValuationProfile, (Fraction(5, 31), Fraction(9, 31)),
@@ -254,9 +259,11 @@ def test_records_are_frozen_values(name):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert a == b
-    if args:
-        with pytest.raises(TypeError):  # a field given twice
-            cls(*args, **{field: getattr(b, field)})
+    # every field, in order, is the one way in
+    for call in ((args[:-1], {}), (args[:-1], {cls._fields[-1]: args[-1]}),
+                 ((), dict(zip(cls._fields, args))), (args, {field: getattr(b, field)})):
+        with pytest.raises(TypeError, match="takes the fields"):
+            cls(*call[0], **call[1])
     if name == "HeightPair":
         with pytest.raises(ValueError):
             cls(2, 4)
@@ -287,7 +294,7 @@ def test_one_frozen_value_idiom():
         if cls not in (_Record, Padic, Series):  # so do equality and hash, but for two
             assert not {"__eq__", "__hash__"} & vars(cls).keys(), cls
     samples = {name: cls(*args) for name, (cls, args, _) in _records().items()}
-    samples.update(Padic=Padic.one(2), Series=Series.zero(2, 2, 3))
+    samples.update(Padic=Padic(2, 0, 1), Series=Series.zero(2, 2, 3))
     assert set(samples) == set(classes) - {"_Record"}
     for value in samples.values():
         field = value._fields[0]

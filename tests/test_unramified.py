@@ -72,13 +72,13 @@ def test_is_irreducible_matches_brute_force():
 
 
 def test_unramified_ring_modulus_is_satisfied():
-    ring = UnramifiedRing(2, 5, prec=16)
+    ring = UnramifiedRing(2, 5, 16)
     g = ring.generator()
     assert g**5 == ring.element([-1, 0, -1])  # x^5 = -x^2 - 1
 
 
 def test_unramified_arithmetic():
-    ring = UnramifiedRing(3, 2, prec=8)
+    ring = UnramifiedRing(3, 2, 8)
     a = ring.element([1, 2])
     b = ring.element([2, 1])
     # (1 + 2x)(2 + x) = 2 + 5x + 2x^2, and x^2 = -1 for modulus x^2 + 1
@@ -151,14 +151,14 @@ def test_teichmuller_5adic_frozen():
     while pow(x, 5, 5**4) != x:
         x = pow(x, 5, 5**4)
     assert x == 182  # frozen
-    ring = UnramifiedRing(5, 1, prec=4)
+    ring = UnramifiedRing(5, 1, 4)
     w = teichmuller(ring, 2)
     assert w.coeffs == (182,)
     assert w**4 == ring.one()
 
 
 def test_teichmuller_binary_degree_five():
-    ring = UnramifiedRing(2, 5, prec=16)
+    ring = UnramifiedRing(2, 5, 16)
     w = teichmuller(ring, ring.generator())
     assert w.reduce_mod_p() == (0, 1, 0, 0, 0)
     assert w**31 == ring.one()
@@ -168,7 +168,7 @@ def test_teichmuller_binary_degree_five():
 
 
 def test_teichmuller_of_one_is_one():
-    ring = UnramifiedRing(7, 2, prec=6)
+    ring = UnramifiedRing(7, 2, 6)
     assert teichmuller(ring, 1) == ring.one()
     with pytest.raises(ValueError):
         teichmuller(ring, 0)
@@ -177,7 +177,7 @@ def test_teichmuller_of_one_is_one():
 def test_teichmuller_qth_power_stability():
     rng = random.Random(77)
     for p, h in ((3, 2), (2, 3)):
-        ring = UnramifiedRing(p, h, prec=12)
+        ring = UnramifiedRing(p, h, 12)
         q = p**h
         for _ in range(10):
             coeffs = [rng.randrange(p) for _ in range(h)]
@@ -192,20 +192,20 @@ def test_scalars_and_rings_share_one_precision_floor():
     with pytest.raises(PrecisionError) as scalar:
         Padic(2, 0, 1, 0)
     with pytest.raises(PrecisionError) as ring:
-        UnramifiedRing(2, 5, prec=0)
+        UnramifiedRing(2, 5, 0)
     assert str(ring.value) == str(scalar.value) == "relative precision must be at least 1"
 
 
 @pytest.mark.parametrize("build, error, message", [
-    pytest.param(lambda: UnramifiedRing(2, 0), ValueError, "degree must be positive",
+    pytest.param(lambda: UnramifiedRing(2, 0, 4), ValueError, "degree must be positive",
                  id="ring-degree-0"),
-    pytest.param(lambda: UnramifiedRing(2, 2, prec=4).element([1, 0, 1]), ValueError,
+    pytest.param(lambda: UnramifiedRing(2, 2, 4).element([1, 0, 1]), ValueError,
                  "too many coefficients", id="element-too-long"),
-    pytest.param(lambda: UnramifiedRing(2, 1).generator(), ValueError,
+    pytest.param(lambda: UnramifiedRing(2, 1, 4).generator(), ValueError,
                  "generator needs degree >= 2; use element", id="generator-degree-1"),
-    pytest.param(lambda: UnramifiedRing(2, 2, prec=4).one() * UnramifiedRing(2, 2, prec=5).one(),
+    pytest.param(lambda: UnramifiedRing(2, 2, 4).one() * UnramifiedRing(2, 2, 5).one(),
                  ValueError, "elements of different rings", id="product-of-two-rings"),
-    pytest.param(lambda: UnramifiedRing(2, 2, prec=4).generator() ** -1, ValueError,
+    pytest.param(lambda: UnramifiedRing(2, 2, 4).generator() ** -1, ValueError,
                  "negative powers not supported in the integer ring", id="negative-power"),
     pytest.param(lambda: is_irreducible_mod_p((1, 1, 2), 3), ValueError,
                  "expected a monic polynomial of positive degree", id="not-monic"),

@@ -11,8 +11,8 @@ weights modulo that order.
 
 from functools import cached_property
 
-from lubintate2d.padics import (DEFAULT_PRECISION, PrecisionError, _check_precision, _check_prime,
-                                _Record, cross_frobenius)
+from lubintate2d.padics import (PrecisionError, _check_precision, _check_prime, _Record,
+                                cross_frobenius)
 
 
 # -- polynomial helpers over Z/m (low-degree-first coefficient tuples) ----
@@ -116,7 +116,6 @@ class UnramifiedRing(_Record):
     """
 
     _fields = ("p", "degree", "prec")
-    _defaults = (DEFAULT_PRECISION,)
 
     def _check(self):
         _check_prime(self.p)
