@@ -20,10 +20,12 @@ import sys
 # first attribute access, so a command pays only for those it reads:
 # `torsion`, `copolygon --support` and every fixture but `mult45` never
 # compile `series`.  `series` is two modules for the same reason: `Series`
-# in `series` (11.9 KB), and the kernels, pairs and container in
-# `series_ops` (15.7 KB), which `series` imports and re-exports.  Loaded
-# lazily as one 26 KB module it raised the peak of `mult`, `log` and
-# `group` by 0.85 MiB.  Split, they peak up to 0.19 MiB below importing
+# in `series` (12.0 KB), and the kernels, pairs and container in
+# `series_ops` (14.6 KB), which `series` imports and re-exports.  Loaded
+# lazily as one 25.5 KB module it raised the peaks of `mult -D 24`,
+# `log -D 96` and `group -D 16` from 15.34-15.37 to 15.96-15.98 MiB
+# (medians of 11 interleaved runs on one pinned CPU, with
+# PYTHONDONTWRITEBYTECODE=1).  Split, they peak up to 0.19 MiB below importing
 # it here, `copolygon --fixture` within 0.07 MiB of that, and the
 # commands that never load it 0.16-0.32 MiB below (CPython 3.11, x86-64
 # Linux, ru_maxrss medians of 9-25 runs).

@@ -318,6 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # a unit known modulo p^N prints more than the default 4300 digits
+        # from about N = 14300 at p = 2: a valid -N, not a bad input
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         args.precision = args.typed_precision or padics.DEFAULT_PRECISION

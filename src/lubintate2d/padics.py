@@ -12,7 +12,7 @@ two values are equal when their difference keeps none.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 
 DEFAULT_PRECISION = 64
@@ -78,9 +78,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 == 2 must not hit 2's entry
 def _check_prime(p: int) -> None:
-    """The one prime check behind every entry point that takes p."""
-    if not is_prime(p):
+    """The one prime check behind every entry point that takes p, `Padic`
+    and `series.Series` included; cached, as they call it on every build.
+    A p that is not an int is refused too: a float p makes float units."""
+    if type(p) is not int or not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
 
@@ -154,7 +157,15 @@ def grlex(exponents):
 
 
 class _Powers(dict):
-    """p**k by k, each power computed on first use."""
+    """p**k by k, each power computed on first use.
+
+    Lazily, because a command reads few of them: `lt2d -N 5000 group -p 2
+    --h1 2 --h2 3 -D 9` fills 10 entries (k up to 7, and 4997 to 5000),
+    while a table filled through k = N holds about N**2 * log2(p) / 2 bits,
+    some 1.5 MB there.  A plain dict, which the pair loop of
+    `series_ops._accumulate` would read faster, needs a bound on the
+    largest k a call can ask for, and no caller computes one yet.
+    """
 
     def __init__(self, p: int):
         super().__init__({0: 1, 1: p})
@@ -224,6 +235,7 @@ class Padic(_Record):
     _fields = ("p", "val", "unit", "prec")
 
     def __init__(self, p: int, val: int, unit: int, prec: int = DEFAULT_PRECISION):
+        _check_prime(p)
         _check_precision(prec)
         if unit == 0:
             val = 0
@@ -258,6 +270,7 @@ class Padic(_Record):
         """q at relative precision prec."""
         from fractions import Fraction  # only a rational coefficient loads `fractions`
 
+        _check_prime(p)  # before int_valuation, which never ends for p = 1
         q = Fraction(q)
         if q == 0:
             return cls.zero(p, prec)

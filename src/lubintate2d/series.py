@@ -59,7 +59,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .padics import DEFAULT_PRECISION, Padic, _powers, _raw_add, _Record, grlex
+from .padics import (DEFAULT_PRECISION, Padic, _check_precision, _check_prime, _powers,
+                     _raw_add, _Record, grlex)
 
 
 class Series(_Record):
@@ -67,6 +68,7 @@ class Series(_Record):
 
     def _check(self):
         nvars, degree = self.nvars, self.degree
+        _check_prime(self.p)
         if nvars < 1:
             raise ValueError("need at least one variable")
         if degree < 0:
@@ -82,6 +84,8 @@ class Series(_Record):
                 raise TypeError("coefficients must be (val, unit, cap) triples; "
                                 "use Series.from_coeffs for other values")
             if c[1]:
+                if c[2] <= c[0]:
+                    _check_precision(c[2] - c[0])  # refuses it: no digit is known
                 clean[e] = c
         self.__dict__["terms"] = clean
 

@@ -3,15 +3,16 @@
 Each grid command of bench/workloads.py runs in-process through `cli.main`
 in a fresh directory that holds the support files recorded in the
 workload's references.  Its exit code, stdout and every file it writes
-must equal bench/refs/<workload>.json byte for byte.  Every library name
-that bench/trace_boot.py wraps for `--trace 1` must exist.  Nothing under
-bench/ is written.
+must equal bench/refs/<workload>.json byte for byte.  A traced smoke run
+of the workloads that bench/test_bench.py does not trace must check every
+command correct.  Nothing under bench/ is written.
 """
 
 import contextlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,19 +57,18 @@ def test_grid_matches_bench_refs(name, tmp_path, monkeypatch):
     assert not bad, f"{len(bad)} of {len(grid)} differ from bench/refs, e.g. {bad[:3]}"
 
 
-def test_trace_boot_names_resolve():
-    """The names the tracer wraps, looked up as its `_replace` does (a
-    `Class.attr` name through the class's own `__dict__`), without
-    installing the wrappers."""
-    trace = _load_bench("bench_trace_boot", "trace_boot.py")
-    names = [(module, attribute) for _, module, attribute, _ in trace.SPANNED]
-    names += [(module, attribute) for _, module, attribute in trace.COUNTED]
-    missing = []
-    for module_name, attribute in names:
-        owner = importlib.import_module(f"lubintate2d.{module_name}")
-        owner_name, _, attr = attribute.rpartition(".")
-        if owner_name:
-            owner = getattr(owner, owner_name, None)
-        if attr not in getattr(owner, "__dict__", {}):
-            missing.append(f"{module_name}.{attribute}")
-    assert not missing, f"bench/trace_boot.py wraps names the library lacks: {missing}"
+@pytest.mark.parametrize("workload", ["mult", "group", "small"])
+def test_traced_smoke_is_correct(workload):
+    """`--trace 1` runs each command again under bench/trace_boot.py, in a
+    fresh process that looks up every name it wraps, in `torsion` and
+    `fixtures` too, which `mult` and `group` never load.  So a library name
+    the tracer lacks fails its command.  run.py exits 0 either way: its
+    last stdout line carries the verdict."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1", "--smoke"],
+        capture_output=True, text=True, timeout=300)
+    *summary, last = proc.stdout.splitlines()
+    result = json.loads(last)
+    fails = [line for line in summary if line.lstrip().startswith("FAIL")]
+    assert result["correct"] is True and result["failed"] == 0, fails or proc.stderr

@@ -202,6 +202,16 @@ def test_container_parses_and_dumps_back_byte_for_byte(capsys, argv):
     assert dump_sections(header, pairs) == out
 
 
+def test_a_precision_past_the_printed_integer_limit_is_no_usage_error(capsys):
+    """At p = 2 a unit known modulo 2^14400 has about 4335 decimal digits,
+    past Python's default limit on converting an int to a string."""
+    code, out, _ = run(capsys, "-N", "14400", "group", "-p", "2", "--h1", "2", "--h2", "3",
+                       "-D", "9")
+    assert code == 0
+    assert max(len(line) for line in out.splitlines()) > 4300
+    assert dump_sections(*parse_sections(out)) == out
+
+
 def test_mult_with_env_precision(capsys):
     code, out, _ = run(capsys, "-N", "8", "mult", "-p", "3", "--h1", "1", "--h2", "2",
                        "-D", "9", "-a", "3")

@@ -193,6 +193,13 @@ def test_precision_floor():
                  id="bool-second-height"),
     pytest.param(lambda: HeightPair(2.0, 3), ValueError, "heights must be integers",
                  id="float-height"),
+    pytest.param(lambda: Padic(4, 0, 2, 5), ValueError, "4 is not prime", id="padic-over-4"),
+    pytest.param(lambda: Padic(1, 0, 0), ValueError, "1 is not prime", id="zero-over-1"),
+    pytest.param(lambda: (Padic(2, 0, 3), Padic(2.0, 0, 3)), ValueError, "2.0 is not prime",
+                 id="float-p-after-int-p"),
+    pytest.param(lambda: Padic(True, 0, 1), ValueError, "True is not prime", id="bool-p"),
+    pytest.param(lambda: Padic.from_fraction(0, Fraction(1, 3)), ValueError, "0 is not prime",
+                 id="fraction-over-0"),
 ])
 def test_input_guards(build, error, message):
     with pytest.raises(error) as caught:

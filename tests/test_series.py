@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from lubintate2d.padics import Padic, _powers, _raw_add
+from lubintate2d.padics import Padic, PrecisionError, _powers, _raw_add
 from lubintate2d.series import (
     Series,
     SeriesPair,
@@ -222,6 +222,25 @@ def test_invert_requires_identity_linear_part():
         invert_pair(SeriesPair(g1, f2))
 
 
+def test_inversion_that_runs_out_of_digits_does_not_converge():
+    """(x1, x2 - x2^2/4 + 6 x2^3) over Z_2 at D = 3 has the inverse
+    (x1, x2 + x2^2/4 - 47/8 x2^3).  At N = 4 the x2^3 coefficient of the
+    approximation, of valuation -3, is known only modulo 2^0, so the defect
+    6 x2^3 lies below its known digits: g - r leaves g as it is, and the
+    defect never vanishes.  At N = 8 it does."""
+    def pair(prec):
+        return SeriesPair(Series.variable(2, 2, 3, 0, prec),
+                          Series.from_coeffs(2, 2, 3, {(0, 1): 1, (0, 2): Fraction(-1, 4),
+                                                       (0, 3): 6}, prec))
+
+    with pytest.raises(PrecisionError, match="^inversion did not converge$"):
+        invert_pair(pair(4))
+    g = invert_pair(pair(8))
+    assert g.first == Series.variable(2, 2, 3, 0, 8)
+    assert g.second == Series.from_coeffs(2, 2, 3, {(0, 1): 1, (0, 2): Fraction(1, 4),
+                                                    (0, 3): Fraction(-47, 8)}, 8)
+
+
 def random_integral_unit_pair(rng, p, degree):
     """Identity plus random integral higher-order junk."""
     ident = SeriesPair.identity(p, degree)
@@ -262,6 +281,16 @@ def _x(nvars=2, degree=5, index=0):
                  id="no-variable"),
     pytest.param(lambda: Series(2, 2, -1, {}), ValueError, "truncation degree must be nonnegative",
                  id="negative-degree"),
+    pytest.param(lambda: Series.from_coeffs(4, 1, 3, {(1,): 2, (2,): 6}), ValueError,
+                 "4 is not prime", id="coefficients-over-4"),
+    pytest.param(lambda: Series(1, 1, 2, {(1,): (0, 1, 3)}), ValueError, "1 is not prime",
+                 id="triples-over-1"),
+    pytest.param(lambda: Series.zero(6, 2, 3), ValueError, "6 is not prime", id="zero-over-6"),
+    # cap <= val: no digit known, and -s would read p**-1, a float, from the power table
+    pytest.param(lambda: Series(2, 1, 3, {(1,): (2, 1, 1)}), PrecisionError,
+                 "relative precision must be at least 1", id="cap-below-valuation"),
+    pytest.param(lambda: Series(2, 1, 3, {(1,): (2, 1, 2)}), PrecisionError,
+                 "relative precision must be at least 1", id="cap-at-valuation"),
     pytest.param(lambda: _x() + 1, TypeError, "expected a Series", id="add-a-non-series"),
     pytest.param(lambda: _x() + _x(degree=6), ValueError,
                  "series shape mismatch (prime, variables, degree)", id="add-another-shape"),
