@@ -134,11 +134,9 @@ def cmd_mult(args) -> int:
     mv = m.min_valuation()
     if mv is not None and mv < 0:
         raise VerificationError(f"[{args.a}] has a negative-valuation coefficient")
-    if args.a:  # [0] is the zero pair, built with no scalar
-        c = padics.Padic.from_int(group.p, args.a, group.prec)  # `multiplication`'s own
-        if bad := lubintate.linearity_defects(group, m, c):
-            raise padics.PrecisionError(f"L([{args.a}] X) != {args.a} L(X) at {bad[:3]}: "
-                                        f"N = {group.prec} is too few digits for [{args.a}]")
+    if bad := lubintate.linearity_defects(group, m, args.a):
+        raise padics.PrecisionError(f"L([{args.a}] X) != {args.a} L(X) at {bad[:3]}: "
+                                    f"N = {group.prec} is too few digits for [{args.a}]")
     _write_text(args, lubintate.pairs_to_text(group.heights, group.logarithm, {"mult": m},
                                               a=args.a))
     return 0

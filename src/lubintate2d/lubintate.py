@@ -157,15 +157,20 @@ def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> 
     return LubinTateGroup(heights, build_logarithm(p, heights, degree, prec))
 
 
+def _multiplier(group: LubinTateGroup, a: int) -> Padic:
+    """The scalar a of [a]_F at the group's precision; a nonzero a that is 0
+    modulo p^prec is a `PrecisionError`."""
+    c = Padic.from_int(group.p, a, group.prec)
+    if a and c.is_zero:
+        raise PrecisionError(f"multiplier {a} is 0 modulo {group.p}^{group.prec}")
+    return c
+
+
 def multiplication(a: int, group: LubinTateGroup) -> SeriesPair:
-    """[a]_F = L^{-1}(a L(X)) for an int a; a nonzero a that is 0 modulo
-    p^prec is a `PrecisionError`."""
+    """[a]_F = L^{-1}(a L(X)) for an int a, scaled by `_multiplier`."""
     if not a:
         return SeriesPair.zero(group.p, 2, group.degree)
-    c = Padic.from_int(group.p, a, group.prec)
-    if c.is_zero:
-        raise PrecisionError(f"multiplier {a} is 0 modulo {group.p}^{group.prec}")
-    return compose(group.exponential, group.logarithm.scale(c))
+    return compose(group.exponential, group.logarithm.scale(_multiplier(group, a)))
 
 
 def congruence_report(f: SeriesPair, heights) -> Report:
@@ -205,19 +210,19 @@ def congruence_report(f: SeriesPair, heights) -> Report:
     return Report(tuple(out))
 
 
-def linearity_defects(group: LubinTateGroup, m: SeriesPair, c: Padic) -> list:
-    """(component, exponents) where L(m(X)) and c L(X) differ: the one check
-    of L([a]_F X) = a L(X), c the scalar a.  `verify_p_congruences` reads
-    it for [p]_F and `lt2d mult` for the [a]_F it prints."""
-    return _differences(compose(group.logarithm, m), group.logarithm.scale(c))
+def linearity_defects(group: LubinTateGroup, m: SeriesPair, a: int) -> list:
+    """(component, exponents) where L(m(X)) and a L(X) differ, a scaled as
+    `multiplication` scales it: the one check of L([a]_F X) = a L(X), read by
+    `verify_p_congruences` for [p]_F and `lt2d mult` for the [a]_F it prints."""
+    return _differences(compose(group.logarithm, m),
+                        group.logarithm.scale(_multiplier(group, a)))
 
 
 def verify_p_congruences(group: LubinTateGroup) -> Report:
     """Congruence checks on [p]_F plus exact linearity L([p]_F X) = p L(X)."""
     out = list(group.p_congruences.violations)
     out.extend(Violation(idx, e, "linearity", "L([p] X) != p L(X)")
-               for idx, e in linearity_defects(group, group.p_multiplication,
-                                               Padic(group.p, 1, 1, group.prec)))
+               for idx, e in linearity_defects(group, group.p_multiplication, group.p))
     return Report(tuple(out))
 
 

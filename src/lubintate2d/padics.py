@@ -341,14 +341,6 @@ class Padic(_Record):
         pk = self.p**self.prec
         return self.unit if self.unit <= pk // 2 else self.unit - pk
 
-    def to_fraction(self) -> Fraction:
-        """Exact value of the balanced representative."""
-        from fractions import Fraction
-
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.balanced_unit()) * Fraction(self.p) ** self.val
-
     def __repr__(self):
         if self.is_zero:
             return f"Padic({self.p}, 0)"

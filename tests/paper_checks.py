@@ -10,6 +10,9 @@ Each takes the library's own values and states one claim of the paper:
 - `lower_bound_check` with `evaluate_series`, criterion 13:
   v(f(alpha)) >= V_f(v(alpha)) at a concrete point.
 
+`to_fraction` reads a coefficient as the exact rational the tests compare
+it with.
+
 They read the library's private helpers (`lubintate._differences`,
 `padics._raw_add`), so they keep its difference and sum rules.  The
 library never imports this module.  The certified torsion valuations of
@@ -17,6 +20,8 @@ the true [p]_F and the p-torsion points as exact elements (ROADMAP items
 6 and 7) would bring `evaluate_series` back into the library,
 generalized to a pair evaluated at points of an extension ring.
 """
+
+from fractions import Fraction
 
 from lubintate2d.copolygon import Copolygon
 from lubintate2d.lubintate import Report, Violation, _differences, multiplication
@@ -134,3 +139,13 @@ def lower_bound_check(s, point) -> bool:
     bound = Copolygon.from_series(s).evaluate((a.valuation, b.valuation))
     total = evaluate_series(s, point)
     return total.is_zero or total.valuation >= bound
+
+
+# -- exact values -----------------------------------------------------------
+
+
+def to_fraction(x: Padic) -> Fraction:
+    """Exact value of the balanced representative of x."""
+    if x.is_zero:
+        return Fraction(0)
+    return Fraction(x.balanced_unit()) * Fraction(x.p) ** x.val

@@ -550,12 +550,22 @@ def test_lost_precision_exits_3_as_a_precision_error(capsys, monkeypatch, argv, 
     assert json.loads(err) == {"error": "precision", "detail": detail}
 
 
-def test_a_zero_multiplier_is_the_zero_pair_at_any_precision(capsys):
+def test_a_zero_multiplier_is_the_zero_pair_at_any_precision(capsys, monkeypatch):
+    scalars = []
+    check = lubintate.linearity_defects
+    monkeypatch.setattr(lubintate, "linearity_defects",
+                        lambda group, m, a: scalars.append(a) or check(group, m, a))
     code, out, err = run(capsys, "-N", "1", "mult", "-p", "2", "--h1", "2", "--h2", "3",
                          "-D", "6", "-a", "0")
     assert code == 0 and err == ""
     header, pairs = parse_sections(out)
     assert header["a"] == 0 and all(s.is_zero for s in pairs["mult"])
+    # [0] passes the identity check that every [a] runs
+    code, out, err = run(capsys, "mult", "-p", "2", "--h1", "2", "--h2", "3",
+                         "-D", "9", "-a", "0")
+    assert (code, err, scalars) == (0, "", [0, 0])
+    assert out == ('{"D": 9, "N": 64, "a": 0, "h1": 2, "h2": 3, "p": 2}\n'
+                   "[mult.1 v=2 D=9]\n[mult.2 v=2 D=9]\n")
 
 
 def test_verify_refuses_a_degree_that_cannot_show_the_height(capsys, monkeypatch):

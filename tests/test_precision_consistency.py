@@ -16,7 +16,10 @@ Verdicts: `group` and `verify`.  A cell offends when its exit code is not
 the `-N 64` one, or, for `verify`, when its JSON report differs.  A low-N
 pass where `-N 64` fails is a lie; a low-N failure where `-N 64` passes
 is lost precision reported as a verdict.  A cell that exits 3 with a
-`precision` error claims no verdict, so it does not offend.
+`precision` error claims no verdict, so it does not offend.  One check
+needs no `-N 64` run, because running out of precision is never a
+verdict: at D = 16 and N = 1..8 both commands exit 0 or 3, never 1 (a
+strict xfail until ROADMAP item 1 lands).
 
 A cell that offends prints a digit or a verdict it does not know
 (Caruso, Roe & Vaccon, "Tracking p-adic precision", LMS J. Comput. Math.
@@ -37,6 +40,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 from lubintate2d import cli
 from lubintate2d.series import parse_sections
@@ -169,6 +174,21 @@ def test_low_precision_verdicts_differ_only_where_listed(monkeypatch):
     cells, lies = verdict_sweep()
     assert cells == 176
     assert_listed(lies, VERDICTS, "give a verdict -N 64 does not")
+
+
+@pytest.mark.xfail(strict=True, reason="lost digits still read as failed checks "
+                   "(ROADMAP item 1): 18 of the 32 cells exit 1")
+def test_running_out_of_precision_is_never_a_verdict(monkeypatch):
+    monkeypatch.delenv("LT2D_PRECISION", raising=False)
+    verdicts = {}
+    for fixture in FIXTURES:
+        params = fixture_words(*fixture, 16)
+        for command in VERDICTS:
+            for prec in range(1, 9):
+                code = run(prec, (command,), params)[0]
+                if code not in (0, 3):
+                    verdicts[" ".join(("-N", str(prec), command) + params)] = code
+    assert not verdicts, f"lost precision read as a verdict: {verdicts}"
 
 
 def test_the_known_lie_is_listed(monkeypatch):
