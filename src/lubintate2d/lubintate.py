@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .padics import (DEFAULT_PRECISION, HeightPair, Padic, PrecisionError, _as_heights,
-                     _check_prime, _check_reach, _Record, cross_frobenius)
+                     _check_prime, _check_reach, _Record, cross_frobenius, int_valuation)
 from .series import SeriesPair, compose, dump_sections, grlex, invert_pair, linear_defects
 
 
@@ -138,10 +138,7 @@ class LubinTateGroup(_Record):
 
     @cached_property
     def p_multiplication(self) -> SeriesPair:
-        """[p]_F; at N = 1 the multiplier p itself is 0, a `PrecisionError`."""
-        if self.prec < 2:
-            raise PrecisionError(f"[p]_F needs N at least 2: p = {self.p} is 0 modulo "
-                                 f"{self.p}^{self.prec}")
+        """[p]_F; at N = 1 `_multiplier` refuses p itself."""
         return multiplication(self.p, self)
 
     @cached_property
@@ -159,10 +156,12 @@ def build_group(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> 
 
 def _multiplier(group: LubinTateGroup, a: int) -> Padic:
     """The scalar a of [a]_F at the group's precision; a nonzero a that is 0
-    modulo p^prec is a `PrecisionError`."""
-    c = Padic.from_int(group.p, a, group.prec)
+    modulo p^prec is a `PrecisionError` naming the N that holds it."""
+    p, prec = group.p, group.prec
+    c = Padic.from_int(p, a, prec)
     if a and c.is_zero:
-        raise PrecisionError(f"multiplier {a} is 0 modulo {group.p}^{group.prec}")
+        raise PrecisionError(f"[{a}]_F needs N at least {int_valuation(a, p) + 1}: "
+                             f"{a} is 0 modulo {p}^{prec}")
     return c
 
 

@@ -255,8 +255,11 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
         r = compose(f, g) - ident
         if r.is_zero:
             break
-        g = g - r
-    else:
+        nxt = g - r
+        if all(a.terms == b.terms for a, b in zip(nxt, g)):
+            break  # r lies below g's known digits: every later step repeats this one
+        g = nxt
+    if not r.is_zero:
         raise PrecisionError("inversion did not converge")
     if not (compose(g, f) - ident).is_zero:
         raise PrecisionError("inverse failed the two-sided check")

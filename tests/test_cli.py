@@ -536,13 +536,15 @@ def test_low_precision_verify_still_fails_on_the_law(capsys):
     (("-N", "4", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "16", "-a", "2"),
      "inverse failed the two-sided check"),
     (("-N", "1", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "6", "-a", "2"),
-     "multiplier 2 is 0 modulo 2^1"),
+     "[2]_F needs N at least 2: 2 is 0 modulo 2^1"),
     (("-N", "1", "group", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9"),
-     "[p]_F needs N at least 2: p = 3 is 0 modulo 3^1"),
+     "[3]_F needs N at least 2: 3 is 0 modulo 3^1"),
+    (("-N", "3", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "40", "-a", "3"),
+     "inversion did not converge"),
     # an integral [a] that fails L([a]X) = a L(X) at its own N
     (("-N", "3", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "16", "-a", "2"),
      "L([2] X) != 2 L(X) at [(1, (8, 3)), (2, (6, 8))]: N = 3 is too few digits for [2]"),
-], ids=["inverse", "zero-multiplier", "zero-[p]", "linearity"])
+], ids=["inverse", "zero-multiplier", "zero-[p]", "no-convergence", "linearity"])
 def test_lost_precision_exits_3_as_a_precision_error(capsys, monkeypatch, argv, detail):
     monkeypatch.delenv("LT2D_PRECISION", raising=False)
     code, out, err = run(capsys, *argv)

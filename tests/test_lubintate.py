@@ -220,7 +220,7 @@ def test_a_multiplier_that_is_zero_only_at_the_precision_is_a_precision_error():
     group = build_group(2, (2, 3), 9, prec=2)
     assert multiplication(0, group).is_zero
     assert not multiplication(2, group).is_zero
-    with pytest.raises(PrecisionError, match="multiplier 4 is 0 modulo 2\\^2"):
+    with pytest.raises(PrecisionError, match="^\\[4\\]_F needs N at least 3: 4 is 0 modulo 2\\^2$"):
         multiplication(4, group)
     # [0]_F = 0 needs no inverse, even one whose digits ran out
     lost = build_group(2, (2, 3), 16, prec=4)
@@ -236,8 +236,20 @@ def test_the_identity_check_refuses_the_multiplier_multiplication_refuses():
         multiplication(4, group)
     with pytest.raises(PrecisionError) as checked:
         linearity_defects(group, multiplication(2, group), 4)
-    assert str(checked.value) == str(built.value) == "multiplier 4 is 0 modulo 2^2"
+    assert str(checked.value) == str(built.value) == "[4]_F needs N at least 3: 4 is 0 modulo 2^2"
     assert linearity_defects(group, multiplication(0, group), 0) == []
+
+
+@pytest.mark.parametrize("p, heights", [(2, (2, 3)), (3, (1, 2))])
+def test_p_multiplication_is_refused_where_every_multiplier_is(p, heights):
+    # one guard: at N = 1, [p]_F and [a]_F for a = p fail with one message
+    group = build_group(p, heights, 9, prec=1)
+    with pytest.raises(PrecisionError) as cached:
+        group.p_multiplication
+    with pytest.raises(PrecisionError) as built:
+        multiplication(p, group)
+    want = f"[{p}]_F needs N at least 2: {p} is 0 modulo {p}^1"
+    assert str(cached.value) == str(built.value) == want
 
 
 def test_multiplication_matches_iterated_addition():

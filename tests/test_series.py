@@ -222,23 +222,48 @@ def test_invert_requires_identity_linear_part():
         invert_pair(SeriesPair(g1, f2))
 
 
-def test_inversion_that_runs_out_of_digits_does_not_converge():
+def count_compositions(monkeypatch) -> list:
+    """A list that grows by one for each `series_ops.compose` call."""
+    from lubintate2d import series_ops
+
+    calls = []
+    real = series_ops.compose
+    monkeypatch.setattr(series_ops, "compose", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_inversion_that_runs_out_of_digits_does_not_converge(monkeypatch):
     """(x1, x2 - x2^2/4 + 6 x2^3) over Z_2 at D = 3 has the inverse
     (x1, x2 + x2^2/4 - 47/8 x2^3).  At N = 4 the x2^3 coefficient of the
     approximation, of valuation -3, is known only modulo 2^0, so the defect
     6 x2^3 lies below its known digits: g - r leaves g as it is, and the
-    defect never vanishes.  At N = 8 it does."""
+    defect never vanishes.  The third composition finds that step, and
+    inversion stops there.  At N = 8 it converges."""
     def pair(prec):
         return SeriesPair(Series.variable(2, 2, 3, 0, prec),
                           Series.from_coeffs(2, 2, 3, {(0, 1): 1, (0, 2): Fraction(-1, 4),
                                                        (0, 3): 6}, prec))
 
+    calls = count_compositions(monkeypatch)
     with pytest.raises(PrecisionError, match="^inversion did not converge$"):
         invert_pair(pair(4))
+    assert len(calls) == 3
     g = invert_pair(pair(8))
     assert g.first == Series.variable(2, 2, 3, 0, 8)
     assert g.second == Series.from_coeffs(2, 2, 3, {(0, 1): 1, (0, 2): Fraction(1, 4),
                                                     (0, 3): Fraction(-47, 8)}, 8)
+
+
+def test_a_logarithm_out_of_digits_stops_inverting_once_a_step_repeats(monkeypatch):
+    # at N = 3 the logarithm to degree 40 has too few digits for an inverse;
+    # the loop used to compose all D + 1 = 41 times before saying so
+    from lubintate2d.lubintate import build_logarithm
+
+    log = build_logarithm(2, (2, 3), 40, 3)
+    calls = count_compositions(monkeypatch)
+    with pytest.raises(PrecisionError, match="^inversion did not converge$"):
+        invert_pair(log)
+    assert 1 < len(calls) <= 5
 
 
 def random_integral_unit_pair(rng, p, degree):

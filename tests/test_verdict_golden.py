@@ -16,6 +16,9 @@ chain of partial sums fails here too.
 Re-record the golden, only when a verdict change is intended, with
 
     PYTHONPATH=src python3 tests/test_verdict_golden.py --record
+
+which prints each cell whose entry changes, field by field, before it
+writes.
 """
 
 import contextlib
@@ -68,6 +71,15 @@ def test_low_precision_verdicts(monkeypatch):
         assert verdict(argv) == entry
 
 
+def test_record_lists_each_changed_cell_and_field():
+    old = [{"argv": "a", "exit": 0, "stderr": ""}, {"argv": "b", "exit": 3, "stderr": "x"}]
+    new = [{"argv": "a", "exit": 0, "stderr": ""}, {"argv": "b", "exit": 3, "stderr": "y"},
+           {"argv": "c", "exit": 1, "stderr": ""}]
+    assert changes(old, new) == ["b", "  stderr: 'x' -> 'y'",
+                                 "c", "  exit: None -> 1",
+                                 "  stderr: None -> ''", "2 of 3 cells changed"]
+
+
 def test_grid_reaches_every_exit_class():
     seen = {(e["argv"].split()[2], e["exit"]) for e in json.loads(GOLDEN.read_text())}
     assert seen == {("group", 0), ("group", 1), ("group", 3),
@@ -75,9 +87,27 @@ def test_grid_reaches_every_exit_class():
                     ("mult", 0), ("mult", 3), ("log", 0)}
 
 
+def changes(old: list, new: list) -> list:
+    """One line per cell of `new` whose entry differs from `old`'s for the
+    same argv, then an indented "field: old -> new" line per changed field,
+    then the count."""
+    before = {entry["argv"]: entry for entry in old}
+    lines, changed = [], 0
+    for entry in new:
+        was = before.get(entry["argv"], {})
+        fields = [k for k in sorted(entry) if k != "argv" and was.get(k) != entry[k]]
+        if fields:
+            changed += 1
+            lines.append(entry["argv"])
+            lines += [f"  {k}: {was.get(k)!r} -> {entry[k]!r}" for k in fields]
+    return lines + [f"{changed} of {len(new)} cells changed"]
+
+
 def record() -> None:
     os.environ.pop("LT2D_PRECISION", None)
     rows = [verdict(argv) for argv in cells()]
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    print("\n".join(changes(old, rows)))
     GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n")
 
 
