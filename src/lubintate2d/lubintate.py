@@ -169,7 +169,8 @@ def multiplication(a: int, group: LubinTateGroup) -> SeriesPair:
     """[a]_F = L^{-1}(a L(X)) for an int a, scaled by `_multiplier`."""
     if not a:
         return SeriesPair.zero(group.p, 2, group.degree)
-    return compose(group.exponential, group.logarithm.scale(_multiplier(group, a)))
+    scaled = group.logarithm.scale(_multiplier(group, a))  # refused before inverting
+    return compose(group.exponential, scaled)
 
 
 def congruence_report(f: SeriesPair, heights) -> Report:

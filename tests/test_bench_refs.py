@@ -40,7 +40,6 @@ def test_grid_matches_bench_refs(name, tmp_path, monkeypatch):
     for support, text in refs.get("supports", {}).items():
         (tmp_path / support).write_text(text)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LT2D_PRECISION", raising=False)
     grid = WORKLOADS[name].grid()
     bad = []
     for cmd in grid:

@@ -541,12 +541,15 @@ def test_low_precision_verify_still_fails_on_the_law(capsys):
      "[3]_F needs N at least 2: 3 is 0 modulo 3^1"),
     (("-N", "3", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "40", "-a", "3"),
      "inversion did not converge"),
+    # the multiplier is refused before the logarithm is inverted
+    (("-N", "1", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "40", "-a", "2"),
+     "[2]_F needs N at least 2: 2 is 0 modulo 2^1"),
     # an integral [a] that fails L([a]X) = a L(X) at its own N
     (("-N", "3", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "16", "-a", "2"),
      "L([2] X) != 2 L(X) at [(1, (8, 3)), (2, (6, 8))]: N = 3 is too few digits for [2]"),
-], ids=["inverse", "zero-multiplier", "zero-[p]", "no-convergence", "linearity"])
-def test_lost_precision_exits_3_as_a_precision_error(capsys, monkeypatch, argv, detail):
-    monkeypatch.delenv("LT2D_PRECISION", raising=False)
+], ids=["inverse", "zero-multiplier", "zero-[p]", "no-convergence", "multiplier-first",
+        "linearity"])
+def test_lost_precision_exits_3_as_a_precision_error(capsys, argv, detail):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": "precision", "detail": detail}
@@ -644,7 +647,6 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
 ])
 def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LT2D_PRECISION", raising=False)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1

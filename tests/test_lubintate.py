@@ -229,6 +229,17 @@ def test_a_multiplier_that_is_zero_only_at_the_precision_is_a_precision_error():
         lost.exponential
 
 
+def test_a_refused_multiplier_inverts_no_logarithm(monkeypatch):
+    from lubintate2d import lubintate
+
+    inverted = []
+    invert = lubintate.invert_pair
+    monkeypatch.setattr(lubintate, "invert_pair", lambda log: inverted.append(log) or invert(log))
+    with pytest.raises(PrecisionError, match="^\\[4\\]_F needs N at least 3: 4 is 0 modulo 2\\^2$"):
+        multiplication(4, build_group(2, (2, 3), 9, prec=2))
+    assert inverted == []
+
+
 def test_the_identity_check_refuses_the_multiplier_multiplication_refuses():
     # one scalar: a = p^N is 0 at N digits for the check as for [a]_F
     group = build_group(2, (2, 3), 9, prec=2)

@@ -64,8 +64,7 @@ def test_goldens_cover_the_readme():
 
 
 @pytest.mark.parametrize("index", range(len(readme_examples())))
-def test_readme_example_bytes(index, tmp_path, monkeypatch):
-    monkeypatch.delenv("LT2D_PRECISION", raising=False)
+def test_readme_example_bytes(index, tmp_path):
     entry = _manifest()[index]
     got = run_example(entry["argv"], tmp_path)
     assert got["exit"] == entry["exit"]
@@ -77,7 +76,6 @@ def test_readme_example_bytes(index, tmp_path, monkeypatch):
 
 
 def record() -> None:
-    os.environ.pop("LT2D_PRECISION", None)
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for old in GOLDEN.iterdir():
         old.unlink()
