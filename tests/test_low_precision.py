@@ -6,7 +6,10 @@ once, in-process through `cli.main`, over the two acceptance fixtures
 commands `group`, `verify`, `log`, `mult -a 2` and `mult -a 3`, and
 N = 1..11 and 64.  tests/data/low_precision.json pins each cell's exit
 code, its stderr, the sha256 of its stdout, and its lie: how it disagrees
-with its `-N 64` twin, or null.
+with its `-N 64` twin, or null.  tests/test_verdict_golden.py checks the
+first three fields of every cell against this module's runs, and
+tests/test_precision_consistency.py the lie; both import the runs from
+here, so each cell still runs once a session.
 
 A result claiming k digits agrees with any more precise result in those k
 digits (Caruso, Roe & Vaccon, "Tracking p-adic precision", LMS J. Comput.
@@ -136,13 +139,6 @@ def ledger() -> tuple:
                          "stderr": stderr, "lie": lie(prec, command),
                          "stdout_sha256": hashlib.sha256(stdout.encode("utf-8")).hexdigest()})
     return tuple(rows)
-
-
-def test_low_precision_ledger():
-    recorded = json.loads(LEDGER.read_text())
-    assert [entry["argv"] for entry in recorded] == [entry["argv"] for entry in ledger()]
-    for entry, cell in zip(recorded, ledger()):
-        assert cell == entry
 
 
 def test_the_grid_and_its_reference_runs():
