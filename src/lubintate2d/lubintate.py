@@ -287,6 +287,7 @@ def group_axioms_report(group: LubinTateGroup) -> Report:
     invertible L give associativity through D in exact arithmetic, since
     a law is fixed by its logarithm.  The six-variable check is a
     cross-check of the law and of the composition kernel."""
+    congruences = group.p_congruences  # before the law: an N too small for p is refused uninverted
     law = group.group_law
     out = []
 
@@ -311,7 +312,7 @@ def group_axioms_report(group: LubinTateGroup) -> Report:
     if mv is not None and mv < 0:
         out.append(Violation(0, None, "integral", f"min valuation {mv}"))
 
-    if any(v.check == "linear" for v in group.p_congruences.violations):
+    if any(v.check == "linear" for v in congruences.violations):
         out.append(Violation(0, None, "p-differential", "[p]_F linear part is not p*X"))
 
     return Report(tuple(out))

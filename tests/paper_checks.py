@@ -13,19 +13,19 @@ Each takes the library's own values and states one claim of the paper:
 `to_fraction` reads a coefficient as the exact rational the tests compare
 it with.
 
-They read the library's private helpers (`lubintate._differences`,
-`padics._raw_add`), so they keep its difference and sum rules.  The
-library never imports this module.  The certified torsion valuations of
-the true [p]_F and the p-torsion points as exact elements (ROADMAP items
-6 and 7) would bring `evaluate_series` back into the library,
-generalized to a pair evaluated at points of an extension ring.
+They read one private helper of the library, `lubintate._differences`,
+so they keep its difference rule.  The library never imports this
+module.  The certified torsion valuations of the true [p]_F and the
+p-torsion points as exact elements (ROADMAP items 6 and 7) would bring
+`evaluate_series` back into the library, generalized to a pair
+evaluated at points of an extension ring.
 """
 
 from fractions import Fraction
 
 from lubintate2d.copolygon import Copolygon
 from lubintate2d.lubintate import Report, Violation, _differences, multiplication
-from lubintate2d.padics import Padic, _as_heights, _check_prime, _powers, _raw_add, grlex
+from lubintate2d.padics import Padic, _as_heights, _check_prime, grlex
 from lubintate2d.series import compose
 
 
@@ -99,28 +99,23 @@ def cauchy_gap(group, m: int, n: int):
 def evaluate_series(s, point) -> Padic:
     """Value of a two-variable series at a pair of p-adic scalars.
 
-    Computed on the stored (val, unit, cap) triples: the term c a^i b^j has
-    valuation v + i va + j vb and unit u ua^i ub^j mod p^m, m the least of
-    the three relative precisions, the product rule of
-    `series_ops._accumulate`.  The terms are summed in grlex order by
-    `padics._raw_add`, and one `Padic` is built from the sum.  A zero
-    coordinate needs no branch: its unit is 0, so pow(0, 0) = 1 and
-    pow(0, k) = 0.
+    The powers, the products and the grlex sum are all taken with `Padic`
+    arithmetic.
     """
     if s.nvars != 2:
         raise ValueError("expected a two-variable series")
-    a, b = point
-    if a.p != s.p or b.p != s.p:
+    if any(x.p != s.p for x in point):
         raise ValueError(f"prime mismatch: the series is over Z_{s.p}")
-    pk = _powers(s.p)
-    total = (0, 0, min(a.prec, b.prec))
+    powers = []
+    for x in point:
+        row = [Padic(s.p, 0, 1, x.prec)]
+        for _ in range(s.degree):
+            row.append(row[-1] * x)
+        powers.append(row)
+    total = Padic.zero(s.p, min(x.prec for x in point))
     for e in sorted(s.terms, key=grlex):
-        v, u, c = s.terms[e]
-        m = min(c - v, a.prec, b.prec)
-        unit = u * pow(a.unit, e[0], pk[m]) * pow(b.unit, e[1], pk[m]) % pk[m]
-        v += e[0] * a.val + e[1] * b.val
-        total = _raw_add(pk, total, (v, unit, v + m))
-    return Padic(s.p, total[0], total[1], total[2] - total[0])
+        total = total + s.coefficient(e) * powers[0][e[0]] * powers[1][e[1]]
+    return total
 
 
 def lower_bound_check(s, point) -> bool:

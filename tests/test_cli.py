@@ -481,8 +481,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 def test_verify_builds_p_multiplication_once(capsys, monkeypatch):
-    """`verify` and `group` each invert the logarithm once, for the law, and
-    build [p]_F once, off that inverse."""
+    """`verify` and `group` each build [p]_F once, before the law, and
+    invert the logarithm once, for [p]_F; the law reads that inverse."""
     calls = []
     real_mult, real_invert = lubintate.multiplication, lubintate.invert_pair
     monkeypatch.setattr(lubintate, "multiplication",
@@ -492,7 +492,7 @@ def test_verify_builds_p_multiplication_once(capsys, monkeypatch):
     for command in ("verify", "group"):
         calls.clear()
         code, _, _ = run(capsys, command, "-p", "2", "--h1", "2", "--h2", "3", "-D", "9")
-        assert code == 0 and calls == ["invert_pair", 2], command
+        assert code == 0 and calls == [2, "invert_pair"], command
 
 
 def test_group_and_verify_build_one_log_sum(capsys, monkeypatch):
@@ -544,11 +544,16 @@ def test_low_precision_verify_still_fails_on_the_law(capsys):
     # the multiplier is refused before the logarithm is inverted
     (("-N", "1", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "40", "-a", "2"),
      "[2]_F needs N at least 2: 2 is 0 modulo 2^1"),
+    # [p]_F is refused before the law inverts the logarithm
+    (("-N", "1", "group", "-p", "2", "--h1", "2", "--h2", "3", "-D", "40"),
+     "[2]_F needs N at least 2: 2 is 0 modulo 2^1"),
+    (("-N", "1", "verify", "-p", "3", "--h1", "1", "--h2", "2", "-D", "40"),
+     "[3]_F needs N at least 2: 3 is 0 modulo 3^1"),
     # an integral [a] that fails L([a]X) = a L(X) at its own N
     (("-N", "3", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "16", "-a", "2"),
      "L([2] X) != 2 L(X) at [(1, (8, 3)), (2, (6, 8))]: N = 3 is too few digits for [2]"),
 ], ids=["inverse", "zero-multiplier", "zero-[p]", "no-convergence", "multiplier-first",
-        "linearity"])
+        "group-[p]-first", "verify-[p]-first", "linearity"])
 def test_lost_precision_exits_3_as_a_precision_error(capsys, argv, detail):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
@@ -601,7 +606,6 @@ def test_precision_flag_below_one_is_a_usage_error(capsys, prec):
     assert json.loads(err) == {"error": "usage", "detail": "-N must be at least 1"}
 
 
-PARAMS = ("-p", "2", "--h1", "2", "--h2", "3")
 UNOPENABLE = "no-such-dir/out"  # relative to tmp_path, whose subdir is never made
 RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
 

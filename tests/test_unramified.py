@@ -14,6 +14,7 @@ from unramified import (
     _poly_powmod,
     is_irreducible_mod_p,
     minimal_irreducible,
+    monic_polynomials,
     teichmuller,
 )
 
@@ -25,50 +26,15 @@ def test_minimal_irreducible_frozen():
     assert minimal_irreducible(2, 5) == (1, 0, 1, 0, 0, 1)
 
 
-def brute_force_irreducible(poly, p):
-    """Check irreducibility by trial division over F_p; degrees stay tiny."""
-
-    def poly_eval_divide(f, g):
-        # does g divide f over F_p? long division remainder test
-        f = list(f)
-        ginv = pow(g[-1], -1, p)
-        while len(f) >= len(g) and any(f):
-            while f and f[-1] == 0:
-                f.pop()
-            if len(f) < len(g):
-                break
-            c = f[-1] * ginv % p
-            shift = len(f) - len(g)
-            for j, gj in enumerate(g):
-                f[shift + j] = (f[shift + j] - c * gj) % p
-        return not any(f)
-
-    h = len(poly) - 1
-    for d in range(1, h // 2 + 1):
-        for code in range(p**d):
-            coeffs = []
-            c = code
-            for _ in range(d):
-                coeffs.append(c % p)
-                c //= p
-            g = tuple(coeffs) + (1,)
-            if poly_eval_divide(poly, g):
-                return False
-    return True
-
-
 def test_is_irreducible_matches_brute_force():
-    # the composite degrees (2, 6), (3, 4) and (7, 2) are where Ben-Or's
-    # and Rabin's tests take different steps
+    # the reducible monic polynomials are exactly the products of two monic
+    # factors of positive degree: built by multiplying, not by dividing
     for p, h in ((2, 4), (2, 5), (3, 3), (5, 2), (2, 6), (3, 4), (7, 2)):
-        for code in range(p**h):
-            coeffs = []
-            c = code
-            for _ in range(h):
-                coeffs.append(c % p)
-                c //= p
-            poly = tuple(coeffs) + (1,)
-            assert is_irreducible_mod_p(poly, p) == brute_force_irreducible(poly, p), poly
+        wide = (0,) * (h + 1) + (1,)  # x^(h+1): reduces no product of degree h
+        products = {_poly_mulmod(g, k, wide, p) for d in range(1, h // 2 + 1)
+                    for g in monic_polynomials(p, d) for k in monic_polynomials(p, h - d)}
+        reducible = {f for f in monic_polynomials(p, h) if not is_irreducible_mod_p(f, p)}
+        assert reducible == products, (p, h)
 
 
 def test_unramified_ring_modulus_is_satisfied():

@@ -66,43 +66,29 @@ def _poly_mod(a, b, m):
     return tuple(a)
 
 
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
+def monic_polynomials(p: int, degree: int):
+    """Every monic polynomial of the degree over F_p.  Low coefficients
+    enumerate first: the one for code c has constant coefficient c % p,
+    then the next base-p digit, and so on."""
+    for code in range(p**degree):
+        yield tuple(code // p**k % p for k in range(degree)) + (1,)
 
 
 def is_irreducible_mod_p(poly, p: int) -> bool:
-    """Irreducibility of a monic polynomial f of degree h over F_p by Ben-Or's
-    test (FOCS 1981): gcd(x^{p^d} - x, f) = 1 for every d <= h/2."""
+    """Irreducibility of a monic polynomial f of degree h over F_p by trial
+    division: no monic g of degree 1 to h/2 leaves remainder 0."""
     f = tuple(c % p for c in poly)
     h = len(f) - 1
     if h < 1 or f[-1] != 1:
         raise ValueError("expected a monic polynomial of positive degree")
-    g = (0, 1)
-    for _ in range(h // 2):
-        g = _poly_powmod(g, p, f, p)  # x^{p^d} mod f
-        g_minus_x = list(g) + [0, 0]
-        g_minus_x[1] = (g_minus_x[1] - 1) % p
-        if len(_poly_gcd(g_minus_x, f, p)) != 1:
-            return False
-    return True
+    return all(_poly_mod(f, g, p)
+               for d in range(1, h // 2 + 1) for g in monic_polynomials(p, d))
 
 
 def minimal_irreducible(p: int, degree: int):
-    """Lexicographically least monic irreducible of given degree over F_p.
-
-    Low coefficients enumerate first: the candidate for code c has
-    constant coefficient c % p, then the next base-p digit, and so on.
-    """
-    for code in range(p**degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % p)
-            c //= p
-        candidate = tuple(coeffs) + (1,)
+    """Lexicographically least monic irreducible of given degree over F_p,
+    in `monic_polynomials`' order."""
+    for candidate in monic_polynomials(p, degree):
         if is_irreducible_mod_p(candidate, p):
             return candidate
     raise RuntimeError("no irreducible polynomial found")  # unreachable
