@@ -4,19 +4,37 @@ Three kinds of fixture live here: the running two-variable copolygon
 example 2*x1*x2 + x1^4 + x2^5 over Z_2, the cross-Frobenius systems of
 `padics.cross_frobenius`, both held as their copolygons, and a stored
 degree-32 sample of a multiplication-by-2 endomorphism for heights
-(4, 5).  The stored sample is kept with its known defect: its mod-2
-reduction (x1^32, x2^16) has each component a power of its own variable,
-where the table of `padics.cross_frobenius` reads the other one, which
-makes it a useful negative control for the congruence checks.
+(4, 5), held in this module as a container string.  The stored sample
+is kept with its known defect: its mod-2 reduction (x1^32, x2^16) has
+each component a power of its own variable, where the table of
+`padics.cross_frobenius` reads the other one, which makes it a useful
+negative control for the congruence checks.
 """
 
 from __future__ import annotations
 
-import os
-
 # Modules, not names, as in `cli`: a fixture runs only the modules it
 # reads, so `ex1` and the dyn systems never compile `series`.
 from . import copolygon, padics, series, torsion
+
+
+# The stored sample as a `series.dump_sections` container: its header,
+# then the two components of "mult".
+_MULT45 = """\
+{"D": 32, "N": 64, "h1": 4, "h2": 5, "p": 2}
+[mult.1 v=2 D=32]
+1 0 : 1 1
+4 0 : 2 1
+4 2 : 4 1
+2 16 : 1 1
+32 0 : 0 1
+[mult.2 v=2 D=32]
+0 1 : 1 1
+0 4 : 3 1
+2 4 : 3 1
+8 2 : 1 1
+0 16 : 0 1
+"""
 
 
 def stored_mult45():
@@ -24,9 +42,7 @@ def stored_mult45():
 
     Returns (header, pair) where the header carries p, h1, h2, D and N.
     """
-    with open(os.path.join(os.path.dirname(__file__), "data", "mult45.txt"), encoding="utf-8") as f:
-        text = f.read()
-    header, pairs = series.parse_sections(text)
+    header, pairs = series.parse_sections(_MULT45)
     return header, pairs["mult"]
 
 

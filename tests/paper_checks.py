@@ -11,7 +11,7 @@ Each takes the library's own values and states one claim of the paper:
   v(f(alpha)) >= V_f(v(alpha)) at a concrete point.
 
 `to_fraction` reads a coefficient as the exact rational the tests compare
-it with.
+it with, and `system_pair` builds the cross-Frobenius system as series.
 
 They read one private helper of the library, `lubintate._differences`,
 so they keep its difference rule.  The library never imports this
@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from lubintate2d.copolygon import Copolygon
 from lubintate2d.lubintate import Report, Violation, _differences, multiplication
-from lubintate2d.padics import Padic, _as_heights, _check_prime, grlex
-from lubintate2d.series import compose
+from lubintate2d.padics import Padic, _as_heights, _check_prime, cross_frobenius, grlex
+from lubintate2d.series import Series, SeriesPair, compose
 
 
 # -- criterion 05 -----------------------------------------------------------
@@ -144,3 +144,8 @@ def to_fraction(x: Padic) -> Fraction:
     if x.is_zero:
         return Fraction(0)
     return Fraction(x.balanced_unit()) * Fraction(x.p) ** x.val
+
+
+def system_pair(p: int, heights, degree: int = 9) -> SeriesPair:
+    """`padics.cross_frobenius` as truncated series."""
+    return SeriesPair(*(Series.from_coeffs(p, 2, degree, c) for c in cross_frobenius(p, heights)))

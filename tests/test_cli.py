@@ -307,14 +307,19 @@ def test_double_run_byte_identical(capsys):
     assert first == second
 
 
-def test_console_script_installed():
+def test_console_script_installed(tmp_path):
+    # run outside the source tree; the stored sample fails verify by design
     exe = shutil.which("lt2d")
     if exe is None:
         pytest.skip("console script not on PATH")
     proc = subprocess.run([exe, "torsion", "-p", "2", "--h1", "2", "--h2", "3"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=tmp_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["v_xi"] == "5/31"
+    proc = subprocess.run([exe, "verify", "--fixture", "mult45"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert '"fixture": "mult45"' in proc.stdout
 
 
 LIBRARY = ("padics", "series", "series_ops", "lubintate", "copolygon", "torsion", "fixtures")

@@ -466,12 +466,16 @@ BENCHMARK_SUPPORTS = pytest.mark.parametrize(
 
 
 @functools.lru_cache(maxsize=None)
-def _benchmark_copolygons(p, heights, degree):
-    """The copolygons of both components of [p]_F = L^{-1}(p L(X)) whose
-    supports the copolygon benchmark reads, built the same way."""
+def _benchmark_p_series(p, heights, degree):
+    """[p]_F = L^{-1}(p L(X)), built as `bench/make_supports.py` builds it."""
     log = build_logarithm(p, heights, degree)
-    p_series = compose(invert_pair(log), log.scale(p))
-    return tuple(Copolygon.from_series(comp) for comp in (p_series.first, p_series.second))
+    return compose(invert_pair(log), log.scale(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_copolygons(p, heights, degree):
+    """The copolygons of both components of the benchmark's [p]_F."""
+    return tuple(map(Copolygon.from_series, _benchmark_p_series(p, heights, degree)))
 
 
 @BENCHMARK_SUPPORTS
@@ -579,13 +583,6 @@ def test_collinear_tie_keeps_the_edge_between_outer_cells():
 
 
 # -- support files are the text of `Copolygon.from_series` -------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _benchmark_p_series(p, heights, degree):
-    """[p]_F = L^{-1}(p L(X)), built as `bench/make_supports.py` builds it."""
-    log = build_logarithm(p, heights, degree)
-    return compose(invert_pair(log), log.scale(p))
 
 
 def _reference_support_text(s):

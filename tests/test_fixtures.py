@@ -3,14 +3,9 @@ import pytest
 from lubintate2d.copolygon import Copolygon
 from lubintate2d.fixtures import FIXTURE_NAMES, frobenius_profile, load_fixture, stored_mult45
 from lubintate2d.lubintate import congruence_report
-from lubintate2d.padics import _check_reach, cross_frobenius
+from lubintate2d.padics import _check_reach
 from lubintate2d.series import Series, SeriesPair
-from paper_checks import to_fraction
-
-
-def _system(p, heights, degree=9):
-    """`padics.cross_frobenius` as truncated series."""
-    return SeriesPair(*(Series.from_coeffs(p, 2, degree, c) for c in cross_frobenius(p, heights)))
+from paper_checks import system_pair, to_fraction
 
 
 def test_stored_sample_header_and_terms():
@@ -22,6 +17,16 @@ def test_stored_sample_header_and_terms():
     second = {e: to_fraction(pair.second.coefficient(e)) for e in pair.second.support()}
     assert first == {(1, 0): 2, (4, 0): 4, (4, 2): 16, (2, 16): 2, (32, 0): 1}
     assert second == {(0, 1): 2, (0, 4): 8, (2, 4): 8, (8, 2): 2, (0, 16): 1}
+
+
+def test_the_stored_sample_is_read_from_no_file(monkeypatch):
+    """The package ships no data file: with `open` refused, the stored
+    sample is still the pinned one."""
+    def refuse(*args, **kwargs):
+        raise OSError("the stored sample opened a file")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    test_stored_sample_header_and_terms()
 
 
 def test_stored_sample_frobenius_profile():
@@ -48,7 +53,7 @@ def test_stored_sample_fails_cross_congruence():
 
 
 def test_cross_profile_on_real_multiplication():
-    profile = frobenius_profile(_system(2, (2, 3)), (2, 3))
+    profile = frobenius_profile(system_pair(2, (2, 3)), (2, 3))
     assert profile["cross"]
     assert profile["first"] == (0, 4)
     assert profile["second"] == (8, 0)
@@ -86,7 +91,7 @@ def test_fixtures_are_the_copolygons_of_their_series():
     assert load_fixture("ex1")[2] == (Copolygon.from_series(ex1),)
     for name, p, hs in (("dyn23", 2, (2, 3)), ("dyn312", 3, (1, 2))):
         _check_reach(p, hs, 9)
-        assert load_fixture(name)[2] == tuple(map(Copolygon.from_series, _system(p, hs)))
+        assert load_fixture(name)[2] == tuple(map(Copolygon.from_series, system_pair(p, hs)))
 
 
 def test_load_fixture_errors():

@@ -9,7 +9,7 @@ from lubintate2d import torsion
 from lubintate2d.copolygon import Copolygon
 from lubintate2d.lubintate import congruence_report
 from lubintate2d.padics import Padic, _check_reach, cross_frobenius
-from lubintate2d.series import Series, SeriesPair, compose, invert_pair
+from lubintate2d.series import compose, invert_pair
 from lubintate2d.torsion import (
     AmbiguousBranchError,
     ValuationProfile,
@@ -23,15 +23,7 @@ from lubintate2d.torsion import (
     torsion_valuations,
     torsion_valuations_via_minplus,
 )
-from paper_checks import count_p_torsion
-
-SWEEP_PARAMS = [(3, (2, 3)), (5, (2, 3)), (7, (3, 4)), (2, (2, 3))]
-
-
-def _system(p, heights, degree):
-    """`padics.cross_frobenius` as truncated series."""
-    return SeriesPair(*(Series.from_coeffs(p, 2, degree, c) for c in cross_frobenius(p, heights)))
-
+from paper_checks import count_p_torsion, system_pair
 
 def test_dynamical_system_shape():
     assert cross_frobenius(2, (2, 3)) == ({(1, 0): 2, (0, 4): 1}, {(0, 1): 2, (8, 0): 1})
@@ -50,7 +42,7 @@ def test_component_copolygons_are_those_of_the_system(p):
         for h2 in range(1, 7):
             if gcd(h1, h2) != 1:
                 continue
-            system = _system(p, (h1, h2), p**max(h1, h2))
+            system = system_pair(p, (h1, h2), p**max(h1, h2))
             assert component_copolygons(p, (h1, h2)) == tuple(map(Copolygon.from_series, system))
 
 
@@ -61,7 +53,7 @@ def test_dynamical_system_satisfies_p_congruences():
     for p in (2, 3, 5, 7):
         for hs in ((h1, h2) for h1 in range(1, 7) for h2 in range(1, 7) if gcd(h1, h2) == 1):
             degree = p**max(hs)
-            report = congruence_report(_system(p, hs, degree), hs)
+            report = congruence_report(system_pair(p, hs, degree), hs)
             assert report.ok, (p, hs, [str(v) for v in report.violations])
             with pytest.raises(ValueError, match=f"monomial: need at least {degree}$"):
                 _check_reach(p, hs, degree - 1)
@@ -100,24 +92,6 @@ def test_input_guards(build, message):
     with pytest.raises(ValueError) as caught:
         build()
     assert type(caught.value) is ValueError and str(caught.value) == message
-
-
-def test_minplus_matches_closed_form():
-    for p, hs in SWEEP_PARAMS:
-        for n in range(1, 7):
-            closed = torsion_valuations(p, hs, n)
-            geometric = torsion_valuations_via_minplus(p, hs, n)
-            assert closed == geometric, (p, hs, n)
-
-
-def test_scaling_identity():
-    for p, hs in SWEEP_PARAMS:
-        h = sum(hs)
-        for n in range(1, 5):
-            deep = torsion_valuations(p, hs, n + 2)
-            shallow = torsion_valuations(p, hs, n)
-            assert deep.v_xi * p**h == shallow.v_xi
-            assert deep.v_eta * p**h == shallow.v_eta
 
 
 def test_minplus_step_from_level_one():
@@ -219,7 +193,7 @@ def test_the_cross_frobenius_limit_law_is_not_integral():
     but the law L^{-1}(L(X) + L(Y)) of their limit has a coefficient of
     valuation -1: D is not [p] of an integral group (p = 2, heights (1, 2))."""
     p, degree = 2, 12
-    system = _system(p, (1, 2), degree)
+    system = system_pair(p, (1, 2), degree)
     iterate, previous = system, None
     for n in range(2, 40):
         previous, iterate = iterate, compose(system, iterate)
@@ -240,15 +214,6 @@ def test_gcd_lemma_hypotheses():
         gcd_lemma(3, 3, 6)  # not coprime
     with pytest.raises(ValueError):
         gcd_lemma(3, 1, 2)
-
-
-def test_gcd_lemma_sweep():
-    from math import gcd
-    for p in (3, 5, 7):
-        for s in range(3, 16, 2):
-            for t in range(2, 16):
-                if gcd(s, t) == 1:
-                    assert gcd_lemma(p, s, t) == 1, (p, s, t)
 
 
 def test_gcd_lemma_raw_counterexample():
