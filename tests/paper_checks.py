@@ -4,7 +4,9 @@ Each takes the library's own values and states one claim of the paper:
 
 - `is_endomorphism`, criterion 05: f(F(X, Y)) = F(f(X), f(Y)), so the
   uncrossed Frobenius pair is rejected with a concrete monomial;
-- `count_p_torsion`, criterion 07: |F[p]| = p^(h1+h2), the closed form;
+- `count_p_torsion` with its helper `colength_mod_p`, criterion 07:
+  |F[p]| read off the reduction of [p]_F modulo p, which the closed form
+  p^(h1+h2) is compared with;
 - `cauchy_gap` with its helper `min_val_plus_degree`, criterion 11: the
   renormalized iterates p^{-k} [p^k]_F converge;
 - `lower_bound_check` with `evaluate_series`, criterion 13:
@@ -24,8 +26,8 @@ evaluated at points of an extension ring.
 from fractions import Fraction
 
 from lubintate2d.copolygon import Copolygon
-from lubintate2d.lubintate import Report, Violation, _differences, multiplication
-from lubintate2d.padics import Padic, _as_heights, _check_prime, cross_frobenius, grlex
+from lubintate2d.lubintate import Report, Violation, _differences, build_group, multiplication
+from lubintate2d.padics import Padic, _as_heights, cross_frobenius, grlex
 from lubintate2d.series import Series, SeriesPair, compose
 
 
@@ -50,12 +52,38 @@ def is_endomorphism(f, group) -> Report:
 # -- criterion 07 -----------------------------------------------------------
 
 
+def colength_mod_p(pair) -> int:
+    """|F[p]|, the colength over F_p of a [p]_F pair reduced modulo p.
+
+    Each component must reduce to a single monomial, a power of one
+    variable, and the two components to powers of different variables,
+    x2^a and x1^b; anything else is a `ValueError`.  Through
+    D = max(p^h1, p^h2) these are the lowest-degree terms of the reduced
+    pair, and they share no tangent line, so the colength is exactly a*b
+    whatever the pair holds past D (Fulton, *Algebraic Curves*, 1969,
+    ch. 3 section 3).
+    """
+    found = []
+    for component in pair:
+        reduction = component.units_mod_p()
+        if len(reduction) != 1:
+            raise ValueError(f"reduction mod p is not one monomial: {sorted(reduction)}")
+        (exponents,) = reduction
+        variables = [i for i, k in enumerate(exponents) if k]
+        if len(variables) != 1:
+            raise ValueError(f"reduction mod p is not a power of one variable: {exponents}")
+        found.append((variables[0], exponents[variables[0]]))
+    (first, a), (second, b) = found
+    if first == second:
+        raise ValueError("both components reduce to powers of the same variable")
+    return a * b
+
+
 def count_p_torsion(p: int, heights) -> int:
-    """Number of p-torsion points including the origin: p^(h1+h2), the
-    paper's closed form."""
-    _check_prime(p)
+    """Number of p-torsion points including the origin, counted on the
+    [p]_F of the group of that prime and heights."""
     hs = _as_heights(heights)
-    return p**hs.total
+    return colength_mod_p(build_group(p, hs, max(p**hs.h1, p**hs.h2)).p_multiplication)
 
 
 # -- criterion 11 -----------------------------------------------------------

@@ -9,7 +9,7 @@ from lubintate2d import torsion
 from lubintate2d.copolygon import Copolygon
 from lubintate2d.lubintate import congruence_report
 from lubintate2d.padics import Padic, _check_reach, cross_frobenius
-from lubintate2d.series import compose, invert_pair
+from lubintate2d.series import Series, SeriesPair, compose, invert_pair
 from lubintate2d.torsion import (
     AmbiguousBranchError,
     ValuationProfile,
@@ -23,7 +23,7 @@ from lubintate2d.torsion import (
     torsion_valuations,
     torsion_valuations_via_minplus,
 )
-from paper_checks import count_p_torsion, system_pair
+from paper_checks import colength_mod_p, count_p_torsion, system_pair
 
 def test_dynamical_system_shape():
     assert cross_frobenius(2, (2, 3)) == ({(1, 0): 2, (0, 4): 1}, {(0, 1): 2, (8, 0): 1})
@@ -163,6 +163,18 @@ def test_profile_report_rejects_n_max_below_one(n_max):
 def test_count_p_torsion():
     assert count_p_torsion(2, (2, 3)) == 32
     assert count_p_torsion(3, (1, 2)) == 27
+
+
+def test_the_count_is_the_colength_of_the_reduced_pair():
+    """(2 x1 + x2^2, 2 x2 + x1^8) reduces to (x2^2, x1^8), colength 16; a
+    first component without its Frobenius monomial reduces to 0, and two
+    powers of x2 cut out no finite scheme."""
+    pair = system_pair(2, (1, 3), 8)
+    assert colength_mod_p(pair) == 16
+    with pytest.raises(ValueError, match="not one monomial"):
+        colength_mod_p(SeriesPair(Series.from_coeffs(2, 2, 8, {(1, 0): 2}), pair.second))
+    with pytest.raises(ValueError, match="same variable"):
+        colength_mod_p(SeriesPair(pair.first, pair.first))
 
 
 def test_p_torsion_report_frozen():
