@@ -217,7 +217,8 @@ def _raw_add(pk: _Powers, a, b):
 class Padic(_Record):
     """A p-adic number at capped relative precision: the boundary type.
 
-    Scalars enter and leave the library as `Padic` values; inside,
+    Scalars enter and leave the library as `Padic` values, a rational as
+    its valuation and unit: 1/2 over Z_2 is ``Padic(2, -1, 1)``.  Inside,
     `series` computes on (val, unit, val + prec) triples with the sum rule
     of `_raw_add`.  The constructor normalises its arguments, so it
     replaces the one of `_Record`.  Nonzero values are canonical: ``unit``
@@ -264,21 +265,6 @@ class Padic(_Record):
     def from_int(cls, p: int, n: int, prec: int = DEFAULT_PRECISION) -> "Padic":
         """n known modulo p**prec."""
         return cls(p, 0, n, prec)
-
-    @classmethod
-    def from_fraction(cls, p: int, q, prec: int = DEFAULT_PRECISION) -> "Padic":
-        """q at relative precision prec."""
-        from fractions import Fraction  # only a rational coefficient loads `fractions`
-
-        _check_prime(p)  # before int_valuation, which never ends for p = 1
-        q = Fraction(q)
-        if q == 0:
-            return cls.zero(p, prec)
-        num, den = q.numerator, q.denominator
-        vn = int_valuation(num, p)
-        vd = int_valuation(den, p)
-        u = (num // p**vn) * pow(den // p**vd, -1, p**prec)
-        return cls(p, vn - vd, u, prec)
 
     # -- predicates -----------------------------------------------------
 

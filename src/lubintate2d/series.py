@@ -9,8 +9,8 @@ A coefficient is stored as a canonical (val, unit, cap) integer triple,
 p**val * unit known modulo p**cap: the unit is coprime to p and reduced
 modulo p**(cap - val), the relative precision a `Padic` keeps.  Only this
 module, with its second half `series_ops`, and `padics` know that.  Values
-enter only through `Series.from_coeffs`, which reads them through `Padic`,
-and leave only through `coefficient`, as a `Padic`; other modules read
+enter only through `Series.from_coeffs`, as ints or `Padic` values, and
+leave only through `coefficient`, as a `Padic`; other modules read
 `terms` for its keys alone.  Every sum applies `padics._raw_add`, the sum
 rule of `Padic`, to these triples: sums call it, and products, scalings
 and substitutions inline it.  None builds a `Padic`.  Two series agree
@@ -102,16 +102,14 @@ class Series(_Record):
 
     @classmethod
     def from_coeffs(cls, p, nvars, degree, coeffs, prec=DEFAULT_PRECISION):
-        """Build from {exponents: int | Fraction | Padic}, an int known
-        modulo p^prec and a Fraction at relative precision `prec`
-        (`Padic.from_int`, `Padic.from_fraction`); the one way in for such
-        values."""
+        """Build from {exponents: int | Padic}, an int known modulo p^prec
+        (`Padic.from_int`); the one way in for such values."""
         terms = {}
         for e, c in coeffs.items():
             if isinstance(c, int):
                 c = Padic.from_int(p, c, prec)
             elif not isinstance(c, Padic):
-                c = Padic.from_fraction(p, c, prec)
+                raise TypeError(f"coefficient {c!r} at {e}: want an int or a Padic")
             if c.p != p:
                 raise ValueError("coefficient prime mismatch")
             terms[e] = (c.val, c.unit, c.val + c.prec)
@@ -190,8 +188,8 @@ class Series(_Record):
         return Series(self.p, self.nvars, self.degree, _unpack(out, self.nvars, radix))
 
     def scale(self, c) -> "Series":
-        """c times the series: the product with c as a constant series, an
-        int or Fraction c read by `from_coeffs` at the default precision."""
+        """c times the series: the product with c as a constant series, c a
+        `Padic` or an int read by `from_coeffs` at the default precision."""
         return self * Series.from_coeffs(self.p, self.nvars, self.degree, {(0,) * self.nvars: c})
 
     # -- reshaping ----------------------------------------------------------

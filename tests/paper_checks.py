@@ -13,7 +13,10 @@ Each takes the library's own values and states one claim of the paper:
   v(f(alpha)) >= V_f(v(alpha)) at a concrete point.
 
 `to_fraction` reads a coefficient as the exact rational the tests compare
-it with, and `system_pair` builds the cross-Frobenius system as series.
+it with, `from_fraction` builds a `Padic` from a rational, and
+`system_pair` builds the cross-Frobenius system as series.
+`forbidden_imports` is the one syntax-tree walk behind the library's
+import rules.
 
 They read one private helper of the library, `lubintate._differences`,
 so they keep its difference rule.  The library never imports this
@@ -23,11 +26,15 @@ p-torsion points as exact elements (ROADMAP items 6 and 7) would bring
 evaluated at points of an extension ring.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
+import lubintate2d
 from lubintate2d.copolygon import Copolygon
 from lubintate2d.lubintate import Report, Violation, _differences, build_group, multiplication
-from lubintate2d.padics import Padic, _as_heights, cross_frobenius, grlex
+from lubintate2d.padics import (DEFAULT_PRECISION, Padic, _as_heights, _check_prime,
+                                cross_frobenius, grlex, int_valuation)
 from lubintate2d.series import Series, SeriesPair, compose
 
 
@@ -174,6 +181,41 @@ def to_fraction(x: Padic) -> Fraction:
     return Fraction(x.balanced_unit()) * Fraction(x.p) ** x.val
 
 
+def from_fraction(p: int, q, prec: int = DEFAULT_PRECISION) -> Padic:
+    """q at relative precision prec."""
+    _check_prime(p)  # before int_valuation, which never ends for p = 1
+    q = Fraction(q)
+    if q == 0:
+        return Padic.zero(p, prec)
+    num, den = q.numerator, q.denominator
+    vn = int_valuation(num, p)
+    vd = int_valuation(den, p)
+    u = (num // p**vn) * pow(den // p**vd, -1, p**prec)
+    return Padic(p, vn - vd, u, prec)
+
+
 def system_pair(p: int, heights, degree: int = 9) -> SeriesPair:
     """`padics.cross_frobenius` as truncated series."""
     return SeriesPair(*(Series.from_coeffs(p, 2, degree, c) for c in cross_frobenius(p, heights)))
+
+
+# -- import rules -----------------------------------------------------------
+
+
+def forbidden_imports(names, modules=None) -> list:
+    """The import statements of the library's modules `modules` (every
+    module of the package if None) that name one of `names`, as
+    `module:line: [names]`.  Every part of a dotted module name counts, and
+    so does every name an import binds, relative imports and imports inside
+    functions included."""
+    bad = []
+    for path in sorted(Path(lubintate2d.__file__).parent.rglob("*.py")):
+        if modules is not None and path.stem not in modules:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named = {part for alias in node.names for part in alias.name.split(".")}
+                named.update((getattr(node, "module", None) or "").split("."))
+                if named & names:
+                    bad.append(f"{path.stem}:{node.lineno}: {sorted(named & names)}")
+    return bad

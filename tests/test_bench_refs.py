@@ -3,7 +3,8 @@
 Each grid command of bench/workloads.py runs in-process through `cli.main`
 in a fresh directory that holds the support files recorded in the
 workload's references.  Its exit code, stdout and every file it writes
-must equal bench/refs/<workload>.json byte for byte.  A traced smoke run
+must equal bench/refs/<workload>.json byte for byte, and it writes nothing
+to stderr, which the references do not record.  A traced smoke run
 of the workloads that bench/test_bench.py does not trace must check every
 command correct.  Nothing under bench/ is written.
 """
@@ -46,12 +47,12 @@ def test_grid_matches_bench_refs(name, tmp_path, monkeypatch):
         ref = refs[cmd.key]
         for out in cmd.outputs:
             (tmp_path / out).unlink(missing_ok=True)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(list(cmd.argv))
         files = {out: (tmp_path / out).read_bytes().decode() for out in cmd.outputs}
-        if (code, stdout.getvalue(), files) != (ref["exit"], ref["stdout"],
-                                                ref.get("files", {})):
+        if (code, stdout.getvalue(), stderr.getvalue(), files) != (
+                ref["exit"], ref["stdout"], "", ref.get("files", {})):
             bad.append(cmd.key)
     assert not bad, f"{len(bad)} of {len(grid)} differ from bench/refs, e.g. {bad[:3]}"
 

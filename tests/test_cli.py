@@ -1,4 +1,3 @@
-import ast
 import json
 import os
 import shutil
@@ -14,6 +13,7 @@ from lubintate2d.copolygon import Copolygon
 from lubintate2d.fixtures import FIXTURE_NAMES
 from lubintate2d.series import dump_sections, parse_sections
 from lubintate2d.torsion import ValuationProfile
+from paper_checks import forbidden_imports
 
 
 EX1_SUPPORT = "2 9\n1 1 1\n4 0 0\n0 5 0\n"
@@ -311,18 +311,7 @@ def test_the_library_imports_no_test_helper():
     """No module of the package imports `paper_checks` or `unramified`:
     pytest puts tests/ on sys.path, so such an import would pass here and
     break the installed `lt2d`."""
-    bad = []
-    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            bad += [f"{path.name}:{node.lineno}: {name}" for name in names
-                    if name.split(".")[0] in ("paper_checks", "unramified")]
-    assert bad == []
+    assert forbidden_imports({"paper_checks", "unramified"}) == []
 
 
 def test_copolygon_offers_every_fixture(capsys):
@@ -627,27 +616,18 @@ def test_copolygon_text_reads_vertices_once(capsys, monkeypatch):
      "torsion.torsion_valuations",
      lambda p, heights, n: ValuationProfile(Fraction(1, 2), Fraction(1, 2)),
      "closed form and min-plus disagree"),
-], ids=["ambiguous-branch", "tie-crossings", "gcd-witnesses", "denominators",
-        "methods-disagree", "sweep-disagrees"])
-def test_a_failed_torsion_self_check_exits_1_as_a_verification_failure(
-        capsys, monkeypatch, argv, target, fake, detail):
-    monkeypatch.setattr(f"lubintate2d.{target}", fake)
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert json.loads(err) == {"error": "verification", "detail": detail}
-
-
-@pytest.mark.parametrize("argv, target, fake, detail", [
-    (("log", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9"), "recursion_defects",
+    (("log", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9"), "lubintate.recursion_defects",
      lambda log, heights: lubintate.Report((lubintate.Violation(1, (0, 4), "recursion", ""),)),
      "logarithm functional equation fails at [(1, (0, 4))]"),
-    (("mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9", "-a", "3"), "multiplication",
+    (("mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9", "-a", "3"),
+     "lubintate.multiplication",
      lambda a, group: group.logarithm,  # x1 + x2^4 / 2: a coefficient of valuation -1
      "[3] has a negative-valuation coefficient"),
-], ids=["log-recursion", "mult-valuation"])
-def test_a_failed_log_or_mult_check_exits_1_as_a_verification_failure(
+], ids=["ambiguous-branch", "tie-crossings", "gcd-witnesses", "denominators",
+        "methods-disagree", "sweep-disagrees", "log-recursion", "mult-valuation"])
+def test_a_failed_self_check_exits_1_as_a_verification_failure(
         capsys, monkeypatch, argv, target, fake, detail):
-    monkeypatch.setattr(lubintate, target, fake)
+    monkeypatch.setattr(f"lubintate2d.{target}", fake)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err.count("\n") == 1
     assert json.loads(err) == {"error": "verification", "detail": detail}

@@ -6,10 +6,11 @@ once, in-process through `cli.main`, over the two acceptance fixtures
 commands `group`, `verify`, `log`, `mult -a 2` and `mult -a 3`, and
 N = 1..11 and 64.  tests/data/low_precision.json pins each cell's exit
 code, its stderr, the sha256 of its stdout, and its lie: how it disagrees
-with its `-N 64` twin, or null.  tests/test_verdict_golden.py checks the
-first three fields of every cell against this module's runs, and
-tests/test_precision_consistency.py the lie; both import the runs from
-here, so each cell still runs once a session.
+with its `-N 64` twin, or null.  `test_low_precision_verdicts` checks the
+first three fields of every cell, in grid order, and the two
+`test_low_precision_*_listed` tests the lie of every container cell (`log`,
+`mult`) and of every verdict cell (`group`, `verify`), null or not, so a
+mended lie fails as surely as a new one.  All read one cached run per cell.
 
 A result claiming k digits agrees with any more precise result in those k
 digits (Caruso, Roe & Vaccon, "Tracking p-adic precision", LMS J. Comput.
@@ -141,6 +142,31 @@ def ledger() -> tuple:
     return tuple(rows)
 
 
+def recorded() -> list:
+    """The entries of tests/data/low_precision.json."""
+    return json.loads(LEDGER.read_text())
+
+
+def test_low_precision_verdicts():
+    def printed(rows) -> list:
+        return [{k: v for k, v in row.items() if k != "lie"} for row in rows]
+    assert printed(ledger()) == printed(recorded())
+
+
+def lies(rows, verdicts: bool) -> dict:
+    """{argv: lie} over the verdict cells of `rows`, or over the container cells."""
+    return {row["argv"]: row["lie"] for row in rows
+            if (row["argv"].split()[2] in VERDICTS) == verdicts}
+
+
+def test_low_precision_containers_lie_only_where_listed():
+    assert lies(ledger(), verdicts=False) == lies(recorded(), verdicts=False)
+
+
+def test_low_precision_verdicts_differ_only_where_listed():
+    assert lies(ledger(), verdicts=True) == lies(recorded(), verdicts=True)
+
+
 def test_the_grid_and_its_reference_runs():
     high = {" ".join(c): run(HIGH, c)[0] for c in commands() if run(HIGH, c)[0] != 0}
     assert high == {" ".join(words(("verify",), *fixture, 6)): 2 for fixture in FIXTURES}
@@ -169,7 +195,7 @@ def test_running_out_of_precision_is_never_a_verdict():
 
 def test_the_known_lie_is_listed():
     # a unit coefficient of [3] at N = 64 that -N 1 does not print
-    entries = {entry["argv"]: entry for entry in json.loads(LEDGER.read_text())}
+    entries = {entry["argv"]: entry for entry in recorded()}
     assert entries["-N 1 mult -p 2 --h1 2 --h2 3 -D 6 -a 3"]["lie"].startswith("mult.1 (0, 4)")
 
 
@@ -216,7 +242,7 @@ def lie_counts(rows: list) -> str:
 
 def record() -> None:
     rows = ledger()
-    old = json.loads(LEDGER.read_text()) if LEDGER.exists() else []
+    old = recorded() if LEDGER.exists() else []
     print("\n".join(changes(old, rows) + [lie_counts(rows)]))
     LEDGER.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n")
 

@@ -13,7 +13,7 @@ from lubintate2d.padics import (
     int_valuation,
     is_prime,
 )
-from paper_checks import to_fraction
+from paper_checks import from_fraction, to_fraction
 
 
 def test_int_valuation():
@@ -73,11 +73,11 @@ def test_cancellation_reduces_precision():
 
 
 def test_fraction_roundtrip():
-    half = Padic.from_fraction(2, Fraction(1, 2))
+    half = from_fraction(2, Fraction(1, 2))
     assert half.valuation == -1
     assert half.unit == 1
     assert to_fraction(half) == Fraction(1, 2)
-    c = Padic.from_fraction(3, Fraction(-7, 9))
+    c = from_fraction(3, Fraction(-7, 9))
     assert c.valuation == -2
     assert to_fraction(c) == Fraction(-7, 9)
 
@@ -199,7 +199,7 @@ def test_precision_floor():
     pytest.param(lambda: (Padic(2, 0, 3), Padic(2.0, 0, 3)), ValueError, "2.0 is not prime",
                  id="float-p-after-int-p"),
     pytest.param(lambda: Padic(True, 0, 1), ValueError, "True is not prime", id="bool-p"),
-    pytest.param(lambda: Padic.from_fraction(0, Fraction(1, 3)), ValueError, "0 is not prime",
+    pytest.param(lambda: from_fraction(0, Fraction(1, 3)), ValueError, "0 is not prime",
                  id="fraction-over-0"),
 ])
 def test_input_guards(build, error, message):

@@ -16,7 +16,7 @@ from lubintate2d.series import (
 )
 from lubintate2d.series_ops import (_ONE, _accumulate, _mul_triples, _pack, _settle,
                                      _triple_power, _unpack)
-from paper_checks import evaluate_series, min_val_plus_degree
+from paper_checks import evaluate_series, from_fraction, min_val_plus_degree
 
 
 def test_constructor_drops_zeros_and_validates():
@@ -36,15 +36,15 @@ def test_constructor_drops_zeros_and_validates():
 
 def test_an_int_is_known_modulo_p_prec_and_a_fraction_to_relative_prec():
     """An int n enters known modulo p^prec, so v_p(n) digits come off its
-    relative precision; a Fraction keeps relative precision prec.  The int
-    rule sets the caps of [p] and [p^2]."""
+    relative precision; a rational (`paper_checks.from_fraction`) keeps
+    relative precision prec.  The int rule sets the caps of [p] and [p^2]."""
     n = Padic.from_int(2, 4, 10)
-    q = Padic.from_fraction(2, Fraction(4), 10)
+    q = from_fraction(2, 4, 10)
     assert (n.val, n.unit, n.prec) == (2, 1, 8)
     assert (q.val, q.unit, q.prec) == (2, 1, 10)
     assert Padic(2, 0, 4, 10).prec == 8  # the constructor keeps val + prec
     assert Series.from_coeffs(2, 1, 3, {(1,): 4}, prec=10).terms == {(1,): (2, 1, 10)}
-    assert Series.from_coeffs(2, 1, 3, {(1,): Fraction(4)}, prec=10).terms == {(1,): (2, 1, 12)}
+    assert Series.from_coeffs(2, 1, 3, {(1,): q}, prec=10).terms == {(1,): (2, 1, 12)}
 
 
 def test_add_mul_truncates():
@@ -59,7 +59,7 @@ def test_add_mul_truncates():
 
 def test_scale_and_neg():
     x1 = Series.variable(3, 2, 4, 0)
-    s = x1.scale(Fraction(1, 3))
+    s = x1.scale(Padic(3, -1, 1))
     assert s.coefficient((1, 0)).valuation == -1
     assert (-s + s).is_zero
 
@@ -98,8 +98,8 @@ def test_raise_vars_drops_overflow():
 
 def hand_logarithm_pair(degree=9):
     """The two-variable pair (x1 + x2^4/2, x2 + x1^8/2) over Z_2."""
-    f1 = Series.from_coeffs(2, 2, degree, {(1, 0): 1, (0, 4): Fraction(1, 2)})
-    f2 = Series.from_coeffs(2, 2, degree, {(0, 1): 1, (8, 0): Fraction(1, 2)})
+    f1 = Series.from_coeffs(2, 2, degree, {(1, 0): 1, (0, 4): Padic(2, -1, 1)})
+    f2 = Series.from_coeffs(2, 2, degree, {(0, 1): 1, (8, 0): Padic(2, -1, 1)})
     return SeriesPair(f1, f2)
 
 
@@ -178,9 +178,9 @@ def test_invert_hand_pair():
     f = hand_logarithm_pair()
     g = invert_pair(f)
     # derived by solving g1 + g2^4/2 = x1 degree by degree
-    assert g.first.coefficient((0, 4)) == Padic.from_fraction(2, Fraction(-1, 2))
+    assert g.first.coefficient((0, 4)) == Padic(2, -1, -1)
     assert g.first.support() == [(1, 0), (0, 4)]
-    assert g.second.coefficient((8, 0)) == Padic.from_fraction(2, Fraction(-1, 2))
+    assert g.second.coefficient((8, 0)) == Padic(2, -1, -1)
     ident = SeriesPair.identity(2, 9)
     assert compose(f, g) == ident
     assert compose(g, f) == ident
@@ -215,7 +215,7 @@ def test_inversion_that_runs_out_of_digits_does_not_converge(monkeypatch):
     inversion stops there.  At N = 8 it converges."""
     def pair(prec):
         return SeriesPair(Series.variable(2, 2, 3, 0, prec),
-                          Series.from_coeffs(2, 2, 3, {(0, 1): 1, (0, 2): Fraction(-1, 4),
+                          Series.from_coeffs(2, 2, 3, {(0, 1): 1, (0, 2): Padic(2, -2, -1, prec),
                                                        (0, 3): 6}, prec))
 
     calls = count_compositions(monkeypatch)
@@ -224,8 +224,8 @@ def test_inversion_that_runs_out_of_digits_does_not_converge(monkeypatch):
     assert len(calls) == 3
     g = invert_pair(pair(8))
     assert g.first == Series.variable(2, 2, 3, 0, 8)
-    assert g.second == Series.from_coeffs(2, 2, 3, {(0, 1): 1, (0, 2): Fraction(1, 4),
-                                                    (0, 3): Fraction(-47, 8)}, 8)
+    assert g.second == Series.from_coeffs(2, 2, 3, {(0, 1): 1, (0, 2): Padic(2, -2, 1, 8),
+                                                    (0, 3): Padic(2, -3, -47, 8)}, 8)
 
 
 def test_a_logarithm_out_of_digits_stops_inverting_once_a_step_repeats(monkeypatch):
@@ -282,6 +282,9 @@ def _x(nvars=2, degree=5, index=0):
                  id="negative-degree"),
     pytest.param(lambda: Series.from_coeffs(4, 1, 3, {(1,): 2, (2,): 6}), ValueError,
                  "4 is not prime", id="coefficients-over-4"),
+    pytest.param(lambda: Series.from_coeffs(2, 1, 3, {(1,): Fraction(1, 2)}), TypeError,
+                 "coefficient Fraction(1, 2) at (1,): want an int or a Padic",
+                 id="fraction-coefficient"),
     pytest.param(lambda: Series(1, 1, 2, {(1,): (0, 1, 3)}), ValueError, "1 is not prime",
                  id="triples-over-1"),
     pytest.param(lambda: Series.zero(6, 2, 3), ValueError, "6 is not prime", id="zero-over-6"),
@@ -321,7 +324,7 @@ def test_input_guards(build, error, message):
 
 
 def test_text_lines_format_and_order():
-    s = Series.from_coeffs(2, 2, 9, {(1, 0): 1, (0, 4): Fraction(1, 2), (8, 0): 0})
+    s = Series.from_coeffs(2, 2, 9, {(1, 0): 1, (0, 4): Padic(2, -1, 1), (8, 0): 0})
     text = dump_sections({"N": 64}, {"s": SeriesPair(s, Series.zero(2, 2, 9))})
     assert text.splitlines() == ['{"D": 9, "N": 64, "p": 2}', "[s.1 v=2 D=9]",
                                  "1 0 : 0 1", "0 4 : -1 1", "[s.2 v=2 D=9]"]
@@ -401,7 +404,7 @@ def test_parse_refuses_a_container_that_disagrees_with_itself(text, detail):
 
 
 def test_min_helpers():
-    s = Series.from_coeffs(2, 2, 9, {(0, 4): Fraction(1, 2), (8, 0): 4})
+    s = Series.from_coeffs(2, 2, 9, {(0, 4): Padic(2, -1, 1), (8, 0): 4})
     assert s.min_total_degree() == 4
     assert s.min_valuation() == -1
     assert min_val_plus_degree(s) == 3  # min(-1 + 4, 2 + 8)
@@ -413,7 +416,7 @@ def test_min_helpers():
 def test_units_mod_p():
     s = Series.from_coeffs(2, 2, 9, {(0, 4): -7, (1, 0): 2, (8, 0): 1})
     assert s.units_mod_p() == {(0, 4): 1, (8, 0): 1}
-    bad = Series.from_coeffs(2, 2, 9, {(0, 4): Fraction(1, 2)})
+    bad = Series.from_coeffs(2, 2, 9, {(0, 4): Padic(2, -1, 1)})
     with pytest.raises(ValueError):
         bad.units_mod_p()
 
