@@ -187,10 +187,11 @@ def cmd_torsion(args) -> int:
         raise UsageError("--csv applies to --ramification output")
     if args.ramification:
         _refuse(args, "--ramification", n="-n", method="--method", sweep="--sweep")
+        report = torsion.ramification_report(p, heights)
         if args.csv:
-            _write_text(args, torsion.ramification_csv([(p, heights)]))
+            _write_text(args, torsion.ramification_csv(report))
         else:
-            _emit_json(args, vars(torsion.ramification_report(p, heights)))
+            _emit_json(args, vars(report))
         return 0
     if args.sweep is not None:
         _refuse(args, "--sweep", n="-n", method="--method")

@@ -251,11 +251,11 @@ def support_text(s: Series) -> str:
 
 def parse_support_text(text: str):
     """Inverse of support_text: (s.p, s.degree, Copolygon.from_series(s))
-    back from its text.  p must be prime, and no monomial may exceed the
-    truncation degree or appear on two lines.
+    back from its text.  Blank lines aside, it reads nothing else: every
+    line after the header is an "i j num/den" row.  p must be prime, and no
+    monomial may exceed the truncation degree or appear on two lines.
     """
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
+    rows = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not rows:
         raise ValueError("empty support file")
     try:

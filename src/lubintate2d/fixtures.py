@@ -49,10 +49,10 @@ def stored_mult45():
 def frobenius_profile(pair: series.SeriesPair, heights) -> dict:
     """What a multiplication-by-p candidate actually looks like mod p.
 
-    Reports the single mod-p monomial of each component (None when the
-    reduction is not a single monic monomial), the sorted total degrees of
-    those monomials, and whether the orientation is crossed: each is a
-    power of the variable of its component's Frobenius monomial in
+    Reads the single mod-p monomial of each component (None when the
+    reduction is not a single monic monomial) and reports the sorted total
+    degrees of those monomials and whether the orientation is crossed: each
+    is a power of the variable of its component's Frobenius monomial in
     `padics.cross_frobenius`.
     """
     monomials = []
@@ -65,13 +65,7 @@ def frobenius_profile(pair: series.SeriesPair, heights) -> dict:
             monomials.append(None)
     cross = all(e is not None and [*map(bool, e)] == [*map(bool, frob)]
                 for e, (_, frob) in zip(monomials, padics.cross_frobenius(pair.p, heights)))
-    exponents = sorted(sum(e) for e in monomials if e is not None)
-    return {
-        "first": monomials[0],
-        "second": monomials[1],
-        "cross": cross,
-        "exponents": exponents,
-    }
+    return {"cross": cross, "exponents": sorted(sum(e) for e in monomials if e is not None)}
 
 
 FIXTURE_NAMES = ("ex1", "dyn23", "dyn312", "mult45")

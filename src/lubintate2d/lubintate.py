@@ -158,7 +158,7 @@ def _multiplier(group: LubinTateGroup, a: int) -> Padic:
     """The scalar a of [a]_F at the group's precision; a nonzero a that is 0
     modulo p^prec is a `PrecisionError` naming the N that holds it."""
     p, prec = group.p, group.prec
-    c = Padic.from_int(p, a, prec)
+    c = Padic(p, 0, a, prec)
     if a and c.is_zero:
         raise PrecisionError(f"[{a}]_F needs N at least {int_valuation(a, p) + 1}: "
                              f"{a} is 0 modulo {p}^{prec}")

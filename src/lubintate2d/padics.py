@@ -218,10 +218,11 @@ class Padic(_Record):
     """A p-adic number at capped relative precision: the boundary type.
 
     Scalars enter and leave the library as `Padic` values, a rational as
-    its valuation and unit: 1/2 over Z_2 is ``Padic(2, -1, 1)``.  Inside,
-    `series` computes on (val, unit, val + prec) triples with the sum rule
-    of `_raw_add`.  The constructor normalises its arguments, so it
-    replaces the one of `_Record`.  Nonzero values are canonical: ``unit``
+    its valuation and unit: 1/2 over Z_2 is ``Padic(2, -1, 1)``, and an int
+    n known modulo p**prec is ``Padic(p, 0, n, prec)``.  Inside, `series`
+    computes on (val, unit, val + prec) triples with the sum rule of
+    `_raw_add`.  The constructor normalises its arguments, so it replaces
+    the one of `_Record`.  Nonzero values are canonical: ``unit``
     is coprime to p and reduced to the range [1, p**prec); a factor p**k of
     the given unit moves into ``val`` and off ``prec``, keeping val + prec.
     The exact zero has ``unit == 0`` and no valuation; a relative precision
@@ -254,17 +255,6 @@ class Padic(_Record):
             if unit:
                 unit %= p**prec
         self.__dict__.update(p=p, val=val, unit=unit, prec=prec)
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, p: int, prec: int = DEFAULT_PRECISION) -> "Padic":
-        return cls(p, 0, 0, prec)
-
-    @classmethod
-    def from_int(cls, p: int, n: int, prec: int = DEFAULT_PRECISION) -> "Padic":
-        """n known modulo p**prec."""
-        return cls(p, 0, n, prec)
 
     # -- predicates -----------------------------------------------------
 
@@ -301,7 +291,7 @@ class Padic(_Record):
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return Padic.zero(self.p, min(self.prec, other.prec))
+            return Padic(self.p, 0, 0, min(self.prec, other.prec))
         m = min(self.prec, other.prec)
         return Padic(self.p, self.val + other.val, (self.unit * other.unit) % self.p**m, m)
 

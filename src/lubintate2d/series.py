@@ -102,12 +102,12 @@ class Series(_Record):
 
     @classmethod
     def from_coeffs(cls, p, nvars, degree, coeffs, prec=DEFAULT_PRECISION):
-        """Build from {exponents: int | Padic}, an int known modulo p^prec
-        (`Padic.from_int`); the one way in for such values."""
+        """Build from {exponents: int | Padic}, an int c known modulo p^prec
+        (``Padic(p, 0, c, prec)``); the one way in for such values."""
         terms = {}
         for e, c in coeffs.items():
             if isinstance(c, int):
-                c = Padic.from_int(p, c, prec)
+                c = Padic(p, 0, c, prec)
             elif not isinstance(c, Padic):
                 raise TypeError(f"coefficient {c!r} at {e}: want an int or a Padic")
             if c.p != p:
@@ -126,7 +126,7 @@ class Series(_Record):
 
     def coefficient(self, e) -> Padic:
         t = self.terms.get(tuple(e))
-        return Padic.zero(self.p) if t is None else Padic(self.p, t[0], t[1], t[2] - t[0])
+        return Padic(self.p, 0, 0) if t is None else Padic(self.p, t[0], t[1], t[2] - t[0])
 
     def min_total_degree(self):
         """Least total degree with a nonzero term, or None for zero."""

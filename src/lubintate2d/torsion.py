@@ -156,16 +156,9 @@ def profile_report(p: int, heights, n_max: int) -> list:
 # -- ramification -----------------------------------------------------------
 
 
-def gcd_lemma_raw(p: int, s: int, t: int) -> int:
-    """gcd((p^s - 1)/2, (p^t + 1)/2) with no hypothesis checking."""
-    _check_prime(p)
-    if p == 2:
-        raise ValueError("the halved gcd needs an odd prime")
-    return gcd((p**s - 1) // 2, (p**t + 1) // 2)
-
-
 def gcd_lemma(p: int, s: int, t: int) -> int:
-    """The halved gcd under the hypotheses that force it to be 1.
+    """The halved gcd gcd((p^s - 1)/2, (p^t + 1)/2) under the hypotheses
+    that force it to be 1.
 
     Requires p odd, s and t coprime, both at least 2, s odd.
     """
@@ -175,7 +168,10 @@ def gcd_lemma(p: int, s: int, t: int) -> int:
         raise ValueError("s must be odd")
     if gcd(s, t) != 1:
         raise ValueError("s and t must be coprime")
-    return gcd_lemma_raw(p, s, t)
+    _check_prime(p)
+    if p == 2:
+        raise ValueError("the halved gcd needs an odd prime")
+    return gcd((p**s - 1) // 2, (p**t + 1) // 2)
 
 
 class RamificationReport(_Record):
@@ -212,12 +208,9 @@ def ramification_report(p: int, heights) -> RamificationReport:
     return RamificationReport(p, hs.h1, hs.h2, degree, level1.v_xi, level1.v_eta, w1, w2)
 
 
-def ramification_csv(params) -> str:
-    """CSV table of ramification degrees for (p, (h1, h2)) parameter pairs."""
-    lines = ["p,h1,h2,degree,v_xi,v_eta,witness_h1,witness_h2"]
-    for p, heights in params:
-        r = ramification_report(p, heights)
-        lines.append(f"{r.p},{r.h1},{r.h2},{r.degree},"
-                     f"{fraction_str(r.v_xi)},{fraction_str(r.v_eta)},"
-                     f"{r.witness_h1},{r.witness_h2}")
-    return "\n".join(lines) + "\n"
+def ramification_csv(report: RamificationReport) -> str:
+    """One report as a CSV header and row: the keys of its JSON form,
+    `vars(report)`, and their values, a rational as num/den."""
+    row = vars(report)
+    values = (fraction_str(v) if isinstance(v, Fraction) else str(v) for v in row.values())
+    return f"{','.join(row)}\n{','.join(values)}\n"

@@ -16,7 +16,8 @@ Each takes the library's own values and states one claim of the paper:
 it with, `from_fraction` builds a `Padic` from a rational, and
 `system_pair` builds the cross-Frobenius system as series.
 `forbidden_imports` is the one syntax-tree walk behind the library's
-import rules.
+import rules, and `run_lt2d` the one in-process `lt2d` runner of the
+golden suites.
 
 They read one private helper of the library, `lubintate._differences`,
 so they keep its difference rule.  The library never imports this
@@ -27,10 +28,13 @@ evaluated at points of an extension ring.
 """
 
 import ast
+import contextlib
+import io
 from fractions import Fraction
 from pathlib import Path
 
 import lubintate2d
+from lubintate2d import cli
 from lubintate2d.copolygon import Copolygon
 from lubintate2d.lubintate import Report, Violation, _differences, build_group, multiplication
 from lubintate2d.padics import (DEFAULT_PRECISION, Padic, _as_heights, _check_prime,
@@ -147,7 +151,7 @@ def evaluate_series(s, point) -> Padic:
         for _ in range(s.degree):
             row.append(row[-1] * x)
         powers.append(row)
-    total = Padic.zero(s.p, min(x.prec for x in point))
+    total = Padic(s.p, 0, 0, min(x.prec for x in point))
     for e in sorted(s.terms, key=grlex):
         total = total + s.coefficient(e) * powers[0][e[0]] * powers[1][e[1]]
     return total
@@ -186,7 +190,7 @@ def from_fraction(p: int, q, prec: int = DEFAULT_PRECISION) -> Padic:
     _check_prime(p)  # before int_valuation, which never ends for p = 1
     q = Fraction(q)
     if q == 0:
-        return Padic.zero(p, prec)
+        return Padic(p, 0, 0, prec)
     num, den = q.numerator, q.denominator
     vn = int_valuation(num, p)
     vd = int_valuation(den, p)
@@ -219,3 +223,15 @@ def forbidden_imports(names, modules=None) -> list:
                 if named & names:
                     bad.append(f"{path.stem}:{node.lineno}: {sorted(named & names)}")
     return bad
+
+
+# -- running lt2d -----------------------------------------------------------
+
+
+def run_lt2d(argv) -> tuple:
+    """(exit code, stdout, stderr) of `lt2d argv`, run in-process through
+    `cli.main` in the current directory."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()

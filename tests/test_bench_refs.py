@@ -9,9 +9,7 @@ of the workloads that bench/test_bench.py does not trace must check every
 command correct.  Nothing under bench/ is written.
 """
 
-import contextlib
 import importlib.util
-import io
 import json
 import subprocess
 import sys
@@ -19,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from lubintate2d import cli
+from paper_checks import run_lt2d
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -47,12 +45,9 @@ def test_grid_matches_bench_refs(name, tmp_path, monkeypatch):
         ref = refs[cmd.key]
         for out in cmd.outputs:
             (tmp_path / out).unlink(missing_ok=True)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(list(cmd.argv))
+        code, stdout, stderr = run_lt2d(cmd.argv)
         files = {out: (tmp_path / out).read_bytes().decode() for out in cmd.outputs}
-        if (code, stdout.getvalue(), stderr.getvalue(), files) != (
-                ref["exit"], ref["stdout"], "", ref.get("files", {})):
+        if (code, stdout, stderr, files) != (ref["exit"], ref["stdout"], "", ref.get("files", {})):
             bad.append(cmd.key)
     assert not bad, f"{len(bad)} of {len(grid)} differ from bench/refs, e.g. {bad[:3]}"
 

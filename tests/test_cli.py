@@ -513,8 +513,9 @@ def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named)
     ("x 9\n1 1 1/1\n", "header must be two integers: p and truncation degree"),
     ("2\n1 1 1/1\n", "header must be two integers: p and truncation degree"),
     ("2 9\n1 1 1/1\n0 0 2\n1 1 0\n", "support line '1 1 0' repeats the monomial (1, 1)"),
+    ("2 9\n# ex1\n1 1 1\n", "malformed support line: '# ex1'"),
 ], ids=["composite-p", "past-degree", "bad-exponent", "zero-denominator", "two-fields",
-        "bad-header", "short-header", "repeated-monomial"])
+        "bad-header", "short-header", "repeated-monomial", "comment-line"])
 def test_bad_support_file_is_one_usage_line(capsys, tmp_path, text, detail):
     path = tmp_path / "bad.support"
     path.write_text(text)

@@ -182,16 +182,16 @@ def test_tie_segments_against_grid_scan():
 
 def test_evaluate_series_value():
     f = ex1_series()
-    two = Padic.from_int(2, 2)
+    two = Padic(2, 0, 2)
     value = evaluate_series(f, (two, two))
-    assert value == Padic.from_int(2, 56)
+    assert value == Padic(2, 0, 56)
     assert value.valuation == 3
     assert (value.val, value.unit, value.prec) == (3, 7, 63)  # 56 = 2^3 * 7
 
 
 def test_lower_bound_at_concrete_point():
     f = ex1_series()
-    two = Padic.from_int(2, 2)
+    two = Padic(2, 0, 2)
     cp = Copolygon.from_series(f)
     assert cp.evaluate((1, 1)) == 3  # equality case: bound is attained
     assert lower_bound_check(f, (two, two))
@@ -199,7 +199,7 @@ def test_lower_bound_at_concrete_point():
 
 def test_lower_bound_survives_exact_cancellation():
     f = Series.from_coeffs(2, 2, 5, {(1, 0): 1, (0, 1): -1})
-    two = Padic.from_int(2, 2)
+    two = Padic(2, 0, 2)
     assert evaluate_series(f, (two, two)).is_zero
     assert lower_bound_check(f, (two, two))
     rough = Padic(2, 1, 1, 1)  # 2 + O(2^2): one known digit per coordinate
@@ -210,7 +210,7 @@ def test_lower_bound_survives_exact_cancellation():
 def test_lower_bound_rejects_zero_coordinate():
     f = ex1_series()
     with pytest.raises(ValueError):
-        lower_bound_check(f, (Padic.zero(2), Padic.from_int(2, 2)))
+        lower_bound_check(f, (Padic(2, 0, 0), Padic(2, 0, 2)))
 
 
 def test_lower_bound_random_sweep():
@@ -224,8 +224,8 @@ def test_lower_bound_random_sweep():
         f = Series.from_coeffs(p, 2, 8, terms)
         if not f.terms:
             continue
-        pt = (Padic.from_int(p, rng.randrange(1, 40) * p**rng.randrange(0, 3)),
-              Padic.from_int(p, rng.randrange(1, 40) * p**rng.randrange(0, 3)))
+        pt = (Padic(p, 0, rng.randrange(1, 40) * p**rng.randrange(0, 3)),
+              Padic(p, 0, rng.randrange(1, 40) * p**rng.randrange(0, 3)))
         assert lower_bound_check(f, pt)
         value = evaluate_series(f, pt)
         if not value.is_zero:

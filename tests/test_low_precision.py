@@ -41,18 +41,16 @@ per command before it writes.
 """
 
 import collections
-import contextlib
 import functools
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from lubintate2d import cli
 from lubintate2d.series import parse_sections
+from paper_checks import run_lt2d
 
 LEDGER = Path(__file__).resolve().parent / "data" / "low_precision.json"
 FIXTURES = ((2, 2, 3), (3, 1, 2))
@@ -78,10 +76,7 @@ def commands() -> list:
 @functools.lru_cache(maxsize=None)
 def run(prec: int, command: tuple) -> tuple:
     """(exit code, stdout, stderr) of the command at `-N prec`."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(["-N", str(prec), *command])
-    return code, stdout.getvalue(), stderr.getvalue()
+    return run_lt2d(["-N", str(prec), *command])
 
 
 @functools.lru_cache(maxsize=None)

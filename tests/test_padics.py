@@ -39,21 +39,28 @@ def test_construction_canonicalizes_unit():
 
 
 def test_exact_zero_sentinel():
-    z = Padic.zero(3)
+    z = Padic(3, 0, 0)
     assert z.is_zero
     assert z.valuation is None
-    assert Padic.from_int(3, 0).is_zero
     # a unit all of whose known digits vanish collapses to zero
     assert Padic(2, 0, 8, 3).is_zero
 
 
 def test_add_and_sub_basics():
-    one = Padic.from_int(2, 1)
-    two = Padic.from_int(2, 2)
-    assert one + two == Padic.from_int(2, 3)
-    assert (one + Padic.from_int(2, -1)).is_zero
+    one = Padic(2, 0, 1)
+    two = Padic(2, 0, 2)
+    assert one + two == Padic(2, 0, 3)
+    assert (one + Padic(2, 0, -1)).is_zero
     assert one * two == Padic(2, 1, 1)
     assert two.valuation == 1
+
+
+@pytest.mark.xfail(reason="a sum that cancels below its known digits is the exact "
+                          "zero, not zero modulo its cap (ROADMAP item 1)")
+def test_a_cancelled_sum_keeps_its_cap():
+    # 5 + 3 known modulo 2^3 has no digit that tells it from 8; today the
+    # sum is Padic(2, 0), and adding 8 to it prints 2^3 * 1 + O(2^67)
+    assert Padic(2, 0, 5, 3) + Padic(2, 0, 3, 3) == Padic(2, 3, 1)
 
 
 def test_mul_valuations_add():
@@ -88,7 +95,7 @@ def test_eq_uses_min_shared_precision():
     c = Padic(2, 0, 1 + 2**40, 50)
     assert a == b  # units agree modulo 2^50
     assert a != c
-    assert a != Padic.zero(2)
+    assert a != Padic(2, 0, 0)
 
 
 def test_division_errors():
@@ -102,7 +109,7 @@ def test_values_over_two_primes_are_unequal():
     two, three = Padic(2, 0, 1), Padic(3, 0, 1)
     assert two != three and not two == three
     assert two not in [three]
-    assert Padic.zero(2) != Padic.zero(3)
+    assert Padic(2, 0, 0) != Padic(3, 0, 0)
     with pytest.raises(ValueError):
         two + three
 
@@ -166,8 +173,8 @@ def test_mul_valuation_additivity_random():
             n = rng.randrange(-(10**6), 10**6)
             if m == 0 or n == 0:
                 continue
-            a = Padic.from_int(p, m)
-            b = Padic.from_int(p, n)
+            a = Padic(p, 0, m)
+            b = Padic(p, 0, n)
             assert (a * b).valuation == a.valuation + b.valuation
             s = a + b
             if not s.is_zero:

@@ -11,8 +11,6 @@ Re-record the goldens, only when an output change is intended, with
     PYTHONPATH=src python3 tests/test_readme_examples.py --record
 """
 
-import contextlib
-import io
 import json
 import os
 import shlex
@@ -22,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from lubintate2d import cli
+from paper_checks import run_lt2d
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "readme"
@@ -42,17 +40,15 @@ def readme_examples() -> list:
 
 def run_example(argv, workdir) -> dict:
     """Exit code, stdout, stderr and written files of one example."""
-    stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(list(argv))
+        code, stdout, stderr = run_lt2d(argv)
     finally:
         os.chdir(cwd)
     files = {p.name: p.read_bytes() for p in sorted(Path(workdir).iterdir())}
-    return {"exit": code, "stdout": stdout.getvalue().encode("utf-8"),
-            "stderr": stderr.getvalue().encode("utf-8"), "files": files}
+    return {"exit": code, "stdout": stdout.encode("utf-8"),
+            "stderr": stderr.encode("utf-8"), "files": files}
 
 
 def _manifest() -> list:

@@ -20,7 +20,7 @@ from paper_checks import evaluate_series, from_fraction, min_val_plus_degree
 
 
 def test_constructor_drops_zeros_and_validates():
-    z = Padic.zero(2)
+    z = Padic(2, 0, 0)
     s = Series.from_coeffs(2, 2, 5, {(1, 0): Padic(2, 0, 1), (0, 1): z})
     assert s.support() == [(1, 0)]
     assert Series(2, 2, 5, {(1, 0): (0, 1, 64), (0, 1): (0, 0, 64)}).support() == [(1, 0)]
@@ -38,7 +38,7 @@ def test_an_int_is_known_modulo_p_prec_and_a_fraction_to_relative_prec():
     """An int n enters known modulo p^prec, so v_p(n) digits come off its
     relative precision; a rational (`paper_checks.from_fraction`) keeps
     relative precision prec.  The int rule sets the caps of [p] and [p^2]."""
-    n = Padic.from_int(2, 4, 10)
+    n = Padic(2, 0, 4, 10)
     q = from_fraction(2, 4, 10)
     assert (n.val, n.unit, n.prec) == (2, 1, 8)
     assert (q.val, q.unit, q.prec) == (2, 1, 10)
@@ -53,7 +53,7 @@ def test_add_mul_truncates():
     s = x1 + x2
     sq = s * s
     assert sq.coefficient((2, 0)) == Padic(2, 0, 1)
-    assert sq.coefficient((1, 1)) == Padic.from_int(2, 2)
+    assert sq.coefficient((1, 1)) == Padic(2, 0, 2)
     assert (sq * x1).is_zero  # degree 3 terms all dropped at D=2
 
 
@@ -75,7 +75,7 @@ def test_reshaping_helpers():
     r = s.raise_vars(2)
     assert r.support() == [(2, 0), (0, 8)]
     assert r.coefficient((2, 0)) == Padic(2, 0, 1)
-    assert r.coefficient((0, 8)) == Padic.from_int(2, 3)
+    assert r.coefficient((0, 8)) == Padic(2, 0, 3)
     assert s.raise_vars(1) == s
 
     e = s.embed(4, (2, 3))
@@ -87,7 +87,7 @@ def test_reshaping_helpers():
     el = Series.from_coeffs(2, 4, 8, {(1, 0, 0, 0): 5, (1, 0, 2, 0): 7}).eliminate_zeros((2, 3))
     assert el.nvars == 2
     assert el.support() == [(1, 0)]
-    assert el.coefficient((1, 0)) == Padic.from_int(2, 5)
+    assert el.coefficient((1, 0)) == Padic(2, 0, 5)
 
 
 def test_raise_vars_drops_overflow():
@@ -105,7 +105,7 @@ def hand_logarithm_pair(degree=9):
 
 def test_compose_with_scaled_identity():
     f = hand_logarithm_pair()
-    two = Padic.from_int(2, 2)
+    two = Padic(2, 0, 2)
     inner = SeriesPair.identity(2, 9).scale(two)
     out = compose(f, inner)
     # 2^4 / 2 = 2^3 on the x2^4 monomial
@@ -140,7 +140,7 @@ def random_series(rng, p, nvars, degree, allow_const=False, allow_linear=True):
             continue
         if total == 1 and not allow_linear:
             continue
-        terms[e] = Padic.from_int(p, rng.randrange(-20, 21))
+        terms[e] = Padic(p, 0, rng.randrange(-20, 21))
     return Series.from_coeffs(p, nvars, degree, terms)
 
 
@@ -248,7 +248,7 @@ def random_integral_unit_pair(rng, p, degree):
     for _ in range(rng.randrange(1, 6)):
         e = (rng.randrange(0, degree), rng.randrange(0, degree))
         if 2 <= sum(e) <= degree:
-            (a if rng.random() < 0.5 else b)[e] = Padic.from_int(p, rng.randrange(-9, 10))
+            (a if rng.random() < 0.5 else b)[e] = Padic(p, 0, rng.randrange(-9, 10))
     return ident + SeriesPair(Series.from_coeffs(p, 2, degree, a),
                               Series.from_coeffs(p, 2, degree, b))
 
@@ -580,7 +580,7 @@ def test_kernels_do_no_padic_arithmetic(monkeypatch):
 def test_series_operations_build_no_padic(monkeypatch):
     a, b = hand_logarithm_pair()
     four = a.embed(4, (0, 1)) + b.embed(4, (2, 3))
-    two = Padic.from_int(2, 2)
+    two = Padic(2, 0, 2)
     built = []
 
     def counted(self, *args, __init__=Padic.__init__):

@@ -15,7 +15,6 @@ from lubintate2d.torsion import (
     ValuationProfile,
     component_copolygons,
     gcd_lemma,
-    gcd_lemma_raw,
     hypothesis_status,
     profile_report,
     ramification_csv,
@@ -220,8 +219,8 @@ def test_gcd_lemma_hypotheses():
 
 def test_gcd_lemma_raw_counterexample():
     # dropping the coprimality hypothesis breaks the lemma
-    assert gcd_lemma_raw(3, 6, 3) == 14
-    assert gcd_lemma_raw(3, 5, 2) == 1
+    assert gcd((3**6 - 1) // 2, (3**3 + 1) // 2) == 14
+    assert gcd_lemma(3, 5, 2) == 1
 
 
 def test_ramification_frozen_degrees():
@@ -233,9 +232,9 @@ def test_ramification_frozen_degrees():
 
 def test_ramification_witness_values():
     # at (5, (2, 3)) the witnesses certify coprimality against 13 and 63
-    assert gcd_lemma_raw(5, 5, 2) == 1
+    assert gcd_lemma(5, 5, 2) == 1
     assert (5**2 + 1) // 2 == 13 and (5**3 + 1) // 2 == 63
-    assert gcd_lemma_raw(5, 5, 3) == 1
+    assert gcd_lemma(5, 5, 3) == 1
 
 
 def test_ramification_hypothesis_errors():
@@ -250,10 +249,8 @@ def test_ramification_hypothesis_errors():
 
 
 def test_ramification_csv():
-    text = ramification_csv([(3, (2, 3)), (5, (2, 3))])
-    assert text == (
+    assert ramification_csv(ramification_report(5, (2, 3))) == (
         "p,h1,h2,degree,v_xi,v_eta,witness_h1,witness_h2\n"
-        "3,2,3,121,5/121,14/121,1,1\n"
         "5,2,3,1562,13/1562,63/1562,1,1\n"
     )
 
