@@ -30,6 +30,7 @@ Outputs are deterministic byte-for-byte for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 # Modules, not names: all but padics load on first use (see the package
@@ -317,6 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  With no argv, `main`
+    runs the process's own command, from sys.argv, and assumes the
+    process ends after it: once the answer is written it freezes the
+    collector, so the interpreter's shutdown collections have nothing
+    left to walk.  atexit handlers and stream flushing still run."""
     if hasattr(sys, "set_int_max_str_digits"):
         # a unit known modulo p^N prints more than the default 4300 digits
         # from about N = 14300 at p = 2: a valid -N, not a bad input
@@ -337,6 +343,9 @@ def main(argv=None) -> int:
             raise  # not a bad path, e.g. a closed stdout
         _fail("usage", str(exc))
         return 2
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -269,25 +269,29 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
 # -- the text container -----------------------------------------------------
 #
 # The one place that knows the layout.  A container is one JSON header line
-# (sorted keys) followed by named pairs; pair `name` is written as two
-# sections, "[name.1 v=<nvars> D=<degree>]" and "[name.2 ...]", each with
-# one term per line, "e1 e2 ... ev : valuation unit", in graded-lex order.
-# The header's "p" and "D" are the pairs' own; callers add their keys (the
-# heights, "N", a multiplier "a").  Coefficients are read back at the
+# followed by named pairs; pair `name` is written as two sections,
+# "[name.1 v=<nvars> D=<degree>]" and "[name.2 ...]", each with one term
+# per line, "e1 e2 ... ev : valuation unit", in graded-lex order.  The
+# header's "p" and "D" are the pairs' own; callers add their keys (the
+# heights, "N", a multiplier "a").  Its values are integers, so
+# `dump_sections` writes the line itself, byte for byte as
+# json.dumps(header, sort_keys=True, separators=(", ", ": ")) would, and
+# only `parse_sections` imports `json`.  Coefficients are read back at the
 # header's "N" (default DEFAULT_PRECISION).
 
 
 def dump_sections(header: dict, pairs: dict) -> str:
     """The container of {name: SeriesPair} under `header`, whose "p" and
-    "D" are filled in from the pairs."""
-    import json
-
+    "D" are filled in from the pairs.  The header holds integers only:
+    any other value is a `TypeError`."""
     shapes = {(pair.p, pair.degree) for pair in pairs.values()}
     if len(shapes) != 1:
         raise ValueError("a container holds pairs of one prime and one degree")
     (p, degree), = shapes
     header = {**header, "p": p, "D": degree}
-    lines = [json.dumps(header, sort_keys=True, separators=(", ", ": "))]
+    if any(type(v) is not int for v in header.values()):
+        raise TypeError(f"a container header holds integers only, got {header}")
+    lines = ["{" + ", ".join(f'"{k}": {v}' for k, v in sorted(header.items())) + "}"]
     for name, pair in pairs.items():
         for idx, s in enumerate(pair, 1):
             lines.append(f"[{name}.{idx} v={s.nvars} D={s.degree}]")

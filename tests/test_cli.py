@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ from lubintate2d.copolygon import Copolygon
 from lubintate2d.fixtures import FIXTURE_NAMES
 from lubintate2d.series import dump_sections, parse_sections
 from lubintate2d.torsion import ValuationProfile
-from paper_checks import forbidden_imports
+from paper_checks import forbidden_imports, run_lt2d
 
 
 EX1_SUPPORT = "2 9\n1 1 1\n4 0 0\n0 5 0\n"
@@ -260,8 +261,8 @@ RATIONAL = {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize("argv, code, runs, stdlib", [
-    (("mult", *PARAMS, "-D", "8", "-a", "2"), 0, {"lubintate", *SERIES}, {"json"}),
-    (("log", *PARAMS, "-D", "8"), 0, {"lubintate", *SERIES}, {"json"}),
+    (("mult", *PARAMS, "-D", "8", "-a", "2"), 0, {"lubintate", *SERIES}, set()),
+    (("log", *PARAMS, "-D", "8"), 0, {"lubintate", *SERIES}, set()),
     (("verify", "--fixture", "mult45"), 1, {"fixtures", "lubintate", *SERIES}, {"json"}),
     (("torsion", *PARAMS), 0, {"copolygon", "torsion"}, {*RATIONAL, "json"}),
     (("torsion", *PARAMS, "-n", "4"), 0, {"copolygon", "torsion"}, {*RATIONAL, "json"}),
@@ -278,7 +279,7 @@ RATIONAL = {"fractions", "decimal"}
      {"copolygon", "fixtures", *SERIES}, {*RATIONAL, "json"}),
     (("copolygon", "--fixture", "dyn312", "--json"), 0, {"copolygon", "fixtures", "torsion"},
      {*RATIONAL, "json"}),
-    (("group", *PARAMS, "-D", "9"), 0, {"lubintate", *SERIES}, {"json"}),
+    (("group", *PARAMS, "-D", "9"), 0, {"lubintate", *SERIES}, set()),
     (("verify", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9"), 0, {"lubintate", *SERIES},
      {"json"}),
     (("verify", "-p", "3", "--h1", "1", "--h2", "2", "-D", "9", "--unramified-degree", "3"),
@@ -295,10 +296,11 @@ RATIONAL = {"fractions", "decimal"}
         "verify-short-degree"])
 def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, code, runs, stdlib):
     """`series` compiles only where a series is built, and `json` only where
-    JSON is written or a series container is read.  Each command runs on
-    the standard library alone, `-S` keeping site-packages off the path,
-    and returns its exit code: 1 a failed axiom, 2 bad usage, 3 lost
-    precision."""
+    JSON is written or a series container is read: a container's header
+    line is written without it, but a failure's error line is JSON.  Each
+    command runs on the standard library alone, `-S` keeping site-packages
+    off the path, and returns its exit code: 1 a failed axiom, 2 bad
+    usage, 3 lost precision."""
     support = tmp_path / "support.txt"
     support.write_text(EX1_SUPPORT)
     files = {"SUPPORT": str(support), "SVG": str(tmp_path / "out.svg")}
@@ -312,6 +314,34 @@ def test_the_library_imports_no_test_helper():
     pytest puts tests/ on sys.path, so such an import would pass here and
     break the installed `lt2d`."""
     assert forbidden_imports({"paper_checks", "unramified"}) == []
+
+
+def test_every_file_the_library_opens_is_closed_by_a_with():
+    """The process entry point freezes the collector and leaves the rest
+    to shutdown, so no file may rely on being collected to be flushed or
+    closed: each `open(...)` in the package is the context of a `with`."""
+    opened, held = [], set()
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.withitem):
+                held.add(node.context_expr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                opened.append((f"{path.stem}:{node.lineno}", node))
+    assert opened
+    assert [where for where, node in opened if node not in held] == []
+
+
+def test_only_the_process_entry_point_freezes_the_collector(capsys, monkeypatch):
+    """With no argv, `main` runs sys.argv's command and then freezes the
+    collector once, after the answer is on stdout; with an argv, as the
+    tests and the traced benchmark call it, it never freezes."""
+    argv = ["torsion", *PARAMS]
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "argv", ["lt2d", *argv])
+    assert cli.main() == 0
+    assert len(frozen) == 1 and json.loads(frozen[0])["v_xi"] == "5/31"
+    assert cli.main(argv) == 0 and len(frozen) == 1
 
 
 def test_copolygon_offers_every_fixture(capsys):
@@ -344,19 +374,27 @@ _SEEDED = [
 ]
 
 
-def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    """Under either seed, each child prints what the same argv prints in
+    process, and writes the same picture, so two children cut short
+    alike do not pass."""
+    argvs = [argv for _, *argv in _SEEDED]
     outputs = {}
-    for seed in ("0", "1"):
+    for seed in ("0", "1", "in-process"):
         cwd = tmp_path / seed
         cwd.mkdir()
         (cwd / "ex1.support").write_text(EX1_SUPPORT)
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
-        runs = [subprocess.run([sys.executable, "-B", "-m", "lubintate2d.cli", *argv],
-                               cwd=cwd, env=env, capture_output=True)
-                for _, *argv in _SEEDED]
-        assert [proc.returncode for proc in runs] == [code for code, *_ in _SEEDED], seed
-        outputs[seed] = [proc.stdout for proc in runs], (cwd / "dyn312.svg").read_bytes()
-    assert outputs["0"] == outputs["1"]
+        if seed == "in-process":
+            monkeypatch.chdir(cwd)
+            runs = [(code, out.encode()) for code, out, _ in map(run_lt2d, argvs)]
+        else:
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+            runs = [(proc.returncode, proc.stdout) for proc in (
+                subprocess.run([sys.executable, "-B", "-m", "lubintate2d.cli", *argv],
+                               cwd=cwd, env=env, capture_output=True) for argv in argvs)]
+        assert [code for code, _ in runs] == [code for code, *_ in _SEEDED], seed
+        outputs[seed] = [out for _, out in runs], (cwd / "dyn312.svg").read_bytes()
+    assert outputs["0"] == outputs["1"] == outputs["in-process"]
 
 
 def test_verify_builds_p_multiplication_once(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -339,6 +340,17 @@ def test_dump_parse_roundtrip():
     assert list(pairs) == ["log", "id"]
     assert pairs["log"] == f and pairs["id"] == g
     assert dump_sections(header, pairs) == text
+
+
+@pytest.mark.parametrize("header", [{"N": 64}, {"h1": 2, "h2": 3, "N": 64, "a": 9}])
+def test_header_line_is_the_json_line(header):
+    # written without `json`, byte for byte as json.dumps would write it
+    pair = SeriesPair.identity(2, 9)
+    line = dump_sections(header, {"id": pair}).splitlines()[0]
+    assert line == json.dumps({**header, "p": 2, "D": 9}, sort_keys=True, separators=(", ", ": "))
+    for value in (True, "x"):
+        with pytest.raises(TypeError):
+            dump_sections({**header, "N": value}, {"id": pair})
 
 
 def test_dump_refuses_pairs_of_another_shape():
