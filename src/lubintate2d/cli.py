@@ -14,24 +14,26 @@ Exit codes: 0 success, 1 a verification or self-check failed (any other
 `ArithmeticError`: a `VerificationError`, `torsion.AmbiguousBranchError`),
 2 bad usage or inputs, 3 the p-adic precision ran out (a `PrecisionError`:
 "precision").  Every failure, argparse's own included, prints a single JSON
-line {"error": ..., "detail": ...} on stderr, written by `main`.  Counts
-(-N, -D, -n, --sweep, --unramified-degree) must be integers at least 1; a
-flag the chosen mode never reads is bad usage, -N too outside log, group,
-mult and verify on parameters, --unramified-degree must equal h1 + h2,
-and verify's -D must keep both Frobenius monomials.  A copolygon fixture
-is its copolygons, one per component, at its own degree
-(`fixtures.load_fixture`).  N is -N, else 64; it
-reaches only the builders, and a report reads its digits off what was
-built.  Every report leaves through `_write_text`, to --out if given, else
-to stdout; JSON through `_emit_json`, which prints a rational as num/den.
-Outputs are deterministic byte-for-byte for fixed inputs.
+line {"error": ..., "detail": ...} on stderr, written by `main`.  The flags
+are stated once, in `_COMMANDS`: `_read_argv` reads a well-formed argv off
+it, and argparse, imported by `build_parser` alone, reads any other and
+--help.  Counts (-N, -D, -n, --sweep, --unramified-degree) must be integers
+at least 1; a flag the chosen mode never reads is bad usage, -N too outside
+log, group, mult and verify on parameters, --unramified-degree must equal
+h1 + h2, and verify's -D must keep both Frobenius monomials.  A copolygon
+fixture is its copolygons, one per component, at its own degree
+(`fixtures.load_fixture`).  N is -N, else 64; it reaches only the
+builders, and a report reads its digits off what was built.  Every report
+leaves through `_write_text`, to --out if given, else to stdout; JSON
+through `_emit_json`, which prints a rational as num/den.  Outputs are
+deterministic byte-for-byte for fixed inputs.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
+import types  # loaded already, by importlib.util at the package root
 
 # Modules, not names: all but padics load on first use (see the package
 # root), so each subcommand runs only the modules it reads.  `json` too is
@@ -47,14 +49,6 @@ class VerificationError(ArithmeticError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises UsageError where argparse would print usage and exit 2, so
-    that `main` reports every bad input the same way."""
-
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _fail(code: str, detail) -> None:
     import json
 
@@ -62,19 +56,22 @@ def _fail(code: str, detail) -> None:
                                 sort_keys=True) + "\n")
 
 
-def _add_count(sub, *flags, **kwargs):
-    """Declare an integer flag that must be at least 1; errors name the flag."""
+def _converter(kind, flag: str):
+    """A flag's one reader of its value, for argparse and `_read_argv` alike: int,
+    str, the type of the choices, or a count, an integer at least 1."""
+    if kind != "count":
+        return type(kind[0]) if isinstance(kind, tuple) else kind
 
     def count(raw: str) -> int:
         try:
             value = int(raw)
         except ValueError:
-            raise UsageError(f"{flags[0]} must be an integer, got {raw!r}")
+            raise UsageError(f"{flag} must be an integer, got {raw!r}")
         if value < 1:
-            raise UsageError(f"{flags[0]} must be at least 1")
+            raise UsageError(f"{flag} must be at least 1")
         return value
 
-    sub.add_argument(*flags, type=count, **kwargs)
+    return count
 
 
 def _refuse(args, mode: str, **flags) -> None:
@@ -87,7 +84,7 @@ def _refuse(args, mode: str, **flags) -> None:
 
 def _write_text(args, text: str) -> None:
     """The only writer of a report: to --out if given, else to stdout."""
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         with open(args.out, "w", newline="") as f:
             f.write(text)
     else:
@@ -99,15 +96,6 @@ def _emit_json(args, payload) -> None:
     import json
 
     _write_text(args, json.dumps(payload, sort_keys=True, default=padics.fraction_str) + "\n")
-
-
-def _add_params(sub, required=True, degree=True):
-    sub.add_argument("-p", type=int, required=required, help="prime")
-    sub.add_argument("--h1", type=int, required=required, help="first height")
-    sub.add_argument("--h2", type=int, required=required, help="second height")
-    if degree:
-        _add_count(sub, "-D", "--degree", required=required,
-                   help="total-degree truncation")
 
 
 def cmd_log(args) -> int:
@@ -158,7 +146,7 @@ def _copolygon_from_args(args) -> tuple:
 def cmd_copolygon(args) -> int:
     _refuse(args, "copolygon", typed_precision="-N")
     p, degree, poly = _copolygon_from_args(args)
-    if args.svg:
+    if args.svg is not None:
         with open(args.svg, "wb") as f:
             f.write(copolygon.emit_svg(poly).encode("utf-8"))
     vertices, segments = poly.vertices(), poly.tie_segments()
@@ -254,67 +242,109 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lt2d",
-        description="two-dimensional Lubin-Tate formal groups, Newton "
-                    "copolygons and torsion-point valuations")
-    _add_count(parser, "-N", "--precision", dest="typed_precision",
-               help="p-adic working precision (default 64)")
+# The command line, stated once: `build_parser` derives argparse's parser
+# from this table and `_read_argv` reads a well-formed argv with it.  A flag
+# is (spellings, dest, kind, help), kind being int, str, "count", "switch"
+# (store_true) or a tuple of choices.  A command is (handler, help, flags in
+# --help's order, the dests it requires, dests of which exactly one is given).
+_PRECISION = ("-N --precision", "typed_precision", "count",
+              "p-adic working precision (default 64)")
+_PARAMS = (("-p", "p", int, "prime"), ("--h1", "h1", int, "first height"),
+           ("--h2", "h2", int, "second height"),
+           ("-D --degree", "degree", "count", "total-degree truncation"))
+_OUT = ("--out", "out", str, "write the report to a file")
+_NEEDED = ("p", "h1", "h2", "degree")  # the dests of _PARAMS
+_COMMANDS = {
+    "log": (cmd_log, "build and verify a logarithm pair", (*_PARAMS, _OUT), _NEEDED, ()),
+    "group": (cmd_group, "build a formal group and check axioms", (*_PARAMS, _OUT), _NEEDED, ()),
+    "mult": (cmd_mult, "build a multiplication endomorphism",
+             (*_PARAMS, ("-a", "a", int, "the multiplier"), _OUT), (*_NEEDED, "a"), ()),
+    "copolygon": (cmd_copolygon, "copolygon geometry of a series", (
+        # fixtures.FIXTURE_NAMES, spelled out so that no other command loads `fixtures`
+        ("--fixture", "fixture", ("ex1", "dyn23", "dyn312", "mult45"), "named example input"),
+        ("--support", "support", str,
+         "path to a support file (p D header, then i j num/den lines)"),
+        ("--component", "component", (1, 2), "component when the fixture is a pair (default 1)"),
+        ("--json", "json", "switch", "machine-readable output"),
+        ("--svg", "svg", str, "write a picture to this file"), _OUT), (), ("fixture", "support")),
+    "torsion": (cmd_torsion, "torsion valuations and ramification", (
+        *_PARAMS[:3], ("-n", "n", "count", "torsion level (default 1)"),
+        ("--method", "method", ("minplus", "both"), "valuation method: minplus, or both (the "
+         "default), which checks the closed form against it"),
+        ("--sweep", "sweep", "count", "report levels 1..N with both methods"),
+        ("--ramification", "ramification", "switch", "report the ramification degree instead"),
+        ("--csv", "csv", "switch", "CSV output for --ramification")), _NEEDED[:3], ()),
+    "verify": (cmd_verify, "run the verification battery", (
+        ("--fixture", "fixture", ("mult45",), "verify the stored fixture instead"), *_PARAMS,
+        ("--unramified-degree", "unramified_degree", "count",
+         "also check that T_gamma = diag(gamma, gamma^q2) commutes with the logarithm for "
+         "every (p^h - 1)-th root of unity gamma, h = h1 + h2")), (), ()),
+}
+
+
+def build_parser():
+    """argparse's parser for `_COMMANDS`: it prints --help and reads every
+    argv that `_read_argv` leaves to it, so it writes every usage error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Raises UsageError where argparse would exit 2, for `main` to report."""
+
+        def error(self, message):
+            raise UsageError(message)
+
+    def add(target, spellings, dest, kind, text, required=False):
+        spellings = spellings.split()
+        how = ({"action": "store_true"} if kind == "switch" else
+               {"type": _converter(kind, spellings[0]), "required": required,
+                "choices": kind if isinstance(kind, tuple) else None})
+        target.add_argument(*spellings, dest=dest, help=text, **how)
+
+    parser = _Parser(prog="lt2d", description="two-dimensional Lubin-Tate formal groups, "
+                                              "Newton copolygons and torsion-point valuations")
+    add(parser, *_PRECISION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("log", help="build and verify a logarithm pair")
-    _add_params(s)
-    s.add_argument("--out", help="write the report to a file")
-    s.set_defaults(func=cmd_log)
-
-    s = sub.add_parser("group", help="build a formal group and check axioms")
-    _add_params(s)
-    s.add_argument("--out", help="write the report to a file")
-    s.set_defaults(func=cmd_group)
-
-    s = sub.add_parser("mult", help="build a multiplication endomorphism")
-    _add_params(s)
-    s.add_argument("-a", type=int, required=True, help="the multiplier")
-    s.add_argument("--out", help="write the report to a file")
-    s.set_defaults(func=cmd_mult)
-
-    s = sub.add_parser("copolygon", help="copolygon geometry of a series")
-    source = s.add_mutually_exclusive_group(required=True)
-    # fixtures.FIXTURE_NAMES, spelled out so that no other command loads `fixtures`
-    source.add_argument("--fixture", choices=("ex1", "dyn23", "dyn312", "mult45"),
-                        help="named example input")
-    source.add_argument("--support", help="path to a support file (p D header, "
-                                          "then i j num/den lines)")
-    s.add_argument("--component", type=int, choices=(1, 2),
-                   help="component when the fixture is a pair (default 1)")
-    s.add_argument("--json", action="store_true", help="machine-readable output")
-    s.add_argument("--svg", help="write a picture to this file")
-    s.add_argument("--out", help="write the report to a file")
-    s.set_defaults(func=cmd_copolygon)
-
-    s = sub.add_parser("torsion", help="torsion valuations and ramification")
-    _add_params(s, degree=False)
-    _add_count(s, "-n", help="torsion level (default 1)")
-    s.add_argument("--method", choices=("minplus", "both"),
-                   help="valuation method: minplus, or both (the default), which "
-                        "checks the closed form against it")
-    _add_count(s, "--sweep", help="report levels 1..N with both methods")
-    s.add_argument("--ramification", action="store_true",
-                   help="report the ramification degree instead")
-    s.add_argument("--csv", action="store_true",
-                   help="CSV output for --ramification")
-    s.set_defaults(func=cmd_torsion)
-
-    s = sub.add_parser("verify", help="run the verification battery")
-    s.add_argument("--fixture", choices=("mult45",),
-                   help="verify the stored fixture instead")
-    _add_params(s, required=False)
-    _add_count(s, "--unramified-degree",
-               help="also check that T_gamma = diag(gamma, gamma^q2) commutes with "
-                    "the logarithm for every (p^h - 1)-th root of unity gamma, h = h1 + h2")
-    s.set_defaults(func=cmd_verify)
+    for name, (func, text, flags, required, one_of) in _COMMANDS.items():
+        s = sub.add_parser(name, help=text)
+        source = s.add_mutually_exclusive_group(required=True) if one_of else s
+        for flag in flags:
+            add(source if flag[1] in one_of else s, *flag, required=flag[1] in required)
+        s.set_defaults(func=func)
     return parser
+
+
+def _read_argv(argv):
+    """argparse's namespace for `argv` (None: sys.argv's), read off `_COMMANDS`,
+    or None to leave `argv` to argparse: -N only before the command, each
+    flag once by its full spelling, each value the next word, not "-...",
+    taken by the converter and the choices, and the required flags given."""
+    args, seen, command = {"typed_precision": None}, set(), None
+    flags = dict.fromkeys(_PRECISION[0].split(), _PRECISION)
+    words = iter(sys.argv[1:] if argv is None else argv)
+    try:
+        for word in words:
+            if command is None and word in _COMMANDS:
+                command, (func, _, rows, required, one_of) = word, _COMMANDS[word]
+                flags = {spelling: row for row in rows for spelling in row[0].split()}
+                args.update((row[1], False if row[2] == "switch" else None) for row in rows)
+                continue
+            spellings, dest, kind, _ = flags[word]
+            if dest in seen:
+                return None
+            seen.add(dest)
+            if kind == "switch":
+                args[dest] = True
+                continue
+            value = next(words)
+            args[dest] = _converter(kind, spellings.split()[0])(value)
+            if value.startswith("-") or isinstance(kind, tuple) and args[dest] not in kind:
+                return None
+    except Exception:  # an unknown word, a missing value, one its converter refuses:
+        return None  # argparse reads the argv again and reports what is wrong
+    if command is None or not seen.issuperset(required) or (
+            one_of and len(seen.intersection(one_of)) != 1):
+        return None
+    return types.SimpleNamespace(**args, command=command, func=func)
 
 
 def main(argv=None) -> int:
@@ -328,7 +358,7 @@ def main(argv=None) -> int:
         # from about N = 14300 at p = 2: a valid -N, not a bad input
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_argv(argv) or build_parser().parse_args(argv)
         args.precision = args.typed_precision or padics.DEFAULT_PRECISION
         return args.func(args)
     except padics.PrecisionError as exc:

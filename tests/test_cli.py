@@ -240,8 +240,8 @@ def _load_probe(*argv, code=0):
 
 def test_cli_import_stays_on_the_light_standard_library():
     """Under `python -I -S`, importing the CLI loads no standard module it
-    never needs, `fractions`, `decimal` and `json` included, and runs only
-    the library modules every command reads.  All seven library modules
+    never needs, `fractions`, `decimal`, `json` and `argparse` included, and
+    runs only the library modules every command reads.  All seven library modules
     are still in `sys.modules`, all but `padics` lazily: the traced
     benchmark (`bench/trace_boot.py`) looks each one up there right after
     it imports the CLI, and its first attribute read runs it.  `-B` keeps
@@ -250,7 +250,7 @@ def test_cli_import_stays_on_the_light_standard_library():
     load."""
     ran, loaded = _load_probe()
     assert not loaded & {"dataclasses", "inspect", "typing", "importlib.resources",
-                         "fractions", "decimal", "json"}
+                         "fractions", "decimal", "json", "argparse"}
     assert {f"lubintate2d.{name}" for name in LIBRARY} <= loaded
     assert ran == {"cli", "padics"}
 
@@ -288,25 +288,27 @@ RATIONAL = {"fractions", "decimal"}
     (("-N", "4", "mult", *PARAMS, "-D", "16", "-a", "2"), 3, {"lubintate", *SERIES},
      {"json"}),
     (("verify", *PARAMS, "-D", "6"), 2, set(), {"json"}),
+    (("group", "-p", "x", "--h1", "2", "--h2", "3", "-D", "4"), 2, set(), {"json", "argparse"}),
 ], ids=["mult", "log", "verify-mult45", "torsion", "torsion-n", "torsion-minplus",
         "torsion-sweep", "torsion-ramification-csv", "copolygon-support",
         "copolygon-support-svg", "copolygon-fixture-dyn23", "copolygon-fixture-ex1",
         "copolygon-fixture-mult45", "copolygon-fixture-dyn312", "group", "verify",
         "verify-unramified-degree", "group-failed-axiom", "mult-lost-precision",
-        "verify-short-degree"])
+        "verify-short-degree", "group-malformed"])
 def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, code, runs, stdlib):
     """`series` compiles only where a series is built, and `json` only where
     JSON is written or a series container is read: a container's header
-    line is written without it, but a failure's error line is JSON.  Each
-    command runs on the standard library alone, `-S` keeping site-packages
-    off the path, and returns its exit code: 1 a failed axiom, 2 bad
-    usage, 3 lost precision."""
+    line is written without it, but a failure's error line is JSON.
+    `argparse` loads only for an argv the CLI's own reader refuses, here a
+    prime that is no integer.  Each command runs on the standard library
+    alone, `-S` keeping site-packages off the path, and returns its exit
+    code: 1 a failed axiom, 2 bad usage, 3 lost precision."""
     support = tmp_path / "support.txt"
     support.write_text(EX1_SUPPORT)
     files = {"SUPPORT": str(support), "SVG": str(tmp_path / "out.svg")}
     ran, loaded = _load_probe(*(files.get(a, a) for a in argv), code=code)
     assert ran == {"cli", "padics", *runs}
-    assert loaded & {*RATIONAL, "json"} == stdlib
+    assert loaded & {*RATIONAL, "json", "argparse"} == stdlib
 
 
 def test_the_library_imports_no_test_helper():
@@ -530,6 +532,9 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
     (("-N", "1", "verify", "--fixture", "mult45"), "-N"),
     # the closed form alone is no method: `both` checks it against the min-plus walk
     (("torsion", *PARAMS, "--method", "closed"), "--method"),
+    # an empty path is one that cannot be opened, not an absent flag
+    (("log", *PARAMS, "-D", "4", "--out", ""), "No such file or directory: ''"),
+    (("copolygon", "--fixture", "ex1", "--svg", ""), "No such file or directory: ''"),
 ])
 def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -578,6 +583,76 @@ def test_module_entry_point_reports_argparse_errors_as_json():
     assert proc.returncode == 2 and proc.stdout == ""
     assert json.loads(proc.stderr) == {"error": "usage",
                                        "detail": "argument -p: invalid int value: 'x'"}
+
+
+def _corpus() -> set:
+    """Every argv that the README examples, the low-precision ledger, the
+    benchmark grids and this module's argv tables run."""
+    from test_bench_refs import WORKLOADS
+
+    data = Path(__file__).parent / "data"
+    argvs = {tuple(example["argv"])
+             for example in json.loads((data / "readme" / "examples.json").read_text())}
+    argvs |= {tuple(cell["argv"].split())
+              for cell in json.loads((data / "low_precision.json").read_text())}
+    argvs |= {cmd.argv for workload in WORKLOADS.values() for cmd in workload.grid()}
+    argvs |= {tuple(argv) for _, *argv in _SEEDED}
+    for test in list(globals().values()):
+        for mark in getattr(test, "pytestmark", ()):
+            if mark.name == "parametrize" and mark.args[0].split(",")[0] == "argv":
+                rows = mark.args[1]
+                argvs |= {tuple(row) for row in rows} if mark.args[0] == "argv" else {
+                    tuple(row[0]) for row in rows}
+    return argvs
+
+
+def _variants(argv: tuple) -> set:
+    """`argv` and argvs near it: each flag dropped, repeated, abbreviated,
+    joined to its value, after the command (-N), without its value or with
+    odd ones, and `--`, `-h` and a junk word added."""
+    words = list(argv)
+    near = [words, words + ["--"], words[:1] + ["--"] + words[1:], words + ["-h"],
+            ["-h"] + words, words + ["junk"]]
+    for i, word in enumerate(words):
+        if not word.startswith("-") or word.lstrip("-").isdigit():
+            continue  # a value, or no flag at all
+        value = [v for v in words[i + 1:i + 2] if not v.startswith("-")]
+        head, rest = words[:i], words[i + 1 + len(value):]
+        near += [head + rest, words + [word, *value], head + [word + "".join(value)] + rest]
+        near += [head + [word[:k], *value] + rest for k in range(3, len(word))
+                 if word.startswith("--")]
+        if value:
+            near += [head + [f"{word}={value[0]}"] + rest, head + [word] + rest,
+                     head + [word, "-3"] + rest]
+            near += [head + [word, odd] + rest for odd in ("", " 3", "+3", "3_0", "٣")]
+        if word in ("-N", "--precision"):
+            near += [head + rest[:1] + [word, *value] + rest[1:], head + rest + [word, *value]]
+    return {tuple(variant) for variant in near}
+
+
+def test_argv_table_matches_argparse():
+    """The CLI's own reader and argparse, both built from one table, agree.
+    On every corpus argv and every argv near one, the reader either
+    refuses, leaving the argv to argparse, or returns argparse's namespace,
+    the same handler included.  It takes every corpus argv that argparse
+    takes, so the corpus's well-formed commands never import argparse."""
+    parser = cli.build_parser()
+    corpus = _corpus()
+    taken = 0
+    for argv in sorted(corpus | {v for argv in corpus for v in _variants(argv)}):
+        read = cli._read_argv(list(argv))
+        if argv in corpus:
+            try:
+                parser.parse_args(list(argv))
+            except cli.UsageError:
+                assert read is None, argv
+                continue
+            assert read is not None, argv
+        if read is not None:
+            got, expected = vars(read), vars(parser.parse_args(list(argv)))
+            assert got.pop("func") is expected.pop("func") and got == expected, argv
+            taken += 1
+    assert taken > len(corpus)
 
 
 def test_verify_reports_p_congruences_once(capsys, monkeypatch):

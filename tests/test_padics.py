@@ -285,8 +285,8 @@ def test_records_are_frozen_values(name):
 
 
 def test_one_frozen_value_idiom():
-    """Every class a `lubintate2d` module defines, but exceptions, the power
-    cache `_Powers` and the argument parser `_Parser`, is a frozen value."""
+    """Every class a `lubintate2d` module defines, but exceptions and the
+    power cache `_Powers`, is a frozen value."""
     import importlib
     import pkgutil
 
@@ -300,7 +300,7 @@ def test_one_frozen_value_idiom():
         for obj in vars(module).values():
             if (isinstance(obj, type) and obj.__module__ == module.__name__
                     and not issubclass(obj, BaseException)
-                    and obj.__name__ not in ("_Powers", "_Parser")):
+                    and obj.__name__ != "_Powers"):
                 classes[obj.__name__] = obj
     for cls in classes.values():
         assert issubclass(cls, _Record), cls
