@@ -1,7 +1,8 @@
 """Command line driver.
 
 Subcommands
-    log        build a logarithm pair and verify its functional equation
+    log        build a logarithm pair, verified by its builder, which stops
+               only at a fixed point of its functional equation
     group      build a formal group (logarithm, exponential, group law)
     mult       build a multiplication endomorphism [a], checked integral and
                against L([a]X) = a L(X) before it is printed
@@ -16,17 +17,18 @@ Exit codes: 0 success, 1 a verification or self-check failed (any other
 "precision").  Every failure, argparse's own included, prints a single JSON
 line {"error": ..., "detail": ...} on stderr, written by `main`.  The flags
 are stated once, in `_COMMANDS`: `_read_argv` reads a well-formed argv off
-it, and argparse, imported by `build_parser` alone, reads any other and
---help.  Counts (-N, -D, -n, --sweep, --unramified-degree) must be integers
-at least 1; a flag the chosen mode never reads is bad usage, -N too outside
-log, group, mult and verify on parameters, --unramified-degree must equal
-h1 + h2, and verify's -D must keep both Frobenius monomials.  A copolygon
-fixture is its copolygons, one per component, at its own degree
-(`fixtures.load_fixture`).  N is -N, else 64; it reaches only the
-builders, and a report reads its digits off what was built.  Every report
-leaves through `_write_text`, to --out if given, else to stdout; JSON
-through `_emit_json`, which prints a rational as num/den.  Outputs are
-deterministic byte-for-byte for fixed inputs.
+it, a repeated flag's last value winning as in argparse, and argparse,
+imported by `build_parser` alone, reads any other and --help.  Counts (-N,
+-D, -n, --sweep, --unramified-degree) must be integers at least 1; a flag
+the chosen mode never reads is bad usage, -N too outside log, group, mult
+and verify on parameters, --unramified-degree must equal h1 + h2, and
+verify's -D must keep both Frobenius monomials.  A copolygon fixture is its
+copolygons, one per component, at its own degree (`fixtures.load_fixture`).
+N is -N, else 64; it reaches only the builders, and a report reads its
+digits off what was built.  Every report leaves through `_write_text`, to
+--out if given, else to stdout; JSON through `_emit_json`, which prints a
+rational as num/den.  Outputs are deterministic byte-for-byte for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -100,10 +102,6 @@ def _emit_json(args, payload) -> None:
 
 def cmd_log(args) -> int:
     log = lubintate.build_logarithm(args.p, (args.h1, args.h2), args.degree, args.precision)
-    report = lubintate.recursion_defects(log, (args.h1, args.h2))
-    if not report.ok:
-        where = [(v.component, v.exponents) for v in report.violations[:3]]
-        raise VerificationError(f"logarithm functional equation fails at {where}")
     _write_text(args, lubintate.pairs_to_text((args.h1, args.h2), log, {"logarithm": log}))
     return 0
 
@@ -316,8 +314,9 @@ def build_parser():
 def _read_argv(argv):
     """argparse's namespace for `argv` (None: sys.argv's), read off `_COMMANDS`,
     or None to leave `argv` to argparse: -N only before the command, each
-    flag once by its full spelling, each value the next word, not "-...",
-    taken by the converter and the choices, and the required flags given."""
+    flag by its full spelling, a repeated one's last value winning as in
+    argparse, each value the next word, not "-...", taken by the converter
+    and the choices, and the required flags given."""
     args, seen, command = {"typed_precision": None}, set(), None
     flags = dict.fromkeys(_PRECISION[0].split(), _PRECISION)
     words = iter(sys.argv[1:] if argv is None else argv)
@@ -329,8 +328,6 @@ def _read_argv(argv):
                 args.update((row[1], False if row[2] == "switch" else None) for row in rows)
                 continue
             spellings, dest, kind, _ = flags[word]
-            if dest in seen:
-                return None
             seen.add(dest)
             if kind == "switch":
                 args[dest] = True

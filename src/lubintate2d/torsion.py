@@ -42,11 +42,10 @@ def component_copolygons(p: int, heights) -> tuple:
 
 
 def hypothesis_status(p: int, heights) -> str:
-    """Whether the closed-form valuations are proved for these parameters.
-
-    Returns "in" when p is odd and both heights are at least 2, otherwise
-    "outside": the formulae are still evaluated there, but only the
-    min-plus computation backs them up.
+    """Whether the paper's hypotheses hold: "in" when p is odd and both
+    heights are at least 2, otherwise "outside".  Outside, the closed-form
+    valuations are still evaluated, but only the min-plus computation backs
+    them up, and `ramification_report` refuses.
     """
     _check_prime(p)
     hs = _as_heights(heights)
@@ -186,14 +185,11 @@ class RamificationReport(_Record):
 
 
 def ramification_report(p: int, heights) -> RamificationReport:
-    """The paper's closed-form ramification degree (p^h - 1)/2 for odd p,
-    odd h and heights >= 2."""
-    _check_prime(p)
+    """The paper's closed-form ramification degree (p^h - 1)/2, within its
+    hypotheses (`hypothesis_status`) and for odd h alone."""
+    if hypothesis_status(p, heights) == "outside":
+        raise ValueError("the ramification formula needs p odd and both heights at least 2")
     hs = _as_heights(heights)
-    if p == 2:
-        raise ValueError("the ramification formula needs an odd prime")
-    if hs.h1 < 2 or hs.h2 < 2:
-        raise ValueError("both heights must be at least 2")
     h = hs.total
     if h % 2 == 0:
         raise ValueError("h = h1 + h2 must be odd")

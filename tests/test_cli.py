@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,13 +47,6 @@ def test_ramification_json(capsys):
     assert payload == {"p": 3, "h1": 2, "h2": 3, "degree": 121,
                        "v_xi": "5/121", "v_eta": "14/121",
                        "witness_h1": 1, "witness_h2": 1}
-
-
-def test_torsion_csv_needs_ramification(capsys):
-    code, out, err = run(capsys, "torsion", "-p", "2", "--h1", "2", "--h2", "3", "--csv")
-    assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "usage",
-                               "detail": "--csv applies to --ramification output"}
 
 
 def test_copolygon_component_selection(capsys):
@@ -115,6 +109,14 @@ def test_log_roundtrip(tmp_path, capsys):
     assert log.second.coefficient((8, 0)).valuation == -1
 
 
+def test_log_prints_the_builders_fixed_point_unchecked(capsys, monkeypatch):
+    """The builder stops only at a fixed point of the functional equation,
+    so `log` checks nothing after it: README example 00 keeps its bytes."""
+    monkeypatch.setattr(lubintate, "recursion_defects", None)
+    golden = Path(__file__).parent / "data" / "readme" / "00.stdout"
+    assert run(capsys, "log", *PARAMS, "-D", "12") == (0, golden.read_text(), "")
+
+
 def test_group_stdout_parses(capsys):
     code, out, _ = run(capsys, "group", "-p", "3", "--h1", "1", "--h2", "2", "-D", "6")
     assert code == 0
@@ -170,18 +172,6 @@ def test_unramified_degree_must_be_the_total_height(capsys, monkeypatch, degree)
     assert json.loads(err) == {
         "error": "usage",
         "detail": f"--unramified-degree must equal h1 + h2 = 5, got {degree}"}
-
-
-def test_verify_needs_parameters(capsys):
-    code, _, err = run(capsys, "verify", "-p", "2", "--h1", "2")
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
-
-
-def test_bad_prime_exit_code(capsys):
-    code, _, err = run(capsys, "log", "-p", "4", "--h1", "2", "--h2", "3", "-D", "9")
-    assert code == 2
-    assert json.loads(err) == {"error": "usage", "detail": "4 is not prime"}
 
 
 def test_double_run_byte_identical(capsys):
@@ -474,22 +464,6 @@ def test_a_zero_multiplier_is_the_zero_pair_at_any_precision(capsys, monkeypatch
                    "[mult.1 v=2 D=9]\n[mult.2 v=2 D=9]\n")
 
 
-def test_verify_refuses_a_degree_that_cannot_show_the_height(capsys, monkeypatch):
-    monkeypatch.setattr(lubintate, "build_group", None)  # refused before any group is built
-    code, out, err = run(capsys, "verify", "-p", "2", "--h1", "2", "--h2", "3", "-D", "6")
-    assert code == 2 and out == ""
-    assert json.loads(err) == {
-        "error": "usage", "detail": "-D 6 drops a Frobenius monomial: need at least 8"}
-
-
-@pytest.mark.parametrize("prec", ["0", "-3"])
-def test_precision_flag_below_one_is_a_usage_error(capsys, prec):
-    code, out, err = run(capsys, "-N", prec, "log", "-p", "2", "--h1", "2",
-                         "--h2", "3", "-D", "4")
-    assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "usage", "detail": "-N must be at least 1"}
-
-
 UNOPENABLE = "no-such-dir/out"  # relative to tmp_path, whose subdir is never made
 RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
 
@@ -535,16 +509,35 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
     # an empty path is one that cannot be opened, not an absent flag
     (("log", *PARAMS, "-D", "4", "--out", ""), "No such file or directory: ''"),
     (("copolygon", "--fixture", "ex1", "--svg", ""), "No such file or directory: ''"),
+    (("torsion", *PARAMS, "--csv"), "--csv applies to --ramification output"),
+    (("verify", "-p", "2", "--h1", "2"), "verify needs --fixture or --h2, -D"),
+    (("log", "-p", "4", "--h1", "2", "--h2", "3", "-D", "9"), "4 is not prime"),
+    (("-N", "0", "log", *PARAMS, "-D", "4"), "-N must be at least 1"),
+    (("-N", "-3", "log", *PARAMS, "-D", "4"), "-N must be at least 1"),
+    (("verify", *PARAMS, "-D", "6"), "-D 6 drops a Frobenius monomial: need at least 8"),
+    (("torsion", "-p", "318665857834031151167461", "--h1", "1", "--h2", "2"),  # psi_12
+     "primality of 318665857834031151167461 is undecided: Miller-Rabin is exact only below "
+     "psi_12 = 318665857834031151167461"),
 ])
 def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named):
+    """A lone flag or path is named in the detail, a longer `named` is all
+    of it past an OSError's errno, and no group is built."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(lubintate, "build_group", None)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
-    assert payload["error"] == "usage" and named in payload["detail"]
-    if named.endswith("must be at least 1"):
-        assert payload["detail"] == named
+    assert payload["error"] == "usage"
+    detail = payload["detail"].removeprefix("[Errno 2] ")
+    assert detail == named if " " in named else named in detail
+
+
+def test_a_prime_of_twenty_one_digits_is_read_at_once(capsys):
+    """Trial division up to its root would take about 20 minutes."""
+    start = time.process_time()
+    code, out, _ = run(capsys, "torsion", "-p", str(10**20 + 39), "--h1", "1", "--h2", "2")
+    assert code == 0 and json.loads(out)["p"] == 10**20 + 39 and time.process_time() - start < 0.5
 
 
 @pytest.mark.parametrize("text, detail", [
@@ -635,8 +628,11 @@ def test_argv_table_matches_argparse():
     On every corpus argv and every argv near one, the reader either
     refuses, leaving the argv to argparse, or returns argparse's namespace,
     the same handler included.  It takes every corpus argv that argparse
-    takes, so the corpus's well-formed commands never import argparse."""
+    takes, so the corpus's well-formed commands never import argparse.  A
+    repeated flag's last value wins, as in argparse."""
     parser = cli.build_parser()
+    repeated = ["torsion", *PARAMS, "-n", "2", "-n", "3"]
+    assert vars(cli._read_argv(repeated)) == vars(parser.parse_args(repeated)) | {"n": 3}
     corpus = _corpus()
     taken = 0
     for argv in sorted(corpus | {v for argv in corpus for v in _variants(argv)}):
@@ -730,15 +726,12 @@ def test_copolygon_text_reads_vertices_once(capsys, monkeypatch):
      "torsion.torsion_valuations",
      lambda p, heights, n: ValuationProfile(Fraction(1, 2), Fraction(1, 2)),
      "closed form and min-plus disagree"),
-    (("log", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9"), "lubintate.recursion_defects",
-     lambda log, heights: lubintate.Report((lubintate.Violation(1, (0, 4), "recursion", ""),)),
-     "logarithm functional equation fails at [(1, (0, 4))]"),
     (("mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "9", "-a", "3"),
      "lubintate.multiplication",
      lambda a, group: group.logarithm,  # x1 + x2^4 / 2: a coefficient of valuation -1
      "[3] has a negative-valuation coefficient"),
 ], ids=["ambiguous-branch", "tie-crossings", "gcd-witnesses", "denominators",
-        "methods-disagree", "sweep-disagrees", "log-recursion", "mult-valuation"])
+        "methods-disagree", "sweep-disagrees", "mult-valuation"])
 def test_a_failed_self_check_exits_1_as_a_verification_failure(
         capsys, monkeypatch, argv, target, fake, detail):
     monkeypatch.setattr(f"lubintate2d.{target}", fake)

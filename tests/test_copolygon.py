@@ -65,11 +65,25 @@ def test_constructor_refuses_bad_functionals(functional):
         Copolygon([(1, 1, 0), functional])
 
 
-def test_from_series_validation():
-    with pytest.raises(ValueError):
-        Copolygon.from_series(Series.from_coeffs(2, 2, 5, {}))
-    with pytest.raises(ValueError):
-        Copolygon.from_series(Series.from_coeffs(2, 4, 5, {(1, 0, 0, 0): 1}))
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Copolygon.from_series(Series.zero(2, 2, 5)),
+                 "the zero series has an empty copolygon", id="zero-series"),
+    pytest.param(lambda: Copolygon.from_series(Series.variable(2, 4, 5, 0)),
+                 "copolygons are defined for two-variable series", id="four-variables"),
+    pytest.param(lambda: lower_bound_check(ex1_series(), (Padic(2, 0, 0), Padic(2, 0, 2))),
+                 "coordinates must be nonzero so valuations are finite", id="zero-coordinate"),
+    # the support writer refuses what the reader refuses
+    pytest.param(lambda: support_text(Series.zero(2, 2, 9)),
+                 "the zero series has an empty copolygon", id="support-of-zero"),
+    pytest.param(lambda: parse_support_text("2 9\n"),
+                 "a copolygon needs at least one support point", id="support-header-alone"),
+    pytest.param(lambda: support_text(Series.variable(2, 3, 9, 0)),
+                 "copolygons are defined for two-variable series", id="support-of-three-variables"),
+])
+def test_input_guards(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is ValueError and str(caught.value) == message
 
 
 def test_evaluate_and_argmin():
@@ -205,12 +219,6 @@ def test_lower_bound_survives_exact_cancellation():
     rough = Padic(2, 1, 1, 1)  # 2 + O(2^2): one known digit per coordinate
     assert evaluate_series(f, (rough, rough)).is_zero
     assert lower_bound_check(f, (rough, rough))
-
-
-def test_lower_bound_rejects_zero_coordinate():
-    f = ex1_series()
-    with pytest.raises(ValueError):
-        lower_bound_check(f, (Padic(2, 0, 0), Padic(2, 0, 2)))
 
 
 def test_lower_bound_random_sweep():
@@ -593,15 +601,6 @@ def test_support_text_round_trips_through_from_series():
         text = support_text(s)
         assert text == _reference_support_text(s)  # no byte moves
         assert parse_support_text(text) == (s.p, s.degree, Copolygon.from_series(s))
-
-
-def test_support_text_refuses_what_the_reader_refuses():
-    with pytest.raises(ValueError, match="zero series"):
-        support_text(Series.zero(2, 2, 9))
-    with pytest.raises(ValueError):
-        parse_support_text(_reference_support_text(Series.zero(2, 2, 9)))  # header only
-    with pytest.raises(ValueError, match="two-variable"):
-        support_text(Series.variable(2, 3, 9, 0))
 
 
 # -- copolygon branches that no fixture reaches ------------------------------

@@ -26,10 +26,6 @@ from paper_checks import colength_mod_p, count_p_torsion, forbidden_imports, sys
 
 def test_dynamical_system_shape():
     assert cross_frobenius(2, (2, 3)) == ({(1, 0): 2, (0, 4): 1}, {(0, 1): 2, (8, 0): 1})
-    with pytest.raises(ValueError, match="7 drops a Frobenius monomial: need at least 8"):
-        _check_reach(2, (2, 3), 7)
-    with pytest.raises(ValueError):
-        _check_reach(4, (2, 3), 16)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -76,16 +72,33 @@ def test_closed_form_frozen_values():
         Fraction(2, 13), Fraction(5, 13))
 
 
-def test_torsion_valuations_validation():
-    with pytest.raises(ValueError):
-        torsion_valuations(2, (2, 3), 0)
-    with pytest.raises(ValueError):
-        torsion_valuations(6, (2, 3), 1)
-
-
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: torsion_valuations_via_minplus(2, (2, 3), 0),
                  "torsion level n must be at least 1", id="minplus-level-0"),
+    pytest.param(lambda: _check_reach(2, (2, 3), 7),
+                 "truncation degree 7 drops a Frobenius monomial: need at least 8", id="reach-7"),
+    pytest.param(lambda: _check_reach(4, (2, 3), 16), "4 is not prime", id="reach-over-4"),
+    pytest.param(lambda: torsion_valuations(2, (2, 3), 0), "torsion level n must be at least 1",
+                 id="closed-form-level-0"),
+    pytest.param(lambda: torsion_valuations(6, (2, 3), 1), "6 is not prime", id="closed-form-6"),
+    pytest.param(lambda: profile_report(2, (2, 3), 0), "n_max must be at least 1, got 0",
+                 id="sweep-0"),
+    pytest.param(lambda: profile_report(2, (2, 3), -3), "n_max must be at least 1, got -3",
+                 id="sweep-minus-3"),
+    pytest.param(lambda: gcd_lemma(2, 3, 2), "the halved gcd needs an odd prime", id="gcd-over-2"),
+    pytest.param(lambda: gcd_lemma(3, 4, 3), "s must be odd", id="gcd-s-even"),
+    pytest.param(lambda: gcd_lemma(3, 3, 6), "s and t must be coprime", id="gcd-not-coprime"),
+    pytest.param(lambda: gcd_lemma(3, 1, 2), "s and t must be at least 2", id="gcd-s-1"),
+    pytest.param(lambda: ramification_report(2, (2, 3)),
+                 "the ramification formula needs p odd and both heights at least 2",
+                 id="ramification-over-2"),
+    pytest.param(lambda: ramification_report(3, (1, 2)),
+                 "the ramification formula needs p odd and both heights at least 2",
+                 id="ramification-at-height-1"),
+    pytest.param(lambda: ramification_report(3, (3, 5)), "h = h1 + h2 must be odd",
+                 id="ramification-at-even-h"),
+    pytest.param(lambda: ramification_report(3, (2, 4)), "heights must be coprime, got (2, 4)",
+                 id="ramification-at-heights-not-coprime"),
 ])
 def test_input_guards(build, message):
     with pytest.raises(ValueError) as caught:
@@ -153,12 +166,6 @@ def test_profile_report_crosses_the_tie_loci_once(monkeypatch):
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("n_max", [0, -3])
-def test_profile_report_rejects_n_max_below_one(n_max):
-    with pytest.raises(ValueError, match="n_max must be at least 1"):
-        profile_report(2, (2, 3), n_max)
-
-
 def test_count_p_torsion():
     assert count_p_torsion(3, (1, 2)) == 27
 
@@ -206,17 +213,6 @@ def test_the_cross_frobenius_limit_law_is_not_integral():
     assert (c.valuation, c.prec) == (-1, 57)
 
 
-def test_gcd_lemma_hypotheses():
-    with pytest.raises(ValueError):
-        gcd_lemma(2, 3, 2)
-    with pytest.raises(ValueError):
-        gcd_lemma(3, 4, 3)  # s even
-    with pytest.raises(ValueError):
-        gcd_lemma(3, 3, 6)  # not coprime
-    with pytest.raises(ValueError):
-        gcd_lemma(3, 1, 2)
-
-
 def test_gcd_lemma_raw_counterexample():
     # dropping the coprimality hypothesis breaks the lemma
     assert gcd((3**6 - 1) // 2, (3**3 + 1) // 2) == 14
@@ -235,17 +231,6 @@ def test_ramification_witness_values():
     assert gcd_lemma(5, 5, 2) == 1
     assert (5**2 + 1) // 2 == 13 and (5**3 + 1) // 2 == 63
     assert gcd_lemma(5, 5, 3) == 1
-
-
-def test_ramification_hypothesis_errors():
-    with pytest.raises(ValueError):
-        ramification_report(2, (2, 3))
-    with pytest.raises(ValueError):
-        ramification_report(3, (1, 2))
-    with pytest.raises(ValueError):
-        ramification_report(3, (3, 5))  # h even
-    with pytest.raises(ValueError):
-        ramification_report(3, (2, 4))  # heights not coprime
 
 
 def test_ramification_csv():
