@@ -18,32 +18,33 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .padics import (DEFAULT_PRECISION, HeightPair, Padic, PrecisionError, _as_heights,
-                     _check_prime, _check_reach, _Record, cross_frobenius, int_valuation)
+from .padics import (DEFAULT_PRECISION, Padic, PrecisionError, _as_heights, _check_prime,
+                     _check_reach, _Record, cross_frobenius, int_valuation)
 from .series import SeriesPair, compose, dump_sections, grlex, invert_pair, linear_defects
-
-
-def _recursion_rhs(log: SeriesPair, heights: HeightPair, prec: int) -> SeriesPair:
-    """X + p^{-1} M(Delta)L at relative precision `prec`: the right-hand side
-    of the functional equation, each component's Frobenius monomial read
-    off `cross_frobenius`."""
-    p = log.p
-    twisted = SeriesPair(*(log.first.raise_vars(i) if i else log.second.raise_vars(j)
-                           for _, (i, j) in cross_frobenius(p, heights)))
-    return SeriesPair.identity(p, log.degree, prec) + twisted.scale(Padic(p, -1, 1, prec))
 
 
 def build_logarithm(p: int, heights, degree: int, prec: int = DEFAULT_PRECISION) -> SeriesPair:
     """The logarithm pair truncated at total degree `degree`: the fixed point
-    of the twisted functional equations, iterated from X one level a step."""
+    of the functional equation L = X + p^{-1} M(Delta)L, iterated from X one
+    level a step, each component's Frobenius monomial read off
+    `cross_frobenius`.  Raising the variables to a Frobenius exponent q maps
+    degree d to degree d * q, so each truncated step is complete through the
+    truncation degree, and the loop stops only where L equals its right-hand
+    side there."""
     heights = _as_heights(heights)
     _check_prime(p)
     if degree < 1:
         raise ValueError("truncation degree must be at least 1")
-    log = SeriesPair.identity(p, degree, prec)  # `Padic` refuses prec < 1
-    while (nxt := _recursion_rhs(log, heights, prec)) != log:
+    ident = SeriesPair.identity(p, degree, prec)  # `Padic` refuses prec < 1
+    inv_p = Padic(p, -1, 1, prec)
+    frobenius = [e for _, e in cross_frobenius(p, heights)]  # x2^q1, then x1^q2
+    log = ident
+    while True:
+        twisted = SeriesPair(*(log.first.raise_vars(i) if i else log.second.raise_vars(j)
+                               for i, j in frobenius))
+        if (nxt := ident + twisted.scale(inv_p)) == log:
+            return log
         log = nxt
-    return log
 
 
 class Violation(_Record):
@@ -78,21 +79,6 @@ def _widest_precision(log: SeriesPair) -> int:
     """The widest precision among the logarithm's coefficients."""
     return max((comp.coefficient(e).prec for comp in log for e in comp.terms),
                default=DEFAULT_PRECISION)
-
-
-def recursion_defects(log: SeriesPair, heights) -> Report:
-    """A `recursion` violation per monomial where the twisted functional
-    equations fail.
-
-    Checked coefficientwise through the truncation degree, at the widest
-    precision among the logarithm's coefficients, so that p^{-1} and the
-    identity cap no digit the logarithm carries.  Raising the variables to
-    a Frobenius exponent q maps degree d to degree d * q, so the truncated
-    right-hand side is complete through the shared degree.
-    """
-    rhs = _recursion_rhs(log, _as_heights(heights), _widest_precision(log))
-    return Report(tuple(Violation(idx, e, "recursion", "twisted functional equation fails")
-                        for idx, e in _differences(log, rhs)))
 
 
 class LubinTateGroup(_Record):
@@ -144,7 +130,7 @@ class LubinTateGroup(_Record):
     @cached_property
     def p_congruences(self) -> Report:
         """`congruence_report` on [p]_F, found once per group:
-        `verify_p_congruences`, `height_of` and `group_axioms_report` read it."""
+        `verify_p_congruences` and `height_of` read it."""
         return congruence_report(self.p_multiplication, self.heights)
 
 
@@ -241,11 +227,11 @@ def gamma_endomorphism(log: SeriesPair, heights) -> Report:
     through the truncation degree, in integers alone.
 
     The weights hold in every degree, so the check through the truncation
-    is a cross-check of the built series: X has them, and `_recursion_rhs`
-    keeps them.  As q1 q2 = p^h = 1 (mod n), a monomial of L2 of weight q2
-    becomes one of L2(X^q1), in L1, of weight q1 q2 = 1, and one of L1 of
-    weight 1 becomes one of L1(X^q2), in L2, of weight q2; so every iterate
-    of `build_logarithm`, and its fixed point, has them.
+    is a cross-check of the built series: X has them, and each step of
+    `build_logarithm` keeps them.  As q1 q2 = p^h = 1 (mod n), a monomial
+    of L2 of weight q2 becomes one of L2(X^q1), in L1, of weight
+    q1 q2 = 1, and one of L1 of weight 1 becomes one of L1(X^q2), in L2,
+    of weight q2; so every iterate, and the fixed point, has them.
     """
     hs = _as_heights(heights)
     n = log.p**hs.total - 1
@@ -286,8 +272,9 @@ def group_axioms_report(group: LubinTateGroup) -> Report:
     additivity L(F(X, Y)) = L(X) + L(Y), checked through D, and an
     invertible L give associativity through D in exact arithmetic, since
     a law is fixed by its logarithm.  The six-variable check is a
-    cross-check of the law and of the composition kernel."""
-    congruences = group.p_congruences  # before the law: an N too small for p is refused uninverted
+    cross-check of the law and of the composition kernel.  [p]_F's linear
+    part is `congruence_report`'s, so no [p]_F is composed here."""
+    _multiplier(group, group.p)  # before the law: an N too small for p is refused uninverted
     law = group.group_law
     out = []
 
@@ -311,9 +298,6 @@ def group_axioms_report(group: LubinTateGroup) -> Report:
     mv = law.min_valuation()
     if mv is not None and mv < 0:
         out.append(Violation(0, None, "integral", f"min valuation {mv}"))
-
-    if any(v.check == "linear" for v in congruences.violations):
-        out.append(Violation(0, None, "p-differential", "[p]_F linear part is not p*X"))
 
     return Report(tuple(out))
 

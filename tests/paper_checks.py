@@ -2,6 +2,9 @@
 
 Each takes the library's own values and states one claim of the paper:
 
+- `closed_form_logarithm`, criterion 01: the logarithm pair in closed
+  form, which the fixed point `build_logarithm` finds must equal term for
+  term;
 - `is_endomorphism`, criterion 05: f(F(X, Y)) = F(f(X), f(Y)), so the
   uncrossed Frobenius pair is rejected with a concrete monomial;
 - `count_p_torsion` with its helper `colength_mod_p`, criterion 07:
@@ -40,6 +43,36 @@ from lubintate2d.lubintate import Report, Violation, _differences, build_group, 
 from lubintate2d.padics import (DEFAULT_PRECISION, Padic, _as_heights, _check_prime,
                                 cross_frobenius, grlex, int_valuation)
 from lubintate2d.series import Series, SeriesPair, compose
+
+
+# -- criterion 01 -----------------------------------------------------------
+
+
+def closed_form_logarithm(p: int, heights, degree: int,
+                          prec: int = DEFAULT_PRECISION) -> SeriesPair:
+    """The closed form of the logarithm pair: with h = h1 + h2 and q = p^h,
+
+        L1 = x1 + sum_{k>=1} p^{-2k} x1^{q^k} + sum_{k>=0} p^{-(2k+1)} x2^{p^{h1} q^k}
+        L2 = x2 + sum_{k>=1} p^{-2k} x2^{q^k} + sum_{k>=0} p^{-(2k+1)} x1^{p^{h2} q^k}
+    """
+    h1, h2 = heights
+    h = h1 + h2
+    coeffs1 = {(1, 0): 1}
+    coeffs2 = {(0, 1): 1}
+    k = 1
+    while p ** (k * h) <= degree:
+        coeffs1[(p ** (k * h), 0)] = coeffs2[(0, p ** (k * h))] = Padic(p, -2 * k, 1, prec)
+        k += 1
+    k = 0
+    while p ** (h1 + k * h) <= degree:
+        coeffs1[(0, p ** (h1 + k * h))] = Padic(p, -(2 * k + 1), 1, prec)
+        k += 1
+    k = 0
+    while p ** (h2 + k * h) <= degree:
+        coeffs2[(p ** (h2 + k * h), 0)] = Padic(p, -(2 * k + 1), 1, prec)
+        k += 1
+    return SeriesPair(Series.from_coeffs(p, 2, degree, coeffs1, prec),
+                      Series.from_coeffs(p, 2, degree, coeffs2, prec))
 
 
 # -- criterion 05 -----------------------------------------------------------

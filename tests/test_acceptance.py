@@ -21,7 +21,6 @@ from lubintate2d.lubintate import (
     gamma_endomorphism,
     group_axioms_report,
     multiplication,
-    recursion_defects,
     verify_p_congruences,
 )
 from lubintate2d.padics import Padic, cross_frobenius
@@ -32,7 +31,8 @@ from lubintate2d.torsion import (
     torsion_valuations,
     torsion_valuations_via_minplus,
 )
-from paper_checks import cauchy_gap, count_p_torsion, is_endomorphism, lower_bound_check
+from paper_checks import (cauchy_gap, closed_form_logarithm, count_p_torsion, is_endomorphism,
+                          lower_bound_check)
 
 FIXTURES = ((2, (2, 3)), (3, (1, 2)))
 GOLDEN = Path(__file__).parent / "data" / "ex1_golden.svg"
@@ -57,8 +57,8 @@ def criterion(num, label, bound, body):
 def test_criterion_01_logarithm_recursion():
     def body():
         for p, heights in FIXTURES:
-            log = build_logarithm(p, heights, 40)
-            assert recursion_defects(log, heights).ok
+            log, closed = build_logarithm(p, heights, 40), closed_form_logarithm(p, heights, 40)
+            assert [s.terms for s in log] == [s.terms for s in closed], (p, heights)
 
     criterion(1, "logarithm recursion at D=40", 5.0, body)
 

@@ -13,7 +13,7 @@ import pytest
 from lubintate2d import cli, lubintate
 from lubintate2d.copolygon import Copolygon
 from lubintate2d.fixtures import FIXTURE_NAMES
-from lubintate2d.series import dump_sections, parse_sections
+from lubintate2d.series import Series, dump_sections, parse_sections
 from lubintate2d.torsion import ValuationProfile
 from paper_checks import forbidden_imports, run_lt2d
 
@@ -111,10 +111,20 @@ def test_log_roundtrip(tmp_path, capsys):
 
 def test_log_prints_the_builders_fixed_point_unchecked(capsys, monkeypatch):
     """The builder stops only at a fixed point of the functional equation,
-    so `log` checks nothing after it: README example 00 keeps its bytes."""
-    monkeypatch.setattr(lubintate, "recursion_defects", None)
-    golden = Path(__file__).parent / "data" / "readme" / "00.stdout"
-    assert run(capsys, "log", *PARAMS, "-D", "12") == (0, golden.read_text(), "")
+    so neither `log` nor `verify` takes its step again: each raises the
+    variables as often as one `build_logarithm` does, and README examples
+    00 and 11 keep their bytes."""
+    calls = []
+    real = Series.raise_vars
+    monkeypatch.setattr(Series, "raise_vars", lambda s, q: calls.append(q) or real(s, q))
+    golden = Path(__file__).parent / "data" / "readme"
+    for command, degree, example in (("log", 12, "00"), ("verify", 9, "11")):
+        calls.clear()
+        lubintate.build_logarithm(2, (2, 3), degree)
+        steps = len(calls)
+        assert run(capsys, command, *PARAMS, "-D", str(degree)) == (
+            0, (golden / f"{example}.stdout").read_text(), "")
+        assert len(calls) == 2 * steps, command
 
 
 def test_group_stdout_parses(capsys):
@@ -390,18 +400,18 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
 
 
 def test_verify_builds_p_multiplication_once(capsys, monkeypatch):
-    """`verify` and `group` each build [p]_F once, before the law, and
-    invert the logarithm once, for [p]_F; the law reads that inverse."""
+    """`group` composes no [p]_F and inverts the logarithm once, for the
+    law; `verify` builds [p]_F once, after the law, from that inverse."""
     calls = []
     real_mult, real_invert = lubintate.multiplication, lubintate.invert_pair
     monkeypatch.setattr(lubintate, "multiplication",
                         lambda a, g: calls.append(a) or real_mult(a, g))
     monkeypatch.setattr(lubintate, "invert_pair",
                         lambda f: calls.append("invert_pair") or real_invert(f))
-    for command in ("verify", "group"):
+    for command, expected in (("verify", ["invert_pair", 2]), ("group", ["invert_pair"])):
         calls.clear()
         code, _, _ = run(capsys, command, "-p", "2", "--h1", "2", "--h2", "3", "-D", "9")
-        assert code == 0 and calls == [2, "invert_pair"], command
+        assert code == 0 and calls == expected, command
 
 
 def test_group_and_verify_build_one_log_sum(capsys, monkeypatch):
@@ -434,7 +444,7 @@ def test_copolygon_svg_computes_tie_loci_once(capsys, monkeypatch, tmp_path):
     # the multiplier is refused before the logarithm is inverted
     (("-N", "1", "mult", "-p", "2", "--h1", "2", "--h2", "3", "-D", "40", "-a", "2"),
      "[2]_F needs N at least 2: 2 is 0 modulo 2^1"),
-    # [p]_F is refused before the law inverts the logarithm
+    # p, [p]_F's scalar, is refused before the law inverts the logarithm
     (("-N", "1", "group", "-p", "2", "--h1", "2", "--h2", "3", "-D", "40"),
      "[2]_F needs N at least 2: 2 is 0 modulo 2^1"),
     (("-N", "1", "verify", "-p", "3", "--h1", "1", "--h2", "2", "-D", "40"),
@@ -472,7 +482,7 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
     (("group", "-p", "x", "--h1", "2", "--h2", "3", "-D", "4"), "-p"),
     (("group", "--h1", "2", "--h2", "3", "-D", "4"), "-p"),
     (("frob",), "frob"),
-    (("-N", "x", "log", *PARAMS, "-D", "4"), "-N"),
+    (("-N", "x", "log", *PARAMS, "-D", "4"), "-N must be an integer, got 'x'"),
     # a flag no mode reads is argparse's "unrecognized arguments", naming it
     (("group", *PARAMS, "-D", "6", "--assoc-degree", "8"), "--assoc-degree"),
     (("verify", *PARAMS, "-D", "9", "--assoc-degree", "8"), "--assoc-degree"),
@@ -487,23 +497,27 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
     (("copolygon", "--support", UNOPENABLE), UNOPENABLE),
     # a flag the chosen mode never reads is refused before any work or file read
     (("copolygon", "--support", "series.support", "-D", "3"), "-D"),
-    (("copolygon", "--support", "series.support", "--component", "2"), "--component"),
-    (("verify", "--fixture", "mult45", "-p", "5"), "-p"),
-    (("verify", "--fixture", "mult45", "--h1", "9"), "--h1"),
-    (("verify", "--fixture", "mult45", "--h2", "9"), "--h2"),
-    (("verify", "--fixture", "mult45", "-D", "9"), "-D"),
+    (("copolygon", "--support", "series.support", "--component", "2"),
+     "--support does not read --component"),
+    (("verify", "--fixture", "mult45", "-p", "5"), "--fixture does not read -p"),
+    (("verify", "--fixture", "mult45", "--h1", "9"), "--fixture does not read --h1"),
+    (("verify", "--fixture", "mult45", "--h2", "9"), "--fixture does not read --h2"),
+    (("verify", "--fixture", "mult45", "-D", "9"), "--fixture does not read -D"),
     (("verify", "--fixture", "mult45", "--assoc-degree", "3"), "--assoc-degree"),
     (("verify", "--fixture", "mult45", "--unramified-degree", "2"),
-     "--unramified-degree"),
-    (("torsion", *RAMIFIED, "--ramification", "-n", "2"), "-n"),
-    (("torsion", *RAMIFIED, "--ramification", "--method", "minplus"), "--method"),
-    (("torsion", *RAMIFIED, "--ramification", "--sweep", "3"), "--sweep"),
-    (("torsion", *PARAMS, "--sweep", "3", "-n", "2"), "-n"),
-    (("torsion", *PARAMS, "--sweep", "3", "--method", "minplus"), "--method"),
-    (("verify", "-p", "2"), "-D"),
-    (("-N", "3", "torsion", *PARAMS), "-N"),
-    (("-N", "5", "copolygon", "--fixture", "ex1"), "-N"),
-    (("-N", "1", "verify", "--fixture", "mult45"), "-N"),
+     "--fixture does not read --unramified-degree"),
+    (("torsion", *RAMIFIED, "--ramification", "-n", "2"), "--ramification does not read -n"),
+    (("torsion", *RAMIFIED, "--ramification", "--method", "minplus"),
+     "--ramification does not read --method"),
+    (("torsion", *RAMIFIED, "--ramification", "--sweep", "3"),
+     "--ramification does not read --sweep"),
+    (("torsion", *PARAMS, "--sweep", "3", "-n", "2"), "--sweep does not read -n"),
+    (("torsion", *PARAMS, "--sweep", "3", "--method", "minplus"),
+     "--sweep does not read --method"),
+    (("verify", "-p", "2"), "verify needs --fixture or --h1, --h2, -D"),
+    (("-N", "3", "torsion", *PARAMS), "torsion does not read -N"),
+    (("-N", "5", "copolygon", "--fixture", "ex1"), "copolygon does not read -N"),
+    (("-N", "1", "verify", "--fixture", "mult45"), "--fixture does not read -N"),
     # the closed form alone is no method: `both` checks it against the min-plus walk
     (("torsion", *PARAMS, "--method", "closed"), "--method"),
     # an empty path is one that cannot be opened, not an absent flag
@@ -520,8 +534,9 @@ RAMIFIED = ("-p", "3", "--h1", "2", "--h2", "3")
      "psi_12 = 318665857834031151167461"),
 ])
 def test_bad_input_is_one_usage_line(capsys, monkeypatch, tmp_path, argv, named):
-    """A lone flag or path is named in the detail, a longer `named` is all
-    of it past an OSError's errno, and no group is built."""
+    """A lone flag or path, where argparse or the OS words the message, is
+    named in the detail; any other `named` is all of it past an OSError's
+    errno; and no group is built."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(lubintate, "build_group", None)
     code, out, err = run(capsys, *argv)

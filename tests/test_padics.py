@@ -216,7 +216,7 @@ def test_input_guards(build, error, message):
 
 def _records():
     from lubintate2d.copolygon import Copolygon, TieSegment
-    from lubintate2d.lubintate import HeightPair, LubinTateGroup, Report, Violation, build_group
+    from lubintate2d.lubintate import LubinTateGroup, Report, Violation, build_group
     from lubintate2d.series import Series, SeriesPair
     from lubintate2d.torsion import RamificationReport, ValuationProfile
 

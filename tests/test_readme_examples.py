@@ -9,10 +9,16 @@ each example, NN.stdout and NN.<file> hold the bytes.
 Re-record the goldens, only when an output change is intended, with
 
     PYTHONPATH=src python3 tests/test_readme_examples.py --record
+
+Every library name the README cites in a code span, `module.attr` or
+`Class.attr`, must also still exist.
 """
 
+import importlib
+import inspect
 import json
 import os
+import re
 import shlex
 import sys
 import tempfile
@@ -69,6 +75,24 @@ def test_readme_example_bytes(index, tmp_path):
     assert sorted(got["files"]) == entry["files"]
     for name, data in got["files"].items():
         assert data == (GOLDEN / f"{index:02d}.{name}").read_bytes(), name
+
+
+def test_every_library_name_the_readme_cites_resolves():
+    """`module.attr` for the library's modules and `Class.attr` for its
+    classes, a `_Record` field counting as an attribute: a removed or
+    renamed name cannot stay cited."""
+    owners = {name: importlib.import_module(f"lubintate2d.{name}") for name in (
+        "padics", "series", "series_ops", "lubintate", "copolygon", "torsion", "fixtures", "cli")}
+    owners.update({name: obj for module in owners.values()
+                   for name, obj in vars(module).items()
+                   if inspect.isclass(obj) and obj.__module__.startswith("lubintate2d.")})
+    cited = {m.groups() for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+             for m in re.finditer(r"(?<![\w./])([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)
+             if m.group(1) in owners}
+    assert {("Series", "terms"), ("lubintate", "build_logarithm")} <= cited
+    assert [f"{owner}.{attr}" for owner, attr in sorted(cited)
+            if not hasattr(owners[owner], attr)
+            and attr not in getattr(owners[owner], "_fields", ())] == []
 
 
 def record() -> None:
