@@ -169,9 +169,10 @@ class _Powers(dict):
     Lazily, because a command reads few of them: `lt2d -N 5000 group -p 2
     --h1 2 --h2 3 -D 9` fills 10 entries (k up to 7, and 4997 to 5000),
     while a table filled through k = N holds about N**2 * log2(p) / 2 bits,
-    some 1.5 MB there.  A plain dict, which the pair loop of
-    `series_ops._accumulate` would read faster, needs a bound on the
-    largest k a call can ask for, and no caller computes one yet.
+    some 1.5 MB there.  The pair loop of `series_ops._accumulate` reads a
+    power only where two valuations differ; a plain dict, which it would
+    read faster, needs a bound on the largest k a call can ask for, and no
+    caller computes one yet.
     """
 
     def __init__(self, p: int):

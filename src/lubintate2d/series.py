@@ -15,7 +15,16 @@ leave only through `coefficient`, as a `Padic`; other modules read
 rule of `Padic`, to these triples: sums call it, and products, scalings
 and substitutions inline it.  None builds a `Padic`.  Two series agree
 (`==`) when no term of their difference survives the sum rule, the rule
-by which the verifiers list where two series differ.
+by which the verifiers list where two series differ; `==` applies it key
+by key to the two term dicts in place and builds no difference.
+
+`Series._check` validates values where they enter: `Series(...)`, and so
+`from_coeffs` and `parse_sections`.  A series derived from valid ones (a
+sum, negation, product or composition, a truncation or another reshaping)
+is built by `Series._derived`, which skips it: its terms are canonical
+triples with no exact zero by construction, and only the arguments of the
+operation are checked.  tests/paper_checks.py states what such a series
+holds (`assert_canonical`).
 
 This module holds `Series`.  The packed-key kernels from `_pack` to
 `_substitute_each`, `SeriesPair`, `compose`, `linear_defects`,
@@ -90,6 +99,14 @@ class Series(_Record):
         self.__dict__["terms"] = clean
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _derived(cls, p, nvars, degree, terms):
+        """A series derived from valid ones, built without `_check` (see
+        the module notes)."""
+        s = object.__new__(cls)
+        s.__dict__.update(p=p, nvars=nvars, degree=degree, terms=terms)
+        return s
 
     @classmethod
     def zero(cls, p, nvars, degree):
@@ -169,13 +186,18 @@ class Series(_Record):
         acc = dict(self.terms)
         for e, t in other.terms.items():
             cur = acc.get(e)
-            acc[e] = t if cur is None else _raw_add(pk, cur, t)
-        return Series(self.p, self.nvars, self.degree, acc)
+            if cur is None:
+                acc[e] = t
+            elif (t := _raw_add(pk, cur, t))[1]:
+                acc[e] = t
+            else:
+                del acc[e]  # an exact zero; no later term of other has key e
+        return Series._derived(self.p, self.nvars, self.degree, acc)
 
     def __neg__(self):
         pk = _powers(self.p)
-        return Series(self.p, self.nvars, self.degree,
-                      {e: (v, -u % pk[c - v], c) for e, (v, u, c) in self.terms.items()})
+        return Series._derived(self.p, self.nvars, self.degree,
+                               {e: (v, -u % pk[c - v], c) for e, (v, u, c) in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -185,7 +207,7 @@ class Series(_Record):
         radix = self.degree + 1
         out = _mul_triples(_powers(self.p), _pack(self.terms, radix), _pack(other.terms, radix),
                            self.degree, radix**self.nvars)
-        return Series(self.p, self.nvars, self.degree, _unpack(out, self.nvars, radix))
+        return Series._derived(self.p, self.nvars, self.degree, _unpack(out, self.nvars, radix))
 
     def scale(self, c) -> "Series":
         """c times the series: the product with c as a constant series, c a
@@ -197,8 +219,10 @@ class Series(_Record):
     def truncate(self, degree: int) -> "Series":
         if degree > self.degree:
             raise ValueError("cannot extend a truncated series")
-        return Series(self.p, self.nvars, degree,
-                      {e: c for e, c in self.terms.items() if sum(e) <= degree})
+        if degree < 0:
+            raise ValueError("truncation degree must be nonnegative")
+        return Series._derived(self.p, self.nvars, degree,
+                               {e: c for e, c in self.terms.items() if sum(e) <= degree})
 
     def raise_vars(self, q: int) -> "Series":
         """Substitute x_i -> x_i**q for every variable."""
@@ -208,7 +232,7 @@ class Series(_Record):
         for e, c in self.terms.items():
             if sum(e) * q <= self.degree:
                 acc[tuple(x * q for x in e)] = c
-        return Series(self.p, self.nvars, self.degree, acc)
+        return Series._derived(self.p, self.nvars, self.degree, acc)
 
     def embed(self, nvars: int, positions: Sequence[int]) -> "Series":
         """View in a larger variable set; positions maps old index -> new."""
@@ -223,7 +247,7 @@ class Series(_Record):
             for old, pos in enumerate(positions):
                 new[pos] = e[old]
             acc[tuple(new)] = c
-        return Series(self.p, nvars, self.degree, acc)
+        return Series._derived(self.p, nvars, self.degree, acc)
 
     def eliminate_zeros(self, positions: Sequence[int]) -> "Series":
         """Set the listed variables to 0 and drop them from the tuple."""
@@ -236,7 +260,7 @@ class Series(_Record):
             if any(e[i] for i in drop):
                 continue
             acc[tuple(e[i] for i in keep)] = c
-        return Series(self.p, len(keep), self.degree, acc)
+        return Series._derived(self.p, len(keep), self.degree, acc)
 
     # -- substitution --------------------------------------------------------
 
@@ -249,12 +273,23 @@ class Series(_Record):
 
     def __eq__(self, other):
         """Same prime, variables and degree, and no term of the difference
-        survives the sum rule: the one rule for "two series agree"."""
+        survives the sum rule: the one rule for "two series agree".  Walked
+        in place: the key sets must match, as a term on one side only
+        survives, and at each key `_raw_add` of the term and the other's
+        negation must be the exact zero.  Equal triples always cancel."""
         if not isinstance(other, Series):
             return NotImplemented
         if (self.p, self.nvars, self.degree) != (other.p, other.nvars, other.degree):
             return False
-        return (self - other).is_zero
+        mine, theirs = self.terms, other.terms
+        if mine.keys() != theirs.keys():
+            return False
+        pk = _powers(self.p)
+        for e, a in mine.items():
+            b = theirs[e]
+            if a != b and _raw_add(pk, a, (b[0], -b[1] % pk[b[2] - b[0]], b[2]))[1]:
+                return False
+        return True
 
     __hash__ = None
 

@@ -33,7 +33,8 @@ def _accumulate(pk, acc: dict, a: dict, b: dict, bound: int, top: int) -> dict:
     """Add the product of two {packed key: (val, unit, cap)} dicts through
     total degree `bound` into `acc` and return it; `top` is the place value
     of the degree digit.  `acc` maps a key to (val, x, cap), or to None
-    for an exact zero (see the module notes)."""
+    for an exact zero (see the module notes).  The sum rule is inlined:
+    equal valuations add directly, and only unequal ones read `pk`."""
     terms = [(e, e // top, v, u, c - v) for e, (v, u, c) in b.items()]
     rows = {}
     get = acc.get
@@ -57,7 +58,9 @@ def _accumulate(pk, acc: dict, a: dict, b: dict, bound: int, top: int) -> dict:
             cv, cx, cc = cur
             if cc < cap:
                 cap = cc
-            if v < cv:
+            if v == cv:
+                x += cx
+            elif v < cv:
                 x += cx * pk[cv - v]
             else:
                 x = cx + x * pk[v - cv]
@@ -153,7 +156,7 @@ def _substitute_each(outers: Sequence[Series], inner: Sequence[Series]) -> list:
             if c is not None:
                 # a constant outer monomial is c times an exact one
                 _accumulate(pk, acc, _ONE if prod is None else prod, {0: c}, deg, top)
-    return [Series(p, w, deg, _unpack(_settle(pk, acc), w, radix)) for acc in accs]
+    return [Series._derived(p, w, deg, _unpack(_settle(pk, acc), w, radix)) for acc in accs]
 
 
 class SeriesPair(_Record):
@@ -248,8 +251,8 @@ def invert_pair(f: SeriesPair) -> SeriesPair:
         raise ValueError("pair must have zero constant term")
     if linear_defects(f, 0):
         raise ValueError("linear part must be the identity")
-    ident = SeriesPair(Series(p, 2, degree, {(1, 0): f.first.terms[(1, 0)]}),
-                       Series(p, 2, degree, {(0, 1): f.second.terms[(0, 1)]}))
+    ident = SeriesPair(Series._derived(p, 2, degree, {(1, 0): f.first.terms[(1, 0)]}),
+                       Series._derived(p, 2, degree, {(0, 1): f.second.terms[(0, 1)]}))
     g = ident
     for _ in range(degree + 1):
         r = compose(f, g) - ident

@@ -20,7 +20,8 @@ it with, `from_fraction` builds a `Padic` from a rational, and
 `system_pair` builds the cross-Frobenius system as series.
 `forbidden_imports` is the one syntax-tree walk behind the library's
 import rules, and `run_lt2d` the one in-process `lt2d` runner of the
-golden suites.
+golden suites.  `assert_canonical` states what a series the library
+derives must be, since `Series._derived` builds it without `_check`.
 
 They read one private helper of the library, `lubintate._differences`,
 so they keep its difference rule.  The library never imports this
@@ -256,6 +257,19 @@ def forbidden_imports(names, modules=None) -> list:
                 if named & names:
                     bad.append(f"{path.stem}:{node.lineno}: {sorted(named & names)}")
     return bad
+
+
+# -- derived series ---------------------------------------------------------
+
+
+def assert_canonical(s) -> None:
+    """What `Series._check` holds of given values, held by a derived series:
+    each exponent tuple has `nvars` nonnegative entries of total degree at
+    most D, and each (v, u, c) has 0 < u < p^(c - v) with u coprime to p."""
+    for e, (v, u, c) in s.terms.items():
+        assert type(e) is tuple and len(e) == s.nvars and min(e) >= 0, (s, e)
+        assert sum(e) <= s.degree, (s, e)
+        assert 0 < u < s.p ** (c - v) and u % s.p, (s, e, (v, u, c))
 
 
 # -- running lt2d -----------------------------------------------------------

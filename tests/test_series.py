@@ -17,7 +17,8 @@ from lubintate2d.series import (
 )
 from lubintate2d.series_ops import (_ONE, _accumulate, _mul_triples, _pack, _settle,
                                      _triple_power, _unpack)
-from paper_checks import evaluate_series, from_fraction, min_val_plus_degree
+from paper_checks import (assert_canonical, evaluate_series, from_fraction, min_val_plus_degree,
+                          run_lt2d)
 
 
 def test_constructor_drops_zeros_and_validates():
@@ -631,23 +632,47 @@ def _nearby(rng, a):
 
 
 def test_series_equality_is_the_difference_rule():
+    """The in-place `==` agrees with `(a - b).is_zero`, with the verifiers'
+    `_differences` and with `Padic` equality term by term; a shape mismatch
+    is unequal, never an error."""
     from lubintate2d.lubintate import _differences
 
     rng = random.Random(90210)
     seen = {True: 0, False: 0}
-    for _ in range(1500):
+    cover = dict.fromkeys(("one-sided", "moved", "recapped", "cancelled", "shape"), 0)
+    for _ in range(2400):
         p = rng.choice((2, 3, 5))
         nvars, degree = rng.randrange(1, 4), rng.randrange(1, 7)
         a1, a2 = (_cancelling_series(rng, p, nvars, degree) for _ in range(2))
         b1, b2 = _nearby(rng, a1), _nearby(rng, a2)
         same = b1 == a1
+        assert same == (a1 == b1) == (a1 - b1).is_zero
         assert same == (not _differences(SeriesPair(a1, a1), SeriesPair(b1, a1)))
         assert same == all(a1.coefficient(e) == b1.coefficient(e)
                            for e in a1.terms.keys() | b1.terms.keys())
         assert (SeriesPair(a1, a2) == SeriesPair(b1, b2)) == \
             (not _differences(SeriesPair(a1, a2), SeriesPair(b1, b2)))
         seen[same] += 1
+        cover["one-sided"] += a1.terms.keys() != b1.terms.keys()
+        cover["recapped"] += any(a1.terms[e][2] != b1.terms[e][2]
+                                 for e in a1.terms.keys() & b1.terms.keys())
+        cover["cancelled"] += same and a1.terms != b1.terms
+        # as many terms, one of them at a key a1 lacks
+        free = [e for e in product(range(degree + 1), repeat=nvars)
+                if sum(e) <= degree and e not in a1.terms]
+        if a1.terms and free:
+            terms = dict(a1.terms)
+            terms[rng.choice(free)] = terms.pop(rng.choice(list(terms)))
+            moved = Series(p, nvars, degree, terms)
+            assert not (a1 == moved or moved == a1 or (a1 - moved).is_zero)
+            cover["moved"] += 1
+        other = rng.choice((Series(p, nvars, degree + 1, dict(a1.terms)),
+                            a1.embed(nvars + 1, range(nvars)),
+                            Series.zero(7, nvars, degree)))
+        assert not (a1 == other or other == a1) and a1 != other
+        cover["shape"] += 1
     assert min(seen.values()) >= 300  # both verdicts are exercised
+    assert min(cover.values()) >= 100, cover
 
 
 def test_series_of_different_degree_are_unequal():
@@ -669,6 +694,24 @@ def test_series_equality_reaches_no_padic_equality(monkeypatch):
     assert f.first == hand_logarithm_pair().first
     assert f.first != g.first
     assert f == hand_logarithm_pair() and f != g
+
+
+def test_equality_builds_no_series(monkeypatch):
+    """`==` walks both term dicts in place: comparing the D = 16 law with
+    itself and with its swapped embed builds, negates and adds no series."""
+    from lubintate2d.lubintate import build_group
+
+    for p, heights in ((2, (2, 3)), (3, (1, 2))):
+        law = build_group(p, heights, 16).group_law
+        twins = [law.embed(4, (0, 1, 2, 3)), law.embed(4, (2, 3, 0, 1))]
+        calls = []
+        for name in ("__init__", "_derived", "__neg__", "__add__"):
+            monkeypatch.setattr(Series, name, lambda *a, name=name: calls.append(name))
+        same = [law.first == law.first, law.second == law.second]
+        same += [twin == law for twin in twins]
+        differ = law.first == law.second
+        monkeypatch.undo()
+        assert calls == [] and all(same) and not differ
 
 
 # -- the composition against full-degree powers ---------------------------------
@@ -793,22 +836,58 @@ def test_substitute_matches_full_degree_powers_term_for_term():
 
 
 def test_compose_builds_one_series_per_component(monkeypatch):
+    """One derived series per component, and nothing validated: no
+    `Series.__init__` and no `Padic`."""
     from lubintate2d.lubintate import build_group
 
     group = build_group(3, (1, 2), 12)
     log, exp = group.logarithm, group.exponential
     summed = log.embed(4, (0, 1)) + log.embed(4, (2, 3))
-    counts = {Series: 0, Padic: 0}
-    for cls in counts:
+    counts = {Series: 0, Padic: 0, "derived": 0}
+    for cls in (Series, Padic):
         def counted(self, *args, __init__=cls.__init__, cls=cls):
             counts[cls] += 1
             __init__(self, *args)
         monkeypatch.setattr(cls, "__init__", counted)
+
+    def derived(cls, *fields, real=Series._derived):
+        counts["derived"] += 1
+        return real(*fields)
+
+    monkeypatch.setattr(Series, "_derived", classmethod(derived))
     law = compose(exp, summed)
     monkeypatch.undo()
     assert law == group.group_law
-    assert counts[Series] == 2
-    assert counts[Padic] == 0
+    assert counts == {Series: 0, Padic: 0, "derived": 2}
+
+
+def test_derived_series_are_canonical(monkeypatch):
+    """Every series `Series._derived` builds in `group`, `verify
+    --unramified-degree` and `mult -a p` holds what `_check` would have
+    held; the argument checks of the derived constructors still refuse."""
+    built = []
+
+    def derived(cls, *fields, real=Series._derived):
+        built.append(real(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(Series, "_derived", classmethod(derived))
+    for p, (h1, h2) in ((2, (2, 3)), (3, (1, 2))):
+        fixture = ["-p", str(p), "--h1", str(h1), "--h2", str(h2), "-D", "12"]
+        for argv in (["group", *fixture], ["verify", *fixture, "--unramified-degree", str(h1 + h2)],
+                     ["mult", *fixture, "-a", str(p)]):
+            before = len(built)
+            code, _, stderr = run_lt2d(argv)
+            assert (code, stderr) == (0, ""), argv
+            assert len(built) > before, argv
+    monkeypatch.undo()
+    for s in built:
+        assert_canonical(s)
+    x = _x()
+    for refused in (lambda: x.truncate(-1), lambda: x.embed(4, (1, 1)),
+                    lambda: x.eliminate_zeros((0, 1))):
+        with pytest.raises(ValueError):
+            refused()
 
 
 def test_packed_keys_round_trip():
